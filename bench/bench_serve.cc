@@ -26,6 +26,10 @@
 //       overload the client-side p99 decomposes into queue-wait vs
 //       batch-wait vs compute instead of being a single opaque number.
 //   bench.serve.responses_total         total tagged responses, all points
+//   bench.serve.sweep.<count>_total     the sweep server's own counts
+//       (requests, responses, rejected, errors, batches); the serve.*
+//       instruments in the file belong to the last server started (the
+//       int8 frontier's, unless --quantized), since each Start() zeroes them
 //
 // After the f32 sweep, one extra frontier point is replayed at the highest
 // load factor against a quantized-serving registry (int8 planned path, see
@@ -167,8 +171,8 @@ void StageDelta(const obs::HistogramSnapshot& before,
     *p99_us = 0.0;
     return;
   }
-  *p50_us = d.Percentile(0.50);
-  *p99_us = d.Percentile(0.99);
+  *p50_us = d.Percentile(50);
+  *p99_us = d.Percentile(99);
 }
 
 std::int64_t IdOf(const std::string& line) {
@@ -455,6 +459,14 @@ int main(int argc, char** argv) {
     points.push_back(r);
   }
   server.Stop();
+  // The sweep server's counts, read before the int8 server's Start() zeroes
+  // the registry's serve.* instruments.
+  const std::pair<const char*, std::int64_t> sweep_totals[] = {
+      {"requests", server.requests_total()},
+      {"responses", server.responses_total()},
+      {"rejected", server.rejected_total()},
+      {"errors", server.errors_total()},
+      {"batches", server.batches_total()}};
 
   // Int8 frontier: replay the highest load factor against a fresh server
   // whose registry serves the quantized plan. One line, same open-loop
@@ -505,6 +517,10 @@ int main(int argc, char** argv) {
   }
   m.gauge("bench.serve.responses_total")
       ->Set(static_cast<double>(total_responses));
+  for (const auto& [name, value] : sweep_totals) {
+    m.gauge(std::string("bench.serve.sweep.") + name + "_total")
+        ->Set(static_cast<double>(value));
+  }
   if (!quantized_main) {
     m.gauge("bench.serve.quantized.capacity_rps")->Set(qcapacity);
     m.gauge("bench.serve.quantized.offered_rps")->Set(qpoint.offered_rps);

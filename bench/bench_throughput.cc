@@ -7,9 +7,8 @@
 // Recorded series (dlner-metrics-v1 snapshot, written to --out, default
 // BENCH_throughput.json, intended to be run from the repo root and
 // committed):
-//   bench.eager.<model>.sentences_per_sec    eager path, 1 thread
+//   bench.eager.<model>.sentences_per_sec    Predict per sentence, 1 thread
 //   bench.planned.<model>.sentences_per_sec  plan path, thread sweep 1..8
-//   bench.throughput.<model>.sentences_per_sec  alias of the planned sweep
 //   bench.plan_speedup.<model>               planned(1t) / eager(1t)
 //   bench.throughput.<model>.speedup_4t      only when the host has >1 core
 // On a single-core host the 4-thread speedup is unmeasurable (the sweep
@@ -17,7 +16,7 @@
 // bench.multithread_unmeasurable = 1 is recorded instead.
 //
 // SIMD / quantization series (docs/PERFORMANCE.md):
-//   bench.simd_isa                           0=scalar 1=avx2 2=neon
+//   bench.simd_isa                           0=scalar 1=avx2
 //   bench.simd.<kernel>_gflops               explicit-ISA microkernels,
 //   bench.scalar.<kernel>_gflops             vs the true-scalar reference
 //                                            (kernel in gemm, affine,
@@ -63,15 +62,16 @@ std::vector<std::string> EntityTypesOf(const text::Corpus& corpus) {
   return types;
 }
 
-// Runs Evaluate repeatedly for >= min_seconds (after one warmup pass) and
-// returns sentences/sec.
-double MeasureThroughput(const core::NerModel& model,
-                         const text::Corpus& corpus, double min_seconds) {
-  model.Evaluate(corpus);  // warmup: faults pages, primes arena/allocator
+// Runs `pass` (one inference pass over `corpus`) repeatedly for >=
+// min_seconds after one warmup pass and returns sentences/sec.
+template <typename Pass>
+double MeasureThroughput(const Pass& pass, const text::Corpus& corpus,
+                         double min_seconds) {
+  pass();  // warmup: faults pages, primes arena/allocator
   int repeats = 0;
   Stopwatch sw;
   do {
-    model.Evaluate(corpus);
+    pass();
     ++repeats;
   } while (sw.Seconds() < min_seconds);
   return repeats * static_cast<double>(corpus.size()) / sw.Seconds();
@@ -279,29 +279,35 @@ int main(int argc, char** argv) {
       ModelRun run;
       run.name = cell.name;
 
+      // Eager baseline: the per-sentence forward training uses, one
+      // Predict per sentence on one thread.
+      const auto eager = [&] {
+        for (const text::Sentence& s : corpus.sentences) {
+          if (!s.tokens.empty()) model.Predict(s.tokens);
+        }
+      };
+      const auto planned = [&] { model.Evaluate(corpus); };
       runtime::Runtime::Get().SetThreads(1);
-      model.set_plan_inference(false);
-      run.eager_1t = MeasureThroughput(model, corpus, min_seconds);
+      run.eager_1t = MeasureThroughput(eager, corpus, min_seconds);
 
-      model.set_plan_inference(true);
       for (const int t : thread_counts) {
         runtime::Runtime::Get().SetThreads(t);
         run.threads.push_back(t);
-        run.planned.push_back(MeasureThroughput(model, corpus, min_seconds));
+        run.planned.push_back(MeasureThroughput(planned, corpus, min_seconds));
       }
 
       // Same compiled plan, explicit-ISA vs true-scalar kernels: the SIMD
       // contribution isolated from everything else.
       runtime::Runtime::Get().SetThreads(1);
       batched::ForceScalarKernels(true);
-      run.planned_scalar_1t = MeasureThroughput(model, corpus, min_seconds);
+      run.planned_scalar_1t = MeasureThroughput(planned, corpus, min_seconds);
       batched::ForceScalarKernels(false);
 
       // Int8 planned path: calibrate on the bench corpus itself (this is a
       // throughput bench; accuracy bounds live in the differential suite).
       model.CalibrateQuantization(corpus);
       model.set_quantized_inference(true);
-      run.quantized_1t = MeasureThroughput(model, corpus, min_seconds);
+      run.quantized_1t = MeasureThroughput(planned, corpus, min_seconds);
       model.set_quantized_inference(false);
 
       std::printf("%-16s eager 1t: %7.1f  plan 1t: %7.1f (%.2fx)",
@@ -382,12 +388,9 @@ int main(int argc, char** argv) {
         ->Append(1.0, run.eager_1t);
     obs::Series* planned =
         m.series("bench.planned." + run.name + ".sentences_per_sec");
-    obs::Series* legacy =
-        m.series("bench.throughput." + run.name + ".sentences_per_sec");
     double t1 = 0.0, t4 = 0.0;
     for (std::size_t i = 0; i < run.threads.size(); ++i) {
       planned->Append(static_cast<double>(run.threads[i]), run.planned[i]);
-      legacy->Append(static_cast<double>(run.threads[i]), run.planned[i]);
       if (run.threads[i] == 1) t1 = run.planned[i];
       if (run.threads[i] == 4) t4 = run.planned[i];
     }

@@ -64,13 +64,6 @@ struct NerConfig {
   /// trained it, and appending fields would break the binary format.
   int threads = -1;
 
-  /// Routes corpus-level inference (PredictCorpus, Evaluate) through the
-  /// compiled batched plan (src/plan/) instead of per-sentence eager
-  /// forwards. Results are identical either way (the plan is validated
-  /// against eager by the differential suite); this only trades schedule.
-  /// Like `threads`, an execution knob — deliberately NOT serialized.
-  bool plan_inference = true;
-
   /// Enables document-level entity-consistency state in the streaming
   /// tagger (src/stream/): spans emitted earlier in a document bias the
   /// tagging of later exact surface repetitions (majority-vote type memory,

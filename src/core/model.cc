@@ -48,7 +48,6 @@ NerModel::NerModel(const NerConfig& config, text::Vocabulary word_vocab,
   if (config_.collect_metrics >= 0) {
     obs::EnableMetrics(config_.collect_metrics != 0);
   }
-  plan_inference_ = config_.plan_inference;
   quantized_inference_ = config_.quantized_inference;
   Build(resources);
 }
@@ -251,10 +250,6 @@ std::vector<text::Span> NerModel::Predict(
 
 namespace {
 
-// Shard granularity for corpus-level parallelism: coarse enough to
-// amortize dispatch, fine enough to balance uneven sentence lengths.
-constexpr std::int64_t kSentenceGrain = 8;
-
 // Micro-batch size for the compiled plan: large enough that one blocked
 // GEMM amortizes dispatch across sentences, small enough that ragged tail
 // batches still balance across the thread pool.
@@ -353,7 +348,7 @@ std::vector<std::vector<text::Span>> NerModel::PredictPlanned(
   const auto& sentences = corpus.sentences;
   std::vector<std::vector<text::Span>> predicted(sentences.size());
   // Non-empty sentences map to contiguous batch slots; empty ones keep
-  // their (empty) result vector, matching the eager path.
+  // their (empty) result vector.
   std::vector<std::size_t> slots;
   slots.reserve(sentences.size());
   for (std::size_t i = 0; i < sentences.size(); ++i) {
@@ -388,22 +383,7 @@ std::vector<std::vector<text::Span>> NerModel::PredictCorpus(
   obs::ScopedSpan span("predict_corpus");
   const bool timed = obs::MetricsEnabled();
   obs::Stopwatch sw;
-  const auto& sentences = corpus.sentences;
-  std::vector<std::vector<text::Span>> predicted;
-  if (plan_inference_) {
-    predicted = PredictPlanned(corpus);
-  } else {
-    predicted.resize(sentences.size());
-    runtime::ParallelFor(
-        static_cast<std::int64_t>(sentences.size()), kSentenceGrain,
-        [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            if (!sentences[i].tokens.empty()) {
-              predicted[i] = Predict(sentences[i].tokens);
-            }
-          }
-        });
-  }
+  std::vector<std::vector<text::Span>> predicted = PredictPlanned(corpus);
   if (timed) RecordCorpusThroughput("tag", corpus, sw.Seconds());
   return predicted;
 }
@@ -414,32 +394,9 @@ eval::ExactResult NerModel::Evaluate(const text::Corpus& corpus) const {
   obs::Stopwatch sw;
   const auto& sentences = corpus.sentences;
   eval::ExactMatchEvaluator ev;
-  if (plan_inference_) {
-    const std::vector<std::vector<text::Span>> predicted =
-        PredictPlanned(corpus);
-    for (std::size_t i = 0; i < sentences.size(); ++i) {
-      ev.Add(sentences[i].spans, predicted[i]);
-    }
-  } else {
-    const std::int64_t total = static_cast<std::int64_t>(sentences.size());
-    // One evaluator per fixed-boundary shard; ParallelFor guarantees chunk
-    // c covers [c*grain, (c+1)*grain), so shard index = begin / grain.
-    // Merging in shard order makes the result independent of thread count.
-    const std::int64_t shards =
-        total == 0 ? 0 : (total + kSentenceGrain - 1) / kSentenceGrain;
-    std::vector<eval::ExactMatchEvaluator> shard_evs(shards);
-    runtime::ParallelFor(
-        total, kSentenceGrain, [&](std::int64_t begin, std::int64_t end) {
-          eval::ExactMatchEvaluator& shard_ev =
-              shard_evs[begin / kSentenceGrain];
-          for (std::int64_t i = begin; i < end; ++i) {
-            const text::Sentence& s = sentences[i];
-            std::vector<text::Span> spans;
-            if (!s.tokens.empty()) spans = Predict(s.tokens);
-            shard_ev.Add(s.spans, spans);
-          }
-        });
-    for (const eval::ExactMatchEvaluator& shard : shard_evs) ev.Merge(shard);
+  const std::vector<std::vector<text::Span>> predicted = PredictPlanned(corpus);
+  for (std::size_t i = 0; i < sentences.size(); ++i) {
+    ev.Add(sentences[i].spans, predicted[i]);
   }
   if (timed) RecordCorpusThroughput("eval", corpus, sw.Seconds());
   return ev.Result();

@@ -59,17 +59,16 @@ class NerModel : public Module {
   /// from multiple threads on a shared model.
   std::vector<text::Span> Predict(const std::vector<std::string>& tokens) const;
 
-  /// Predictions for every sentence of a corpus, in corpus order. With plan
-  /// inference enabled (the default) sentences run through the compiled
-  /// batched plan in packed micro-batches; otherwise per-sentence Predict
-  /// calls are sharded across the thread pool. Both paths produce results
-  /// identical to calling Predict sequentially.
+  /// Predictions for every sentence of a corpus, in corpus order. Sentences
+  /// run through the compiled batched plan in packed micro-batches spread
+  /// over the thread pool; results are identical to calling Predict
+  /// sequentially (the differential suite's oracle), empty sentences yield
+  /// empty vectors.
   std::vector<std::vector<text::Span>> PredictCorpus(
       const text::Corpus& corpus) const;
 
-  /// Exact-match evaluation over a corpus. Parallel over sentences; the
-  /// per-shard statistics are merged in shard order, so the result is
-  /// bit-identical across thread counts.
+  /// Exact-match evaluation of PredictCorpus over a corpus; bit-identical
+  /// across thread counts.
   eval::ExactResult Evaluate(const text::Corpus& corpus) const;
 
   std::vector<Var> Parameters() const override;
@@ -108,12 +107,6 @@ class NerModel : public Module {
   decoders::TagDecoder* decoder() { return decoder_.get(); }
   Rng* rng() { return &rng_; }
 
-  /// Toggles the compiled batched path for corpus-level inference at
-  /// runtime (e.g. to use eager as a differential oracle). Single-sentence
-  /// Predict always runs eager.
-  void set_plan_inference(bool enabled) { plan_inference_ = enabled; }
-  bool plan_inference() const { return plan_inference_; }
-
   /// The compiled inference plan for this model's architecture. Built
   /// lazily on first use (under a "plan/compile" span) and cached.
   const plan::InferencePlan& plan() const;
@@ -146,8 +139,8 @@ class NerModel : public Module {
  private:
   void Build(const Resources& resources);
 
-  /// Packed micro-batch prediction through the compiled plan. Returns one
-  /// span vector per corpus sentence (empty sentences yield empty vectors).
+  /// PredictCorpus without its span and throughput accounting (Evaluate
+  /// records its own).
   std::vector<std::vector<text::Span>> PredictPlanned(
       const text::Corpus& corpus) const;
 
@@ -164,7 +157,6 @@ class NerModel : public Module {
   encoders::RecursiveEncoder* recursive_encoder_ = nullptr;
   std::unique_ptr<decoders::TagDecoder> decoder_;
 
-  bool plan_inference_ = true;
   mutable std::once_flag plan_once_;
   mutable std::unique_ptr<plan::InferencePlan> plan_;
 

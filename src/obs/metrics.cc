@@ -74,6 +74,21 @@ std::string PromNumber(double v) {
   return internal::JsonNumber(v);
 }
 
+// The ", count, sum, min, max, p50, p90, p99" JSON fields both histogram
+// kinds export.
+std::string JsonHistogramFields(const HistogramSnapshot& s) {
+  using internal::JsonNumber;
+  std::string out = ", \"count\": ";
+  out += std::to_string(s.count);
+  out += ", \"sum\": " + JsonNumber(s.sum);
+  out += ", \"min\": " + JsonNumber(s.min);
+  out += ", \"max\": " + JsonNumber(s.max);
+  out += ", \"p50\": " + JsonNumber(s.Percentile(50));
+  out += ", \"p90\": " + JsonNumber(s.Percentile(90));
+  out += ", \"p99\": " + JsonNumber(s.Percentile(99));
+  return out;
+}
+
 }  // namespace
 
 double HistogramSnapshot::Percentile(double p) const {
@@ -165,134 +180,33 @@ void Histogram::Reset() {
 }
 
 // --- Windowed instruments -----------------------------------------------
-//
-// Both windowed kinds share the same slot-ring discipline. A slot is owned
-// by epoch e = now_us / epoch_us at index e % epochs; it is lazily zeroed
-// and re-tagged (under its own mutex, once per turnover) the first time a
-// writer or reader touches it in a new epoch. The epoch tag is stored with
-// release order after zeroing so a relaxed-reading writer that sees the new
-// tag also sees the cleared payload.
-
-struct WindowedHistogram::Slot {
-  std::mutex mu;  // taken only to rotate the slot into a new epoch
-  std::atomic<std::int64_t> epoch{-1};
-  std::atomic<std::int64_t> buckets[HistogramSnapshot::kBuckets] = {};
-  std::atomic<std::int64_t> count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min{0.0};
-  std::atomic<double> max{0.0};
-};
-
-WindowedHistogram::WindowedHistogram(std::int64_t epoch_us, int epochs)
-    : epoch_us_(epoch_us > 0 ? epoch_us : 1),
-      epochs_(epochs > 0 ? epochs : 1),
-      slots_(new Slot[static_cast<std::size_t>(epochs_)]) {}
-
-WindowedHistogram::~WindowedHistogram() = default;
-
-WindowedHistogram::Slot* WindowedHistogram::SlotFor(std::int64_t epoch) {
-  Slot* slot = &slots_[static_cast<std::size_t>(epoch % epochs_)];
-  if (slot->epoch.load(std::memory_order_acquire) != epoch) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (slot->epoch.load(std::memory_order_relaxed) != epoch) {
-      for (auto& b : slot->buckets) b.store(0, std::memory_order_relaxed);
-      slot->count.store(0, std::memory_order_relaxed);
-      slot->sum.store(0.0, std::memory_order_relaxed);
-      slot->min.store(0.0, std::memory_order_relaxed);
-      slot->max.store(0.0, std::memory_order_relaxed);
-      slot->epoch.store(epoch, std::memory_order_release);
-    }
-  }
-  return slot;
-}
 
 void WindowedHistogram::Observe(double v, std::uint64_t now_us) {
-  if (!(v >= 0.0)) v = 0.0;  // clamp negatives and NaN, like Histogram
-  Slot* slot = SlotFor(static_cast<std::int64_t>(now_us) / epoch_us_);
-  const std::uint64_t sample =
-      v >= 9.2e18 ? ~0ull : static_cast<std::uint64_t>(std::llround(v));
-  slot->buckets[BucketIndex(sample)].fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t n = slot->count.fetch_add(1, std::memory_order_relaxed);
-  AtomicAddDouble(&slot->sum, v);
-  if (n == 0) {
-    slot->min.store(v, std::memory_order_relaxed);
-    AtomicMaxDouble(&slot->max, v);
-  } else {
-    AtomicMinDouble(&slot->min, v);
-    AtomicMaxDouble(&slot->max, v);
-  }
+  CellAt(now_us)->Observe(v);
+  if (lifetime_ != nullptr) lifetime_->Observe(v);
 }
 
 HistogramSnapshot WindowedHistogram::Read(std::uint64_t now_us) const {
-  const std::int64_t current = static_cast<std::int64_t>(now_us) / epoch_us_;
   HistogramSnapshot merged;
-  for (int i = 0; i < epochs_; ++i) {
-    const Slot& slot = slots_[static_cast<std::size_t>(i)];
-    const std::int64_t e = slot.epoch.load(std::memory_order_acquire);
-    // Only slots tagged with an epoch inside [current - epochs + 1,
-    // current] are part of the rolling window; anything older is a stale
-    // slot awaiting rotation.
-    if (e < 0 || e > current || current - e >= epochs_) continue;
-    HistogramSnapshot s;
-    s.count = slot.count.load(std::memory_order_relaxed);
-    s.sum = slot.sum.load(std::memory_order_relaxed);
-    s.min = slot.min.load(std::memory_order_relaxed);
-    s.max = slot.max.load(std::memory_order_relaxed);
-    for (int b = 0; b < HistogramSnapshot::kBuckets; ++b) {
-      s.buckets[b] = slot.buckets[b].load(std::memory_order_relaxed);
-    }
-    merged.Merge(s);
-  }
+  ForEachLive(now_us, [&merged](const Histogram& h) {
+    merged.Merge(h.Snapshot());
+  });
   return merged;
 }
 
 void WindowedHistogram::Reset() {
-  for (int i = 0; i < epochs_; ++i) {
-    Slot& slot = slots_[static_cast<std::size_t>(i)];
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.epoch.store(-1, std::memory_order_release);
-  }
-}
-
-struct WindowedCounter::Slot {
-  std::mutex mu;
-  std::atomic<std::int64_t> epoch{-1};
-  std::atomic<std::int64_t> value{0};
-};
-
-WindowedCounter::WindowedCounter(std::int64_t epoch_us, int epochs)
-    : epoch_us_(epoch_us > 0 ? epoch_us : 1),
-      epochs_(epochs > 0 ? epochs : 1),
-      slots_(new Slot[static_cast<std::size_t>(epochs_)]) {}
-
-WindowedCounter::~WindowedCounter() = default;
-
-WindowedCounter::Slot* WindowedCounter::SlotFor(std::int64_t epoch) {
-  Slot* slot = &slots_[static_cast<std::size_t>(epoch % epochs_)];
-  if (slot->epoch.load(std::memory_order_acquire) != epoch) {
-    std::lock_guard<std::mutex> lock(slot->mu);
-    if (slot->epoch.load(std::memory_order_relaxed) != epoch) {
-      slot->value.store(0, std::memory_order_relaxed);
-      slot->epoch.store(epoch, std::memory_order_release);
-    }
-  }
-  return slot;
+  ResetRing();
+  if (lifetime_ != nullptr) lifetime_->Reset();
 }
 
 void WindowedCounter::Add(std::int64_t n, std::uint64_t now_us) {
-  SlotFor(static_cast<std::int64_t>(now_us) / epoch_us_)
-      ->value.fetch_add(n, std::memory_order_relaxed);
+  CellAt(now_us)->Add(n);
+  if (lifetime_ != nullptr) lifetime_->Add(n);
 }
 
 std::int64_t WindowedCounter::WindowTotal(std::uint64_t now_us) const {
-  const std::int64_t current = static_cast<std::int64_t>(now_us) / epoch_us_;
   std::int64_t total = 0;
-  for (int i = 0; i < epochs_; ++i) {
-    const Slot& slot = slots_[static_cast<std::size_t>(i)];
-    const std::int64_t e = slot.epoch.load(std::memory_order_acquire);
-    if (e < 0 || e > current || current - e >= epochs_) continue;
-    total += slot.value.load(std::memory_order_relaxed);
-  }
+  ForEachLive(now_us, [&total](const Counter& c) { total += c.value(); });
   return total;
 }
 
@@ -301,11 +215,8 @@ double WindowedCounter::RatePerSec(std::uint64_t now_us) const {
 }
 
 void WindowedCounter::Reset() {
-  for (int i = 0; i < epochs_; ++i) {
-    Slot& slot = slots_[static_cast<std::size_t>(i)];
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.epoch.store(-1, std::memory_order_release);
-  }
+  ResetRing();
+  if (lifetime_ != nullptr) lifetime_->Reset();
 }
 
 void Series::Append(double step, double value) {
@@ -328,54 +239,50 @@ Metrics& Metrics::Get() {
   return *instance;
 }
 
+template <typename T, typename... Args>
+T* Metrics::Lookup(std::map<std::string, std::unique_ptr<T>>* instruments,
+                   const std::string& name, Args... args) {
+  auto& slot = (*instruments)[name];
+  if (slot == nullptr) slot = std::make_unique<T>(args...);
+  return slot.get();
+}
+
 Counter* Metrics::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  return Lookup(&counters_, name);
 }
 
 Gauge* Metrics::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
+  return Lookup(&gauges_, name);
 }
 
 Histogram* Metrics::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
+  return Lookup(&histograms_, name);
 }
 
 Series* Metrics::series(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = series_[name];
-  if (slot == nullptr) slot = std::make_unique<Series>();
-  return slot.get();
+  return Lookup(&series_, name);
 }
 
 WindowedCounter* Metrics::windowed_counter(const std::string& name,
-                                           std::int64_t epoch_us,
-                                           int epochs) {
+                                           std::int64_t epoch_us, int epochs,
+                                           const std::string& lifetime_name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = windowed_counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<WindowedCounter>(epoch_us, epochs);
-  }
-  return slot.get();
+  Counter* lifetime =
+      lifetime_name.empty() ? nullptr : Lookup(&counters_, lifetime_name);
+  return Lookup(&windowed_counters_, name, epoch_us, epochs, lifetime);
 }
 
-WindowedHistogram* Metrics::windowed_histogram(const std::string& name,
-                                               std::int64_t epoch_us,
-                                               int epochs) {
+WindowedHistogram* Metrics::windowed_histogram(
+    const std::string& name, std::int64_t epoch_us, int epochs,
+    const std::string& lifetime_name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = windowed_histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<WindowedHistogram>(epoch_us, epochs);
-  }
-  return slot.get();
+  Histogram* lifetime =
+      lifetime_name.empty() ? nullptr : Lookup(&histograms_, lifetime_name);
+  return Lookup(&windowed_histograms_, name, epoch_us, epochs, lifetime);
 }
 
 std::size_t Metrics::NumSeries() const {
@@ -405,16 +312,8 @@ void Metrics::WriteJson(std::ostream& os,
     }
     for (const auto& [name, h] : histograms_) {
       if (options.skip_empty_histograms && h->count() == 0) continue;
-      std::string body = "{\"type\": \"histogram\", \"count\": " +
-                         std::to_string(h->count());
-      body += ", \"sum\": " + JsonNumber(h->sum());
-      body += ", \"min\": " + JsonNumber(h->min());
-      body += ", \"max\": " + JsonNumber(h->max());
-      body += ", \"p50\": " + JsonNumber(h->Percentile(50));
-      body += ", \"p90\": " + JsonNumber(h->Percentile(90));
-      body += ", \"p99\": " + JsonNumber(h->Percentile(99));
-      body += "}";
-      entries.emplace_back(name, std::move(body));
+      entries.emplace_back(name, "{\"type\": \"histogram\"" +
+                                     JsonHistogramFields(h->Snapshot()) + "}");
     }
     for (const auto& [name, s] : series_) {
       std::string body = "{\"type\": \"series\", \"points\": [";
@@ -439,17 +338,10 @@ void Metrics::WriteJson(std::ostream& os,
     for (const auto& [name, wh] : windowed_histograms_) {
       const HistogramSnapshot s = wh->Read(now_us);
       if (options.skip_empty_histograms && s.count == 0) continue;
-      std::string body = "{\"type\": \"windowed_histogram\", \"window_s\": " +
-                         JsonNumber(wh->window_seconds());
-      body += ", \"count\": " + std::to_string(s.count);
-      body += ", \"sum\": " + JsonNumber(s.sum);
-      body += ", \"min\": " + JsonNumber(s.min);
-      body += ", \"max\": " + JsonNumber(s.max);
-      body += ", \"p50\": " + JsonNumber(s.Percentile(50));
-      body += ", \"p90\": " + JsonNumber(s.Percentile(90));
-      body += ", \"p99\": " + JsonNumber(s.Percentile(99));
-      body += "}";
-      entries.emplace_back(name, std::move(body));
+      entries.emplace_back(
+          name, "{\"type\": \"windowed_histogram\", \"window_s\": " +
+                    JsonNumber(wh->window_seconds()) +
+                    JsonHistogramFields(s) + "}");
     }
   }
   std::sort(entries.begin(), entries.end());

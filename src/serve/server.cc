@@ -60,30 +60,38 @@ Server::Server(ModelRegistry* registry, const ServeConfig& config)
       metrics_always_(config.metrics_port >= 0),
       cache_(config.cache_capacity) {
   obs::Metrics& m = obs::Metrics::Get();
-  lat_hist_ = m.histogram("serve.request.latency_us");
-  stage_queue_hist_ = m.histogram("serve.stage.queue_wait_us");
-  stage_batch_hist_ = m.histogram("serve.stage.batch_wait_us");
-  stage_compute_hist_ = m.histogram("serve.stage.compute_us");
-  stage_write_hist_ = m.histogram("serve.stage.write_us");
   const std::int64_t eus = config_.window_epoch_us;
   const int eps = config_.window_epochs;
-  win_latency_ = m.windowed_histogram("serve.window.latency_us", eus, eps);
-  win_stage_queue_ =
-      m.windowed_histogram("serve.window.stage.queue_wait_us", eus, eps);
-  win_stage_batch_ =
-      m.windowed_histogram("serve.window.stage.batch_wait_us", eus, eps);
-  win_stage_compute_ =
-      m.windowed_histogram("serve.window.stage.compute_us", eus, eps);
-  win_stage_write_ =
-      m.windowed_histogram("serve.window.stage.write_us", eus, eps);
-  win_batch_size_ = m.windowed_histogram("serve.window.batch.size", eus, eps);
-  win_responses_ = m.windowed_counter("serve.window.responses", eus, eps);
-  win_errors_ = m.windowed_counter("serve.window.errors", eus, eps);
-  win_rejected_ = m.windowed_counter("serve.window.rejected", eus, eps);
-  win_slo_ok_ = m.windowed_counter("serve.window.slo_ok", eus, eps);
-  win_cache_hits_ = m.windowed_counter("serve.window.cache.hits", eus, eps);
-  win_cache_misses_ =
-      m.windowed_counter("serve.window.cache.misses", eus, eps);
+  // Rolling serve.window.* view + the lifetime series it also feeds.
+  const auto counts = [&](const char* window, const char* lifetime) {
+    return m.windowed_counter(window, eus, eps, lifetime);
+  };
+  const auto hist = [&](const char* window, const char* lifetime) {
+    return m.windowed_histogram(window, eus, eps, lifetime);
+  };
+  requests_ = m.counter("serve.requests_total");
+  batches_ = m.counter("serve.batches_total");
+  deadline_flushes_ = m.counter("serve.batch.deadline_flushes");
+  size_flushes_ = m.counter("serve.batch.size_flushes");
+  reloads_ = m.counter("serve.reloads_total");
+  slow_requests_ = m.counter("serve.slow_requests_total");
+  queue_depth_ = m.gauge("serve.queue.depth");
+  queue_peak_ = m.gauge("serve.queue.peak_depth");
+  responses_ = counts("serve.window.responses", "serve.responses_total");
+  errors_ = counts("serve.window.errors", "serve.errors_total");
+  rejected_ = counts("serve.window.rejected", "serve.rejected_total");
+  cache_hits_ = counts("serve.window.cache.hits", "serve.cache.hits");
+  cache_misses_ = counts("serve.window.cache.misses", "serve.cache.misses");
+  slo_ok_ = counts("serve.window.slo_ok", "");
+  latency_ = hist("serve.window.latency_us", "serve.request.latency_us");
+  stage_queue_ =
+      hist("serve.window.stage.queue_wait_us", "serve.stage.queue_wait_us");
+  stage_batch_ =
+      hist("serve.window.stage.batch_wait_us", "serve.stage.batch_wait_us");
+  stage_compute_ =
+      hist("serve.window.stage.compute_us", "serve.stage.compute_us");
+  stage_write_ = hist("serve.window.stage.write_us", "serve.stage.write_us");
+  batch_size_ = hist("serve.window.batch.size", "serve.batch.size");
 }
 
 Server::~Server() { Stop(); }
@@ -123,19 +131,24 @@ bool Server::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  // The serve.window.* instruments are registry-global; zero them so this
-  // server's rolling window starts from its own traffic (sequential
-  // in-process servers in tests and bench_serve would otherwise bleed into
-  // each other inside one window length).
-  for (obs::WindowedHistogram* wh :
-       {win_latency_, win_stage_queue_, win_stage_batch_, win_stage_compute_,
-        win_stage_write_, win_batch_size_}) {
-    wh->Reset();
+  // The serve.* instruments are registry-global; zero them so this server's
+  // counts and windows start from its own traffic (sequential in-process
+  // servers in tests and bench_serve would otherwise bleed into each
+  // other).
+  for (obs::Counter* c : {requests_, batches_, deadline_flushes_,
+                          size_flushes_, reloads_, slow_requests_}) {
+    c->Reset();
   }
-  for (obs::WindowedCounter* wc :
-       {win_responses_, win_errors_, win_rejected_, win_slo_ok_,
-        win_cache_hits_, win_cache_misses_}) {
+  queue_depth_->Reset();
+  queue_peak_->Reset();
+  for (obs::WindowedCounter* wc : {responses_, errors_, rejected_,
+                                   cache_hits_, cache_misses_, slo_ok_}) {
     wc->Reset();
+  }
+  for (obs::WindowedHistogram* wh : {latency_, stage_queue_, stage_batch_,
+                                     stage_compute_, stage_write_,
+                                     batch_size_}) {
+    wh->Reset();
   }
 
   if (config_.metrics_port >= 0 && !StartMetricsListener()) {
@@ -266,7 +279,7 @@ void Server::ConnLoop(std::shared_ptr<Conn> conn) {
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       if (line.size() > config_.max_line_bytes) {
-        errors_.fetch_add(1);
+        errors_->Add();
         WriteLine(conn, ErrorResponse(false, 0, kTooLarge,
                                       "request line too long"));
         continue;
@@ -274,7 +287,7 @@ void Server::ConnLoop(std::shared_ptr<Conn> conn) {
       HandleLine(conn, line);
     }
     if (buf.size() > config_.max_line_bytes) {
-      errors_.fetch_add(1);
+      errors_->Add();
       WriteLine(conn,
                 ErrorResponse(false, 0, kTooLarge, "request line too long"));
       buf.clear();
@@ -297,15 +310,14 @@ bool Server::SampleTrace(std::uint64_t req_id) const {
 void Server::HandleLine(const std::shared_ptr<Conn>& conn,
                         const std::string& line) {
   obs::ScopedSpan span("serve/ingest");
-  requests_.fetch_add(1);
+  requests_->Add();
   const std::uint64_t arrival_us = obs::NowMicros();
 
   Request req;
   std::string error;
   int code = 0;
   if (!ParseRequest(line, &req, &error, &code)) {
-    errors_.fetch_add(1);
-    if (CollectMetrics()) win_errors_->Add(1);
+    errors_->Add();
     WriteLine(conn, ErrorResponse(req.has_id, req.id, code, error));
     return;
   }
@@ -324,21 +336,15 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
 
   const ModelRegistry::Entry entry = registry_->Get(req.model);
   if (entry.pipeline == nullptr) {
-    errors_.fetch_add(1);
-    if (collect) {
-      win_errors_->Add(1);
-      ModelWindow(req.model, "errors")->Add(1);
-    }
+    errors_->Add();
+    if (collect) ModelWindow(req.model, "errors")->Add(1);
     WriteLine(conn, ErrorResponse(req.has_id, req.id, kUnknownModel,
                                   "unknown model \"" + req.model + "\""));
     return;
   }
   if (static_cast<int>(req.tokens.size()) > config_.max_tokens) {
-    errors_.fetch_add(1);
-    if (collect) {
-      win_errors_->Add(1);
-      ModelWindow(req.model, "errors")->Add(1);
-    }
+    errors_->Add();
+    if (collect) ModelWindow(req.model, "errors")->Add(1);
     WriteLine(conn, ErrorResponse(req.has_id, req.id, kTooLarge,
                                   "too many tokens (max " +
                                       std::to_string(config_.max_tokens) +
@@ -354,7 +360,7 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
     t.queue_end_us = t.batch_end_us = arrival_us;
     t.compute_start_us = t.compute_end_us = arrival_us;
     t.write_start_us = obs::NowMicros();
-    responses_.fetch_add(1);
+    responses_->Add();
     WriteLine(conn, TagResponse(p.request, false, TagPayload({}, {})));
     t.write_end_us = obs::NowMicros();
     FinishTagRequest(p, p.request.model, /*cached=*/false, t);
@@ -368,9 +374,8 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
         LruCache::Key(req.model, entry.generation, req.tokens);
     std::string payload;
     if (cache_.Get(key, &payload)) {
-      cache_hits_.fetch_add(1);
-      if (collect) win_cache_hits_->Add(1);
-      responses_.fetch_add(1);
+      cache_hits_->Add();
+      responses_->Add();
       Pending p{conn, std::move(req), arrival_us, req_id, sampled};
       StageTimes t;
       t.arrival_us = arrival_us;
@@ -382,38 +387,28 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
       FinishTagRequest(p, p.request.model, /*cached=*/true, t);
       return;
     }
-    cache_misses_.fetch_add(1);
-    if (collect) win_cache_misses_->Add(1);
+    cache_misses_->Add();
   }
 
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_.load()) {
-      rejected_.fetch_add(1);
-      if (collect) win_rejected_->Add(1);
+      rejected_->Add();
       WriteLine(conn, ErrorResponse(req.has_id, req.id, kShuttingDown,
                                     "server is shutting down"));
       return;
     }
     if (static_cast<int>(queue_.size()) >= config_.queue_capacity) {
-      rejected_.fetch_add(1);
-      if (collect) win_rejected_->Add(1);
+      rejected_->Add();
       WriteLine(conn, ErrorResponse(req.has_id, req.id, kQueueFull,
                                     "admission queue full"));
       return;
     }
     queue_.push_back(Pending{conn, std::move(req), arrival_us, req_id,
                              sampled});
-    const auto depth = static_cast<std::int64_t>(queue_.size());
-    queue_depth_.store(depth, std::memory_order_relaxed);
-    std::int64_t peak = queue_peak_.load();
-    while (depth > peak && !queue_peak_.compare_exchange_weak(peak, depth)) {
-    }
-    if (collect) {
-      obs::Metrics::Get()
-          .gauge("serve.queue.depth")
-          ->Set(static_cast<double>(depth));
-    }
+    const auto depth = static_cast<double>(queue_.size());
+    queue_depth_->Set(depth);
+    queue_peak_->SetMax(depth);
   }
   queue_cv_.notify_one();
 }
@@ -437,21 +432,16 @@ void Server::FinishTagRequest(const Pending& pending, const std::string& model,
   const std::uint64_t total = stage(t.arrival_us, t.write_end_us);
 
   if (CollectMetrics()) {
-    lat_hist_->Observe(static_cast<double>(total));
-    stage_queue_hist_->Observe(static_cast<double>(queue_wait));
-    stage_batch_hist_->Observe(static_cast<double>(batch_wait));
-    stage_compute_hist_->Observe(static_cast<double>(compute));
-    stage_write_hist_->Observe(static_cast<double>(write));
-    win_latency_->Observe(static_cast<double>(total));
-    win_stage_queue_->Observe(static_cast<double>(queue_wait));
-    win_stage_batch_->Observe(static_cast<double>(batch_wait));
-    win_stage_compute_->Observe(static_cast<double>(compute));
-    win_stage_write_->Observe(static_cast<double>(write));
-    win_responses_->Add(1);
-    if (config_.slo_us > 0 &&
-        total <= static_cast<std::uint64_t>(config_.slo_us)) {
-      win_slo_ok_->Add(1);
-    }
+    const std::uint64_t now_us = t.write_end_us;
+    latency_->Observe(static_cast<double>(total), now_us);
+    stage_queue_->Observe(static_cast<double>(queue_wait), now_us);
+    stage_batch_->Observe(static_cast<double>(batch_wait), now_us);
+    stage_compute_->Observe(static_cast<double>(compute), now_us);
+    stage_write_->Observe(static_cast<double>(write), now_us);
+  }
+  if (config_.slo_us > 0 &&
+      total <= static_cast<std::uint64_t>(config_.slo_us)) {
+    slo_ok_->Add(1, t.write_end_us);
   }
 
   if (pending.sampled && obs::TracingEnabled()) {
@@ -474,7 +464,7 @@ void Server::FinishTagRequest(const Pending& pending, const std::string& model,
 
   if (config_.slow_request_us > 0 &&
       total >= static_cast<std::uint64_t>(config_.slow_request_us)) {
-    slow_requests_.fetch_add(1);
+    slow_requests_->Add();
     obs::Log(obs::LogLevel::kWarn, "serve_slow_request",
              {{"req", static_cast<std::int64_t>(pending.req_id)},
               {"model", model},
@@ -497,13 +487,13 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req,
       req.has_id ? "\"id\":" + std::to_string(req.id) + "," : "";
   if (req.cmd == "reload") {
     if (!registry_->Load(req.model, req.path)) {
-      errors_.fetch_add(1);
+      errors_->Add();
       WriteLine(conn, ErrorResponse(req.has_id, req.id, kInternal,
                                     "cannot load checkpoint \"" + req.path +
                                         "\""));
       return;
     }
-    reloads_.fetch_add(1);
+    reloads_->Add();
     const ModelRegistry::Entry entry = registry_->Get(req.model);
     obs::Log(obs::LogLevel::kInfo, "serve_reloaded",
              {{"model", req.model},
@@ -536,39 +526,32 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req,
     // SLO attainment, so an operator polling stats sees the current
     // minute, not the lifetime average.
     const std::uint64_t now_us = obs::NowMicros();
-    const obs::HistogramSnapshot lat = win_latency_->Read(now_us);
-    const std::int64_t win_responses = win_responses_->WindowTotal(now_us);
-    const std::int64_t win_ok = win_slo_ok_->WindowTotal(now_us);
-    const double attainment =
-        win_responses > 0 ? static_cast<double>(win_ok) /
-                                static_cast<double>(win_responses)
-                          : 1.0;
+    const obs::HistogramSnapshot lat = latency_->Read(now_us);
     using obs::internal::JsonNumber;
     std::string window =
-        "{\"window_s\":" + JsonNumber(win_latency_->window_seconds()) +
-        ",\"responses\":" + std::to_string(win_responses) +
-        ",\"errors\":" + std::to_string(win_errors_->WindowTotal(now_us)) +
-        ",\"rejected\":" +
-        std::to_string(win_rejected_->WindowTotal(now_us)) +
+        "{\"window_s\":" + JsonNumber(latency_->window_seconds()) +
+        ",\"responses\":" + std::to_string(responses_->WindowTotal(now_us)) +
+        ",\"errors\":" + std::to_string(errors_->WindowTotal(now_us)) +
+        ",\"rejected\":" + std::to_string(rejected_->WindowTotal(now_us)) +
         ",\"cache_hits\":" +
-        std::to_string(win_cache_hits_->WindowTotal(now_us)) +
+        std::to_string(cache_hits_->WindowTotal(now_us)) +
         ",\"cache_misses\":" +
-        std::to_string(win_cache_misses_->WindowTotal(now_us)) +
+        std::to_string(cache_misses_->WindowTotal(now_us)) +
         ",\"p50_us\":" + JsonNumber(lat.Percentile(50)) +
         ",\"p99_us\":" + JsonNumber(lat.Percentile(99));
     if (config_.slo_us > 0) {
-      window += ",\"slo_attainment\":" + JsonNumber(attainment);
+      window += ",\"slo_attainment\":" + JsonNumber(SloAttainment(now_us));
     }
     window += "}";
     WriteLine(conn,
               "{" + id_prefix + "\"requests\":" +
-                  std::to_string(requests_.load()) + ",\"responses\":" +
-                  std::to_string(responses_.load()) + ",\"rejected\":" +
-                  std::to_string(rejected_.load()) + ",\"errors\":" +
-                  std::to_string(errors_.load()) + ",\"cache_hits\":" +
-                  std::to_string(cache_hits_.load()) + ",\"cache_misses\":" +
-                  std::to_string(cache_misses_.load()) + ",\"batches\":" +
-                  std::to_string(batches_.load()) + ",\"queue_depth\":" +
+                  std::to_string(requests_total()) + ",\"responses\":" +
+                  std::to_string(responses_total()) + ",\"rejected\":" +
+                  std::to_string(rejected_total()) + ",\"errors\":" +
+                  std::to_string(errors_total()) + ",\"cache_hits\":" +
+                  std::to_string(cache_hits()) + ",\"cache_misses\":" +
+                  std::to_string(cache_misses()) + ",\"batches\":" +
+                  std::to_string(batches_total()) + ",\"queue_depth\":" +
                   std::to_string(depth) + ",\"window\":" + window + "}");
     return;
   }
@@ -635,15 +618,9 @@ void Server::BatchLoop() {
           ++it;
         }
       }
-      const auto depth = static_cast<std::int64_t>(queue_.size());
-      queue_depth_.store(depth, std::memory_order_relaxed);
-      if (CollectMetrics()) {
-        obs::Metrics::Get()
-            .gauge("serve.queue.depth")
-            ->Set(static_cast<double>(depth));
-      }
+      queue_depth_->Set(static_cast<double>(queue_.size()));
     }
-    (deadline_flush ? deadline_flushes_ : size_flushes_).fetch_add(1);
+    (deadline_flush ? deadline_flushes_ : size_flushes_)->Add();
     ExecuteBatch(std::move(batch), collect_start_us, obs::NowMicros());
   }
 }
@@ -651,7 +628,7 @@ void Server::BatchLoop() {
 void Server::ExecuteBatch(std::vector<Pending> batch,
                           std::uint64_t collect_start_us,
                           std::uint64_t collect_end_us) {
-  const std::int64_t batch_id = batches_.fetch_add(1) + 1;
+  const std::int64_t batch_id = batches_->Add();
   obs::ScopedSpan span("serve/batch");
   span.Annotate("batch", batch_id);
   if (obs::TracingEnabled()) {
@@ -663,12 +640,7 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
     reqs.push_back(']');
     span.Annotate("reqs", reqs);
   }
-  if (CollectMetrics()) {
-    obs::Metrics::Get()
-        .histogram("serve.batch.size")
-        ->Observe(static_cast<double>(batch.size()));
-    win_batch_size_->Observe(static_cast<double>(batch.size()));
-  }
+  if (CollectMetrics()) batch_size_->Observe(static_cast<double>(batch.size()));
 
   const std::string& model = batch.front().request.model;
   // Resolve the pipeline at execution time: requests queued before a hot
@@ -677,11 +649,8 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
   const ModelRegistry::Entry entry = registry_->Get(model);
   if (entry.pipeline == nullptr) {
     for (const Pending& p : batch) {
-      errors_.fetch_add(1);
-      if (CollectMetrics()) {
-        win_errors_->Add(1);
-        ModelWindow(model, "errors")->Add(1);
-      }
+      errors_->Add();
+      if (CollectMetrics()) ModelWindow(model, "errors")->Add(1);
       Respond(p, ErrorResponse(p.request.has_id, p.request.id, kUnknownModel,
                                "unknown model \"" + model + "\""));
     }
@@ -733,7 +702,7 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
       cache_.Put(LruCache::Key(model, entry.generation, p.request.tokens),
                  payload);
     }
-    responses_.fetch_add(1);
+    responses_->Add();
     WriteLine(p.conn, TagResponse(p.request, false, payload));
     t.write_end_us = obs::NowMicros();
     FinishTagRequest(p, model, /*cached=*/false, t);
@@ -741,10 +710,10 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
 }
 
 // Error-path responder (the tagging path runs FinishTagRequest instead,
-// which also feeds the stage and window instruments).
+// which also feeds the stage instruments).
 void Server::Respond(const Pending& pending, const std::string& line) {
   if (CollectMetrics()) {
-    lat_hist_->Observe(
+    latency_->Observe(
         static_cast<double>(obs::NowMicros() - pending.arrival_us));
   }
   WriteLine(pending.conn, line);
@@ -821,50 +790,36 @@ void Server::Stop() {
   }
   shutdown_cv_.notify_all();
   obs::Log(obs::LogLevel::kInfo, "serve_stopped",
-           {{"responses", responses_.load()}});
+           {{"responses", responses_total()}});
+}
+
+double Server::SloAttainment(std::uint64_t now_us) const {
+  // Fraction of windowed responses at or under --slo-us; an idle window
+  // counts as full attainment.
+  const std::int64_t responses = responses_->WindowTotal(now_us);
+  return responses > 0 ? static_cast<double>(slo_ok_->WindowTotal(now_us)) /
+                             static_cast<double>(responses)
+                       : 1.0;
 }
 
 void Server::PublishMetrics() const {
   obs::Metrics& m = obs::Metrics::Get();
-  auto set = [&m](const char* name, std::int64_t v) {
-    m.gauge(name)->Set(static_cast<double>(v));
-  };
-  set("serve.requests_total", requests_.load());
-  set("serve.responses_total", responses_.load());
-  set("serve.rejected_total", rejected_.load());
-  set("serve.errors_total", errors_.load());
-  set("serve.cache.hits", cache_hits_.load());
-  set("serve.cache.misses", cache_misses_.load());
-  set("serve.cache.size", static_cast<std::int64_t>(cache_.size()));
-  set("serve.batches_total", batches_.load());
-  set("serve.batch.deadline_flushes", deadline_flushes_.load());
-  set("serve.batch.size_flushes", size_flushes_.load());
-  set("serve.queue.peak_depth", queue_peak_.load());
-  set("serve.reloads_total", reloads_.load());
-  set("serve.slow_requests_total", slow_requests_.load());
-  set("serve.queue.depth", queue_depth_.load(std::memory_order_relaxed));
+  m.gauge("serve.cache.size")->Set(static_cast<double>(cache_.size()));
 
   // Derived rolling-window gauges, recomputed at every publish/scrape.
   const std::uint64_t now_us = obs::NowMicros();
-  const std::int64_t win_responses = win_responses_->WindowTotal(now_us);
-  const std::int64_t hits = win_cache_hits_->WindowTotal(now_us);
-  const std::int64_t misses = win_cache_misses_->WindowTotal(now_us);
+  const std::int64_t hits = cache_hits_->WindowTotal(now_us);
+  const std::int64_t misses = cache_misses_->WindowTotal(now_us);
   m.gauge("serve.window.cache_hit_rate")
       ->Set(hits + misses > 0
                 ? static_cast<double>(hits) /
                       static_cast<double>(hits + misses)
                 : 0.0);
   if (config_.slo_us > 0) {
-    // Attainment: fraction of windowed responses at or under --slo-us (an
-    // idle window counts as full attainment). Error budget remaining: with
-    // target t the window may miss on (1 - t) of responses; the gauge is
-    // the unconsumed fraction of that allowance — 1 untouched, 0
-    // exhausted, negative blown.
-    const std::int64_t win_ok = win_slo_ok_->WindowTotal(now_us);
-    const double attainment =
-        win_responses > 0 ? static_cast<double>(win_ok) /
-                                static_cast<double>(win_responses)
-                          : 1.0;
+    // Error budget remaining: with target t the window may miss on (1 - t)
+    // of responses; the gauge is the unconsumed fraction of that
+    // allowance — 1 untouched, 0 exhausted, negative blown.
+    const double attainment = SloAttainment(now_us);
     m.gauge("serve.window.slo_attainment")->Set(attainment);
     const double budget = 1.0 - config_.slo_target;
     m.gauge("serve.window.error_budget_remaining")

@@ -37,9 +37,11 @@
 // serve/request span plus serve/stage/{queue_wait,batch_wait,compute,
 // write} spans sharing the same "req" annotation; serve/batch spans carry
 // the ids they served and set the batch id as the thread's trace context,
-// so plan/batch spans nest attributably. Latency and stage histograms feed
-// both lifetime instruments (serve.request.latency_us, serve.stage.*) and
-// rolling serve.window.* instruments exported by the admin "metrics"
+// so plan/batch spans nest attributably. Each served quantity has one
+// instrument: counts are obs::Counters, and the windowed instruments also
+// keep the lifetime aggregate, so one call records both the rolling
+// serve.window.* view and the lifetime series (serve.request.latency_us,
+// serve.stage.*, serve.errors_total, ...) exported by the admin "metrics"
 // command and the --metrics-port Prometheus scrape; requests over
 // --slow-request-us emit a structured serve_slow_request log line with the
 // stage breakdown. See docs/SERVING.md.
@@ -147,22 +149,29 @@ class Server {
   /// Idempotent.
   void Stop();
 
-  /// Copies the server's internal counters into the obs metrics registry
-  /// (serve.requests_total, serve.responses_total, serve.rejected_total,
-  /// serve.errors_total, serve.cache.hits, serve.cache.misses,
-  /// serve.batches_total, serve.queue.peak_depth, ...). Call before
-  /// exporting metrics, like runtime::Runtime::PublishMetrics().
+  /// Sets the derived gauges (serve.cache.size, the rolling cache hit rate,
+  /// SLO attainment and error budget) and the trace counters. Call before
+  /// exporting metrics, like runtime::Runtime::PublishMetrics(); the counts
+  /// themselves are live registry counters and need no publishing.
   void PublishMetrics() const;
 
-  // Always-on lifetime counters (also the payload of the "stats" admin
-  // command, so they work without --metrics-out).
-  std::int64_t requests_total() const { return requests_.load(); }
-  std::int64_t responses_total() const { return responses_.load(); }
-  std::int64_t rejected_total() const { return rejected_.load(); }
-  std::int64_t errors_total() const { return errors_.load(); }
-  std::int64_t cache_hits() const { return cache_hits_.load(); }
-  std::int64_t cache_misses() const { return cache_misses_.load(); }
-  std::int64_t batches_total() const { return batches_.load(); }
+  // Always-on lifetime counts (also the payload of the "stats" admin
+  // command, so they work without --metrics-out). They read the registry's
+  // serve.* counters, which Start() zeroes: they describe this server as
+  // long as no other Server in the process has started since.
+  std::int64_t requests_total() const { return requests_->value(); }
+  std::int64_t responses_total() const {
+    return responses_->lifetime()->value();
+  }
+  std::int64_t rejected_total() const {
+    return rejected_->lifetime()->value();
+  }
+  std::int64_t errors_total() const { return errors_->lifetime()->value(); }
+  std::int64_t cache_hits() const { return cache_hits_->lifetime()->value(); }
+  std::int64_t cache_misses() const {
+    return cache_misses_->lifetime()->value();
+  }
+  std::int64_t batches_total() const { return batches_->value(); }
 
  private:
   struct Conn;
@@ -219,6 +228,9 @@ class Server {
   obs::WindowedCounter* ModelWindow(const std::string& model,
                                     const char* what) const;
 
+  /// Rolling SLO attainment (only meaningful when config_.slo_us > 0).
+  double SloAttainment(std::uint64_t now_us) const;
+
   bool StartMetricsListener();
   void MetricsLoop();
   /// The Prometheus exposition the scrape endpoint and the admin
@@ -252,43 +264,33 @@ class Server {
   std::condition_variable shutdown_cv_;
   bool shutdown_requested_ = false;
 
-  std::atomic<std::int64_t> requests_{0};
-  std::atomic<std::int64_t> responses_{0};
-  std::atomic<std::int64_t> rejected_{0};
-  std::atomic<std::int64_t> errors_{0};
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
-  std::atomic<std::int64_t> batches_{0};
-  std::atomic<std::int64_t> deadline_flushes_{0};
-  std::atomic<std::int64_t> size_flushes_{0};
-  std::atomic<std::int64_t> queue_peak_{0};
-  std::atomic<std::int64_t> reloads_{0};
-  std::atomic<std::int64_t> queue_depth_{0};  // live admission-queue depth
   std::atomic<std::uint64_t> next_req_id_{0};
-  std::atomic<std::int64_t> slow_requests_{0};
 
-  // Cached instrument pointers (stable for the process lifetime). The
-  // lifetime histograms keep their PR-7 names; the serve.window.* family
-  // is this server's rolling view and is Reset() in Start() so sequential
-  // in-process servers (tests, bench_serve) observe only their own
-  // traffic.
-  obs::Histogram* lat_hist_;
-  obs::Histogram* stage_queue_hist_;
-  obs::Histogram* stage_batch_hist_;
-  obs::Histogram* stage_compute_hist_;
-  obs::Histogram* stage_write_hist_;
-  obs::WindowedHistogram* win_latency_;
-  obs::WindowedHistogram* win_stage_queue_;
-  obs::WindowedHistogram* win_stage_batch_;
-  obs::WindowedHistogram* win_stage_compute_;
-  obs::WindowedHistogram* win_stage_write_;
-  obs::WindowedHistogram* win_batch_size_;
-  obs::WindowedCounter* win_responses_;
-  obs::WindowedCounter* win_errors_;
-  obs::WindowedCounter* win_rejected_;
-  obs::WindowedCounter* win_slo_ok_;
-  obs::WindowedCounter* win_cache_hits_;
-  obs::WindowedCounter* win_cache_misses_;
+  // One registry instrument per served quantity (pointers are stable for
+  // the process lifetime). Each windowed instrument also feeds the lifetime
+  // series named next to it in the constructor. The registry is
+  // process-global, so Start() zeroes all of them: sequential in-process
+  // servers (tests, bench_serve) each count only their own traffic.
+  obs::Counter* requests_;
+  obs::Counter* batches_;
+  obs::Counter* deadline_flushes_;
+  obs::Counter* size_flushes_;
+  obs::Counter* reloads_;
+  obs::Counter* slow_requests_;
+  obs::Gauge* queue_depth_;  // set under queue_mu_
+  obs::Gauge* queue_peak_;   // set under queue_mu_
+  obs::WindowedCounter* responses_;
+  obs::WindowedCounter* errors_;
+  obs::WindowedCounter* rejected_;
+  obs::WindowedCounter* cache_hits_;
+  obs::WindowedCounter* cache_misses_;
+  obs::WindowedCounter* slo_ok_;  // window only: feeds SLO attainment
+  obs::WindowedHistogram* latency_;
+  obs::WindowedHistogram* stage_queue_;
+  obs::WindowedHistogram* stage_batch_;
+  obs::WindowedHistogram* stage_compute_;
+  obs::WindowedHistogram* stage_write_;
+  obs::WindowedHistogram* batch_size_;
 };
 
 }  // namespace dlner::serve

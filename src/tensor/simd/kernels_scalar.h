@@ -1,7 +1,7 @@
 // Scalar reference implementation of the SIMD primitive set.
 //
 // The per-element arithmetic here IS the contract: every vector ISA
-// (kernels_avx2.h, kernels_neon.h) must produce bit-identical results,
+// (kernels_avx2.h) must produce bit-identical results,
 // element for element, which the differential suite enforces by comparing
 // simd::Active against simd::Scalar over random shapes. Practical rules
 // that follow (docs/PERFORMANCE.md, "SIMD & quantization"):

@@ -6,8 +6,7 @@
 //   DLNER_SIMD_FORCE_SCALAR defined  -> Scalar  (CMake -DDLNER_SIMD=scalar)
 //   __AVX2__                         -> Avx2    (auto via -march=native,
 //                                                or forced via -mavx2)
-//   AArch64 __ARM_NEON               -> Neon
-//   otherwise                        -> Scalar
+//   otherwise (aarch64 included)     -> Scalar
 //
 // Every ISA implements the same primitive set with bit-identical
 // per-element results (the contract lives in kernels_scalar.h and is
@@ -26,13 +25,6 @@
 namespace dlner::simd {
 using Active = Avx2;
 }
-#elif !defined(DLNER_SIMD_FORCE_SCALAR) && defined(__aarch64__) && \
-    defined(__ARM_NEON)
-#include "tensor/simd/kernels_neon.h"
-#define DLNER_SIMD_ISA_ID 2
-namespace dlner::simd {
-using Active = Neon;
-}
 #else
 #define DLNER_SIMD_ISA_ID 0
 namespace dlner::simd {
@@ -42,7 +34,7 @@ using Active = Scalar;
 
 namespace dlner::simd {
 
-// 0 = scalar, 1 = avx2, 2 = neon. Recorded numerically as the
+// 0 = scalar, 1 = avx2. Recorded numerically as the
 // `bench.simd_isa` gauge (dlner-metrics-v1 gauges are numeric-only);
 // kIsaName is the human-readable twin.
 inline constexpr int kIsaId = DLNER_SIMD_ISA_ID;

@@ -310,13 +310,6 @@ TEST(PipelineDifferentialTest, EveryEncoderDecoderComboAgreesWithOracle) {
 // per-element operation order) with the eager modules, so the contract is
 // bit-identical predictions, not "close".
 
-std::vector<std::vector<text::Span>> PredictWith(core::NerModel* model,
-                                                 const text::Corpus& corpus,
-                                                 bool planned) {
-  model->set_plan_inference(planned);
-  return model->PredictCorpus(corpus);
-}
-
 TEST(PlanDifferentialTest, PlannedMatchesEagerOnEveryEncoderDecoderCell) {
   // All 42 taxonomy cells: batched emitters (mlp/cnn/idcnn/bilstm/bigru
   // encoders, softmax/crf decoders) and the eager-bridge fallbacks must both
@@ -327,8 +320,8 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerOnEveryEncoderDecoderCell) {
     for (const std::string& decoder : AllDecoders()) {
       const std::string cell = encoder + "/" + decoder;
       core::NerModel model(TinyConfig(encoder, decoder, 7), corpus, types);
-      const auto eager = PredictWith(&model, corpus, false);
-      const auto planned = PredictWith(&model, corpus, true);
+      const auto eager = testsup::EagerPredictCorpus(model, corpus);
+      const auto planned = model.PredictCorpus(corpus);
       ASSERT_EQ(planned.size(), eager.size()) << cell;
       for (size_t i = 0; i < eager.size(); ++i) {
         EXPECT_EQ(planned[i], eager[i]) << cell << " sentence " << i;
@@ -352,8 +345,8 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerAcrossBatchSizesAndRaggedMixes) {
       text::Corpus sub;
       sub.sentences.assign(base.sentences.begin(),
                            base.sentences.begin() + size);
-      const auto eager = PredictWith(&model, sub, false);
-      const auto planned = PredictWith(&model, sub, true);
+      const auto eager = testsup::EagerPredictCorpus(model, sub);
+      const auto planned = model.PredictCorpus(sub);
       ASSERT_EQ(planned.size(), eager.size()) << cell << " size " << size;
       for (size_t i = 0; i < eager.size(); ++i) {
         EXPECT_EQ(planned[i], eager[i])
@@ -370,8 +363,8 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerAcrossBatchSizesAndRaggedMixes) {
       }
       ragged.sentences.push_back(std::move(s));
     }
-    const auto eager = PredictWith(&model, ragged, false);
-    const auto planned = PredictWith(&model, ragged, true);
+    const auto eager = testsup::EagerPredictCorpus(model, ragged);
+    const auto planned = model.PredictCorpus(ragged);
     ASSERT_EQ(planned.size(), eager.size()) << cell;
     for (size_t i = 0; i < eager.size(); ++i) {
       EXPECT_EQ(planned[i], eager[i]) << cell << " ragged sentence " << i;
@@ -387,8 +380,8 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerWithHybridFeatures) {
   core::NerConfig config = TinyConfig("cnn", "crf", 23);
   config.use_shape = true;
   core::NerModel model(config, corpus, types);
-  const auto eager = PredictWith(&model, corpus, false);
-  const auto planned = PredictWith(&model, corpus, true);
+  const auto eager = testsup::EagerPredictCorpus(model, corpus);
+  const auto planned = model.PredictCorpus(corpus);
   ASSERT_EQ(planned.size(), eager.size());
   for (size_t i = 0; i < eager.size(); ++i) {
     EXPECT_EQ(planned[i], eager[i]) << "sentence " << i;
@@ -400,7 +393,7 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerWithHybridFeatures) {
 // The contract (src/tensor/simd/kernels_scalar.h) is bit-identity, not
 // tolerance: simd::Active must reproduce simd::Scalar element for element.
 // When the tree is built with DLNER_SIMD=scalar, Active IS Scalar and these
-// tests pass trivially; on avx2/neon builds they pit the hand-vectorized
+// tests pass trivially; on avx2 builds they pit the hand-vectorized
 // kernels against the (auto-vectorization-disabled) scalar loops.
 
 template <typename T>
@@ -641,7 +634,6 @@ TEST(QuantDifferentialTest, QuantizedInferenceWithinF1BoundOfF32) {
   auto pipeline = core::Pipeline::Train(TinyConfig("cnn", "softmax", 31), tc,
                                         corpus, nullptr, types);
   core::NerModel* model = pipeline->model();
-  model->set_plan_inference(true);
   const double f32_f1 = model->Evaluate(corpus).micro.f1();
   ASSERT_GT(model->CalibrateQuantization(corpus), 0);
   model->set_quantized_inference(true);
@@ -655,9 +647,7 @@ TEST(PlanDifferentialTest, PlannedEvaluateMatchesEagerEvaluate) {
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 15, 94);
   const std::vector<std::string> types = EntityTypesOf(corpus);
   core::NerModel model(TinyConfig("bilstm", "softmax", 29), corpus, types);
-  model.set_plan_inference(false);
-  const eval::ExactResult eager = model.Evaluate(corpus);
-  model.set_plan_inference(true);
+  const eval::ExactResult eager = testsup::EagerEvaluate(model, corpus);
   const eval::ExactResult planned = model.Evaluate(corpus);
   EXPECT_EQ(planned.micro.tp, eager.micro.tp);
   EXPECT_EQ(planned.micro.fp, eager.micro.fp);

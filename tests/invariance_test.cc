@@ -14,6 +14,7 @@
 #include "core/pipeline.h"
 #include "runtime/runtime.h"
 #include "support/corpus_gen.h"
+#include "support/oracles.h"
 #include "tensor/tensor.h"
 
 namespace dlner {
@@ -148,24 +149,18 @@ TEST_F(InvarianceTest, BatchOrderPermutationOnlyPermutesResults) {
 }
 
 TEST_F(InvarianceTest, PlannedAndEagerInferenceAgreeExactly) {
-  // The suite's reference outputs were produced by the compiled-plan path
-  // (it is the default); flipping the model to eager per-sentence inference
-  // must reproduce them bit-for-bit.
-  core::NerModel* model = pipeline_->model();
-  ASSERT_TRUE(model->plan_inference());
-  model->set_plan_inference(false);
-  const auto eager_tags = pipeline_->TagCorpus(split_->test);
-  const auto eager_eval = pipeline_->Evaluate(split_->test);
-  model->set_plan_inference(true);
+  // The suite's reference outputs were produced by the compiled-plan path;
+  // the eager per-sentence oracle must reproduce them bit-for-bit.
+  const core::NerModel& model = *pipeline_->model();
+  const auto eager_tags = testsup::EagerPredictCorpus(model, split_->test);
+  const auto eager_eval = testsup::EagerEvaluate(model, split_->test);
   EXPECT_EQ(eager_tags, reference_tags_);
   ExpectSameExact(eager_eval, reference_eval_);
 }
 
 TEST_F(InvarianceTest, PlannedPathIsThreadCountAndOrderInvariant) {
-  // Same contracts as the suite-wide tests, pinned explicitly to the plan
-  // path so they keep holding if the default ever flips to eager.
-  core::NerModel* model = pipeline_->model();
-  model->set_plan_inference(true);
+  // Same contracts as the suite-wide tests, stated directly for the plan
+  // path that TagCorpus runs.
   for (const int threads : kThreadCounts) {
     runtime::Runtime::Get().SetThreads(threads);
     EXPECT_EQ(pipeline_->TagCorpus(split_->test), reference_tags_)

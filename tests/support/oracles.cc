@@ -148,4 +148,25 @@ eval::ExactResult OracleExactMatch(
   return result;
 }
 
+std::vector<std::vector<text::Span>> EagerPredictCorpus(
+    const core::NerModel& model, const text::Corpus& corpus) {
+  std::vector<std::vector<text::Span>> predicted(corpus.sentences.size());
+  for (std::size_t i = 0; i < corpus.sentences.size(); ++i) {
+    const std::vector<std::string>& tokens = corpus.sentences[i].tokens;
+    if (!tokens.empty()) predicted[i] = model.Predict(tokens);
+  }
+  return predicted;
+}
+
+eval::ExactResult EagerEvaluate(const core::NerModel& model,
+                                const text::Corpus& corpus) {
+  const std::vector<std::vector<text::Span>> predicted =
+      EagerPredictCorpus(model, corpus);
+  eval::ExactMatchEvaluator ev;
+  for (std::size_t i = 0; i < corpus.sentences.size(); ++i) {
+    ev.Add(corpus.sentences[i].spans, predicted[i]);
+  }
+  return ev.Result();
+}
+
 }  // namespace dlner::testsup

@@ -1,4 +1,5 @@
-// Brute-force oracles for the structured decoders and the scorer.
+// Brute-force oracles for the structured decoders and the scorer, and the
+// eager per-sentence oracle for the compiled inference plan.
 //
 // The CRF and semi-CRF dynamic programs admit exact small-n oracles: path
 // (resp. segmentation) enumeration over the decoder's own score primitives.
@@ -11,6 +12,7 @@
 
 #include <vector>
 
+#include "core/model.h"
 #include "decoders/crf.h"
 #include "decoders/semicrf.h"
 #include "eval/metrics.h"
@@ -47,6 +49,18 @@ SemiCrfBruteForce EnumerateSemiCrf(const decoders::SemiCrfDecoder& dec,
 eval::ExactResult OracleExactMatch(
     const std::vector<std::vector<text::Span>>& gold,
     const std::vector<std::vector<text::Span>>& predicted);
+
+/// Eager inference oracle: NerModel::Predict (the per-sentence forward that
+/// training uses) looped over the corpus in order, empty sentences yielding
+/// empty span lists. The compiled plan behind PredictCorpus must reproduce
+/// it bit-for-bit.
+std::vector<std::vector<text::Span>> EagerPredictCorpus(
+    const core::NerModel& model, const text::Corpus& corpus);
+
+/// Exact-match evaluation of EagerPredictCorpus: the oracle for
+/// NerModel::Evaluate.
+eval::ExactResult EagerEvaluate(const core::NerModel& model,
+                                const text::Corpus& corpus);
 
 }  // namespace dlner::testsup
 
