@@ -353,10 +353,10 @@ int main(int argc, char** argv) {
   const double sample_rate = args.GetDouble("trace-sample-rate", 0.01);
   std::vector<double> loads;
   {
-    // Closed-loop capacity is deflated by the batch deadline (one request
-    // in flight waits out batch_delay_us every round trip), so open-loop
-    // micro-batched throughput typically exceeds 1.0x; the high multiplier
-    // probes actual saturation.
+    // Closed-loop capacity runs one request in flight, so every batch holds
+    // a single sentence; open loop over several connections coalesces what
+    // arrives while a batch computes, so its throughput can exceed 1.0x.
+    // The high multiplier probes actual saturation.
     const std::string spec_str = args.Get("loads", "0.5,1.0,2.0,8.0");
     std::size_t pos = 0;
     while (pos < spec_str.size()) {

@@ -71,8 +71,6 @@ Server::Server(ModelRegistry* registry, const ServeConfig& config)
   };
   requests_ = m.counter("serve.requests_total");
   batches_ = m.counter("serve.batches_total");
-  deadline_flushes_ = m.counter("serve.batch.deadline_flushes");
-  size_flushes_ = m.counter("serve.batch.size_flushes");
   reloads_ = m.counter("serve.reloads_total");
   slow_requests_ = m.counter("serve.slow_requests_total");
   queue_depth_ = m.gauge("serve.queue.depth");
@@ -135,8 +133,7 @@ bool Server::Start() {
   // counts and windows start from its own traffic (sequential in-process
   // servers in tests and bench_serve would otherwise bleed into each
   // other).
-  for (obs::Counter* c : {requests_, batches_, deadline_flushes_,
-                          size_flushes_, reloads_, slow_requests_}) {
+  for (obs::Counter* c : {requests_, batches_, reloads_, slow_requests_}) {
     c->Reset();
   }
   queue_depth_->Reset();
@@ -322,7 +319,7 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
     return;
   }
   if (req.kind == Request::Kind::kAdmin) {
-    HandleAdmin(conn, req, arrival_us);
+    HandleAdmin(conn, req);
     return;
   }
 
@@ -480,9 +477,8 @@ void Server::FinishTagRequest(const Pending& pending, const std::string& model,
   }
 }
 
-void Server::HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req,
-                         std::uint64_t arrival_us) {
-  (void)arrival_us;
+void Server::HandleAdmin(const std::shared_ptr<Conn>& conn,
+                         const Request& req) {
   const std::string id_prefix =
       req.has_id ? "\"id\":" + std::to_string(req.id) + "," : "";
   if (req.cmd == "reload") {
@@ -577,37 +573,19 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req,
 void Server::BatchLoop() {
   for (;;) {
     std::vector<Pending> batch;
-    bool deadline_flush = false;
     std::uint64_t collect_start_us = 0;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock,
                      [this] { return stopping_.load() || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_.load()) return;
-        continue;
-      }
-      // From here until the batch is popped the head request is waiting on
-      // batch formation (batch_wait); everything before was queue_wait
-      // (head-of-line blocking behind the previous in-flight batch).
+      if (queue_.empty()) return;  // stopping, and everything is drained
+      // Work-conserving: the batcher is idle, so it runs what is queued now
+      // instead of waiting for more. Requests that arrive while this batch
+      // computes form the next one. Time before this point was queue_wait
+      // (head-of-line blocking behind the previous batch); the pop below is
+      // batch_wait.
       collect_start_us = obs::NowMicros();
       const std::string model = queue_.front().request.model;
-      const std::uint64_t deadline =
-          queue_.front().arrival_us +
-          static_cast<std::uint64_t>(config_.batch_delay_us);
-      auto same_model_count = [&] {
-        int count = 0;
-        for (const Pending& p : queue_) {
-          if (p.request.model == model) ++count;
-        }
-        return count;
-      };
-      while (!stopping_.load() && same_model_count() < config_.batch_max) {
-        const std::uint64_t now = obs::NowMicros();
-        if (now >= deadline) break;
-        queue_cv_.wait_for(lock, std::chrono::microseconds(deadline - now));
-      }
-      deadline_flush = same_model_count() < config_.batch_max;
       for (auto it = queue_.begin();
            it != queue_.end() &&
            static_cast<int>(batch.size()) < config_.batch_max;) {
@@ -620,7 +598,6 @@ void Server::BatchLoop() {
       }
       queue_depth_->Set(static_cast<double>(queue_.size()));
     }
-    (deadline_flush ? deadline_flushes_ : size_flushes_)->Add();
     ExecuteBatch(std::move(batch), collect_start_us, obs::NowMicros());
   }
 }
@@ -680,9 +657,9 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
     const Pending& p = batch[i];
     StageTimes t;
     t.arrival_us = p.arrival_us;
-    // A request that arrived while the batch was already forming waited in
-    // no queue at all: clamp its queue_wait to zero and start batch_wait
-    // at its own arrival.
+    // Every request in the batch was queued before the pop began, so
+    // arrival <= collect_start <= collect_end; the clamp keeps the stage
+    // boundaries ordered even if that ever stops holding.
     t.queue_end_us = std::clamp(collect_start_us, p.arrival_us,
                                 collect_end_us);
     t.batch_end_us = collect_end_us;

@@ -12,9 +12,10 @@
 //              bounded admission queue   (full -> 429 error response)
 //                     │
 //                     ▼
-//               batcher thread: flush by deadline-or-size
-//                     │  groups queued requests by model, up to batch_max
-//                     │  or when the oldest has waited batch_delay_us
+//               batcher thread: work-conserving — whenever it is idle it
+//                     │  takes up to batch_max queued requests for the head
+//                     │  request's model; what arrives meanwhile is the next
+//                     │  batch
 //                     ▼
 //            Pipeline::TagCorpus  (compiled plan: packed ragged
 //            micro-batches over arena-backed buffers, src/plan/)
@@ -72,10 +73,10 @@ struct ServeConfig {
   int port = 0;
   /// Admission-queue bound; a full queue rejects with a 429 error response.
   int queue_capacity = 256;
-  /// Flush a micro-batch at this many queued requests for one model...
+  /// Most requests one micro-batch takes. The batcher never waits for a
+  /// batch to fill: it runs whatever is queued (up to this cap) as soon as
+  /// the previous batch is done, so batch size follows load.
   int batch_max = 16;
-  /// ...or once the oldest queued request has waited this long.
-  std::int64_t batch_delay_us = 2000;
   /// LRU response-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
   /// Request lines longer than this are rejected with a 413 error response
@@ -187,7 +188,7 @@ class Server {
   /// Stage boundary timestamps of one tagging request (obs::NowMicros()).
   /// queue_wait = queue_end - arrival (head-of-line time before the
   /// batcher started collecting this batch), batch_wait = batch_end -
-  /// queue_end (deadline-or-size collection), compute = the TagCorpus
+  /// queue_end (popping the batch off the queue), compute = the TagCorpus
   /// call, write = doc fold + payload build + cache fill + socket write.
   /// Cache hits collapse everything but write onto the arrival instant.
   struct StageTimes {
@@ -203,8 +204,7 @@ class Server {
   void AcceptLoop();
   void ConnLoop(std::shared_ptr<Conn> conn);
   void HandleLine(const std::shared_ptr<Conn>& conn, const std::string& line);
-  void HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req,
-                   std::uint64_t arrival_us);
+  void HandleAdmin(const std::shared_ptr<Conn>& conn, const Request& req);
   void BatchLoop();
   void ExecuteBatch(std::vector<Pending> batch, std::uint64_t collect_start_us,
                     std::uint64_t collect_end_us);
@@ -273,8 +273,6 @@ class Server {
   // servers (tests, bench_serve) each count only their own traffic.
   obs::Counter* requests_;
   obs::Counter* batches_;
-  obs::Counter* deadline_flushes_;
-  obs::Counter* size_flushes_;
   obs::Counter* reloads_;
   obs::Counter* slow_requests_;
   obs::Gauge* queue_depth_;  // set under queue_mu_

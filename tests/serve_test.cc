@@ -14,6 +14,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -550,6 +552,23 @@ TEST(ServerTest, MalformedAndOversizedLinesKeepConnectionAlive) {
   server.Stop();
 }
 
+// `n` tokens drawn in order from the corpus. A head request of
+// kLongHeadTokens computes for milliseconds (several scheduler slices), so
+// the lines written right behind it in the same write are admitted while
+// the batcher is still busy with it, even on a loaded host.
+constexpr int kLongHeadTokens = 16384;
+std::vector<std::string> LongSentence(const text::Corpus& corpus, int n) {
+  std::vector<std::string> tokens;
+  for (std::size_t s = 0; static_cast<int>(tokens.size()) < n; ++s) {
+    for (const std::string& token :
+         corpus.sentences[s % corpus.sentences.size()].tokens) {
+      if (static_cast<int>(tokens.size()) == n) break;
+      tokens.push_back(token);
+    }
+  }
+  return tokens;
+}
+
 TEST(ServerTest, QueueFullRejectsWith429ThenRecovers) {
   const Models& m = Fixture();
   ModelRegistry registry;
@@ -557,23 +576,25 @@ TEST(ServerTest, QueueFullRejectsWith429ThenRecovers) {
   ServeConfig config;
   config.queue_capacity = 1;
   config.batch_max = 16;
-  config.batch_delay_us = 300000;  // park the first request ~300ms
   config.cache_capacity = 0;
+  config.max_tokens = kLongHeadTokens;
   Server server(&registry, config);
   ASSERT_TRUE(server.Start());
 
   TestClient client(server.port());
   ASSERT_TRUE(client.ok());
-  // Distinct sentences so no request short-circuits through the cache path.
-  ASSERT_TRUE(client.SendLine(TokensRequest(0, m.corpus.sentences[0].tokens)));
-  // The first request parks in the queue until the batch deadline; with
-  // capacity 1 the probes below race that window, so (nearly) all of them
-  // must be rejected immediately.
+  // One write: a max_tokens head request, then the probes. While the head
+  // computes, the first probe takes the only queue slot and the rest race
+  // that compute, so (nearly) all of them must be rejected immediately.
+  // The cache is off, so no probe short-circuits through the cache path.
+  const std::vector<std::string> head =
+      LongSentence(m.corpus, config.max_tokens);
+  std::string bytes = TokensRequest(0, head) + "\n";
   const int kProbes = 12;
   for (int i = 0; i < kProbes; ++i) {
-    ASSERT_TRUE(client.SendLine(
-        TokensRequest(100 + i, m.corpus.sentences[1].tokens)));
+    bytes += TokensRequest(100 + i, m.corpus.sentences[1].tokens) + "\n";
   }
+  ASSERT_TRUE(client.SendRaw(bytes));
   // Read everything back: one eventual success for id 0, and each probe
   // either succeeded (queue had drained) or got a 429.
   int rejected = 0;
@@ -586,15 +607,14 @@ TEST(ServerTest, QueueFullRejectsWith429ThenRecovers) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_EQ(server.rejected_total(), rejected);
-  // The parked request was answered correctly despite the rejections.
+  // The head request was answered correctly despite the rejections.
   const std::string expected0 =
-      ExpectedLine(0, "default", false, m.corpus.sentences[0].tokens,
-                   m.pipeline1->Tag(m.corpus.sentences[0].tokens));
-  bool saw_parked = false;
+      ExpectedLine(0, "default", false, head, m.pipeline1->Tag(head));
+  bool saw_head = false;
   for (const std::string& line : lines) {
-    if (line == expected0) saw_parked = true;
+    if (line == expected0) saw_head = true;
   }
-  EXPECT_TRUE(saw_parked);
+  EXPECT_TRUE(saw_head);
   server.Stop();
 }
 
@@ -635,6 +655,11 @@ TEST(ServerTest, HotReloadUnderLoadNeverDropsRequests) {
 
   TestClient admin(port);
   ASSERT_TRUE(admin.ok());
+  // Reload only once traffic flows: on a busy host the hammer thread can
+  // otherwise start after every reload has already landed.
+  for (int i = 0; i < 5000 && received.load() == 0 && bad.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::string reload_ack;
   for (int i = 0; i < 3; ++i) {  // several reloads while traffic flows
     const std::string& path = (i % 2 == 0) ? m.path2 : m.path1;
@@ -739,8 +764,13 @@ const DocModels& DocFixture() {
     tc.lr = 0.02;
     const auto types =
         data::ScenarioEntityTypes(data::Scenario::kEntityConsistency);
-    m->path1 = ::testing::TempDir() + "/serve_doc_model1.bin";
-    m->path2 = ::testing::TempDir() + "/serve_doc_model2.bin";
+    // Per-process names, as in Fixture(): the two doc tests run in
+    // parallel processes under ctest -j, and a Load must never read a
+    // checkpoint the other process is rewriting.
+    const std::string dir =
+        ::testing::TempDir() + "/serve_doc_" + std::to_string(::getpid());
+    m->path1 = dir + "_model1.bin";
+    m->path2 = dir + "_model2.bin";
     core::Pipeline::Train(config, tc, split.train, nullptr, types)
         ->Save(m->path1);
     config.seed = 23;
@@ -960,6 +990,20 @@ std::string HttpGet(int port) {
   return response;
 }
 
+// Calls `read` until its text contains `needle`, for up to five seconds,
+// and returns the last text. A served request's latency, stage and SLO
+// instruments are recorded just after its response is written, so a check
+// made right after the client reads that response waits for them to land.
+std::string ReadUntilContains(const std::function<std::string()>& read,
+                              const std::string& needle) {
+  std::string text = read();
+  for (int i = 0; i < 500 && text.find(needle) == std::string::npos; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    text = read();
+  }
+  return text;
+}
+
 TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
   const Models& m = Fixture();
   ModelRegistry registry;
@@ -980,8 +1024,12 @@ TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
   ASSERT_TRUE(client.SendLine(TokensRequest(2, tokens)));  // cache hit
   ASSERT_FALSE(client.ReadLine().empty());
 
-  ASSERT_TRUE(client.SendLine(R"({"cmd":"stats"})"));
-  const std::string stats = client.ReadLine();
+  const std::string stats = ReadUntilContains(
+      [&] {
+        client.SendLine(R"({"cmd":"stats"})");
+        return client.ReadLine();
+      },
+      "\"slo_attainment\":1");
   EXPECT_NE(stats.find("\"queue_depth\":0"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"window\":{"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"responses\":2"), std::string::npos) << stats;
@@ -1031,7 +1079,9 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
   ASSERT_TRUE(client.SendLine(TokensRequest(1, m.corpus.sentences[6].tokens)));
   ASSERT_FALSE(client.ReadLine().empty());
 
-  const std::string scrape = HttpGet(server.metrics_port());
+  const std::string scrape = ReadUntilContains(
+      [&] { return HttpGet(server.metrics_port()); },
+      "serve_window_slo_attainment 1");
   EXPECT_NE(scrape.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(scrape.find("text/plain; version=0.0.4"), std::string::npos);
   const std::size_t header_end = scrape.find("\r\n\r\n");
@@ -1117,19 +1167,17 @@ TEST(ServerTest, ErrorCountsAgreeAcrossStatsWindowAndScrape) {
 
 TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
   // Golden: every serve/trace metric family the scrape exposed before the
-  // serve counts became registry counters, with its TYPE. Only the eleven
-  // monotone counts changed TYPE (gauge -> counter).
+  // serve counts became registry counters, with its TYPE, less the two
+  // batch flush counters that went away with the batch deadline. Only the
+  // nine monotone counts changed TYPE (gauge -> counter).
   const std::set<std::string> counts = {
       "serve_requests_total",        "serve_responses_total",
       "serve_rejected_total",        "serve_errors_total",
       "serve_cache_hits",            "serve_cache_misses",
-      "serve_batches_total",         "serve_batch_deadline_flushes",
-      "serve_batch_size_flushes",    "serve_reloads_total",
+      "serve_batches_total",         "serve_reloads_total",
       "serve_slow_requests_total"};
   const std::vector<std::pair<std::string, std::string>> golden = {
-      {"serve_batch_deadline_flushes", "gauge"},
       {"serve_batch_size", "histogram"},
-      {"serve_batch_size_flushes", "gauge"},
       {"serve_batches_total", "gauge"},
       {"serve_cache_hits", "gauge"},
       {"serve_cache_misses", "gauge"},
@@ -1204,6 +1252,112 @@ TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
   }
   EXPECT_EQ(IntAfter(body, "\nserve_responses_total "), 2);
   EXPECT_EQ(IntAfter(body, "\nserve_cache_hits "), 1);
+  server.Stop();
+}
+
+// Cumulative count of a scraped histogram family's observations at or
+// under `bound`: the last emitted `le` line not above it (the exposition
+// lists only occupied buckets, in increasing order), or 0.
+std::int64_t BucketCountAtOrBelow(const std::string& body,
+                                  const std::string& family, double bound) {
+  const std::string prefix = family + "_bucket{le=\"";
+  std::int64_t count = 0;
+  std::istringstream lines(body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::string le =
+        line.substr(prefix.size(), line.find('"', prefix.size()) -
+                                       prefix.size());
+    if (le == "+Inf" || std::stod(le) > bound) break;
+    count = std::atoll(line.c_str() + line.rfind(' ') + 1);
+  }
+  return count;
+}
+
+TEST(ServerTest, IdleBatcherDoesNotWait) {
+  // A request that reaches an idle batcher runs at once: with one request
+  // in flight at a time, batch_wait is only the pop off the queue, never a
+  // wait for more requests to join.
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.cache_capacity = 0;
+  config.metrics_port = 0;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  const int kRequests = 20;
+  for (int i = 0; i < kRequests; ++i) {
+    const std::vector<std::string>& tokens = m.corpus.sentences[i].tokens;
+    ASSERT_TRUE(client.SendLine(TokensRequest(i, tokens)));
+    EXPECT_EQ(client.ReadLine(), ExpectedLine(i, "default", false, tokens,
+                                              m.pipeline1->Tag(tokens)));
+  }
+  EXPECT_EQ(server.batches_total(), kRequests);
+  const std::string body =
+      ReadUntilContains([&] { return ScrapeBody(server); },
+                        "\nserve_stage_batch_wait_us_count " +
+                            std::to_string(kRequests) + "\n");
+  EXPECT_EQ(IntAfter(body, "\nserve_stage_batch_wait_us_count "), kRequests);
+  // Every wait lies in a bucket no higher than le="1023": under 1.024 ms.
+  EXPECT_EQ(BucketCountAtOrBelow(body, "serve_stage_batch_wait_us", 1023),
+            kRequests);
+  server.Stop();
+}
+
+TEST(ServerTest, BatcherCoalescesWhileBusy) {
+  // Requests that arrive while a batch computes form the next batch, capped
+  // at batch_max: one write carries a max_tokens head and 32 distinct
+  // sentences, which queue behind the head's compute and run in fewer
+  // batches than requests, with every response unchanged.
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  config.cache_capacity = 0;
+  config.max_tokens = kLongHeadTokens;
+  config.metrics_port = 0;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  const int kRequests = 33;  // the head and 32 distinct sentences
+  std::vector<std::vector<std::string>> sentences = {
+      LongSentence(m.corpus, config.max_tokens)};
+  std::set<std::vector<std::string>> seen = {sentences[0]};
+  for (const text::Sentence& s : m.corpus.sentences) {
+    if (static_cast<int>(sentences.size()) == kRequests) break;
+    if (seen.insert(s.tokens).second) sentences.push_back(s.tokens);
+  }
+  ASSERT_EQ(static_cast<int>(sentences.size()), kRequests);
+  std::string bytes;
+  for (std::size_t i = 0; i < sentences.size(); ++i) {
+    bytes += TokensRequest(static_cast<std::int64_t>(i), sentences[i]) + "\n";
+  }
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client.SendRaw(bytes));
+
+  std::vector<std::string> got(sentences.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string line = client.ReadLine();
+    const int id = static_cast<int>(IntAfter(line, "\"id\":"));
+    ASSERT_GE(id, 0) << line;
+    ASSERT_LT(id, static_cast<int>(got.size())) << line;
+    got[id] = line;
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i],
+              ExpectedLine(static_cast<std::int64_t>(i), "default", false,
+                           sentences[i], m.pipeline1->Tag(sentences[i])));
+  }
+  EXPECT_LT(server.batches_total(), kRequests);
+  const obs::Histogram* sizes =
+      obs::Metrics::Get().histogram("serve.batch.size");
+  EXPECT_EQ(sizes->count(), server.batches_total());
+  EXPECT_LE(sizes->max(), config.batch_max);
   server.Stop();
 }
 

@@ -43,8 +43,7 @@ void Usage() {
       "  --host ADDR          bind address (default 127.0.0.1)\n"
       "  --port N             TCP port; 0 = ephemeral, printed on stdout\n"
       "  --queue-max N        admission-queue bound; full -> 429 (default 256)\n"
-      "  --batch-max N        micro-batch flush size (default 16)\n"
-      "  --batch-delay-us N   micro-batch flush deadline (default 2000)\n"
+      "  --batch-max N        most requests per micro-batch (default 16)\n"
       "  --cache-cap N        LRU response-cache entries; 0 = off (default 4096)\n"
       "  --max-line-bytes N   request lines above this -> 413 (default 1MiB)\n"
       "  --max-tokens N       requests above this -> 413 (default 512)\n"
@@ -107,7 +106,6 @@ int main(int argc, char** argv) {
                 {"port", FlagKind::kValue},
                 {"queue-max", FlagKind::kValue},
                 {"batch-max", FlagKind::kValue},
-                {"batch-delay-us", FlagKind::kValue},
                 {"cache-cap", FlagKind::kValue},
                 {"max-line-bytes", FlagKind::kValue},
                 {"max-tokens", FlagKind::kValue},
@@ -157,7 +155,6 @@ int main(int argc, char** argv) {
   config.port = args.GetInt("port", 0);
   config.queue_capacity = args.GetInt("queue-max", 256);
   config.batch_max = args.GetInt("batch-max", 16);
-  config.batch_delay_us = args.GetInt("batch-delay-us", 2000);
   config.cache_capacity = static_cast<std::size_t>(
       args.GetUInt64("cache-cap", 4096));
   config.max_line_bytes = static_cast<std::size_t>(
