@@ -250,7 +250,7 @@ std::vector<text::Span> NerModel::Predict(
 
 namespace {
 
-// Micro-batch size for the compiled plan: large enough that one blocked
+// Micro-batch size for the compiled plan: large enough that one packed
 // GEMM amortizes dispatch across sentences, small enough that ragged tail
 // batches still balance across the thread pool.
 constexpr std::int64_t kPlanBatch = 16;

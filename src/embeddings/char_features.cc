@@ -2,6 +2,13 @@
 
 namespace dlner::embeddings {
 
+std::vector<int> CharIdsOf(const text::Vocabulary& char_vocab,
+                           const std::string& word) {
+  std::vector<int> ids = char_vocab.EncodeChars(word);
+  if (ids.empty()) ids.push_back(text::Vocabulary::kUnkId);
+  return ids;
+}
+
 CharCnnFeature::CharCnnFeature(const text::Vocabulary* char_vocab,
                                int char_dim, int num_filters, Rng* rng,
                                const std::string& name)
@@ -19,8 +26,7 @@ Var CharCnnFeature::Forward(const std::vector<std::string>& tokens,
   std::vector<Var> rows;
   rows.reserve(tokens.size());
   for (const std::string& word : tokens) {
-    std::vector<int> ids = char_vocab_->EncodeChars(word);
-    if (ids.empty()) ids.push_back(text::Vocabulary::kUnkId);
+    const std::vector<int> ids = CharIdsOf(*char_vocab_, word);
     Var chars = char_embedding_->Lookup(ids);          // [L, char_dim]
     Var conv = Relu(conv_->Apply(chars));              // [L, filters]
     rows.push_back(MaxOverRows(conv));                 // [filters]
@@ -51,8 +57,7 @@ Var CharRnnFeature::Forward(const std::vector<std::string>& tokens,
   std::vector<Var> rows;
   rows.reserve(tokens.size());
   for (const std::string& word : tokens) {
-    std::vector<int> ids = char_vocab_->EncodeChars(word);
-    if (ids.empty()) ids.push_back(text::Vocabulary::kUnkId);
+    const std::vector<int> ids = CharIdsOf(*char_vocab_, word);
     Var chars = char_embedding_->Lookup(ids);  // [L, char_dim]
     auto [fwd_out, fwd_state] = RunRnnWithState(*forward_, chars, false);
     auto [bwd_out, bwd_state] = RunRnnWithState(*backward_, chars, true);

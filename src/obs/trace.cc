@@ -9,10 +9,6 @@
 
 namespace dlner::obs {
 
-namespace internal {
-thread_local std::uint64_t g_trace_ctx = 0;
-}  // namespace internal
-
 Tracer& Tracer::Get() {
   static Tracer* instance = new Tracer();  // leaked: lives until exit
   return *instance;

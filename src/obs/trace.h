@@ -94,7 +94,10 @@ class Tracer {
 
 namespace internal {
 /// Thread-local trace context (see ScopedTraceContext below). 0 = none.
-extern thread_local std::uint64_t g_trace_ctx;
+/// Defined inline here, not declared `extern`: UBSan (the asan preset)
+/// reports accesses to an extern thread_local, which go through a TLS
+/// wrapper function, as loads and stores through a null pointer.
+inline thread_local std::uint64_t g_trace_ctx = 0;
 }  // namespace internal
 
 /// The calling thread's current trace context id (0 when none is set).

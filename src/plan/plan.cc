@@ -7,6 +7,7 @@
 
 #include "decoders/crf.h"
 #include "decoders/softmax.h"
+#include "embeddings/char_features.h"
 #include "encoders/cnn.h"
 #include "encoders/rnn_encoder.h"
 #include "obs/metrics.h"
@@ -73,9 +74,76 @@ FeatureFill GazetteerFill(const embeddings::GazetteerFeature* f) {
   };
 }
 
-// Fallback for features without a packed emitter (char CNN/RNN, LM
-// embeddings, plugins): run the module's normal const forward per sentence
-// and copy the rows out. Identical values by construction.
+// Character features, packed: every token of the micro-batch becomes one
+// segment of a character BatchLayout (segment r is packed token row r), so
+// the whole batch's characters go through one embedding gather and one
+// batched kernel instead of one eager graph per word. Returns the gathered
+// [chars->rows(), char_dim] embedding rows.
+const Float* GatherChars(ExecContext& ctx, const text::Vocabulary& vocab,
+                         const Tensor& table, batched::BatchLayout* chars) {
+  std::vector<int> ids;
+  for (int b = 0; b < ctx.layout->batch(); ++b) {
+    for (const std::string& word : *(*ctx.sentences)[b]) {
+      const std::vector<int> word_ids = embeddings::CharIdsOf(vocab, word);
+      ids.insert(ids.end(), word_ids.begin(), word_ids.end());
+      chars->Add(static_cast<int>(word_ids.size()));
+    }
+  }
+  const int d = table.cols();
+  Float* x = ctx.arena->Alloc(ids.size() * d);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::memcpy(x + i * d, table.data() + static_cast<std::size_t>(ids[i]) * d,
+                d * kF);
+  }
+  return x;
+}
+
+// Char CNN (Fig. 3a): conv + ReLU over each word's characters, then
+// max-pooling over them — CharCnnFeature::Forward, one segment per word.
+FeatureFill CharCnnFill(const embeddings::CharCnnFeature* f) {
+  return [f](ExecContext& ctx, Float* dst, int stride) {
+    const Tensor& table = f->char_embedding().table()->value;
+    const Conv1d& conv = f->conv();
+    batched::BatchLayout chars;
+    const Float* x = GatherChars(ctx, f->char_vocab(), table, &chars);
+    const int n = f->dim();
+    Float* h = ctx.arena->Alloc(static_cast<std::size_t>(chars.rows()) * n);
+    batched::ConvSegments(x, table.cols(), chars, conv.width(),
+                          conv.dilation(), conv.weight()->value,
+                          conv.bias()->value, h, batched::Act::kRelu);
+    batched::MaxOverSegments(h, n, chars, dst, stride);
+  };
+}
+
+// Char BiLSTM (Fig. 3b): the forward state after a word's last character
+// and the backward state after its first — CharRnnFeature::Forward's two
+// final states, one segment per word.
+FeatureFill CharRnnFill(const embeddings::CharRnnFeature* f) {
+  const auto& fc = f->forward_cell().gates();
+  const auto& bc = f->backward_cell().gates();
+  const batched::LstmDir fwd{&fc.weight()->value, &fc.bias()->value};
+  const batched::LstmDir bwd{&bc.weight()->value, &bc.bias()->value};
+  return [f, fwd, bwd](ExecContext& ctx, Float* dst, int stride) {
+    const Tensor& table = f->char_embedding().table()->value;
+    batched::BatchLayout chars;
+    const Float* x = GatherChars(ctx, f->char_vocab(), table, &chars);
+    const int hd = f->hidden_dim();
+    Float* h =
+        ctx.arena->Alloc(static_cast<std::size_t>(chars.rows()) * 2 * hd);
+    batched::BiLstm(x, table.cols(), hd, chars, fwd, bwd, h, ctx.arena);
+    for (int w = 0; w < chars.batch(); ++w) {
+      const std::size_t first = chars.offset(w);
+      const std::size_t last = first + chars.len(w) - 1;
+      Float* row = dst + static_cast<std::size_t>(w) * stride;
+      std::memcpy(row, h + last * 2 * hd, hd * kF);
+      std::memcpy(row + hd, h + first * 2 * hd + hd, hd * kF);
+    }
+  };
+}
+
+// Fallback for features without a packed emitter (LM embeddings, plugins):
+// run the module's normal const forward per sentence and copy the rows
+// out. Identical values by construction.
 FeatureFill BridgeFill(const embeddings::TokenFeature* f) {
   return [f](ExecContext& ctx, Float* dst, int stride) {
     const int d = f->dim();
@@ -196,6 +264,12 @@ void InferencePlan::Compile(const PlanModules& modules,
     } else if (const auto* g = dynamic_cast<const embeddings::GazetteerFeature*>(
                    feature.get())) {
       fill = GazetteerFill(g);
+    } else if (const auto* cc = dynamic_cast<const embeddings::CharCnnFeature*>(
+                   feature.get())) {
+      fill = CharCnnFill(cc);
+    } else if (const auto* cr = dynamic_cast<const embeddings::CharRnnFeature*>(
+                   feature.get())) {
+      fill = CharRnnFill(cr);
     } else {
       fill = BridgeFill(feature.get());
       features_batched = false;

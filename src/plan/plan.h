@@ -4,15 +4,16 @@
 // for training, wasteful for corpus-scale inference where the architecture
 // never changes. An InferencePlan flattens the module tree (representation
 // -> encoder -> decoder) ONCE into a static list of steps that run over a
-// *packed* micro-batch of sentences (tensor/batched.h): one blocked GEMM
+// *packed* micro-batch of sentences (tensor/batched.h): one GEMM
 // spans the whole batch, and every intermediate lives in a bump-pointer
 // Arena, so the steady-state hot path performs zero per-sentence heap
 // allocation.
 //
 // Modules with a batched emitter (mlp/cnn/idcnn/bilstm/bigru encoders,
-// softmax/crf decoders, word/shape/gazetteer features) compile to packed
-// kernels that are bit-identical to eager (see tensor/batched.h). Every
-// other module compiles to an *eager bridge* step that calls the module's
+// softmax/crf decoders, word/shape/gazetteer and char CNN/BiLSTM features)
+// compile to packed kernels that are bit-identical to eager (see
+// tensor/batched.h). Every other module (LM embeddings, plugin features,
+// ...) compiles to an *eager bridge* step that calls the module's
 // normal const forward per sentence under NoGradGuard — identical values by
 // construction — so all taxonomy cells run through one entry point and the
 // planned-vs-eager differential suite can cover the full grid.

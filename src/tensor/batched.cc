@@ -200,6 +200,22 @@ void LayerNormRows(const Float* x, int rows, int d, const Tensor& gain,
   }
 }
 
+namespace {
+
+// Column-wise max over `len` rows of h [len, d] into best[d]. Row 0 seeds
+// the running max, then rows fold in ascending order — per column that is
+// exactly the scalar `if (v > best)` scan of MaxOverRows, and max is exact
+// in any order, so the row-major rewrite is bit-identical.
+template <class Isa>
+void FoldRowMax(const Float* h, int len, int d, Float* best) {
+  std::memcpy(best, h, static_cast<std::size_t>(d) * sizeof(Float));
+  for (int t = 1; t < len; ++t) {
+    Isa::RowMax(h + static_cast<std::size_t>(t) * d, best, d);
+  }
+}
+
+}  // namespace
+
 template <class Isa>
 void GlobalMaxConcatT(const Float* h, int d, const BatchLayout& layout,
                       Float* out) {
@@ -213,17 +229,10 @@ void GlobalMaxConcatT(const Float* h, int d, const BatchLayout& layout,
                   h + static_cast<std::size_t>(off + t) * d,
                   static_cast<std::size_t>(d) * sizeof(Float));
     }
-    // Column-wise max over the segment, written once into the first row's
-    // second half and copied to the rest (no scratch allocation). Row t=0
-    // seeds the running max, then rows fold in ascending t — per column
-    // that is exactly the scalar `if (v > best)` scan, and max is exact in
-    // any order, so the row-major rewrite is bit-identical.
+    // The segment max is written once into the first row's second half and
+    // copied to the rest (no scratch allocation).
     Float* global = out + static_cast<std::size_t>(off) * od + d;
-    std::memcpy(global, h + static_cast<std::size_t>(off) * d,
-                static_cast<std::size_t>(d) * sizeof(Float));
-    for (int t = 1; t < len; ++t) {
-      Isa::RowMax(h + static_cast<std::size_t>(off + t) * d, global, d);
-    }
+    FoldRowMax<Isa>(h + static_cast<std::size_t>(off) * d, len, d, global);
     for (int t = 1; t < len; ++t) {
       std::memcpy(out + static_cast<std::size_t>(off + t) * od + d, global,
                   static_cast<std::size_t>(d) * sizeof(Float));
@@ -237,6 +246,26 @@ void GlobalMaxConcat(const Float* h, int d, const BatchLayout& layout,
     GlobalMaxConcatT<simd::Scalar>(h, d, layout, out);
   } else {
     GlobalMaxConcatT<simd::Active>(h, d, layout, out);
+  }
+}
+
+template <class Isa>
+void MaxOverSegmentsT(const Float* h, int d, const BatchLayout& layout,
+                      Float* out, int out_stride) {
+  for (int b = 0; b < layout.batch(); ++b) {
+    DLNER_CHECK_GT(layout.len(b), 0);
+    FoldRowMax<Isa>(h + static_cast<std::size_t>(layout.offset(b)) * d,
+                    layout.len(b), d,
+                    out + static_cast<std::size_t>(b) * out_stride);
+  }
+}
+
+void MaxOverSegments(const Float* h, int d, const BatchLayout& layout,
+                     Float* out, int out_stride) {
+  if (ScalarKernelsForced()) {
+    MaxOverSegmentsT<simd::Scalar>(h, d, layout, out, out_stride);
+  } else {
+    MaxOverSegmentsT<simd::Active>(h, d, layout, out, out_stride);
   }
 }
 
@@ -418,6 +447,8 @@ void BiGru(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
                                     const Tensor&, Float*);                   \
   template void GlobalMaxConcatT<Isa>(const Float*, int, const BatchLayout&,  \
                                       Float*);                                \
+  template void MaxOverSegmentsT<Isa>(const Float*, int, const BatchLayout&,  \
+                                      Float*, int);                           \
   template void BiLstmT<Isa>(const Float*, int, int, const BatchLayout&,      \
                              const LstmDir&, const LstmDir&, Float*, Arena*); \
   template void BiGruT<Isa>(const Float*, int, int, const BatchLayout&,       \

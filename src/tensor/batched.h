@@ -4,7 +4,7 @@
 // sentence b occupies rows [offsets[b], offsets[b+1]) of one [sum(T_b), d]
 // row-major buffer. Because the shared GEMM kernel (tensor/gemm.h)
 // accumulates every output row independently in ascending-k order, one
-// blocked GEMM over the packed buffer is bit-identical to B per-sentence
+// GEMM over the packed buffer is bit-identical to B per-sentence
 // GEMMs — which is what makes planned-vs-eager differential tests exact
 // and makes results independent of batch composition (batch-order and
 // thread-count invariance come for free).
@@ -78,6 +78,14 @@ void LayerNormRows(const Float* x, int rows, int d, const Tensor& gain,
 void GlobalMaxConcat(const Float* h, int d, const BatchLayout& layout,
                      Float* out);
 
+/// Max-pooling over every segment, as the eager MaxOverRows per segment:
+/// out row b (rows `out_stride` floats apart) is the column-wise max of
+/// h's [rows, d] rows [offset(b), offset(b+1)) — seeded with the first row,
+/// then the strict `>` scan in ascending row order. Every segment must be
+/// non-empty.
+void MaxOverSegments(const Float* h, int d, const BatchLayout& layout,
+                     Float* out, int out_stride);
+
 /// One direction of an LSTM/GRU layer, expressed by its fused parameter
 /// matrices (same layout as the eager cells in tensor/rnn.h).
 struct LstmDir {
@@ -127,6 +135,9 @@ void LayerNormRowsT(const Float* x, int rows, int d, const Tensor& gain,
 template <class Isa>
 void GlobalMaxConcatT(const Float* h, int d, const BatchLayout& layout,
                       Float* out);
+template <class Isa>
+void MaxOverSegmentsT(const Float* h, int d, const BatchLayout& layout,
+                      Float* out, int out_stride);
 template <class Isa>
 void BiLstmT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
              const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena);

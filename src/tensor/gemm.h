@@ -2,34 +2,32 @@
 // packed-batch inference kernels (batched.cc).
 //
 // All access A, B, and C strictly row-major with hoisted row pointers. The
-// forward kernel blocks the inner (k) dimension so a slab of B rows stays
-// cache-resident across the rows of A, and additionally walks A four rows
-// at a time so each streamed B row updates four C rows from registers (the
-// Axpy4 tile in tensor/simd/). Zero entries of A are skipped: activation
-// matrices from ReLU layers and one-hot-ish features are sparse enough for
-// the branch to pay for itself — and the skip is load-bearing for
-// bit-identity, because accumulating a literal a*0 is not a no-op in IEEE
-// arithmetic (-0.0 + 0.0 = +0.0, 0 * inf = NaN).
+// forward kernel is one ISA primitive per output row (Isa::GemmRow in
+// tensor/simd/): the vector ISA register-tiles over columns only, keeping
+// a 32/16/8/4-column tile of the C row in registers across the whole k
+// loop (a scalar tail covers n % 4), so C is loaded and stored once per
+// tile instead of once per k step. Zero entries of A are skipped:
+// activation matrices from ReLU layers and one-hot-ish features are sparse
+// enough for the branch to pay for itself — and the skip is load-bearing
+// for bit-identity, because accumulating a literal a*0 is not a no-op in
+// IEEE arithmetic (-0.0 + 0.0 = +0.0, 0 * inf = NaN).
 //
-// Every output row is accumulated independently and in ascending-k order:
-// neither the k-blocking, nor the 4-row tile (rows are independent), nor
-// the SIMD Axpy primitives (mul+add per element, never FMA, ascending j)
-// change any per-element summation order. That is what lets the planned
-// batch path produce bit-identical results to the per-sentence eager path,
-// and every Isa instantiation produce bit-identical results to Scalar: a
-// packed [sum(T), k] x [k, n] GEMM computes exactly the same per-row sums
-// as B separate per-sentence GEMMs or AffineVec calls, on any ISA.
+// Every output element is accumulated independently, in ascending-k order,
+// as a separate multiply then add (never FMA): the column tiling changes
+// only the loop nest, never an element's operation sequence. That is what
+// lets the planned batch path produce bit-identical results to the
+// per-sentence eager path, and every Isa instantiation produce
+// bit-identical results to Scalar: a packed [sum(T), k] x [k, n] GEMM
+// computes exactly the same per-row sums as B separate per-sentence GEMMs
+// or AffineVec calls, on any ISA.
 #ifndef DLNER_TENSOR_GEMM_H_
 #define DLNER_TENSOR_GEMM_H_
 
-#include <algorithm>
 #include <cstddef>
 
 #include "tensor/simd/simd.h"
 
 namespace dlner::gemm {
-
-inline constexpr int kGemmBlock = 32;
 
 // C[m,n] += A[m,k] * B[k,n], where consecutive logical rows of A start
 // `lda` floats apart. lda may be smaller than k — overlapping rows, which
@@ -40,45 +38,9 @@ inline constexpr int kGemmBlock = 32;
 template <class Isa = simd::Active>
 void GemmAccumStrided(const double* a, int lda, const double* b, double* c,
                       int m, int k, int n) {
-  for (int p0 = 0; p0 < k; p0 += kGemmBlock) {
-    const int p1 = std::min(k, p0 + kGemmBlock);
-    int i = 0;
-    for (; i + 4 <= m; i += 4) {
-      const double* a0 = a + static_cast<std::size_t>(i) * lda;
-      const double* a1 = a0 + lda;
-      const double* a2 = a1 + lda;
-      const double* a3 = a2 + lda;
-      double* c0 = c + static_cast<std::size_t>(i) * n;
-      double* c1 = c0 + n;
-      double* c2 = c1 + n;
-      double* c3 = c2 + n;
-      for (int p = p0; p < p1; ++p) {
-        const double v0 = a0[p];
-        const double v1 = a1[p];
-        const double v2 = a2[p];
-        const double v3 = a3[p];
-        const double* brow = b + static_cast<std::size_t>(p) * n;
-        if (v0 != 0.0 && v1 != 0.0 && v2 != 0.0 && v3 != 0.0) {
-          Isa::Axpy4(v0, v1, v2, v3, brow, c0, c1, c2, c3, n);
-        } else {
-          // Per-row zero-skip, exactly as the 1-row loop below: a row with
-          // av == 0.0 must contribute nothing, not a*0.
-          if (v0 != 0.0) Isa::Axpy(v0, brow, c0, n);
-          if (v1 != 0.0) Isa::Axpy(v1, brow, c1, n);
-          if (v2 != 0.0) Isa::Axpy(v2, brow, c2, n);
-          if (v3 != 0.0) Isa::Axpy(v3, brow, c3, n);
-        }
-      }
-    }
-    for (; i < m; ++i) {
-      const double* arow = a + static_cast<std::size_t>(i) * lda;
-      double* crow = c + static_cast<std::size_t>(i) * n;
-      for (int p = p0; p < p1; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        Isa::Axpy(av, b + static_cast<std::size_t>(p) * n, crow, n);
-      }
-    }
+  for (int i = 0; i < m; ++i) {
+    Isa::GemmRow(a + static_cast<std::size_t>(i) * lda, b,
+                 c + static_cast<std::size_t>(i) * n, k, n);
   }
 }
 

@@ -29,41 +29,31 @@ namespace dlner::simd {
 struct Avx2 {
   static constexpr const char* kName = "avx2";
 
-  static void Axpy(double a, const double* x, double* y, int n) {
-    const __m256d va = _mm256_set1_pd(a);
+  static void GemmRow(const double* a, const double* b, double* c, int k,
+                      int n) {
+    // Register-tiled over columns: each tile of c is loaded once, carried
+    // through the whole p loop in ymm accumulators, and stored once, so the
+    // only per-step memory traffic is the tile's slice of one b row.
     int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(x + j));
-      _mm256_storeu_pd(y + j, _mm256_add_pd(_mm256_loadu_pd(y + j), prod));
+    for (; j + 32 <= n; j += 32) GemmRowTile<8>(a, b + j, c + j, k, n);
+    if (j + 16 <= n) {
+      GemmRowTile<4>(a, b + j, c + j, k, n);
+      j += 16;
     }
-    for (; j < n; ++j) y[j] += a * x[j];
-  }
-
-  static void Axpy4(double a0, double a1, double a2, double a3,
-                    const double* x, double* y0, double* y1, double* y2,
-                    double* y3, int n) {
-    const __m256d va0 = _mm256_set1_pd(a0);
-    const __m256d va1 = _mm256_set1_pd(a1);
-    const __m256d va2 = _mm256_set1_pd(a2);
-    const __m256d va3 = _mm256_set1_pd(a3);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const __m256d vx = _mm256_loadu_pd(x + j);
-      _mm256_storeu_pd(y0 + j, _mm256_add_pd(_mm256_loadu_pd(y0 + j),
-                                             _mm256_mul_pd(va0, vx)));
-      _mm256_storeu_pd(y1 + j, _mm256_add_pd(_mm256_loadu_pd(y1 + j),
-                                             _mm256_mul_pd(va1, vx)));
-      _mm256_storeu_pd(y2 + j, _mm256_add_pd(_mm256_loadu_pd(y2 + j),
-                                             _mm256_mul_pd(va2, vx)));
-      _mm256_storeu_pd(y3 + j, _mm256_add_pd(_mm256_loadu_pd(y3 + j),
-                                             _mm256_mul_pd(va3, vx)));
+    if (j + 8 <= n) {
+      GemmRowTile<2>(a, b + j, c + j, k, n);
+      j += 8;
     }
-    for (; j < n; ++j) {
-      const double v = x[j];
-      y0[j] += a0 * v;
-      y1[j] += a1 * v;
-      y2[j] += a2 * v;
-      y3[j] += a3 * v;
+    if (j + 4 <= n) {
+      GemmRowTile<1>(a, b + j, c + j, k, n);
+      j += 4;
+    }
+    if (j == n) return;
+    for (int p = 0; p < k; ++p) {
+      const double av = a[p];
+      if (av == 0.0) continue;
+      const double* brow = b + static_cast<std::size_t>(p) * n;
+      for (int jj = j; jj < n; ++jj) c[jj] += av * brow[jj];
     }
   }
 
@@ -377,6 +367,30 @@ struct Avx2 {
     for (; j < n; ++j) {
       out[j] = static_cast<double>(acc[j]) * scale[j] + bias[j];
     }
+  }
+
+ private:
+  // c[0, 4V) of one GemmRow, with V ymm accumulators live across the whole
+  // p loop (`b` and `c` already point at the tile's first column).
+  template <int V>
+  static void GemmRowTile(const double* a, const double* b, double* c, int k,
+                          int n) {
+    __m256d acc[V];
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(c + 4 * v);
+    for (int p = 0; p < k; ++p) {
+      const double av = a[p];
+      if (av == 0.0) continue;
+      const __m256d va = _mm256_set1_pd(av);
+      const double* brow = b + static_cast<std::size_t>(p) * n;
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(brow + 4 * v));
+        acc[v] = _mm256_add_pd(acc[v], prod);
+      }
+    }
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) _mm256_storeu_pd(c + 4 * v, acc[v]);
   }
 };
 

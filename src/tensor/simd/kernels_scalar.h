@@ -47,26 +47,24 @@ namespace dlner::simd {
 struct Scalar {
   static constexpr const char* kName = "scalar";
 
-  // y[j] += a * x[j]
+  // One row of the shared f64 GEMM (tensor/gemm.h):
+  //   c[j] += a[p] * b[p*n + j]   for p = 0, 1, ..., k-1 in that order,
+  // skipping every p with a[p] == 0.0. Each element is updated by a
+  // separate multiply then add, in ascending p; vector ISAs may reorder the
+  // loop nest (e.g. keep a tile of c in registers across the whole p loop)
+  // but never an element's sequence of operations. The skip is part of the
+  // contract: adding a literal a*0 is not a no-op (-0.0 + 0.0 = +0.0,
+  // 0 * inf = NaN). A NaN result is NaN on every ISA, but which NaN (sign,
+  // payload) an add of two NaNs returns is not fixed. `a` and `b` must not
+  // overlap `c`.
   DLNER_SIMD_SCALAR_ONLY
-  static void Axpy(double a, const double* x, double* y, int n) {
-    for (int j = 0; j < n; ++j) y[j] += a * x[j];
-  }
-
-  // Four independent output rows sharing one streamed x row:
-  // yi[j] += ai * x[j]. Exactly equivalent to four Axpy calls (each row
-  // accumulates independently); exists so vector ISAs can reuse the loaded
-  // x registers across all four rows (the GEMM register tile).
-  DLNER_SIMD_SCALAR_ONLY
-  static void Axpy4(double a0, double a1, double a2, double a3,
-                    const double* x, double* y0, double* y1, double* y2,
-                    double* y3, int n) {
-    for (int j = 0; j < n; ++j) {
-      const double v = x[j];
-      y0[j] += a0 * v;
-      y1[j] += a1 * v;
-      y2[j] += a2 * v;
-      y3[j] += a3 * v;
+  static void GemmRow(const double* a, const double* b, double* c, int k,
+                      int n) {
+    for (int p = 0; p < k; ++p) {
+      const double av = a[p];
+      if (av == 0.0) continue;
+      const double* brow = b + static_cast<std::size_t>(p) * n;
+      for (int j = 0; j < n; ++j) c[j] += av * brow[j];
     }
   }
 

@@ -3,7 +3,10 @@
 // brute-force oracle from tests/support/. See docs/TESTING.md.
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -388,6 +391,91 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerWithHybridFeatures) {
   }
 }
 
+TEST(PlanDifferentialTest, PlannedMatchesEagerOnCharacterCells) {
+  // Word + char-CNN and word + char-BiLSTM representations (survey Fig. 3)
+  // compile to the plan's packed character fill (one character segment per
+  // token), not to the eager bridge. Planned predictions must equal eager
+  // ones for batch sizes 1, 3 and 17 and for tokens that hit every edge of
+  // the character path.
+  const text::Corpus base = testsup::SmallCorpus("conll-like", 17, 96);
+  const std::vector<std::string> types = EntityTypesOf(base);
+  // The empty word (no characters: the features read one kUnkId),
+  // one-character words, words longer than 32 characters, and bytes that
+  // never occur in the training corpus (so outside the character vocab).
+  const std::vector<std::string> edge = {
+      "",
+      "a",
+      "Z",
+      ".",
+      std::string(40, 'k'),
+      "Transcontinental-Telecommunications-Holdings",
+      "\xC3\xA9t\xC3\xA9",
+      "\x01\x7F",
+      "~^~",
+  };
+  text::Corpus edges;
+  edges.sentences.emplace_back();
+  edges.sentences.back().tokens = edge;
+  edges.sentences.emplace_back();
+  edges.sentences.back().tokens = {"", ""};
+  edges.sentences.emplace_back();
+  edges.sentences.back().tokens = {"q"};
+  for (int i = 0; i < 3; ++i) {
+    text::Sentence s = base.sentences[i];
+    s.tokens.insert(s.tokens.begin() + 1, edge[i * 3]);
+    s.tokens.push_back(edge[i * 3 + 1]);
+    s.tokens.push_back(edge[i * 3 + 2]);
+    s.spans.clear();
+    edges.sentences.push_back(std::move(s));
+  }
+
+  const auto expect_planned_matches_eager = [](const core::NerModel& model,
+                                               const text::Corpus& corpus,
+                                               const std::string& what) {
+    const auto eager = testsup::EagerPredictCorpus(model, corpus);
+    const auto planned = model.PredictCorpus(corpus);
+    ASSERT_EQ(planned.size(), eager.size()) << what;
+    for (size_t i = 0; i < eager.size(); ++i) {
+      EXPECT_EQ(planned[i], eager[i]) << what << " sentence " << i;
+    }
+  };
+  // An untrained model decides most tags by small margins, so a wrong
+  // character row flips a tag only for some weights: each cell runs under
+  // four seeds.
+  const std::pair<std::string, std::string> cells[] = {{"bilstm", "crf"},
+                                                       {"cnn", "softmax"}};
+  for (const bool char_cnn : {true, false}) {
+    for (const auto& [encoder, decoder] : cells) {
+      for (const uint64_t seed : {41, 42, 43, 44}) {
+        const std::string cell =
+            std::string(char_cnn ? "charcnn" : "charrnn") + "+" + encoder +
+            "/" + decoder + " seed " + std::to_string(seed);
+        core::NerConfig config = TinyConfig(encoder, decoder, seed);
+        config.use_char_cnn = char_cnn;
+        config.use_char_rnn = !char_cnn;
+        // Odd widths put every vector-tail path of the kernels on the char
+        // layer: 7 conv filters, 5 hidden units (20 LSTM gate columns).
+        config.char_dim = 6;
+        config.char_filters = 7;
+        config.char_hidden = 5;
+        core::NerModel model(config, base, types);
+        EXPECT_NE(model.plan().Describe().find("embed=batched"),
+                  std::string::npos)
+            << cell << ": " << model.plan().Describe();
+        EXPECT_TRUE(model.plan().fully_batched()) << cell;
+        for (const int size : {1, 3, 17}) {
+          text::Corpus sub;
+          sub.sentences.assign(base.sentences.begin(),
+                               base.sentences.begin() + size);
+          expect_planned_matches_eager(
+              model, sub, cell + " size " + std::to_string(size));
+        }
+        expect_planned_matches_eager(model, edges, cell + " edge");
+      }
+    }
+  }
+}
+
 // --- Explicit SIMD kernels vs the scalar reference ------------------------
 //
 // The contract (src/tensor/simd/kernels_scalar.h) is bit-identity, not
@@ -396,12 +484,21 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerWithHybridFeatures) {
 // tests pass trivially; on avx2 builds they pit the hand-vectorized
 // kernels against the (auto-vectorization-disabled) scalar loops.
 
+// Compares object representations, so -0.0 differs from +0.0. The one
+// exception is NaN against NaN: which of two NaN operands an add returns
+// follows operand order, which the compiler may pick for a commutative add,
+// so sign and payload of a NaN are not part of the contract.
 template <typename T>
 void ExpectBitEqual(const std::vector<T>& simd_out,
                     const std::vector<T>& scalar_out, const char* what) {
   ASSERT_EQ(simd_out.size(), scalar_out.size()) << what;
   for (std::size_t i = 0; i < simd_out.size(); ++i) {
-    ASSERT_EQ(simd_out[i], scalar_out[i]) << what << " element " << i;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(simd_out[i]) && std::isnan(scalar_out[i])) continue;
+    }
+    ASSERT_EQ(std::memcmp(&simd_out[i], &scalar_out[i], sizeof(T)), 0)
+        << what << " element " << i << ": " << +simd_out[i] << " vs "
+        << +scalar_out[i];
   }
 }
 
@@ -409,17 +506,41 @@ std::vector<Float> CopyOf(const Tensor& t) {
   return std::vector<Float>(t.data(), t.data() + t.size());
 }
 
+// Overwrites `count` random elements of `t` with -0.0, +inf, -inf or NaN.
+void InjectSpecials(Tensor* t, int count, Rng* rng) {
+  const Float specials[] = {-0.0, std::numeric_limits<Float>::infinity(),
+                            -std::numeric_limits<Float>::infinity(),
+                            std::numeric_limits<Float>::quiet_NaN()};
+  for (int i = 0; i < count; ++i) {
+    (*t)[rng->UniformInt(0, t->size() - 1)] = specials[rng->UniformInt(0, 3)];
+  }
+}
+
 TEST(SimdDifferentialTest, GemmAccumMatchesScalarBitExactly) {
+  // Widths reach several 32-column register tiles plus every 16/8/4/scalar
+  // tail: always 256 (the LSTM gates at hidden 64) and 17 (CRF tags), the
+  // rest drawn up to 300.
   Rng rng(4001);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int m = rng.UniformInt(1, 33);
+  std::vector<int> widths = {256, 17};
+  while (widths.size() < 60) widths.push_back(rng.UniformInt(1, 300));
+  for (const int n : widths) {
+    const int m = rng.UniformInt(1, 12);
     const int k = rng.UniformInt(1, 70);
-    const int n = rng.UniformInt(1, 40);  // crosses vector-width boundaries
     // Injected zeros exercise the zero-skip branch, which must stay in both
-    // instantiations (skipping a*0 is not bit-neutral in f64).
-    const Tensor a = RandomTensor({m, k}, &rng, -2.0, 2.0, /*zero_prob=*/0.3);
-    const Tensor b = RandomTensor({k, n}, &rng, -2.0, 2.0);
-    const Tensor c0 = RandomTensor({m, n}, &rng, -1.0, 1.0);
+    // instantiations (skipping a*0 is not bit-neutral in f64). -0.0, ±inf
+    // and NaN in A, B and C pin it down: a*0 with b = inf is NaN, and
+    // -0.0 + (+0.0) is +0.0, so a kernel that dropped the skip, or
+    // reordered an element's operations, differs in the bits.
+    Tensor a = RandomTensor({m, k}, &rng, -2.0, 2.0, /*zero_prob=*/0.3);
+    Tensor b = RandomTensor({k, n}, &rng, -2.0, 2.0);
+    Tensor c0 = RandomTensor({m, n}, &rng, -1.0, 1.0, /*zero_prob=*/0.1);
+    InjectSpecials(&a, 1 + m / 3, &rng);
+    InjectSpecials(&b, 3, &rng);
+    InjectSpecials(&c0, 3, &rng);
+    if (m > 1) {  // an all-zero row leaves its C row (incl. -0.0) untouched
+      const int r = rng.UniformInt(0, m - 1);
+      for (int p = 0; p < k; ++p) a[r * k + p] = (p % 2 == 0) ? 0.0 : -0.0;
+    }
     std::vector<Float> c_simd = CopyOf(c0);
     std::vector<Float> c_scalar = CopyOf(c0);
     gemm::GemmAccum<simd::Active>(a.data(), b.data(), c_simd.data(), m, k, n);
@@ -427,16 +548,19 @@ TEST(SimdDifferentialTest, GemmAccumMatchesScalarBitExactly) {
                                   n);
     ExpectBitEqual(c_simd, c_scalar, "GemmAccum");
 
-    // Strided rows (the conv kernel's in-place window reads).
-    const int lda = k + rng.UniformInt(0, 6);
-    const Tensor aw = RandomTensor({m, lda}, &rng, -2.0, 2.0, 0.3);
-    std::vector<Float> cs_simd = CopyOf(c0);
-    std::vector<Float> cs_scalar = CopyOf(c0);
-    gemm::GemmAccumStrided<simd::Active>(aw.data(), lda, b.data(),
-                                         cs_simd.data(), m, k, n);
-    gemm::GemmAccumStrided<simd::Scalar>(aw.data(), lda, b.data(),
-                                         cs_scalar.data(), m, k, n);
-    ExpectBitEqual(cs_simd, cs_scalar, "GemmAccumStrided");
+    // Strided rows: lda > k leaves gaps between rows, lda < k overlaps
+    // consecutive rows (the conv kernel's in-place sliding-window reads).
+    for (const int lda : {k + rng.UniformInt(1, 6), rng.UniformInt(1, k)}) {
+      Tensor aw = RandomTensor({(m - 1) * lda + k}, &rng, -2.0, 2.0, 0.3);
+      InjectSpecials(&aw, 1 + m / 3, &rng);
+      std::vector<Float> cs_simd = CopyOf(c0);
+      std::vector<Float> cs_scalar = CopyOf(c0);
+      gemm::GemmAccumStrided<simd::Active>(aw.data(), lda, b.data(),
+                                           cs_simd.data(), m, k, n);
+      gemm::GemmAccumStrided<simd::Scalar>(aw.data(), lda, b.data(),
+                                           cs_scalar.data(), m, k, n);
+      ExpectBitEqual(cs_simd, cs_scalar, "GemmAccumStrided");
+    }
   }
 }
 
@@ -505,6 +629,23 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       batched::GlobalMaxConcatT<simd::Scalar>(x.data(), d, layout,
                                               o_scalar.data());
       ExpectBitEqual(o_simd, o_scalar, "GlobalMaxConcatT");
+    }
+    {
+      // Same rows without the empty segments (every pooled segment must
+      // have a row), written at a stride wider than d.
+      batched::BatchLayout words;
+      for (int b = 0; b < layout.batch(); ++b) {
+        if (layout.len(b) > 0) words.Add(layout.len(b));
+      }
+      const int stride = d + 3;
+      std::vector<Float> o_simd(static_cast<std::size_t>(words.batch()) *
+                                stride, 0.0);
+      std::vector<Float> o_scalar(o_simd.size(), 0.0);
+      batched::MaxOverSegmentsT<simd::Active>(x.data(), d, words,
+                                              o_simd.data(), stride);
+      batched::MaxOverSegmentsT<simd::Scalar>(x.data(), d, words,
+                                              o_scalar.data(), stride);
+      ExpectBitEqual(o_simd, o_scalar, "MaxOverSegmentsT");
     }
     {
       const int hidden = rng.UniformInt(1, 6);
