@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "tensor/nn.h"
 #include "tensor/serialize.h"
 
 namespace dlner::core {
@@ -114,10 +115,9 @@ std::unique_ptr<Pipeline> Pipeline::Load(std::istream& is) {
     if (types[i].empty()) return nullptr;
   }
   text::Vocabulary vocabs[2];
+  std::string block;
   for (auto& vocab : vocabs) {
-    std::string data;
-    if (!ReadLenString(is, &data, kMaxVocabBlock)) return nullptr;
-    std::istringstream block(data);
+    if (!ReadLenString(is, &block, kMaxVocabBlock)) return nullptr;
     if (!text::Vocabulary::Load(block, &vocab)) return nullptr;
   }
 
@@ -141,9 +141,13 @@ std::unique_ptr<Pipeline> Pipeline::Load(std::istream& is) {
     if (pipeline->owned_token_lm_ == nullptr) return nullptr;
     pipeline->resources_.token_lm = pipeline->owned_token_lm_.get();
   }
-  pipeline->model_ = std::make_unique<NerModel>(
-      config, std::move(vocabs[0]), std::move(vocabs[1]), std::move(types),
-      pipeline->resources_);
+  {
+    // LoadParameters overwrites every parameter or fails the load.
+    SkipInitGuard skip_init;
+    pipeline->model_ = std::make_unique<NerModel>(
+        config, std::move(vocabs[0]), std::move(vocabs[1]), std::move(types),
+        pipeline->resources_);
+  }
   if (!LoadParameters(is, pipeline->model_->Parameters())) return nullptr;
   return pipeline;
 }

@@ -34,9 +34,8 @@ void WriteVocab(std::ostream& os, const text::Vocabulary& vocab) {
 }
 
 bool ReadVocab(std::istream& is, text::Vocabulary* vocab) {
-  std::string data;
-  if (!ReadLenString(is, &data, kMaxVocabBlock)) return false;
-  std::istringstream block(data);
+  std::string block;
+  if (!ReadLenString(is, &block, kMaxVocabBlock)) return false;
   return text::Vocabulary::Load(block, vocab);
 }
 
@@ -91,6 +90,8 @@ std::unique_ptr<CharLm> CharLm::Load(std::istream& is) {
       config.hidden_dim <= 0 || config.hidden_dim > kMaxLmDim) {
     return nullptr;
   }
+  // LoadParameters overwrites every parameter or fails the load.
+  SkipInitGuard skip_init;
   auto lm = std::make_unique<CharLm>(config);
   text::Vocabulary vocab;
   if (!ReadVocab(is, &vocab)) return nullptr;
@@ -268,6 +269,8 @@ std::unique_ptr<TokenLm> TokenLm::Load(std::istream& is) {
       config.hidden_dim <= 0 || config.hidden_dim > kMaxLmDim) {
     return nullptr;
   }
+  // LoadParameters overwrites every parameter or fails the load.
+  SkipInitGuard skip_init;
   auto lm = std::make_unique<TokenLm>(config);
   if (!ReadVocab(is, &lm->vocab_)) return nullptr;
   lm->BuildModules();

@@ -19,6 +19,16 @@ std::vector<Var> JoinParameters(const std::vector<const Module*>& modules) {
   return all;
 }
 
+namespace {
+
+thread_local bool g_skip_init = false;
+
+}  // namespace
+
+SkipInitGuard::SkipInitGuard() : prev_(g_skip_init) { g_skip_init = true; }
+
+SkipInitGuard::~SkipInitGuard() { g_skip_init = prev_; }
+
 Tensor GlorotMatrix(int rows, int cols, Rng* rng) {
   const Float scale = std::sqrt(6.0 / (rows + cols));
   return UniformMatrix(rows, cols, scale, rng);
@@ -26,12 +36,14 @@ Tensor GlorotMatrix(int rows, int cols, Rng* rng) {
 
 Tensor UniformMatrix(int rows, int cols, Float scale, Rng* rng) {
   Tensor t({rows, cols});
+  if (g_skip_init) return t;
   for (int i = 0; i < t.size(); ++i) t[i] = rng->Uniform(-scale, scale);
   return t;
 }
 
 Tensor UniformVector(int n, Float scale, Rng* rng) {
   Tensor t({n});
+  if (g_skip_init) return t;
   for (int i = 0; i < t.size(); ++i) t[i] = rng->Uniform(-scale, scale);
   return t;
 }

@@ -47,6 +47,23 @@ Tensor UniformMatrix(int rows, int cols, Float scale, Rng* rng);
 /// Uniform vector in [-scale, scale].
 Tensor UniformVector(int n, Float scale, Rng* rng);
 
+/// RAII guard for building modules whose every parameter a checkpoint is
+/// about to overwrite (Pipeline::Load and the LM loaders). While one is
+/// alive on the current thread, the three helpers above return zero
+/// tensors and leave the Rng untouched, so a load does not pay for random
+/// values it throws away. Safe only because LoadParameters fails unless it
+/// restores every parameter; training never runs under it.
+class SkipInitGuard {
+ public:
+  SkipInitGuard();
+  ~SkipInitGuard();
+  SkipInitGuard(const SkipInitGuard&) = delete;
+  SkipInitGuard& operator=(const SkipInitGuard&) = delete;
+
+ private:
+  bool prev_;
+};
+
 // ---------------------------------------------------------------------------
 // Extra structural ops used by modules (fused for efficiency).
 // ---------------------------------------------------------------------------

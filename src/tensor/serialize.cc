@@ -5,6 +5,8 @@
 #include <istream>
 #include <ostream>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "tensor/check.h"
 
@@ -15,6 +17,42 @@ constexpr char kMagic[4] = {'D', 'L', 'N', 'R'};
 constexpr uint32_t kVersion = 1;
 // A parameter list longer than this is certainly corrupt.
 constexpr uint32_t kMaxParameterCount = 1u << 20;
+
+// Reads a tensor header (rank and dims). The element count is bounded by
+// kMaxTensorElements, and the running dim product is checked before it can
+// overflow, so a corrupt header never leads to a huge allocation or read.
+bool ReadShape(std::istream& is, std::vector<int>* shape) {
+  uint32_t rank = 0;
+  if (!ReadU32(is, &rank) || rank > 8) return false;
+  shape->resize(rank);
+  std::uint64_t numel = 1;
+  for (uint32_t i = 0; i < rank; ++i) {
+    int32_t d = 0;
+    is.read(reinterpret_cast<char*>(&d), sizeof(d));
+    if (!is || d < 0) return false;
+    (*shape)[i] = d;
+    // numel <= kMaxTensorElements (2^26) and d < 2^31 here, so the product
+    // stays below 2^57 — no u64 overflow before the bound check.
+    numel *= static_cast<std::uint64_t>(d);
+    if (numel > kMaxTensorElements) return false;
+  }
+  return true;
+}
+
+// Reads t->size() doubles straight into t's buffer.
+bool ReadData(std::istream& is, Tensor* t) {
+  is.read(reinterpret_cast<char*>(t->data()),
+          static_cast<std::streamsize>(t->size() * sizeof(Float)));
+  return static_cast<bool>(is);
+}
+
+// Skips the data of an entry no parameter claims; `shape` passed ReadShape.
+bool SkipData(std::istream& is, const std::vector<int>& shape) {
+  std::streamsize bytes = sizeof(Float);
+  for (int d : shape) bytes *= d;
+  is.ignore(bytes);
+  return is.gcount() == bytes;
+}
 
 }  // namespace
 
@@ -51,24 +89,10 @@ void SaveTensor(std::ostream& os, const Tensor& t) {
 }
 
 bool LoadTensor(std::istream& is, Tensor* t) {
-  uint32_t rank = 0;
-  if (!ReadU32(is, &rank) || rank > 8) return false;
-  std::vector<int> shape(rank);
-  std::uint64_t numel = 1;
-  for (uint32_t i = 0; i < rank; ++i) {
-    int32_t d = 0;
-    is.read(reinterpret_cast<char*>(&d), sizeof(d));
-    if (!is || d < 0) return false;
-    shape[i] = d;
-    // numel <= kMaxTensorElements (2^26) and d < 2^31 here, so the product
-    // stays below 2^57 — no u64 overflow before the bound check.
-    numel *= static_cast<std::uint64_t>(d);
-    if (numel > kMaxTensorElements) return false;
-  }
+  std::vector<int> shape;
+  if (!ReadShape(is, &shape)) return false;
   Tensor loaded(shape);
-  is.read(reinterpret_cast<char*>(loaded.data()),
-          static_cast<std::streamsize>(loaded.size() * sizeof(Float)));
-  if (!is) return false;
+  if (!ReadData(is, &loaded)) return false;
   *t = std::move(loaded);
   return true;
 }
@@ -101,16 +125,25 @@ bool LoadParameters(std::istream& is, const std::vector<Var>& params) {
                     "duplicate parameter name: " << p->name);
   }
 
+  std::unordered_set<std::string> seen;
   size_t restored = 0;
+  std::vector<int> shape;
   for (uint32_t k = 0; k < count; ++k) {
     std::string name;
     if (!ReadLenString(is, &name, 4096)) return false;
-    Tensor t;
-    if (!LoadTensor(is, &t)) return false;
+    if (!ReadShape(is, &shape)) return false;
     auto it = by_name.find(name);
-    if (it == by_name.end()) continue;  // Extra entries are tolerated.
-    if (!it->second->value.SameShape(t)) return false;
-    it->second->value = std::move(t);
+    // A repeated name would let one parameter stand in for another that
+    // the checkpoint omits.
+    if (!seen.insert(std::move(name)).second) return false;
+    if (it == by_name.end()) {
+      // Extra entries are tolerated.
+      if (!SkipData(is, shape)) return false;
+      continue;
+    }
+    Tensor& value = it->second->value;
+    if (value.shape() != shape) return false;
+    if (!ReadData(is, &value)) return false;
     ++restored;
   }
   return restored == params.size();

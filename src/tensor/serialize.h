@@ -5,9 +5,9 @@
 //   per parameter: name_len u32 | name bytes | rank u32 | dims i32[rank] |
 //                  data f64[numel]
 // Loading verifies names and shapes so that a checkpoint can only be
-// restored into a structurally identical model, and every reader bounds
-// its allocations so corrupt or truncated input fails with `false`
-// instead of a crash or a huge allocation.
+// restored into a structurally identical model, each parameter exactly once,
+// and every reader bounds its allocations so corrupt or truncated input
+// fails with `false` instead of a crash or a huge allocation.
 #ifndef DLNER_TENSOR_SERIALIZE_H_
 #define DLNER_TENSOR_SERIALIZE_H_
 
@@ -50,8 +50,13 @@ bool LoadTensor(std::istream& is, Tensor* t);
 /// Writes a named parameter list (names must be unique and non-empty).
 void SaveParameters(std::ostream& os, const std::vector<Var>& params);
 
-/// Restores values into `params`, matching entries by name. Returns false if
-/// the stream is malformed, a name is missing, or a shape differs.
+/// Restores values into `params`, matching entries by name, by reading each
+/// entry's data straight into the matching parameter's existing buffer.
+/// Entries no parameter claims are bounds-checked and skipped. Returns false
+/// if the stream is malformed, a name repeats or is missing, or a shape
+/// differs. A failed load may leave the parameter it was reading partly
+/// overwritten (and earlier ones fully overwritten), so callers discard the
+/// parameters on failure.
 bool LoadParameters(std::istream& is, const std::vector<Var>& params);
 
 /// Convenience file wrappers; return false on I/O failure.

@@ -1,7 +1,7 @@
 #include "text/vocab.h"
 
-#include <cstdlib>
-#include <istream>
+#include <algorithm>
+#include <charconv>
 #include <ostream>
 
 #include "tensor/check.h"
@@ -105,24 +105,38 @@ void Vocabulary::Save(std::ostream& os) const {
   }
 }
 
-bool Vocabulary::Load(std::istream& is, Vocabulary* vocab) {
+bool Vocabulary::Load(std::string_view block, Vocabulary* vocab) {
+  const char* const end = block.data() + block.size();
   int n = 0;
-  if (!(is >> n) || n < 1) return false;
-  is.ignore();  // trailing newline
+  auto [p, ec] = std::from_chars(block.data(), end, n);
+  if (ec != std::errc() || n < 1 || p == end || *p != '\n') return false;
+  ++p;
   Vocabulary loaded;
+  // Every entry takes at least four bytes ("0\tx\n"), so a corrupt count
+  // cannot reserve more than the block could hold.
+  const size_t entries =
+      std::min<size_t>(n, static_cast<size_t>(end - p) / 4 + 1);
+  loaded.index_.reserve(entries);
+  loaded.tokens_.reserve(entries);
+  loaded.counts_.reserve(entries);
   for (int id = 1; id < n; ++id) {
-    std::string line;
-    if (!std::getline(is, line)) return false;
-    const size_t tab = line.find('\t');
-    if (tab == std::string::npos) return false;
-    const int count = std::atoi(line.substr(0, tab).c_str());
-    const std::string token = line.substr(tab + 1);
+    if (p == end) return false;
+    const char* eol = std::find(p, end, '\n');
+    const char* tab = std::find(p, eol, '\t');
+    int count = 0;
+    auto [count_end, count_ec] = std::from_chars(p, tab, count);
+    if (count_ec != std::errc() || count_end != tab || tab == eol) {
+      return false;
+    }
+    const std::string_view token(tab + 1, eol - tab - 1);
     if (token.empty()) return false;
-    const int new_id = loaded.Add(token);
-    if (new_id != id) return false;  // duplicates would shift ids
-    loaded.counts_[new_id] = count;
+    // A duplicate (or "<unk>") would shift every later id.
+    if (!loaded.index_.emplace(token, id).second) return false;
+    loaded.tokens_.emplace_back(token);
+    loaded.counts_.push_back(count);
+    p = eol == end ? end : eol + 1;
   }
-  loaded.Freeze();
+  loaded.frozen_ = true;
   *vocab = std::move(loaded);
   return true;
 }

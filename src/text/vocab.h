@@ -4,6 +4,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -56,10 +57,12 @@ class Vocabulary {
   std::vector<int> EncodeChars(const std::string& word) const;
 
   /// Writes the vocabulary (frozen or not) to a stream in a line-oriented
-  /// format; Load restores an equivalent frozen vocabulary with identical
-  /// ids.
+  /// format: the entry count, then one "count<TAB>token" line per id after
+  /// UNK. Load parses such a block in place and restores an equivalent
+  /// frozen vocabulary with identical ids; it returns false, leaving
+  /// `vocab` untouched, on malformed input.
   void Save(std::ostream& os) const;
-  static bool Load(std::istream& is, Vocabulary* vocab);
+  static bool Load(std::string_view block, Vocabulary* vocab);
 
  private:
   std::unordered_map<std::string, int> index_;

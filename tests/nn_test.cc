@@ -17,6 +17,30 @@ Var RandomInput(std::vector<int> shape, Rng* rng) {
   return Parameter(std::move(t));
 }
 
+TEST(SkipInitGuardTest, ZeroTensorsAndUntouchedRng) {
+  Rng rng(4);
+  Rng fresh(4);
+  {
+    SkipInitGuard skip_init;
+    {
+      SkipInitGuard nested;
+    }
+    // Still skipping after the nested guard restored the outer state.
+    for (const Tensor& t :
+         {UniformMatrix(3, 4, 0.5, &rng), UniformVector(5, 0.5, &rng),
+          GlorotMatrix(2, 6, &rng)}) {
+      for (int i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0);
+    }
+  }
+  // The Rng drew nothing under the guard, and init draws again after it.
+  const Tensor after = UniformVector(8, 0.5, &rng);
+  const Tensor expected = UniformVector(8, 0.5, &fresh);
+  for (int i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i], expected[i]);
+    EXPECT_NE(after[i], 0.0);
+  }
+}
+
 TEST(LinearTest, ShapesAndParameterCount) {
   Rng rng(1);
   Linear lin(5, 3, &rng);

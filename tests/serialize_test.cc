@@ -1,7 +1,9 @@
 #include "tensor/serialize.h"
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,9 @@
 #include "data/dataset.h"
 #include "data/gazetteer.h"
 #include "embeddings/lm.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "support/corpus_gen.h"
 #include "tensor/nn.h"
 
 namespace dlner {
@@ -36,8 +41,12 @@ TEST(SerializeTest, ParameterRoundTrip) {
   Rng rng2(999);
   Linear lin2(4, 3, &rng2, "lin");
   std::vector<Var> params2 = lin2.Parameters();
+  std::vector<const Float*> buffers;
+  for (const Var& p : params2) buffers.push_back(p->value.data());
   ASSERT_TRUE(LoadParameters(ss, params2));
   for (size_t k = 0; k < params.size(); ++k) {
+    // Read straight into the existing buffer, not swapped for a new one.
+    EXPECT_EQ(params2[k]->value.data(), buffers[k]);
     for (int i = 0; i < params[k]->value.size(); ++i) {
       EXPECT_DOUBLE_EQ(params2[k]->value[i], params[k]->value[i]);
     }
@@ -151,6 +160,86 @@ TEST(SerializeTest, LoadParametersRejectsHugeCount) {
   EXPECT_FALSE(LoadParameters(ss, lin.Parameters()));
 }
 
+// Writes a parameter-stream header claiming `count` entries.
+void PutParamsHeader(std::ostream& os, uint32_t count) {
+  os.write("DLNR", 4);
+  PutU32(os, 1);  // version
+  PutU32(os, count);
+}
+
+// Writes one entry of shape `dims`; `data_elems` (default: all of them)
+// constant doubles follow, so a short count truncates the entry.
+void PutEntry(std::ostream& os, const std::string& name,
+              const std::vector<int32_t>& dims, double value,
+              int data_elems = -1) {
+  PutU32(os, static_cast<uint32_t>(name.size()));
+  os.write(name.data(), static_cast<std::streamsize>(name.size()));
+  PutU32(os, static_cast<uint32_t>(dims.size()));
+  int numel = 1;
+  for (int32_t d : dims) {
+    PutI32(os, d);
+    numel *= d;
+  }
+  if (data_elems < 0) data_elems = numel;
+  for (int i = 0; i < data_elems; ++i) {
+    os.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+}
+
+TEST(SerializeTest, LoadParametersRejectsRepeatedEntry) {
+  Rng rng(11);
+  Linear lin(4, 3, &rng, "lin");
+  {
+    // The well-formed stream the cases below corrupt.
+    std::stringstream ss;
+    PutParamsHeader(ss, 2);
+    PutEntry(ss, "lin.W", {4, 3}, 1.0);
+    PutEntry(ss, "lin.b", {3}, 2.0);
+    ASSERT_TRUE(LoadParameters(ss, lin.Parameters()));
+    EXPECT_EQ(lin.Parameters()[1]->value[0], 2.0);
+  }
+  {
+    // lin.W twice and no lin.b: the entry count matches the parameter
+    // count, but lin.b would keep whatever it held.
+    std::stringstream ss;
+    PutParamsHeader(ss, 2);
+    PutEntry(ss, "lin.W", {4, 3}, 3.0);
+    PutEntry(ss, "lin.W", {4, 3}, 4.0);
+    EXPECT_FALSE(LoadParameters(ss, lin.Parameters()));
+  }
+  {
+    // Every parameter present, one of them twice.
+    std::stringstream ss;
+    PutParamsHeader(ss, 3);
+    PutEntry(ss, "lin.W", {4, 3}, 3.0);
+    PutEntry(ss, "lin.b", {3}, 5.0);
+    PutEntry(ss, "lin.W", {4, 3}, 4.0);
+    EXPECT_FALSE(LoadParameters(ss, lin.Parameters()));
+  }
+  {
+    // A repeated entry no parameter claims.
+    std::stringstream ss;
+    PutParamsHeader(ss, 4);
+    PutEntry(ss, "extra", {2}, 0.0);
+    PutEntry(ss, "lin.W", {4, 3}, 3.0);
+    PutEntry(ss, "lin.b", {3}, 5.0);
+    PutEntry(ss, "extra", {2}, 0.0);
+    EXPECT_FALSE(LoadParameters(ss, lin.Parameters()));
+  }
+}
+
+TEST(SerializeTest, LoadParametersRejectsTruncatedSkippedEntry) {
+  // An entry no parameter claims is skipped, but its data must be there.
+  Rng rng(12);
+  Linear lin(2, 2, &rng, "lin");
+  std::stringstream ss;
+  PutParamsHeader(ss, 3);
+  PutEntry(ss, "lin.W", {2, 2}, 1.0);
+  PutEntry(ss, "lin.b", {2}, 1.0);
+  PutEntry(ss, "extra", {1000}, 0.0, /*data_elems=*/10);
+  EXPECT_FALSE(LoadParameters(ss, lin.Parameters()));
+}
+
 // --- Full-fidelity pipeline checkpoints for resource-backed models ---
 
 core::NerConfig TinyConfig() {
@@ -198,6 +287,14 @@ void ExpectRoundTripIdentical(const core::NerConfig& config,
   ASSERT_TRUE(pipeline->Save(path));
   auto loaded = core::Pipeline::Load(path);
   ASSERT_NE(loaded, nullptr);
+
+  // Save -> Load -> Save reproduces the checkpoint byte for byte,
+  // resource blocks included.
+  std::ostringstream saved;
+  std::ostringstream resaved;
+  ASSERT_TRUE(pipeline->Save(saved));
+  ASSERT_TRUE(loaded->Save(resaved));
+  EXPECT_EQ(resaved.str(), saved.str());
 
   const eval::ExactResult before = pipeline->Evaluate(held_out);
   const eval::ExactResult after = loaded->Evaluate(held_out);
@@ -336,6 +433,128 @@ TEST(PipelineCheckpointTest, BitFlippedHeadersDoNotCrash) {
     (void)loaded;
   }
   SUCCEED();
+}
+
+TEST(PipelineCheckpointTest, CheckpointCutInsideWordTableRejected) {
+  const std::string bytes = CheckpointBytes();
+  // The word table's entry: name, rank 2, two dims, then its data.
+  const std::string name = "word_emb.table";
+  const size_t at = bytes.find(name);
+  ASSERT_NE(at, std::string::npos);
+  const size_t data = at + name.size() + 3 * sizeof(uint32_t);
+  int32_t dims[2];
+  std::memcpy(dims, bytes.data() + data - sizeof(dims), sizeof(dims));
+  const size_t data_bytes = size_t{8} * dims[0] * dims[1];
+  ASSERT_GT(data_bytes, 0u);
+  ASSERT_LE(data + data_bytes, bytes.size());
+  const std::string path = ::testing::TempDir() + "/dlner_cut_table.bin";
+  for (const size_t keep : {size_t{1}, data_bytes / 2, data_bytes - 1}) {
+    WriteBytes(path, bytes.substr(0, data + keep));
+    EXPECT_EQ(core::Pipeline::Load(path), nullptr) << "kept " << keep;
+  }
+}
+
+size_t ParameterBytes(const std::vector<Var>& params) {
+  size_t bytes = 0;
+  for (const Var& p : params) bytes += p->value.size() * sizeof(Float);
+  return bytes;
+}
+
+TEST(PipelineCheckpointTest, LoadAllocatesEachParameterOnce) {
+  // A word table much larger than the rest of the model, as in a served
+  // cell with a full-size vocabulary.
+  core::NerConfig config = TinyConfig();
+  config.word_dim = 64;
+  const text::Corpus train = TinyNews(30, 28);
+  auto pipeline =
+      core::Pipeline::Train(config, TinyTrain(), train, nullptr,
+                            data::EntityTypesFor(data::Genre::kNews));
+  std::ostringstream saved;
+  ASSERT_TRUE(pipeline->Save(saved));
+
+  obs::EnableMetrics(true);
+  obs::Metrics& m = obs::Metrics::Get();
+  obs::Gauge* live = m.gauge("tensor.live_bytes");
+  obs::Gauge* peak = m.gauge("tensor.peak_bytes");
+  const double base = live->value();
+  peak->Set(base);
+  std::istringstream is(saved.str());
+  auto loaded = core::Pipeline::Load(is);
+  const double load_peak = peak->value() - base;
+  obs::EnableMetrics(false);
+  ASSERT_NE(loaded, nullptr);
+
+  const double params = ParameterBytes(loaded->model()->Parameters());
+  const double table = 8.0 * loaded->model()->word_vocab().size() * 64;
+  ASSERT_GT(table, params / 2);
+  // Every parameter buffer is allocated once and read into; nothing else
+  // of note is live. Building a throwaway tensor per entry, as a reader
+  // that swaps in fresh buffers does, adds a second word table.
+  EXPECT_GE(load_peak, params);
+  EXPECT_LE(load_peak, params + 4096);
+}
+
+TEST(PipelineCheckpointTest, LoadLeavesInitOnForLaterModels) {
+  // Models built after a load, successful or not, still draw their
+  // initial values: the load's no-init scope ends with it.
+  const text::Corpus train = TinyNews(10, 29);
+  const auto types = data::EntityTypesFor(data::Genre::kNews);
+  core::NerModel before(TinyConfig(), train, types);
+
+  const std::string bytes = CheckpointBytes();
+  const std::string path = ::testing::TempDir() + "/dlner_guard.bin";
+  WriteBytes(path, bytes);
+  ASSERT_NE(core::Pipeline::Load(path), nullptr);
+  WriteBytes(path, bytes.substr(0, bytes.size() / 2));
+  ASSERT_EQ(core::Pipeline::Load(path), nullptr);
+
+  core::NerModel after(TinyConfig(), train, types);
+  const std::vector<Var> a = before.Parameters();
+  const std::vector<Var> b = after.Parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k]->value.Fingerprint(), b[k]->value.Fingerprint())
+        << a[k]->name;
+  }
+  EXPECT_GT(a[0]->value.Norm(), 0.0) << a[0]->name;
+}
+
+TEST(PipelineCheckpointTest, EveryCellRestoresIntoUninitializedModel) {
+  // Pipeline::Load builds the model without drawing initial values and
+  // relies on the checkpoint to supply every one. For every encoder x
+  // decoder cell (alternating char-CNN and char-BiLSTM features), a model
+  // built that way and restored from an initialized twin must match it
+  // parameter for parameter and prediction for prediction.
+  const text::Corpus corpus = testsup::SmallCorpus("conll-like", 8, 30);
+  const std::vector<std::string> types = testsup::EntityTypesOf(corpus);
+  int cell_index = 0;
+  for (const std::string& encoder : testsup::AllEncoders()) {
+    for (const std::string& decoder : testsup::AllDecoders()) {
+      const std::string cell = encoder + "/" + decoder;
+      core::NerConfig config = testsup::TinyConfig(encoder, decoder, 9);
+      config.use_shape = true;
+      (++cell_index % 2 == 0 ? config.use_char_cnn : config.use_char_rnn) =
+          true;
+      core::NerModel source(config, corpus, types);
+      std::stringstream ss;
+      SaveParameters(ss, source.Parameters());
+
+      std::unique_ptr<core::NerModel> restored;
+      {
+        SkipInitGuard skip_init;
+        restored = std::make_unique<core::NerModel>(config, corpus, types);
+      }
+      ASSERT_TRUE(LoadParameters(ss, restored->Parameters())) << cell;
+      const std::vector<Var> a = source.Parameters();
+      const std::vector<Var> b = restored->Parameters();
+      for (size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k]->value.Fingerprint(), b[k]->value.Fingerprint())
+            << cell << " " << a[k]->name;
+      }
+      EXPECT_EQ(restored->PredictCorpus(corpus), source.PredictCorpus(corpus))
+          << cell;
+    }
+  }
 }
 
 }  // namespace

@@ -88,6 +88,53 @@ TEST(VocabTest, CharVocabulary) {
   EXPECT_EQ(ids[2], Vocabulary::kUnkId);
 }
 
+TEST(VocabTest, SaveLoadRoundTrip) {
+  Vocabulary v;
+  for (const char* tok : {"the", "cat", "the", "a b", "x\ty", "the"}) {
+    v.Add(tok);
+  }
+  std::ostringstream saved;
+  v.Save(saved);
+  Vocabulary back;
+  ASSERT_TRUE(Vocabulary::Load(saved.str(), &back));
+  EXPECT_TRUE(back.frozen());
+  ASSERT_EQ(back.size(), v.size());
+  for (int id = 0; id < v.size(); ++id) {
+    EXPECT_EQ(back.TokenOf(id), v.TokenOf(id));
+    EXPECT_EQ(back.CountOf(id), v.CountOf(id));
+    EXPECT_EQ(back.Id(v.TokenOf(id)), id);
+  }
+  std::ostringstream again;
+  back.Save(again);
+  EXPECT_EQ(again.str(), saved.str());
+}
+
+TEST(VocabTest, LoadRejectsMalformedBlocks) {
+  Vocabulary v;
+  v.Add("kept");
+  v.Freeze();
+  const char* const bad[] = {
+      "",                    // no header
+      "0\n",                 // count below 1
+      "x\n",                 // non-numeric header
+      "2",                   // header without newline
+      "3\n1\ta\n",           // fewer entries than the header claims
+      "2\n1\t\n",            // empty token
+      "2\n1a\n",             // no tab
+      "2\nz\ta\n",           // non-numeric count
+      "2\n\ta\n",            // empty count
+      "3\n1\ta\n2\ta\n",     // duplicate token would shift ids
+      "2\n1\t<unk>\n",       // collides with the implicit UNK
+      "2000000000\n1\ta\n",  // huge count, tiny block
+  };
+  for (const char* block : bad) {
+    EXPECT_FALSE(Vocabulary::Load(block, &v)) << '"' << block << '"';
+    // A failed load leaves the target untouched.
+    EXPECT_EQ(v.size(), 2);
+    EXPECT_EQ(v.Id("kept"), 1);
+  }
+}
+
 TEST(VocabDeathTest, AddAfterFreezeAborts) {
   Vocabulary v;
   v.Add("x");
