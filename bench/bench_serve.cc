@@ -26,15 +26,9 @@
 //       overload the client-side p99 decomposes into queue-wait vs
 //       batch-wait vs compute instead of being a single opaque number.
 //   bench.serve.responses_total         total tagged responses, all points
-//   bench.serve.sweep.<count>_total     the sweep server's own counts
-//       (requests, responses, rejected, errors, batches); the serve.*
-//       instruments in the file belong to the last server started (the
-//       int8 frontier's, unless --quantized), since each Start() zeroes them
-//
-// After the f32 sweep, one extra frontier point is replayed at the highest
-// load factor against a quantized-serving registry (int8 planned path, see
-// docs/PERFORMANCE.md) and recorded under bench.serve.quantized.* (including
-// the same stage breakdown).
+//   bench.hardware_concurrency          cores the host reports
+//   bench.simd_isa                      0=scalar 1=avx2
+//   serve.*                             the sweep server's own instruments
 //
 // The whole sweep runs with metrics collection on and request tracing
 // enabled at --trace-sample-rate (default 0.01), so the recorded numbers
@@ -42,9 +36,7 @@
 //
 // Flags: --out FILE, --duration SECS (per point), --conns N,
 //        --loads F1,F2,... (load factors, default 0.5,1.0,2.0,8.0),
-//        --trace-sample-rate F (default 0.01),
-//        --quantized (serve the int8 path for the MAIN sweep instead; the
-//        extra frontier point is skipped since everything is already int8)
+//        --trace-sample-rate F (default 0.01)
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -65,7 +57,7 @@
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "tensor/quant.h"
+#include "tensor/simd/simd.h"
 
 namespace {
 
@@ -171,8 +163,8 @@ void StageDelta(const obs::HistogramSnapshot& before,
     *p99_us = 0.0;
     return;
   }
-  *p50_us = d.Percentile(50);
-  *p99_us = d.Percentile(99);
+  *p50_us = d.Percentile(obs::Quantile::P(50));
+  *p99_us = d.Percentile(obs::Quantile::P(99));
 }
 
 std::int64_t IdOf(const std::string& line) {
@@ -181,12 +173,13 @@ std::int64_t IdOf(const std::string& line) {
   return std::atoll(line.c_str() + pos + 5);
 }
 
-double Percentile(std::vector<double>* sorted_inout, double p) {
+double Percentile(std::vector<double>* sorted_inout, obs::Quantile q) {
   if (sorted_inout->empty()) return 0.0;
   std::sort(sorted_inout->begin(), sorted_inout->end());
   const std::size_t idx = std::min(
       sorted_inout->size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted_inout->size())));
+      static_cast<std::size_t>(q.fraction() *
+                               static_cast<double>(sorted_inout->size())));
   return (*sorted_inout)[idx];
 }
 
@@ -321,8 +314,8 @@ PointResult RunPoint(int port, const std::vector<std::string>& bodies,
 
   result.responses = responses.load();
   result.rejected = rejected.load();
-  result.p50_us = Percentile(&latencies, 0.50);
-  result.p99_us = Percentile(&latencies, 0.99);
+  result.p50_us = Percentile(&latencies, obs::Quantile::P(50));
+  result.p99_us = Percentile(&latencies, obs::Quantile::P(99));
   for (int s = 0; s < kNumStages; ++s) {
     StageDelta(stage_before[s], StageSnapshot(s), &result.stage_p50_us[s],
                &result.stage_p99_us[s]);
@@ -340,8 +333,7 @@ int main(int argc, char** argv) {
                       {"duration", core::FlagKind::kValue},
                       {"conns", core::FlagKind::kValue},
                       {"loads", core::FlagKind::kValue},
-                      {"trace-sample-rate", core::FlagKind::kValue},
-                      {"quantized", core::FlagKind::kBool}};
+                      {"trace-sample-rate", core::FlagKind::kValue}};
   core::Args args;
   if (!args.Parse(argc, argv, 1, spec)) {
     std::fprintf(stderr, "bench_serve: %s\n", args.error().c_str());
@@ -399,24 +391,7 @@ int main(int argc, char** argv) {
   const std::string model_path = "/tmp/bench_serve_model.bin";
   core::Pipeline::Train(config, tc, corpus, nullptr, types)->Save(model_path);
 
-  // Calibrate on the training pool and write the sidecar the serve path
-  // expects, so both the optional --quantized main sweep and the int8
-  // frontier point below can load the model quantized.
-  {
-    std::unique_ptr<core::Pipeline> calib_pipe =
-        core::Pipeline::Load(model_path);
-    if (calib_pipe == nullptr ||
-        calib_pipe->model()->CalibrateQuantization(corpus) <= 0 ||
-        !quant::WriteCalibrationFile(model_path + ".quant",
-                                     calib_pipe->model()->quant_calibration())) {
-      std::fprintf(stderr, "bench_serve: quantization calibration failed\n");
-      return 1;
-    }
-  }
-
-  const bool quantized_main = args.Has("quantized");
   serve::ModelRegistry registry;
-  registry.set_quantized(quantized_main);
   if (!registry.Load("default", model_path)) {
     std::fprintf(stderr, "bench_serve: cannot load %s\n", model_path.c_str());
     return 1;
@@ -459,42 +434,11 @@ int main(int argc, char** argv) {
     points.push_back(r);
   }
   server.Stop();
-  // The sweep server's counts, read before the int8 server's Start() zeroes
-  // the registry's serve.* instruments.
-  const std::pair<const char*, std::int64_t> sweep_totals[] = {
-      {"requests", server.requests_total()},
-      {"responses", server.responses_total()},
-      {"rejected", server.rejected_total()},
-      {"errors", server.errors_total()},
-      {"batches", server.batches_total()}};
-
-  // Int8 frontier: replay the highest load factor against a fresh server
-  // whose registry serves the quantized plan. One line, same open-loop
-  // methodology, so the committed JSON carries an f32-vs-int8 comparison at
-  // saturation. Skipped under --quantized (the sweep above already is int8).
-  PointResult qpoint;
-  double qcapacity = 0.0;
-  if (!quantized_main) {
-    serve::ModelRegistry qregistry;
-    qregistry.set_quantized(true);
-    serve::Server qserver(&qregistry, serve_config);
-    if (!qregistry.Load("default", model_path) || !qserver.Start()) {
-      std::fprintf(stderr, "bench_serve: quantized server setup failed\n");
-      return 1;
-    }
-    qcapacity = MeasureCapacity(qserver.port(), bodies, 1.0);
-    const double f = loads.back();
-    qpoint = RunPoint(qserver.port(), bodies, f * qcapacity, qcapacity,
-                      duration, n_conns);
-    std::printf("%-8s %12.1f %10.2f %10.2f %12.1f %9lld  (int8 frontier, "
-                "capacity %.1f req/s)\n",
-                "int8", qpoint.offered_rps, qpoint.p50_us / 1e3,
-                qpoint.p99_us / 1e3, qpoint.sentences_per_sec,
-                static_cast<long long>(qpoint.rejected), qcapacity);
-    qserver.Stop();
-  }
 
   obs::Metrics& m = obs::Metrics::Get();
+  m.gauge("bench.hardware_concurrency")
+      ->Set(static_cast<double>(std::thread::hardware_concurrency()));
+  m.gauge("bench.simd_isa")->Set(static_cast<double>(simd::kIsaId));
   m.gauge("bench.serve.capacity_rps")->Set(capacity);
   m.gauge("bench.serve.trace_sample_rate")->Set(sample_rate);
   m.gauge("bench.serve.load_points")
@@ -517,27 +461,6 @@ int main(int argc, char** argv) {
   }
   m.gauge("bench.serve.responses_total")
       ->Set(static_cast<double>(total_responses));
-  for (const auto& [name, value] : sweep_totals) {
-    m.gauge(std::string("bench.serve.sweep.") + name + "_total")
-        ->Set(static_cast<double>(value));
-  }
-  if (!quantized_main) {
-    m.gauge("bench.serve.quantized.capacity_rps")->Set(qcapacity);
-    m.gauge("bench.serve.quantized.offered_rps")->Set(qpoint.offered_rps);
-    m.gauge("bench.serve.quantized.load_factor")->Set(qpoint.load_factor);
-    m.gauge("bench.serve.quantized.p50_us")->Set(qpoint.p50_us);
-    m.gauge("bench.serve.quantized.p99_us")->Set(qpoint.p99_us);
-    m.gauge("bench.serve.quantized.sentences_per_sec")
-        ->Set(qpoint.sentences_per_sec);
-    m.gauge("bench.serve.quantized.rejected")
-        ->Set(static_cast<double>(qpoint.rejected));
-    for (int s = 0; s < kNumStages; ++s) {
-      m.gauge(std::string("bench.serve.quantized.") + kStages[s] + "_p50_us")
-          ->Set(qpoint.stage_p50_us[s]);
-      m.gauge(std::string("bench.serve.quantized.") + kStages[s] + "_p99_us")
-          ->Set(qpoint.stage_p99_us[s]);
-    }
-  }
   server.PublishMetrics();
   obs::MetricsJsonOptions json_options;
   json_options.skip_empty_histograms = true;

@@ -9,23 +9,23 @@
 // BENCH_throughput.json, intended to be run from the repo root and
 // committed):
 //   bench.eager.<model>.sentences_per_sec    Predict per sentence, 1 thread
-//   bench.planned.<model>.sentences_per_sec  plan path, thread sweep 1..8
+//   bench.planned.<model>.sentences_per_sec  plan path, thread sweep over
+//                                            powers of two up to the host's
+//                                            cores, plus the core count
 //   bench.plan_speedup.<model>               planned(1t) / eager(1t)
-//   bench.throughput.<model>.speedup_4t      only when the host has >1 core
-// On a single-core host the 4-thread speedup is unmeasurable (the sweep
-// just adds scheduling noise), so speedup_4t is skipped and
-// bench.multithread_unmeasurable = 1 is recorded instead.
+//   bench.throughput.<model>.speedup_4t      only when the sweep reaches 4
+//   bench.hardware_concurrency               cores the host reports
+// On a single-core host a multi-thread speedup is unmeasurable (the sweep
+// is just 1 thread), so bench.multithread_unmeasurable = 1 is recorded.
 //
-// SIMD / quantization series (docs/PERFORMANCE.md):
+// SIMD series (docs/PERFORMANCE.md):
 //   bench.simd_isa                           0=scalar 1=avx2
 //   bench.simd.<kernel>_gflops               explicit-ISA microkernels,
 //   bench.scalar.<kernel>_gflops             vs the true-scalar reference
-//                                            (kernel in gemm, affine,
-//                                            qaffine; x = reduction dim k)
+//                                            (kernel in gemm, affine;
+//                                            x = reduction dim k)
 //   bench.planned_scalar.<model>.sentences_per_sec  plan, scalar-forced, 1t
 //   bench.simd_speedup.<model>               planned(1t) / scalar-forced(1t)
-//   bench.quantized.<model>.sentences_per_sec  int8 planned path, 1t
-//   bench.quant_speedup.<model>              quantized(1t) / planned(1t)
 //
 // Timing loops run with collection disabled so the numbers measure the
 // zero-overhead path; the registry is populated afterwards.
@@ -42,7 +42,6 @@
 #include "tensor/batched.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "tensor/simd/simd.h"
 
 namespace {
@@ -143,7 +142,6 @@ struct ModelRun {
   std::vector<int> threads;
   std::vector<double> planned;  // plan path, one entry per thread count
   double planned_scalar_1t = 0.0;  // plan path, ForceScalarKernels, 1 thread
-  double quantized_1t = 0.0;       // int8 planned path, 1 thread
 };
 
 // One microkernel shape: C[m,n] += A[m,k] . B[k,n].
@@ -197,31 +195,6 @@ double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
   return repeats * 2.0 * s.m * s.k * s.n / sw.Seconds() / 1e9;
 }
 
-// Effective GFLOP/s of the int8 QAffine (quantize + int8 GEMM + dequant),
-// counted against the same 2*m*k*n useful flops so the three series are
-// directly comparable.
-template <class Isa>
-double MeasureQAffineKernel(const KernelShape& s, double min_seconds) {
-  Rng rng(7);
-  std::vector<Float> x(static_cast<std::size_t>(s.m) * s.k);
-  std::vector<Float> out(static_cast<std::size_t>(s.m) * s.n);
-  Tensor w({s.k, s.n}), bias({s.n});
-  for (Float& v : x) v = rng.Uniform(-1.0, 1.0);
-  for (int i = 0; i < w.size(); ++i) w[i] = rng.Uniform(-1.0, 1.0);
-  for (int i = 0; i < bias.size(); ++i) bias[i] = rng.Uniform(-1.0, 1.0);
-  const quant::QuantizedMatrix qm = quant::QuantizeMatrix(w, 1.0);
-  volatile Float sink = 0.0;
-  int repeats = 0;
-  Stopwatch sw;
-  do {
-    quant::QAffineT<Isa>(x.data(), s.m, qm, bias, out.data(),
-                         batched::Act::kRelu);
-    sink = sink + out[0];
-    ++repeats;
-  } while (sw.Seconds() < min_seconds);
-  return repeats * 2.0 * s.m * s.k * s.n / sw.Seconds() / 1e9;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -239,20 +212,24 @@ int main(int argc, char** argv) {
   std::printf("hardware_concurrency = %u\n", hw);
   std::printf("simd_isa = %s (id %d)\n", simd::kIsaName, simd::kIsaId);
   if (hw <= 1) {
-    std::printf("single-core host: 4-thread speedup unmeasurable, "
-                "speedup_4t gauges skipped\n");
+    std::printf("single-core host: multi-thread speedup unmeasurable\n");
   }
   std::printf("\n");
 
   const text::Corpus corpus = data::MakeDataset("conll-like", 300, 17);
   const auto types = EntityTypesOf(corpus);
-  const std::vector<int> thread_counts = {1, 2, 4, 8};
+  // Powers of two up to the host's cores, then the core count itself:
+  // threads beyond it only time-share cores.
+  std::vector<int> thread_counts;
+  const int cores = std::max(1, static_cast<int>(hw));
+  for (int t = 1; t < cores; t *= 2) thread_counts.push_back(t);
+  thread_counts.push_back(cores);
 
   // The four survey-taxonomy cells at the toolkit's default (tiny) dims,
   // plus one serving-sized CNN cell: at width 24 the packed GEMMs are only
   // a fraction of end-to-end time (embedding fill, layout, and decode
   // bookkeeping bound the rest), so the wide cell is where kernel-level
-  // SIMD/int8 wins show up at full strength in sentences/sec. The
+  // SIMD wins show up at full strength in sentences/sec. The
   // charcnn+bilstm+crf cell is the survey's standard cell (§3.2.2, Fig. 3;
   // Lample et al. 2016), with the default char dims.
   struct Cell {
@@ -310,13 +287,6 @@ int main(int argc, char** argv) {
       run.planned_scalar_1t = MeasureThroughput(planned, corpus, min_seconds);
       batched::ForceScalarKernels(false);
 
-      // Int8 planned path: calibrate on the bench corpus itself (this is a
-      // throughput bench; accuracy bounds live in the differential suite).
-      model.CalibrateQuantization(corpus);
-      model.set_quantized_inference(true);
-      run.quantized_1t = MeasureThroughput(planned, corpus, min_seconds);
-      model.set_quantized_inference(false);
-
       std::printf("%-18s eager 1t: %7.1f  plan 1t: %7.1f (%.2fx)",
                   run.name.c_str(), run.eager_1t, run.planned[0],
                   run.eager_1t > 0.0 ? run.planned[0] / run.eager_1t : 0.0);
@@ -325,13 +295,10 @@ int main(int argc, char** argv) {
       }
       std::printf(" sent/s\n");
       std::printf(
-          "%-18s scalar 1t: %7.1f (simd %.2fx)  int8 1t: %7.1f "
-          "(quant %.2fx) sent/s\n",
-          "", run.planned_scalar_1t,
+          "%-18s scalar 1t: %7.1f (simd %.2fx) sent/s\n", "",
+          run.planned_scalar_1t,
           run.planned_scalar_1t > 0.0 ? run.planned[0] / run.planned_scalar_1t
-                                      : 0.0,
-          run.quantized_1t,
-          run.planned[0] > 0.0 ? run.quantized_1t / run.planned[0] : 0.0);
+                                      : 0.0);
       runs.push_back(std::move(run));
     }
   }
@@ -355,8 +322,7 @@ int main(int argc, char** argv) {
     std::vector<double> simd, scalar;  // one entry per kKernelShapes
   };
   std::vector<KernelSeries> kernels = {{"gemm", {}, {}},
-                                       {"affine", {}, {}},
-                                       {"qaffine", {}, {}}};
+                                       {"affine", {}, {}}};
   for (const KernelShape& s : kKernelShapes) {
     kernels[0].simd.push_back(
         MeasureGemmKernel<simd::Active>(s, kernel_seconds));
@@ -366,10 +332,6 @@ int main(int argc, char** argv) {
         MeasureAffineKernel<simd::Active>(s, kernel_seconds));
     kernels[1].scalar.push_back(
         MeasureAffineKernel<simd::Scalar>(s, kernel_seconds));
-    kernels[2].simd.push_back(
-        MeasureQAffineKernel<simd::Active>(s, kernel_seconds));
-    kernels[2].scalar.push_back(
-        MeasureQAffineKernel<simd::Scalar>(s, kernel_seconds));
   }
   for (const KernelSeries& ks : kernels) {
     std::printf("  %-8s", ks.name);
@@ -409,13 +371,8 @@ int main(int argc, char** argv) {
         ->Set(run.planned_scalar_1t > 0.0
                   ? run.planned[0] / run.planned_scalar_1t
                   : 0.0);
-    m.series("bench.quantized." + run.name + ".sentences_per_sec")
-        ->Append(1.0, run.quantized_1t);
-    m.gauge("bench.quant_speedup." + run.name)
-        ->Set(run.planned[0] > 0.0 ? run.quantized_1t / run.planned[0] : 0.0);
-    // A 4-thread speedup measured on a single hardware thread is pure
-    // scheduler noise (always < 1x); record it only when it means something.
-    if (hw > 1) {
+    // Recorded only when the sweep ran 4 threads, i.e. the host has them.
+    if (t4 > 0.0) {
       m.gauge("bench.throughput." + run.name + ".speedup_4t")
           ->Set(t1 > 0.0 ? t4 / t1 : 0.0);
     }

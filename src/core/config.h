@@ -73,13 +73,6 @@ struct NerConfig {
   /// Like `threads`, an execution knob — deliberately NOT serialized.
   bool doc_context = false;
 
-  /// Routes planned inference through the int8 quantized kernels
-  /// (tensor/quant.h) when a quantization calibration has been installed
-  /// on the model (NerModel::SetQuantCalibration, typically loaded from
-  /// the `<model>.quant` sidecar written by `dlner quantize`). Training
-  /// and the eager path stay f32. Like `threads`, NOT serialized.
-  bool quantized_inference = false;
-
   // --- Observability (see docs/OBSERVABILITY.md) ---
   // Like `threads`, these act on the process-wide state at model
   // construction and are deliberately NOT serialized: checkpoints

@@ -48,7 +48,6 @@ NerModel::NerModel(const NerConfig& config, text::Vocabulary word_vocab,
   if (config_.collect_metrics >= 0) {
     obs::EnableMetrics(config_.collect_metrics != 0);
   }
-  quantized_inference_ = config_.quantized_inference;
   Build(resources);
 }
 
@@ -297,54 +296,9 @@ const plan::InferencePlan& NerModel::plan() const {
   return *plan_;
 }
 
-const plan::InferencePlan& NerModel::quantized_plan() const {
-  DLNER_CHECK(has_quant_calib_);
-  std::call_once(qplan_once_, [&] {
-    obs::ScopedSpan span("plan/compile");
-    plan::PlanModules modules;
-    modules.representation = representation_.get();
-    modules.encoder = encoder_.get();
-    modules.recursive = recursive_encoder_;
-    modules.decoder = decoder_.get();
-    qplan_ = std::make_unique<plan::InferencePlan>(modules, &quant_calib_);
-  });
-  return *qplan_;
-}
-
-void NerModel::SetQuantCalibration(quant::Calibration calib) {
-  // qplan_once_ may already be consumed; callers install calibration once,
-  // before the first quantized prediction (enforced here).
-  DLNER_CHECK(qplan_ == nullptr);
-  quant_calib_ = std::move(calib);
-  has_quant_calib_ = true;
-}
-
-int NerModel::CalibrateQuantization(const text::Corpus& corpus) {
-  DLNER_CHECK(qplan_ == nullptr);
-  const plan::InferencePlan& p = plan();
-  quant_calib_.max_abs.clear();
-  // Serial batches: Calibrate merges via max into one shared Calibration,
-  // and calibration is a one-time offline pass, so no parallelism needed.
-  std::vector<const std::vector<std::string>*> tokens;
-  for (const auto& sentence : corpus.sentences) {
-    if (sentence.tokens.empty()) continue;
-    tokens.push_back(&sentence.tokens);
-    if (static_cast<std::int64_t>(tokens.size()) == kPlanBatch) {
-      p.Calibrate(tokens, &quant_calib_);
-      tokens.clear();
-    }
-  }
-  if (!tokens.empty()) p.Calibrate(tokens, &quant_calib_);
-  quant_calib_.max_abs.resize(p.quantizable_ops(), 0.0);
-  has_quant_calib_ = true;
-  return p.quantizable_ops();
-}
-
 std::vector<std::vector<text::Span>> NerModel::PredictPlanned(
     const text::Corpus& corpus) const {
-  const plan::InferencePlan& p = (quantized_inference_ && has_quant_calib_)
-                                     ? quantized_plan()
-                                     : plan();
+  const plan::InferencePlan& p = plan();
   const auto& sentences = corpus.sentences;
   std::vector<std::vector<text::Span>> predicted(sentences.size());
   // Non-empty sentences map to contiguous batch slots; empty ones keep

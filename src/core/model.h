@@ -111,31 +111,6 @@ class NerModel : public Module {
   /// lazily on first use (under a "plan/compile" span) and cached.
   const plan::InferencePlan& plan() const;
 
-  // --- Int8 quantized inference (docs/PERFORMANCE.md) ---
-  /// Toggles the quantized planned path. Takes effect only once a
-  /// calibration is installed; Predict (single-sentence eager) and
-  /// training always stay f32.
-  void set_quantized_inference(bool enabled) {
-    quantized_inference_ = enabled;
-  }
-  bool quantized_inference() const { return quantized_inference_; }
-
-  /// Installs activation-scale calibration (e.g. loaded from a
-  /// `<model>.quant` sidecar). Must be called before the first quantized
-  /// prediction; the quantized plan is compiled lazily from this data.
-  void SetQuantCalibration(quant::Calibration calib);
-  bool has_quant_calibration() const { return has_quant_calib_; }
-  const quant::Calibration& quant_calibration() const { return quant_calib_; }
-
-  /// Runs the f32 plan over `corpus` recording per-op activation ranges,
-  /// merged into the model's calibration (replacing any prior one).
-  /// Returns the number of quantizable op sites in this architecture.
-  int CalibrateQuantization(const text::Corpus& corpus);
-
-  /// The int8-quantized twin of plan(): compiled lazily from the installed
-  /// calibration and cached separately. Requires has_quant_calibration().
-  const plan::InferencePlan& quantized_plan() const;
-
  private:
   void Build(const Resources& resources);
 
@@ -159,14 +134,6 @@ class NerModel : public Module {
 
   mutable std::once_flag plan_once_;
   mutable std::unique_ptr<plan::InferencePlan> plan_;
-
-  // Quantized twin of the plan cache. A separate once_flag: the f32 plan
-  // may already be compiled (plan_once_ consumed) when calibration arrives.
-  bool quantized_inference_ = false;
-  bool has_quant_calib_ = false;
-  quant::Calibration quant_calib_;
-  mutable std::once_flag qplan_once_;
-  mutable std::unique_ptr<plan::InferencePlan> qplan_;
 
   // Per-module wall-time instruments, registered once in Build under names
   // carrying the configured module kinds (e.g. "encoder.bilstm.forward_us")

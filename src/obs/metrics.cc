@@ -83,18 +83,18 @@ std::string JsonHistogramFields(const HistogramSnapshot& s) {
   out += ", \"sum\": " + JsonNumber(s.sum);
   out += ", \"min\": " + JsonNumber(s.min);
   out += ", \"max\": " + JsonNumber(s.max);
-  out += ", \"p50\": " + JsonNumber(s.Percentile(50));
-  out += ", \"p90\": " + JsonNumber(s.Percentile(90));
-  out += ", \"p99\": " + JsonNumber(s.Percentile(99));
+  out += ", \"p50\": " + JsonNumber(s.Percentile(Quantile::P(50)));
+  out += ", \"p90\": " + JsonNumber(s.Percentile(Quantile::P(90)));
+  out += ", \"p99\": " + JsonNumber(s.Percentile(Quantile::P(99)));
   return out;
 }
 
 }  // namespace
 
-double HistogramSnapshot::Percentile(double p) const {
+double HistogramSnapshot::Percentile(Quantile q) const {
   if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(count);
+  const double target =
+      std::clamp(q.fraction(), 0.0, 1.0) * static_cast<double>(count);
   std::int64_t cum = 0;
   for (int b = 0; b < kBuckets; ++b) {
     const std::int64_t in_bucket = buckets[b];
@@ -149,8 +149,8 @@ double Histogram::min() const { return min_.load(std::memory_order_relaxed); }
 
 double Histogram::max() const { return max_.load(std::memory_order_relaxed); }
 
-double Histogram::Percentile(double p) const {
-  return Snapshot().Percentile(p);
+double Histogram::Percentile(Quantile q) const {
+  return Snapshot().Percentile(q);
 }
 
 double Histogram::BucketUpperBound(int b) {
@@ -416,9 +416,10 @@ void Metrics::WritePrometheus(std::ostream& os) const {
       const std::string n = PromName(name);
       const HistogramSnapshot s = wh->Read(now_us);
       std::string block = "# TYPE " + n + " summary\n";
-      for (const double q : {0.5, 0.9, 0.99}) {
-        block += n + "{quantile=\"" + PromNumber(q) + "\"} " +
-                 PromNumber(s.Percentile(q * 100.0)) + "\n";
+      for (const Quantile q : {Quantile::P(50), Quantile::P(90),
+                               Quantile::P(99)}) {
+        block += n + "{quantile=\"" + PromNumber(q.fraction()) + "\"} " +
+                 PromNumber(s.Percentile(q)) + "\n";
       }
       block += n + "_sum " + PromNumber(s.sum) + "\n";
       block += n + "_count " + std::to_string(s.count) + "\n";

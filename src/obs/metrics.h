@@ -74,6 +74,26 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
+/// A quantile of a distribution, built only from percent: Quantile::P(99)
+/// is the 99th percentile. There is no conversion from a bare double, so
+/// every query names its unit at the call site, and passing a fraction
+/// such as 0.99 where percent is meant does not compile.
+class Quantile {
+ public:
+  /// `percent` in [0, 100]; queries clamp values outside it.
+  static constexpr Quantile P(double percent) {
+    return Quantile(percent / 100.0);
+  }
+
+  /// The quantile as a fraction in [0, 1].
+  constexpr double fraction() const { return fraction_; }
+
+ private:
+  explicit constexpr Quantile(double fraction) : fraction_(fraction) {}
+
+  double fraction_;
+};
+
 /// Plain-struct copy of a histogram's state at one point in time. Windowed
 /// instruments return these (their live slots rotate underneath readers);
 /// merged snapshots answer percentile queries with the same power-of-two
@@ -87,8 +107,8 @@ struct HistogramSnapshot {
   double max = 0.0;
   std::int64_t buckets[kBuckets] = {};
 
-  /// p in [0, 100]. Returns 0 for an empty snapshot.
-  double Percentile(double p) const;
+  /// Returns 0 for an empty snapshot.
+  double Percentile(Quantile q) const;
 
   /// Folds `other` into this snapshot (bucket-wise add, min/max widen).
   void Merge(const HistogramSnapshot& other);
@@ -121,8 +141,8 @@ class Histogram {
   /// otherwise) — the upper bounds of the Prometheus `le` buckets.
   static double BucketUpperBound(int b);
 
-  /// p in [0, 100]. Returns 0 for an empty histogram.
-  double Percentile(double p) const;
+  /// Returns 0 for an empty histogram.
+  double Percentile(Quantile q) const;
 
   HistogramSnapshot Snapshot() const;
 

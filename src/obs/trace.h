@@ -106,10 +106,10 @@ inline std::uint64_t CurrentTraceContext() { return internal::g_trace_ctx; }
 /// RAII trace context: every span finished on this thread (or on pool
 /// workers that inherit the context through runtime::ParallelFor) while the
 /// guard is live carries a `"ctx":<id>` annotation. The serve batcher sets
-/// the batch id as the context around TagCorpus, so plan/batch and
-/// plan/quantized_batch spans are attributable to the serve/batch span (and
-/// through it to the request ids it carried); `dlner tag --stream` sets a
-/// per-document ordinal so stream/feed|flush spans group by document.
+/// the batch id as the context around TagCorpus, so plan/batch spans are
+/// attributable to the serve/batch span (and through it to the request ids
+/// it carried); `dlner tag --stream` sets a per-document ordinal so
+/// stream/feed|flush spans group by document.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(std::uint64_t ctx)

@@ -1,6 +1,5 @@
 #include "plan/plan.h"
 
-#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -13,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/rnn.h"
-#include "tensor/simd/simd.h"
 #include "tensor/variable.h"
 
 namespace dlner::plan {
@@ -175,30 +173,6 @@ ConvRef MakeConvRef(const Conv1d& conv) {
           conv.dilation()};
 }
 
-// A conv site with its quantization state: `qidx` is the op's slot in the
-// calibration vector (assigned in compile order, which is deterministic per
-// architecture), `qm` is set iff this plan compiled the site to int8.
-struct ConvOp {
-  ConvRef ref;
-  int qidx = -1;
-  std::shared_ptr<quant::QuantizedMatrix> qm;
-};
-
-// True when `calib` provides an activation bound for quantizable op `idx`.
-bool HasCalib(const quant::Calibration* calib, int idx) {
-  return calib != nullptr && idx >= 0 &&
-         idx < static_cast<int>(calib->max_abs.size());
-}
-
-// Calibration recording inside a quantizable op's f32 step: merge
-// max|input| into the op's slot. No-op outside InferencePlan::Calibrate.
-void RecordCalib(ExecContext& ctx, int idx, const Float* x, int count) {
-  if (ctx.calib == nullptr) return;
-  auto& v = ctx.calib->max_abs;
-  if (static_cast<int>(v.size()) <= idx) v.resize(idx + 1, 0.0);
-  v[idx] = std::max(v[idx], simd::Active::MaxAbs(x, count));
-}
-
 struct RnnLayerRef {
   bool is_lstm = false;
   int hidden = 0;
@@ -234,13 +208,7 @@ bool MakeRnnLayerRef(const BiRnn& layer, RnnLayerRef* out) {
 
 }  // namespace
 
-InferencePlan::InferencePlan(const PlanModules& modules,
-                             const quant::Calibration* calib) {
-  Compile(modules, calib);
-}
-
-void InferencePlan::Compile(const PlanModules& modules,
-                            const quant::Calibration* calib) {
+InferencePlan::InferencePlan(const PlanModules& modules) {
   DLNER_CHECK(modules.representation != nullptr);
   DLNER_CHECK(modules.encoder != nullptr);
   DLNER_CHECK(modules.decoder != nullptr);
@@ -299,46 +267,21 @@ void InferencePlan::Compile(const PlanModules& modules,
     encoder_desc = "mlp";
     const Tensor* w = &mlp->hidden().weight()->value;
     const Tensor* b = &mlp->hidden().bias()->value;
-    const int qidx = quantizable_ops_++;
-    if (HasCalib(calib, qidx)) {
-      quantized_ = true;
-      auto qm = std::make_shared<quant::QuantizedMatrix>(
-          quant::QuantizeMatrix(*w, calib->max_abs[qidx]));
-      steps_.push_back(
-          {"encode", "encode/mlp", [qm, b, enc_dim](ExecContext& ctx) {
-             const int rows = ctx.layout->rows();
-             Float* out =
-                 ctx.arena->Alloc(static_cast<std::size_t>(rows) * enc_dim);
-             quant::QAffine(ctx.cur, rows, *qm, *b, out, batched::Act::kTanh);
-             ctx.cur = out;
-             ctx.cur_dim = enc_dim;
-           }});
-    } else {
-      steps_.push_back(
-          {"encode", "encode/mlp", [w, b, enc_dim, qidx](ExecContext& ctx) {
-             const int rows = ctx.layout->rows();
-             RecordCalib(ctx, qidx, ctx.cur, rows * ctx.cur_dim);
-             Float* out =
-                 ctx.arena->Alloc(static_cast<std::size_t>(rows) * enc_dim);
-             batched::Affine(ctx.cur, rows, *w, *b, out, batched::Act::kTanh);
-             ctx.cur = out;
-             ctx.cur_dim = enc_dim;
-           }});
-    }
+    steps_.push_back(
+        {"encode", "encode/mlp", [w, b, enc_dim](ExecContext& ctx) {
+           const int rows = ctx.layout->rows();
+           Float* out =
+               ctx.arena->Alloc(static_cast<std::size_t>(rows) * enc_dim);
+           batched::Affine(ctx.cur, rows, *w, *b, out, batched::Act::kTanh);
+           ctx.cur = out;
+           ctx.cur_dim = enc_dim;
+         }});
   } else if (const auto* cnn =
                  dynamic_cast<const encoders::CnnEncoder*>(modules.encoder)) {
     encoder_desc = "cnn";
-    auto convs = std::make_shared<std::vector<ConvOp>>();
+    auto convs = std::make_shared<std::vector<ConvRef>>();
     for (const auto& layer : cnn->layers()) {
-      ConvOp op;
-      op.ref = MakeConvRef(*layer);
-      op.qidx = quantizable_ops_++;
-      if (HasCalib(calib, op.qidx)) {
-        quantized_ = true;
-        op.qm = std::make_shared<quant::QuantizedMatrix>(
-            quant::QuantizeMatrix(*op.ref.w, calib->max_abs[op.qidx]));
-      }
-      convs->push_back(std::move(op));
+      convs->push_back(MakeConvRef(*layer));
     }
     const int hidden = cnn->hidden_dim();
     const bool global = cnn->global_feature();
@@ -347,19 +290,12 @@ void InferencePlan::Compile(const PlanModules& modules,
            const int rows = ctx.layout->rows();
            const Float* cur = ctx.cur;
            int d = ctx.cur_dim;
-           for (const ConvOp& op : *convs) {
+           for (const ConvRef& conv : *convs) {
              Float* h =
                  ctx.arena->Alloc(static_cast<std::size_t>(rows) * hidden);
-             if (op.qm != nullptr) {
-               quant::QConvSegments(cur, d, *ctx.layout, op.ref.width,
-                                    op.ref.dilation, *op.qm, *op.ref.b, h,
-                                    batched::Act::kRelu);
-             } else {
-               RecordCalib(ctx, op.qidx, cur, rows * d);
-               batched::ConvSegments(cur, d, *ctx.layout, op.ref.width,
-                                     op.ref.dilation, *op.ref.w, *op.ref.b, h,
-                                     batched::Act::kRelu);
-             }
+             batched::ConvSegments(cur, d, *ctx.layout, conv.width,
+                                   conv.dilation, *conv.w, *conv.b, h,
+                                   batched::Act::kRelu);
              cur = h;
              d = hidden;
            }
@@ -378,30 +314,11 @@ void InferencePlan::Compile(const PlanModules& modules,
     encoder_desc = "idcnn";
     const Tensor* pw = &idcnn->project().weight()->value;
     const Tensor* pb = &idcnn->project().bias()->value;
-    // The projection and each block conv are quantizable sites. A block
-    // conv runs `iterations` times with the same weights; it gets ONE
-    // calibration slot whose bound is the max over all iterations, and the
-    // quantized plan reuses one int8 matrix across iterations.
-    const int pqidx = quantizable_ops_++;
-    std::shared_ptr<quant::QuantizedMatrix> pqm;
-    if (HasCalib(calib, pqidx)) {
-      quantized_ = true;
-      pqm = std::make_shared<quant::QuantizedMatrix>(
-          quant::QuantizeMatrix(*pw, calib->max_abs[pqidx]));
-    }
-    auto convs = std::make_shared<std::vector<ConvOp>>();
+    auto convs = std::make_shared<std::vector<ConvRef>>();
     auto norms = std::make_shared<std::vector<std::pair<const Tensor*,
                                                         const Tensor*>>>();
     for (const auto& conv : idcnn->block()) {
-      ConvOp op;
-      op.ref = MakeConvRef(*conv);
-      op.qidx = quantizable_ops_++;
-      if (HasCalib(calib, op.qidx)) {
-        quantized_ = true;
-        op.qm = std::make_shared<quant::QuantizedMatrix>(
-            quant::QuantizeMatrix(*op.ref.w, calib->max_abs[op.qidx]));
-      }
-      convs->push_back(std::move(op));
+      convs->push_back(MakeConvRef(*conv));
     }
     for (const auto& norm : idcnn->norms()) {
       norms->push_back({&norm->gain()->value, &norm->bias()->value});
@@ -410,31 +327,19 @@ void InferencePlan::Compile(const PlanModules& modules,
     const int hidden = enc_dim;
     const int iterations = idcnn->iterations();
     steps_.push_back(
-        {"encode", "encode/idcnn", [pw, pb, pqm, pqidx, convs, norms, hidden,
+        {"encode", "encode/idcnn", [pw, pb, convs, norms, hidden,
                          iterations](ExecContext& ctx) {
            const int rows = ctx.layout->rows();
            Float* h = ctx.arena->Alloc(static_cast<std::size_t>(rows) * hidden);
-           if (pqm != nullptr) {
-             quant::QAffine(ctx.cur, rows, *pqm, *pb, h, batched::Act::kRelu);
-           } else {
-             RecordCalib(ctx, pqidx, ctx.cur, rows * ctx.cur_dim);
-             batched::Affine(ctx.cur, rows, *pw, *pb, h, batched::Act::kRelu);
-           }
+           batched::Affine(ctx.cur, rows, *pw, *pb, h, batched::Act::kRelu);
            for (int it = 0; it < iterations; ++it) {
              for (std::size_t i = 0; i < convs->size(); ++i) {
-               const ConvOp& op = (*convs)[i];
+               const ConvRef& conv = (*convs)[i];
                Float* c =
                    ctx.arena->Alloc(static_cast<std::size_t>(rows) * hidden);
-               if (op.qm != nullptr) {
-                 quant::QConvSegments(h, hidden, *ctx.layout, op.ref.width,
-                                      op.ref.dilation, *op.qm, *op.ref.b, c,
-                                      batched::Act::kRelu);
-               } else {
-                 RecordCalib(ctx, op.qidx, h, rows * hidden);
-                 batched::ConvSegments(h, hidden, *ctx.layout, op.ref.width,
-                                       op.ref.dilation, *op.ref.w, *op.ref.b,
-                                       c, batched::Act::kRelu);
-               }
+               batched::ConvSegments(h, hidden, *ctx.layout, conv.width,
+                                     conv.dilation, *conv.w, *conv.b, c,
+                                     batched::Act::kRelu);
                Float* normed =
                    ctx.arena->Alloc(static_cast<std::size_t>(rows) * hidden);
                batched::LayerNormRows(c, rows, hidden, *(*norms)[i].first,
@@ -538,26 +443,12 @@ void InferencePlan::Compile(const PlanModules& modules,
     const Tensor* w = &softmax->proj().weight()->value;
     const Tensor* b = &softmax->proj().bias()->value;
     const int k = softmax->proj().out_dim();
-    const int qidx = quantizable_ops_++;
-    std::shared_ptr<quant::QuantizedMatrix> qm;
-    if (HasCalib(calib, qidx)) {
-      quantized_ = true;
-      qm = std::make_shared<quant::QuantizedMatrix>(
-          quant::QuantizeMatrix(*w, calib->max_abs[qidx]));
-    }
-    steps_.push_back({"decode", "decode/softmax", [softmax, w, b, qm, qidx,
+    steps_.push_back({"decode", "decode/softmax", [softmax, w, b,
                                                    k](ExecContext& ctx) {
                         const int rows = ctx.layout->rows();
                         Float* logits =
                             ctx.arena->Alloc(static_cast<std::size_t>(rows) * k);
-                        if (qm != nullptr) {
-                          quant::QAffine(ctx.cur, rows, *qm, *b, logits,
-                                         batched::Act::kNone);
-                        } else {
-                          RecordCalib(ctx, qidx, ctx.cur,
-                                      rows * ctx.cur_dim);
-                          batched::Affine(ctx.cur, rows, *w, *b, logits);
-                        }
+                        batched::Affine(ctx.cur, rows, *w, *b, logits);
                         std::vector<int> best;
                         for (int s = 0; s < ctx.layout->batch(); ++s) {
                           const int off = ctx.layout->offset(s);
@@ -581,26 +472,12 @@ void InferencePlan::Compile(const PlanModules& modules,
     const Tensor* w = &crf->proj().weight()->value;
     const Tensor* b = &crf->proj().bias()->value;
     const int k = crf->proj().out_dim();
-    const int qidx = quantizable_ops_++;
-    std::shared_ptr<quant::QuantizedMatrix> qm;
-    if (HasCalib(calib, qidx)) {
-      quantized_ = true;
-      qm = std::make_shared<quant::QuantizedMatrix>(
-          quant::QuantizeMatrix(*w, calib->max_abs[qidx]));
-    }
-    steps_.push_back({"decode", "decode/crf", [crf, w, b, qm, qidx,
+    steps_.push_back({"decode", "decode/crf", [crf, w, b,
                                                k](ExecContext& ctx) {
                         const int rows = ctx.layout->rows();
                         Float* em =
                             ctx.arena->Alloc(static_cast<std::size_t>(rows) * k);
-                        if (qm != nullptr) {
-                          quant::QAffine(ctx.cur, rows, *qm, *b, em,
-                                         batched::Act::kNone);
-                        } else {
-                          RecordCalib(ctx, qidx, ctx.cur,
-                                      rows * ctx.cur_dim);
-                          batched::Affine(ctx.cur, rows, *w, *b, em);
-                        }
+                        batched::Affine(ctx.cur, rows, *w, *b, em);
                         for (int s = 0; s < ctx.layout->batch(); ++s) {
                           const int off = ctx.layout->offset(s);
                           const int len = ctx.layout->len(s);
@@ -644,20 +521,7 @@ void InferencePlan::Compile(const PlanModules& modules,
                  " encoder=" + encoder_desc +
                  (encoder_batched ? ":batched" : ":eager") +
                  " decoder=" + decoder_desc +
-                 (decoder_batched ? ":batched" : ":eager") +
-                 (quantized_ ? " quant=int8" : "") + "]";
-}
-
-void InferencePlan::RunSteps(ExecContext& ctx) const {
-  for (const Step& step : steps_) {
-    obs::ScopedSpan step_span(step.name);
-    if (step.detail != nullptr) {
-      obs::ScopedSpan detail_span(step.detail);
-      step.run(ctx);
-    } else {
-      step.run(ctx);
-    }
-  }
+                 (decoder_batched ? ":batched" : ":eager") + "]";
 }
 
 void InferencePlan::Execute(
@@ -680,14 +544,14 @@ void InferencePlan::Execute(
   ctx.layout = &layout;
   ctx.sentences = &sentences;
   ctx.out = out;
-  if (quantized_) {
-    obs::ScopedSpan qspan("plan/quantized_batch");
-    RunSteps(ctx);
-    if (obs::MetricsEnabled()) {
-      obs::Metrics::Get().counter("plan.quantized_batches")->Add(1);
+  for (const Step& step : steps_) {
+    obs::ScopedSpan step_span(step.name);
+    if (step.detail != nullptr) {
+      obs::ScopedSpan detail_span(step.detail);
+      step.run(ctx);
+    } else {
+      step.run(ctx);
     }
-  } else {
-    RunSteps(ctx);
   }
   if (obs::MetricsEnabled()) {
     obs::Metrics& m = obs::Metrics::Get();
@@ -698,33 +562,6 @@ void InferencePlan::Execute(
     m.counter("plan.batches")->Add(1);
     m.counter("plan.sentences")->Add(static_cast<std::int64_t>(sentences.size()));
   }
-}
-
-void InferencePlan::Calibrate(
-    const std::vector<const std::vector<std::string>*>& sentences,
-    quant::Calibration* calib) const {
-  DLNER_CHECK(!quantized_);
-  DLNER_CHECK(calib != nullptr);
-  if (static_cast<int>(calib->max_abs.size()) < quantizable_ops_) {
-    calib->max_abs.resize(quantizable_ops_, 0.0);
-  }
-  if (sentences.empty()) return;
-  NoGradGuard no_grad;
-  obs::ScopedSpan span("plan/calibrate");
-  thread_local Arena arena;
-  arena.Reset();
-  batched::BatchLayout layout;
-  for (const auto* tokens : sentences) {
-    layout.Add(static_cast<int>(tokens->size()));
-  }
-  std::vector<std::vector<text::Span>> out(sentences.size());
-  ExecContext ctx;
-  ctx.arena = &arena;
-  ctx.layout = &layout;
-  ctx.sentences = &sentences;
-  ctx.out = &out;
-  ctx.calib = calib;
-  RunSteps(ctx);
 }
 
 }  // namespace dlner::plan

@@ -34,7 +34,6 @@
 #include "encoders/recursive.h"
 #include "tensor/arena.h"
 #include "tensor/batched.h"
-#include "tensor/quant.h"
 #include "text/types.h"
 
 namespace dlner::plan {
@@ -60,22 +59,13 @@ struct ExecContext {
   int cur_dim = 0;
   /// Decoded spans, one slot per sentence (filled by the decode step).
   std::vector<std::vector<text::Span>>* out = nullptr;
-  /// Non-null only during InferencePlan::Calibrate: f32 quantizable steps
-  /// record max|input| into max_abs[their op index] (merged via max, so
-  /// calibration accumulates across batches).
-  quant::Calibration* calib = nullptr;
 };
 
 class InferencePlan {
  public:
   /// Compiles the schedule. Cheap (no weight copies: steps reference the
-  /// modules' parameter tensors in place). With a calibration, every
-  /// quantizable op (the packed Affine/ConvSegments sites of the
-  /// mlp/cnn/idcnn encoders and softmax/crf decoders) that has a
-  /// calibrated activation bound compiles to the int8 kernels instead
-  /// (tensor/quant.h); this copy does quantize the weights once.
-  explicit InferencePlan(const PlanModules& modules,
-                         const quant::Calibration* calib = nullptr);
+  /// modules' parameter tensors in place).
+  explicit InferencePlan(const PlanModules& modules);
 
   InferencePlan(const InferencePlan&) = delete;
   InferencePlan& operator=(const InferencePlan&) = delete;
@@ -86,24 +76,9 @@ class InferencePlan {
   void Execute(const std::vector<const std::vector<std::string>*>& sentences,
                std::vector<std::vector<text::Span>>* out) const;
 
-  /// Runs the f32 schedule over one micro-batch while recording, per
-  /// quantizable op, the max |activation| flowing into it. Merges into
-  /// `calib` (call over many batches to cover a dev corpus). Must not be
-  /// called on a quantized plan — calibration reads f32 activations.
-  void Calibrate(
-      const std::vector<const std::vector<std::string>*>& sentences,
-      quant::Calibration* calib) const;
-
   /// True when representation, encoder, and decoder all compiled to packed
   /// batch kernels (no per-sentence eager bridge on the hot path).
   bool fully_batched() const { return fully_batched_; }
-
-  /// True when at least one op compiled to the int8 kernels.
-  bool quantized() const { return quantized_; }
-
-  /// Number of quantizable op sites in this architecture (the length a
-  /// full Calibration should have).
-  int quantizable_ops() const { return quantizable_ops_; }
 
   /// One-line schedule summary, e.g.
   /// "plan[embed=batched encoder=cnn:batched decoder=crf:batched]".
@@ -121,13 +96,8 @@ class InferencePlan {
     std::function<void(ExecContext&)> run;
   };
 
-  void Compile(const PlanModules& modules, const quant::Calibration* calib);
-  void RunSteps(ExecContext& ctx) const;
-
   std::vector<Step> steps_;
   bool fully_batched_ = true;
-  bool quantized_ = false;
-  int quantizable_ops_ = 0;
   std::string description_;
 };
 

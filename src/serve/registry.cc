@@ -2,28 +2,14 @@
 
 #include <utility>
 
-#include "obs/obs.h"
 #include "obs/trace.h"
-#include "tensor/quant.h"
 
 namespace dlner::serve {
 
 bool ModelRegistry::Load(const std::string& name, const std::string& path) {
   obs::ScopedSpan span("serve/reload");
-  std::shared_ptr<core::Pipeline> loaded = core::Pipeline::Load(path);
-  if (loaded == nullptr) return false;
-  if (quantized_) {
-    const std::string sidecar = path + ".quant";
-    quant::Calibration calib;
-    if (!quant::ReadCalibrationFile(sidecar, &calib)) {
-      obs::Log(obs::LogLevel::kError, "serve_quantized_load_failed",
-               {{"model", name}, {"sidecar", sidecar}});
-      return false;
-    }
-    loaded->model()->SetQuantCalibration(std::move(calib));
-    loaded->model()->set_quantized_inference(true);
-  }
-  std::shared_ptr<const core::Pipeline> pipeline = std::move(loaded);
+  std::shared_ptr<const core::Pipeline> pipeline = core::Pipeline::Load(path);
+  if (pipeline == nullptr) return false;
   std::lock_guard<std::mutex> lock(mu_);
   Entry& entry = models_[name];
   entry.pipeline = std::move(pipeline);

@@ -31,18 +31,7 @@ class ModelRegistry {
   /// replacing any existing model. The (slow) checkpoint read happens
   /// outside the registry lock; on a load failure the registry is
   /// unchanged — the previous model, if any, keeps serving.
-  ///
-  /// With quantized serving enabled (set_quantized), the load also reads
-  /// the `<path>.quant` calibration sidecar and switches the model to the
-  /// int8 planned path; a missing or corrupt sidecar FAILS the load rather
-  /// than silently serving f32 under a quantized flag.
   bool Load(const std::string& name, const std::string& path);
-
-  /// Makes every subsequent Load serve through the int8 quantized path.
-  /// Set once at startup, before the initial loads (not thread-safe
-  /// against concurrent Load).
-  void set_quantized(bool quantized) { quantized_ = quantized; }
-  bool quantized() const { return quantized_; }
 
   /// The current pipeline + generation for `name`; Entry{nullptr, 0} when
   /// unknown.
@@ -53,7 +42,6 @@ class ModelRegistry {
 
  private:
   mutable std::mutex mu_;
-  bool quantized_ = false;
   std::map<std::string, Entry> models_;
 };
 

@@ -533,8 +533,8 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn,
         std::to_string(cache_hits_->WindowTotal(now_us)) +
         ",\"cache_misses\":" +
         std::to_string(cache_misses_->WindowTotal(now_us)) +
-        ",\"p50_us\":" + JsonNumber(lat.Percentile(50)) +
-        ",\"p99_us\":" + JsonNumber(lat.Percentile(99));
+        ",\"p50_us\":" + JsonNumber(lat.Percentile(obs::Quantile::P(50))) +
+        ",\"p99_us\":" + JsonNumber(lat.Percentile(obs::Quantile::P(99)));
     if (config_.slo_us > 0) {
       window += ",\"slo_attainment\":" + JsonNumber(SloAttainment(now_us));
     }
@@ -642,9 +642,9 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
   // The compiled-plan corpus path (packed ragged micro-batches, arena
   // buffers) — the same code `dlner tag --in` runs, so served responses
   // are bit-identical to the batch CLI. The batch id becomes the trace
-  // context for the duration, so plan/batch and plan/quantized_batch spans
-  // (on this thread and on ParallelFor helpers) carry "ctx":<batch id> and
-  // attribute to this serve/batch span's request ids.
+  // context for the duration, so plan/batch spans (on this thread and on
+  // ParallelFor helpers) carry "ctx":<batch id> and attribute to this
+  // serve/batch span's request ids.
   const std::uint64_t compute_start_us = obs::NowMicros();
   std::vector<std::vector<text::Span>> spans;
   {

@@ -145,9 +145,8 @@ template <class Isa>
 void BiGruT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
             const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena);
 
-/// Benchmark hook: routes the non-template entry points above (and the
-/// quantized kernels in tensor/quant.h) through the simd::Scalar
-/// instantiations, so one binary can A/B planned-SIMD against
+/// Benchmark hook: routes the non-template entry points above through the
+/// simd::Scalar instantiations, so one binary can A/B planned-SIMD against
 /// planned-scalar end to end (bench_throughput's bench.simd_speedup.*
 /// series). Outputs are bit-identical either way — this only trades speed.
 /// Process-wide; not meant for production use.

@@ -4,13 +4,13 @@
 // (kernels_avx2.h) must produce bit-identical results,
 // element for element, which the differential suite enforces by comparing
 // simd::Active against simd::Scalar over random shapes. Practical rules
-// that follow (docs/PERFORMANCE.md, "SIMD & quantization"):
+// that follow (docs/PERFORMANCE.md, "SIMD kernels"):
 //
 //  * Multiplies and adds stay separate operations — never FMA — because
 //    the whole tree builds with -ffp-contract=off and the planned-vs-eager
 //    bit-identity contract depends on it.
 //  * Additive reductions keep their exact order; only max-based reductions
-//    (RowMax, MaxAbs), which are exact in any evaluation order, may be
+//    (RowMax), which are exact in any evaluation order, may be
 //    reassociated by a vector ISA.
 //  * Comparison-select semantics (Relu, RowMax, clamps) are part of the
 //    contract, including NaN and signed-zero behavior: each primitive
@@ -24,9 +24,8 @@
 #ifndef DLNER_TENSOR_SIMD_KERNELS_SCALAR_H_
 #define DLNER_TENSOR_SIMD_KERNELS_SCALAR_H_
 
-#include <cmath>
+#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 
 // Keep the reference truly scalar: without this, -march=native lets the
 // compiler auto-vectorize these loops into the same code as the explicit
@@ -113,67 +112,6 @@ struct Scalar {
   static void RowMax(const double* x, double* best, int n) {
     for (int j = 0; j < n; ++j) {
       if (x[j] > best[j]) best[j] = x[j];
-    }
-  }
-
-  // max_j |x[j]|, at least 0.0. Max reductions are exact in any order, so
-  // vector ISAs may split lanes; NaN elements are ignored.
-  DLNER_SIMD_SCALAR_ONLY
-  static double MaxAbs(const double* x, int n) {
-    double m = 0.0;
-    for (int j = 0; j < n; ++j) {
-      const double a = std::fabs(x[j]);
-      if (a > m) m = a;
-    }
-    return m;
-  }
-
-  // q[j] = int8(nearest-even-round(clamp(x[j] * inv_scale, ±127))).
-  // The clamp is exactly (r >= -127 ? r : -127) then (r <= 127 ? r : 127),
-  // so NaN products saturate to -127; rounding is the default FP
-  // environment's nearest-even (std::lrint == cvtpd round-to-nearest).
-  DLNER_SIMD_SCALAR_ONLY
-  static void Quantize(const double* x, double inv_scale, std::int8_t* q,
-                       int n) {
-    for (int j = 0; j < n; ++j) {
-      double r = x[j] * inv_scale;
-      r = r >= -127.0 ? r : -127.0;
-      r = r <= 127.0 ? r : 127.0;
-      q[j] = static_cast<std::int8_t>(std::lrint(r));
-    }
-  }
-
-  // c[m,n] += a[m,k] . w[k,n] in int32, rows of `a` being `lda` apart (the
-  // conv kernel reads sliding windows in place). Integer arithmetic is
-  // exact, so unlike the f32 GEMM there is no accumulation-order contract:
-  // ISAs are free to register-block the loop nest (the whole point of
-  // making the full kernel a primitive — int32 accumulators can live in
-  // registers across the k loop instead of round-tripping to memory per
-  // step). The zero-skip is pure speed: quantized ReLU activations are
-  // mostly zeros.
-  DLNER_SIMD_SCALAR_ONLY
-  static void QGemm(const std::int8_t* a, int lda, const std::int8_t* w,
-                    std::int32_t* c, int m, int k, int n) {
-    for (int i = 0; i < m; ++i) {
-      const std::int8_t* arow = a + static_cast<std::size_t>(i) * lda;
-      std::int32_t* crow = c + static_cast<std::size_t>(i) * n;
-      for (int p = 0; p < k; ++p) {
-        const std::int32_t av = arow[p];
-        if (av == 0) continue;
-        const std::int8_t* wrow = w + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) {
-          crow[j] += av * static_cast<std::int32_t>(wrow[j]);
-        }
-      }
-    }
-  }
-
-  // out[j] = double(acc[j]) * scale[j] + bias[j]  (int32 -> f64 is exact)
-  DLNER_SIMD_SCALAR_ONLY
-  static void Dequant(const std::int32_t* acc, const double* scale,
-                      const double* bias, double* out, int n) {
-    for (int j = 0; j < n; ++j) {
-      out[j] = static_cast<double>(acc[j]) * scale[j] + bias[j];
     }
   }
 };

@@ -1,5 +1,5 @@
 // Compile-time SIMD dispatch for the explicit kernels (tensor/gemm.h,
-// tensor/batched.cc, tensor/quant.cc).
+// tensor/batched.cc).
 //
 // Exactly one ISA struct is selected as simd::Active per build:
 //

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "core/model.h"
-#include "core/pipeline.h"
 #include "support/corpus_gen.h"
 #include "support/oracles.h"
 #include "support/reference_kernels.h"
@@ -20,7 +19,6 @@
 #include "tensor/batched.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "tensor/simd/simd.h"
 #include "text/tagging.h"
 
@@ -687,101 +685,6 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       ExpectBitEqual(o_simd, o_scalar, "BiGruT");
     }
   }
-}
-
-TEST(SimdDifferentialTest, QuantizedKernelsMatchScalarExactly) {
-  // Int8 path: quantize -> int32 GEMM -> f64 dequant. Integer results are
-  // exactly equal across ISAs by arithmetic (not just by ordering
-  // discipline), and the f64 epilogue follows the bit-identity contract.
-  Rng rng(4007);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int rows = rng.UniformInt(1, 20);
-    const int k = rng.UniformInt(1, 40);
-    const int n = rng.UniformInt(1, 40);
-    const Tensor x = RandomTensor({rows, k}, &rng, -3.0, 3.0, 0.4);
-    const Tensor w = RandomTensor({k, n}, &rng, -1.5, 1.5);
-    const Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
-    const quant::QuantizedMatrix qm = quant::QuantizeMatrix(w, 3.0);
-
-    std::vector<std::int8_t> q_simd(static_cast<std::size_t>(rows) * k);
-    std::vector<std::int8_t> q_scalar(q_simd.size());
-    simd::Active::Quantize(x.data(), qm.act_inv_scale, q_simd.data(),
-                           rows * k);
-    simd::Scalar::Quantize(x.data(), qm.act_inv_scale, q_scalar.data(),
-                           rows * k);
-    ExpectBitEqual(q_simd, q_scalar, "Quantize");
-
-    std::vector<std::int32_t> acc_simd(static_cast<std::size_t>(rows) * n, 0);
-    std::vector<std::int32_t> acc_scalar(acc_simd.size(), 0);
-    simd::Active::QGemm(q_scalar.data(), k, qm.q.data(), acc_simd.data(),
-                        rows, k, n);
-    simd::Scalar::QGemm(q_scalar.data(), k, qm.q.data(), acc_scalar.data(),
-                        rows, k, n);
-    ExpectBitEqual(acc_simd, acc_scalar, "QGemm");
-
-    std::vector<Float> d_simd(n), d_scalar(n);
-    simd::Active::Dequant(acc_scalar.data(), qm.dequant.data(), b.data(),
-                          d_simd.data(), n);
-    simd::Scalar::Dequant(acc_scalar.data(), qm.dequant.data(), b.data(),
-                          d_scalar.data(), n);
-    ExpectBitEqual(d_simd, d_scalar, "Dequant");
-
-    std::vector<Float> o_simd(static_cast<std::size_t>(rows) * n);
-    std::vector<Float> o_scalar(o_simd.size());
-    quant::QAffineT<simd::Active>(x.data(), rows, qm, b, o_simd.data(),
-                                  batched::Act::kRelu);
-    quant::QAffineT<simd::Scalar>(x.data(), rows, qm, b, o_scalar.data(),
-                                  batched::Act::kRelu);
-    ExpectBitEqual(o_simd, o_scalar, "QAffineT");
-  }
-
-  // Fused quantized convolution over ragged layouts (empty segments, window
-  // clipping at segment boundaries).
-  for (int trial = 0; trial < 8; ++trial) {
-    const batched::BatchLayout layout = RandomRaggedLayout(&rng);
-    const int rows = layout.rows();
-    const int d = rng.UniformInt(1, 10);
-    const int n = rng.UniformInt(1, 10);
-    const int dilation = 1 + trial % 3;
-    const Tensor x = RandomTensor({rows, d}, &rng, -2.0, 2.0, 0.3);
-    const Tensor w = RandomTensor({3 * d, n}, &rng, -1.5, 1.5);
-    const Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
-    const quant::QuantizedMatrix qm = quant::QuantizeMatrix(w, 2.0);
-    std::vector<Float> o_simd(static_cast<std::size_t>(rows) * n);
-    std::vector<Float> o_scalar(o_simd.size());
-    quant::QConvSegmentsT<simd::Active>(x.data(), d, layout, 3, dilation, qm,
-                                        b, o_simd.data(),
-                                        batched::Act::kRelu);
-    quant::QConvSegmentsT<simd::Scalar>(x.data(), d, layout, 3, dilation, qm,
-                                        b, o_scalar.data(),
-                                        batched::Act::kRelu);
-    ExpectBitEqual(o_simd, o_scalar, "QConvSegmentsT");
-  }
-}
-
-// --- Int8 quantized inference vs the f32 planned path ---------------------
-
-TEST(QuantDifferentialTest, QuantizedInferenceWithinF1BoundOfF32) {
-  // Post-training quantization accuracy contract: micro-F1 within 0.2
-  // points of the f32 planned path. The model must actually be trained —
-  // an undertrained model's argmax margins are small enough that int8
-  // rounding flips predictions and the bound fails for reasons that say
-  // nothing about the quantization scheme.
-  const text::Corpus corpus = testsup::SmallCorpus("conll-like", 60, 95);
-  const std::vector<std::string> types = EntityTypesOf(corpus);
-  core::TrainConfig tc;
-  tc.epochs = 12;
-  tc.lr = 0.02;
-  auto pipeline = core::Pipeline::Train(TinyConfig("cnn", "softmax", 31), tc,
-                                        corpus, nullptr, types);
-  core::NerModel* model = pipeline->model();
-  const double f32_f1 = model->Evaluate(corpus).micro.f1();
-  ASSERT_GT(model->CalibrateQuantization(corpus), 0);
-  model->set_quantized_inference(true);
-  ASSERT_TRUE(model->has_quant_calibration());
-  const double int8_f1 = model->Evaluate(corpus).micro.f1();
-  EXPECT_LE(std::fabs(f32_f1 - int8_f1), 0.002)
-      << "f32 micro-F1 " << f32_f1 << " vs int8 micro-F1 " << int8_f1;
 }
 
 TEST(PlanDifferentialTest, PlannedEvaluateMatchesEagerEvaluate) {

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -325,6 +326,12 @@ TEST_F(ObsTest, ChromeTraceJsonSchema) {
   EXPECT_EQ(text, os2.str());
 }
 
+// A bare double is neither percent nor fraction: only Quantile::P builds
+// a quantile, so passing 0.99 where 99 is meant does not compile.
+static_assert(!std::is_convertible_v<double, Quantile>);
+// The Prometheus summary labels P(99) with its fraction: exactly "0.99".
+static_assert(Quantile::P(99).fraction() == 0.99);
+
 TEST_F(ObsTest, HistogramPercentilesAndStats) {
   Histogram h;
   for (int v = 1; v <= 1000; ++v) h.Observe(static_cast<double>(v));
@@ -333,17 +340,17 @@ TEST_F(ObsTest, HistogramPercentilesAndStats) {
   EXPECT_DOUBLE_EQ(h.min(), 1.0);
   EXPECT_DOUBLE_EQ(h.max(), 1000.0);
   // Power-of-two buckets: estimates are exact to within a factor of two.
-  const double p50 = h.Percentile(50.0);
+  const double p50 = h.Percentile(Quantile::P(50.0));
   EXPECT_GE(p50, 250.0);
   EXPECT_LE(p50, 750.0);
-  const double p99 = h.Percentile(99.0);
+  const double p99 = h.Percentile(Quantile::P(99.0));
   EXPECT_GE(p99, 512.0);
   EXPECT_LE(p99, 1000.0);  // clamped to the observed max
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(100.0), 1000.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(Quantile::P(0.0)), 1.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(Quantile::P(100.0)), 1000.0);
   h.Reset();
   EXPECT_EQ(h.count(), 0);
-  EXPECT_DOUBLE_EQ(h.Percentile(50.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(Quantile::P(50.0)), 0.0);
 }
 
 TEST_F(ObsTest, MetricsRegistryBasicsAndJson) {
@@ -622,7 +629,7 @@ TEST_F(ObsTest, WindowedHistogramRotatesEpochBuckets) {
   EXPECT_EQ(h.Read(14'000).count, 1);
   EXPECT_DOUBLE_EQ(h.Read(14'000).sum, 400.0);
   EXPECT_EQ(h.Read(15'000).count, 0);
-  EXPECT_DOUBLE_EQ(h.Read(15'000).Percentile(99.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.Read(15'000).Percentile(Quantile::P(99.0)), 0.0);
 
   // Writing a fresh epoch reclaims its ring slot without resurrecting the
   // expired data that used to live there.
@@ -646,12 +653,12 @@ TEST_F(ObsTest, WindowedHistogramPercentilesOnPartialWindow) {
   HistogramSnapshot s = h.Read(now);
   EXPECT_EQ(s.count, 100);
   EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  const double p50 = s.Percentile(50.0);
+  const double p50 = s.Percentile(Quantile::P(50.0));
   EXPECT_GE(p50, 25.0);
   EXPECT_LE(p50, 75.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(100.0), 100.0);
-  const double p99 = s.Percentile(99.0);
+  EXPECT_DOUBLE_EQ(s.Percentile(Quantile::P(0.0)), 1.0);
+  EXPECT_DOUBLE_EQ(s.Percentile(Quantile::P(100.0)), 100.0);
+  const double p99 = s.Percentile(Quantile::P(99.0));
   EXPECT_GE(p99, 64.0);
   EXPECT_LE(p99, 100.0);  // clamped to the observed max, not the 127 bound
 }

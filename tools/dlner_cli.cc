@@ -13,8 +13,6 @@
 //   dlner tag      --model model.bin --text "John Smith visited Paris ."
 //   dlner tag      --model model.bin --in raw.conll --out tagged.conll
 //   dlner eval     --model model.bin --test test.conll [--relaxed]
-//   dlner quantize --model model.bin --calib dev.conll [--out model.bin.quant]
-//                  [--verify test.conll]
 //
 // Flag parsing is strict (core/flags.h): each subcommand declares the
 // flags it accepts, unknown flags and malformed numeric values exit 1
@@ -34,7 +32,6 @@
 #include "data/dataset.h"
 #include "embeddings/lm.h"
 #include "stream/stream_tagger.h"
-#include "tensor/quant.h"
 #include "text/conll.h"
 #include "tools/tool_common.h"
 
@@ -96,7 +93,6 @@ FlagSpec TagSpec() {
                 {"doc-context", FlagKind::kBool},
                 {"chunk-bytes", FlagKind::kValue},
                 {"flush-sentences", FlagKind::kValue},
-                {"quantized", FlagKind::kBool},
                 {"threads", FlagKind::kValue}};
   tools::AddObsFlags(&spec);
   return spec;
@@ -106,40 +102,9 @@ FlagSpec EvalSpec() {
   FlagSpec spec{{"model", FlagKind::kValue},
                 {"test", FlagKind::kValue},
                 {"relaxed", FlagKind::kBool},
-                {"quantized", FlagKind::kBool},
                 {"threads", FlagKind::kValue}};
   tools::AddObsFlags(&spec);
   return spec;
-}
-
-FlagSpec QuantizeSpec() {
-  FlagSpec spec{{"model", FlagKind::kValue},
-                {"calib", FlagKind::kValue},
-                {"out", FlagKind::kValue},
-                {"verify", FlagKind::kValue},
-                {"threads", FlagKind::kValue}};
-  tools::AddObsFlags(&spec);
-  return spec;
-}
-
-// Loads the `<model>.quant` sidecar (or an explicit path) and switches the
-// pipeline's model to the int8 planned path. Fails loudly: serving a model
-// quantized with a missing or corrupt calibration would silently fall back
-// to f32 and invalidate any latency numbers derived from the run.
-bool EnableQuantized(core::Pipeline* pipeline, const std::string& model_path,
-                     const char* cmd) {
-  const std::string sidecar = model_path + ".quant";
-  quant::Calibration calib;
-  if (!quant::ReadCalibrationFile(sidecar, &calib)) {
-    std::fprintf(stderr,
-                 "%s: --quantized: cannot read calibration sidecar %s "
-                 "(run `dlner quantize` first)\n",
-                 cmd, sidecar.c_str());
-    return false;
-  }
-  pipeline->model()->SetQuantCalibration(std::move(calib));
-  pipeline->model()->set_quantized_inference(true);
-  return true;
 }
 
 int CmdGenerate(const Args& args) {
@@ -351,10 +316,6 @@ int CmdTag(const Args& args) {
                  args.Get("model").c_str());
     return 1;
   }
-  if (args.Has("quantized") &&
-      !EnableQuantized(pipeline.get(), args.Get("model"), "tag")) {
-    return 1;
-  }
   if (args.Has("stream")) return RunTagStream(args, pipeline.get());
   if (args.Has("text")) {
     text::Sentence tagged = pipeline->TagText(args.Get("text"));
@@ -399,10 +360,6 @@ int CmdEval(const Args& args) {
                  args.Get("model").c_str());
     return 1;
   }
-  if (args.Has("quantized") &&
-      !EnableQuantized(pipeline.get(), args.Get("model"), "eval")) {
-    return 1;
-  }
   text::Corpus test;
   if (!text::ReadConllFile(args.Get("test"), &test)) {
     std::fprintf(stderr, "eval: cannot read %s\n", args.Get("test").c_str());
@@ -431,62 +388,9 @@ int CmdEval(const Args& args) {
   return 0;
 }
 
-int CmdQuantize(const Args& args) {
-  tools::ApplyThreadsFlag(args);
-  const std::string model_path = args.Get("model");
-  const std::string calib_path = args.Get("calib");
-  if (model_path.empty() || calib_path.empty()) {
-    std::fprintf(stderr, "quantize: --model and --calib are required\n");
-    return 1;
-  }
-  auto pipeline = core::Pipeline::Load(model_path);
-  if (pipeline == nullptr) {
-    std::fprintf(stderr, "quantize: cannot load model %s\n",
-                 model_path.c_str());
-    return 1;
-  }
-  text::Corpus calib_corpus;
-  if (!text::ReadConllFile(calib_path, &calib_corpus)) {
-    std::fprintf(stderr, "quantize: cannot read %s\n", calib_path.c_str());
-    return 1;
-  }
-  core::NerModel* model = pipeline->model();
-  const int ops = model->CalibrateQuantization(calib_corpus);
-  if (ops == 0) {
-    std::fprintf(stderr,
-                 "quantize: architecture %s has no quantizable ops "
-                 "(plan: %s)\n",
-                 model->config().Describe().c_str(),
-                 model->plan().Describe().c_str());
-    return 1;
-  }
-  const std::string out = args.Get("out", model_path + ".quant");
-  if (!quant::WriteCalibrationFile(out, model->quant_calibration())) {
-    std::fprintf(stderr, "quantize: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::printf("calibrated %d quantizable ops over %d sentences -> %s\n", ops,
-              calib_corpus.size(), out.c_str());
-  if (args.Has("verify")) {
-    text::Corpus verify_corpus;
-    if (!text::ReadConllFile(args.Get("verify"), &verify_corpus)) {
-      std::fprintf(stderr, "quantize: cannot read %s\n",
-                   args.Get("verify").c_str());
-      return 1;
-    }
-    const double f32_f1 = pipeline->Evaluate(verify_corpus).micro.f1();
-    model->set_quantized_inference(true);
-    const double int8_f1 = pipeline->Evaluate(verify_corpus).micro.f1();
-    model->set_quantized_inference(false);
-    std::printf("verify: f32 micro-F1=%.4f int8 micro-F1=%.4f delta=%+.4f\n",
-                f32_f1, int8_f1, int8_f1 - f32_f1);
-  }
-  return 0;
-}
-
 void Usage() {
   std::printf(
-      "dlner <generate|train|tag|eval|quantize> [flags]\n"
+      "dlner <generate|train|tag|eval> [flags]\n"
       "  generate --dataset NAME --n N --seed S --out FILE [--scheme bioes]\n"
       "  train    --train FILE --model FILE [--dev FILE] [--encoder E]\n"
       "           [--decoder D] [--char-cnn] [--char-rnn] [--shape]\n"
@@ -494,16 +398,11 @@ void Usage() {
       "           [--epochs N] [--lr X] [--word-dropout X] [--verbose]\n"
       "           [--threads N]\n"
       "  tag      --model FILE (--text \"...\" | --in FILE [--out FILE])\n"
-      "           [--quantized] [--threads N]\n"
+      "           [--threads N]\n"
       "           [--stream [--doc-context] [--chunk-bytes N]\n"
       "            [--flush-sentences N]]  (--in is raw text; see\n"
       "            docs/STREAMING.md)\n"
-      "  eval     --model FILE --test FILE [--relaxed] [--quantized]\n"
-      "           [--threads N]\n"
-      "  quantize --model FILE --calib FILE [--out FILE.quant]\n"
-      "           [--verify FILE] [--threads N]\n"
-      "--quantized: corpus tagging/eval through the int8 planned path;\n"
-      "             reads the MODEL.quant sidecar written by quantize\n"
+      "  eval     --model FILE --test FILE [--relaxed] [--threads N]\n"
       "--threads N: worker threads for corpus evaluation/tagging\n"
       "             (0 = hardware concurrency; DLNER_THREADS also honored)\n"
       "observability (any subcommand; see docs/OBSERVABILITY.md):\n"
@@ -531,7 +430,6 @@ int main(int argc, char** argv) {
   else if (cmd == "train") spec = TrainSpec();
   else if (cmd == "tag") spec = TagSpec();
   else if (cmd == "eval") spec = EvalSpec();
-  else if (cmd == "quantize") spec = QuantizeSpec();
   else {
     Usage();
     return 1;
@@ -547,7 +445,6 @@ int main(int argc, char** argv) {
   if (cmd == "train") rc = CmdTrain(args);
   if (cmd == "tag") rc = CmdTag(args);
   if (cmd == "eval") rc = CmdEval(args);
-  if (cmd == "quantize") rc = CmdQuantize(args);
   if (rc < 0) {
     Usage();
     return 1;

@@ -47,9 +47,6 @@ void Usage() {
       "  --cache-cap N        LRU response-cache entries; 0 = off (default 4096)\n"
       "  --max-line-bytes N   request lines above this -> 413 (default 1MiB)\n"
       "  --max-tokens N       requests above this -> 413 (default 512)\n"
-      "  --quantized          serve through the int8 planned path; every\n"
-      "                       model load requires its FILE.quant sidecar\n"
-      "                       (written by `dlner quantize`)\n"
       "  --threads N          worker threads for the inference plan\n"
       "  --metrics-port N     Prometheus text scrape on this port (HTTP;\n"
       "                       0 = ephemeral, printed on stdout; default off)\n"
@@ -109,7 +106,6 @@ int main(int argc, char** argv) {
                 {"cache-cap", FlagKind::kValue},
                 {"max-line-bytes", FlagKind::kValue},
                 {"max-tokens", FlagKind::kValue},
-                {"quantized", FlagKind::kBool},
                 {"threads", FlagKind::kValue},
                 {"metrics-port", FlagKind::kValue},
                 {"trace-sample-rate", FlagKind::kValue},
@@ -138,9 +134,6 @@ int main(int argc, char** argv) {
   tools::ApplyThreadsFlag(args);
 
   serve::ModelRegistry registry;
-  // Applies to every load, including hot reloads over the wire: a
-  // quantized server stays quantized for its whole lifetime.
-  registry.set_quantized(args.Has("quantized"));
   if (args.Has("model") && !registry.Load("default", args.Get("model"))) {
     std::fprintf(stderr, "dlner_serve: cannot load model %s\n",
                  args.Get("model").c_str());
