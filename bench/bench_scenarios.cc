@@ -95,7 +95,7 @@ double StreamF1(const core::Pipeline& pipeline, const text::Corpus& corpus,
   std::vector<std::vector<text::Span>> gold, predicted;
   for (int d = 0; d < corpus.DocCount(); ++d) {
     stream::StreamOptions opts;
-    opts.doc_context = doc_context ? 1 : 0;
+    opts.doc_context = doc_context;
     stream::StreamTagger tagger(&pipeline, opts);
     std::vector<stream::TaggedSentence> emitted;
     const std::string raw = data::RenderDocument(corpus, d);

@@ -56,35 +56,6 @@ struct NerConfig {
 
   uint64_t seed = 42;
 
-  // --- Runtime (not part of the architecture) ---
-  /// Worker threads for corpus-level operations (Evaluate, PredictCorpus).
-  /// -1 leaves the process-wide runtime untouched; 0 means hardware
-  /// concurrency; N > 0 pins the count. Deliberately NOT serialized: a
-  /// saved model must load identically regardless of the machine that
-  /// trained it, and appending fields would break the binary format.
-  int threads = -1;
-
-  /// Enables document-level entity-consistency state in the streaming
-  /// tagger (src/stream/): spans emitted earlier in a document bias the
-  /// tagging of later exact surface repetitions (majority-vote type memory,
-  /// survey's document-level-context thread). Off, the streaming path is
-  /// bit-identical to sentence-at-a-time TagCorpus. Consulted only by
-  /// stream::StreamTagger as its default; sentence-level APIs ignore it.
-  /// Like `threads`, an execution knob — deliberately NOT serialized.
-  bool doc_context = false;
-
-  // --- Observability (see docs/OBSERVABILITY.md) ---
-  // Like `threads`, these act on the process-wide state at model
-  // construction and are deliberately NOT serialized: checkpoints
-  // round-trip untouched and the v2 binary format is unchanged. -1 always
-  // means "leave the current process-wide setting alone".
-  /// Structured-log threshold: 0=debug 1=info 2=warn 3=error 4=off.
-  int log_level = -1;
-  /// Span tracing (obs::Tracer): 0 disables, 1 enables.
-  int collect_traces = -1;
-  /// Metric collection (obs::Metrics): 0 disables, 1 enables.
-  int collect_metrics = -1;
-
   /// Short human-readable architecture label, e.g.
   /// "word+charCNN / BiLSTM / CRF".
   std::string Describe() const;

@@ -36,18 +36,6 @@ NerModel::NerModel(const NerConfig& config, text::Vocabulary word_vocab,
       char_vocab_(std::move(char_vocab)),
       entity_types_(std::move(entity_types)) {
   DLNER_CHECK(!entity_types_.empty());
-  if (config_.threads >= 0) runtime::Runtime::Get().SetThreads(config_.threads);
-  // Observability knobs mirror `threads`: they configure process-wide
-  // state at construction and -1 leaves the current setting alone.
-  if (config_.log_level >= 0) {
-    obs::SetLogLevel(static_cast<obs::LogLevel>(config_.log_level));
-  }
-  if (config_.collect_traces >= 0) {
-    obs::EnableTracing(config_.collect_traces != 0);
-  }
-  if (config_.collect_metrics >= 0) {
-    obs::EnableMetrics(config_.collect_metrics != 0);
-  }
   Build(resources);
 }
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "tensor/nn.h"
 #include "tensor/serialize.h"
@@ -36,7 +37,10 @@ std::unique_ptr<Pipeline> Pipeline::Train(
 
 std::vector<text::Span> Pipeline::Tag(
     const std::vector<std::string>& tokens) const {
-  return model_->Predict(tokens);
+  text::Corpus corpus;
+  corpus.sentences.resize(1);
+  corpus.sentences[0].tokens = tokens;
+  return std::move(TagCorpus(corpus)[0]);
 }
 
 text::Sentence Pipeline::TagText(const std::string& raw) const {
@@ -44,7 +48,7 @@ text::Sentence Pipeline::TagText(const std::string& raw) const {
   std::istringstream ss(raw);
   std::string tok;
   while (ss >> tok) s.tokens.push_back(tok);
-  if (!s.tokens.empty()) s.spans = model_->Predict(s.tokens);
+  s.spans = Tag(s.tokens);
   return s;
 }
 

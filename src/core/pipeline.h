@@ -24,7 +24,8 @@ class Pipeline {
       std::vector<std::string> entity_types,
       const Resources& resources = {});
 
-  /// Tags a pre-tokenized sentence.
+  /// Tags a pre-tokenized sentence: a one-sentence TagCorpus, so it runs
+  /// the compiled plan. An empty token list yields no spans.
   std::vector<text::Span> Tag(const std::vector<std::string>& tokens) const;
 
   /// Whitespace-tokenizes and tags a raw string.

@@ -43,6 +43,14 @@ struct Server::Conn {
 
 namespace {
 
+// The serve.window.* rings: ServeConfig::window_us split into this many
+// epochs, so the window slides in twelfths.
+constexpr int kWindowEpochs = 12;
+
+std::int64_t WindowEpochUs(const ServeConfig& config) {
+  return std::max<std::int64_t>(1, config.window_us / kWindowEpochs);
+}
+
 // splitmix64: maps a request id to a well-mixed 64-bit value so the
 // sampling decision is uniform over [0,1) yet deterministic per id.
 std::uint64_t Mix64(std::uint64_t x) {
@@ -60,14 +68,13 @@ Server::Server(ModelRegistry* registry, const ServeConfig& config)
       metrics_always_(config.metrics_port >= 0),
       cache_(config.cache_capacity) {
   obs::Metrics& m = obs::Metrics::Get();
-  const std::int64_t eus = config_.window_epoch_us;
-  const int eps = config_.window_epochs;
+  const std::int64_t eus = WindowEpochUs(config_);
   // Rolling serve.window.* view + the lifetime series it also feeds.
   const auto counts = [&](const char* window, const char* lifetime) {
-    return m.windowed_counter(window, eus, eps, lifetime);
+    return m.windowed_counter(window, eus, kWindowEpochs, lifetime);
   };
   const auto hist = [&](const char* window, const char* lifetime) {
-    return m.windowed_histogram(window, eus, eps, lifetime);
+    return m.windowed_histogram(window, eus, kWindowEpochs, lifetime);
   };
   requests_ = m.counter("serve.requests_total");
   batches_ = m.counter("serve.batches_total");
@@ -413,8 +420,8 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
 obs::WindowedCounter* Server::ModelWindow(const std::string& model,
                                           const char* what) const {
   return obs::Metrics::Get().windowed_counter(
-      "serve.window.model." + model + "." + what, config_.window_epoch_us,
-      config_.window_epochs);
+      "serve.window.model." + model + "." + what, WindowEpochUs(config_),
+      kWindowEpochs);
 }
 
 void Server::FinishTagRequest(const Pending& pending, const std::string& model,

@@ -112,11 +112,9 @@ struct ServeConfig {
   /// (see Server::metrics_port()). While the endpoint is up, serve-side
   /// metric collection is always on, even without --metrics-out.
   int metrics_port = -1;
-  /// Sliding-window shape for the serve.window.* instruments: a ring of
-  /// `window_epochs` slots of `window_epoch_us` each (default 12 x 5 s =
-  /// a one-minute rolling window).
-  std::int64_t window_epoch_us = 5'000'000;
-  int window_epochs = 12;
+  /// Length of the rolling window behind the serve.window.* instruments
+  /// (default one minute).
+  std::int64_t window_us = 60'000'000;
 };
 
 class Server {

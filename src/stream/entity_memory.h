@@ -18,7 +18,7 @@
 // Both passes are pure functions of the memory state and the sentence, and
 // the StreamTagger applies them strictly in sentence order (Apply then
 // Observe, one sentence at a time), so the output stream is independent of
-// how sentences were grouped into batches or flushes — the chunk-boundary
+// how sentences were grouped into TagCorpus calls — the chunk-boundary
 // invariance property holds with doc-context on, too.
 //
 // All tie-breaks are deterministic (lexicographically smallest type wins a

@@ -1,10 +1,8 @@
 #include "stream/stream_tagger.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <utility>
 
-#include "obs/obs.h"
 #include "obs/trace.h"
 
 namespace dlner::stream {
@@ -12,13 +10,9 @@ namespace dlner::stream {
 StreamTagger::StreamTagger(const core::Pipeline* pipeline,
                            const StreamOptions& opts)
     : pipeline_(pipeline), opts_(opts) {
-  if (opts_.flush_sentences < 1) opts_.flush_sentences = 1;
   text::StreamTokenizerOptions tok;
   tok.max_sentence_tokens = opts_.max_sentence_tokens;
   tokenizer_ = text::StreamTokenizer(tok);
-  doc_context_ = opts_.doc_context >= 0
-                     ? opts_.doc_context != 0
-                     : pipeline_->model()->config().doc_context;
   memory_ = EntityMemory(opts_.memory);
 }
 
@@ -26,70 +20,45 @@ std::vector<TaggedSentence> StreamTagger::Feed(std::string_view chunk) {
   obs::ScopedTraceContext trace_ctx(trace_ctx_);
   obs::ScopedSpan span("stream/feed");
   tokenizer_.Feed(chunk);
-  DrainTokenizer();
-  std::vector<TaggedSentence> out;
-  while (static_cast<int>(pending_.size()) >= opts_.flush_sentences) {
-    TagPending(&out);
-  }
-  if (!pending_.empty() && DeadlineExpired()) TagPending(&out);
-  return out;
+  return TagCompleted();
 }
 
 std::vector<TaggedSentence> StreamTagger::Flush() {
   obs::ScopedTraceContext trace_ctx(trace_ctx_);
   obs::ScopedSpan span("stream/flush");
   tokenizer_.Flush();
-  DrainTokenizer();
-  std::vector<TaggedSentence> out;
-  TagPending(&out);
+  std::vector<TaggedSentence> out = TagCompleted();
   memory_.Clear();
   return out;
 }
 
-void StreamTagger::DrainTokenizer() {
-  while (tokenizer_.HasSentence()) {
-    if (pending_.empty()) oldest_pending_us_ = obs::NowMicros();
-    pending_.push_back(tokenizer_.NextSentence());
-  }
-}
-
-void StreamTagger::TagPending(std::vector<TaggedSentence>* out) {
-  if (pending_.empty()) return;
-  // Take at most one size-trigger batch per call so huge Feed()s still tag
-  // in bounded TagCorpus batches; Feed loops until below threshold.
-  const int take =
-      std::min(static_cast<int>(pending_.size()), opts_.flush_sentences);
+std::vector<TaggedSentence> StreamTagger::TagCompleted() {
+  std::vector<TaggedSentence> out;
+  if (!tokenizer_.HasSentence()) return out;
   text::Corpus corpus;
-  corpus.sentences.reserve(static_cast<std::size_t>(take));
-  for (int i = 0; i < take; ++i) {
+  while (tokenizer_.HasSentence()) {
     text::Sentence s;
-    s.tokens = std::move(pending_[static_cast<std::size_t>(i)]);
+    s.tokens = tokenizer_.NextSentence();
     corpus.sentences.push_back(std::move(s));
   }
-  pending_.erase(pending_.begin(), pending_.begin() + take);
-  if (!pending_.empty()) oldest_pending_us_ = obs::NowMicros();
-
   std::vector<std::vector<text::Span>> spans = pipeline_->TagCorpus(corpus);
 
   // The entity memory runs strictly sentence-by-sentence (Apply reads only
   // state from PRIOR sentences, then Observe folds this one in), so results
   // do not depend on how sentences were grouped into batches — the
   // chunk-boundary invariance property survives doc_context=true.
+  out.reserve(corpus.sentences.size());
   for (std::size_t i = 0; i < corpus.sentences.size(); ++i) {
     TaggedSentence tagged;
     tagged.tokens = std::move(corpus.sentences[i].tokens);
     tagged.spans = std::move(spans[i]);
-    if (doc_context_) {
+    if (opts_.doc_context) {
       memory_.Apply(tagged.tokens, &tagged.spans);
       memory_.Observe(tagged.tokens, tagged.spans);
     }
-    out->push_back(std::move(tagged));
+    out.push_back(std::move(tagged));
   }
-}
-
-bool StreamTagger::DeadlineExpired() const {
-  if (opts_.flush_deadline_us == 0) return false;
-  return obs::NowMicros() - oldest_pending_us_ >= opts_.flush_deadline_us;
+  return out;
 }
 
 }  // namespace dlner::stream

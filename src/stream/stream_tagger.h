@@ -4,22 +4,20 @@
 // the compiled-plan batched inference path (Pipeline::TagCorpus) and,
 // optionally, to the entity-consistency cache (entity_memory.h):
 //
-//   raw bytes --Feed()--> StreamTokenizer --> sentences --> pending queue
-//     --(size or deadline reached)--> TagCorpus (plan-batched)
+//   raw bytes --Feed()--> StreamTokenizer --> completed sentences
+//     --> one TagCorpus call per Feed/Flush (plan-batched, pool-parallel)
 //     --(doc_context: Apply + Observe per sentence, in order)--> emitted
 //
-// Latency contract (deadline-or-size, mirroring the serve batcher): a
-// completed sentence is tagged as soon as EITHER `flush_sentences` sentences
-// are pending OR the oldest pending sentence has waited `flush_deadline_us`
-// microseconds. The deadline is checked on every Feed/Flush call (the tagger
-// owns no thread), so the bound is "next call after the deadline", which is
-// what a poll-driven caller like the serve loop provides.
+// Latency contract (work-conserving, like the serve batcher): every sentence
+// a Feed() completes is tagged and returned by that same Feed(); nothing
+// waits for a batch to fill. Only a trailing partial sentence, which the
+// tokenizer cannot close yet, waits for more bytes or for Flush().
 //
 // Determinism: emitted spans are a pure function of the concatenated byte
-// stream. Chunk boundaries, flush timing, and batch grouping cannot change
-// the output, because (a) the tokenizer is chunk-invariant by construction,
-// (b) TagCorpus is bit-identical regardless of batch composition, and (c)
-// the entity memory is applied strictly sequentially per sentence. With
+// stream. Chunk boundaries and batch grouping cannot change the output,
+// because (a) the tokenizer is chunk-invariant by construction, (b)
+// TagCorpus is bit-identical regardless of batch composition, and (c) the
+// entity memory is applied strictly sequentially per sentence. With
 // doc_context=false the output is bit-identical to calling
 // Pipeline::TagCorpus on the same sentence split.
 #ifndef DLNER_STREAM_STREAM_TAGGER_H_
@@ -37,16 +35,11 @@
 namespace dlner::stream {
 
 struct StreamOptions {
-  /// Tag as soon as this many sentences are pending.
-  int flush_sentences = 16;
-  /// ... or as soon as the oldest pending sentence is this old (0 disables
-  /// the deadline; sentences then wait for the size trigger or Flush()).
-  std::uint64_t flush_deadline_us = 50000;
   /// Force a sentence break after this many tokens (tokenizer cap).
   int max_sentence_tokens = 512;
-  /// Document-level entity-consistency state. When unset (default -1) the
-  /// pipeline's NerConfig::doc_context decides; 0/1 force off/on.
-  int doc_context = -1;
+  /// Document-level entity-consistency state: spans emitted earlier in a
+  /// document bias the tagging of later exact surface repetitions.
+  bool doc_context = false;
   EntityMemoryOptions memory;
 };
 
@@ -61,17 +54,17 @@ class StreamTagger {
   /// `pipeline` is borrowed and must outlive the tagger.
   StreamTagger(const core::Pipeline* pipeline, const StreamOptions& opts = {});
 
-  /// Consumes the next chunk of the document. Returns the sentences whose
-  /// tags became final during this call (possibly none; possibly several).
+  /// Consumes the next chunk of the document. Returns every sentence the
+  /// chunk completed, tagged (possibly none; possibly several).
   std::vector<TaggedSentence> Feed(std::string_view chunk);
 
-  /// Ends the document: tags everything still pending, including a final
-  /// partial sentence/token. Document state (entity memory) is cleared, so
-  /// the tagger is immediately ready for the next document.
+  /// Ends the document: tags the final partial sentence/token, if any.
+  /// Document state (entity memory) is cleared, so the tagger is
+  /// immediately ready for the next document.
   std::vector<TaggedSentence> Flush();
 
   /// True when doc-level state is active for this stream.
-  bool doc_context() const { return doc_context_; }
+  bool doc_context() const { return opts_.doc_context; }
 
   /// Trace context id stamped (as a "ctx" annotation) onto the
   /// stream/feed|flush spans this tagger records, and inherited by the
@@ -81,27 +74,18 @@ class StreamTagger {
   void set_trace_context(std::uint64_t ctx) { trace_ctx_ = ctx; }
   std::uint64_t trace_context() const { return trace_ctx_; }
 
-  /// Sentences tokenized but not yet tagged.
-  int PendingSentences() const { return static_cast<int>(pending_.size()); }
-
   /// The entity-consistency cache (inspection/tests).
   const EntityMemory& memory() const { return memory_; }
 
  private:
-  // Moves completed sentences out of the tokenizer into pending_.
-  void DrainTokenizer();
-  // Tags and emits all pending sentences (no-op when none).
-  void TagPending(std::vector<TaggedSentence>* out);
-  bool DeadlineExpired() const;
+  // Tags every sentence the tokenizer has completed, in one TagCorpus call.
+  std::vector<TaggedSentence> TagCompleted();
 
   const core::Pipeline* pipeline_;
   StreamOptions opts_;
-  bool doc_context_ = false;
   std::uint64_t trace_ctx_ = 0;
 
   text::StreamTokenizer tokenizer_;
-  std::vector<std::vector<std::string>> pending_;
-  std::uint64_t oldest_pending_us_ = 0;  // arrival time of pending_[0]
   EntityMemory memory_;
 };
 

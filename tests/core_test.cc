@@ -217,6 +217,30 @@ TEST(PipelineTest, SaveLoadPreservesPredictions) {
   }
 }
 
+// Tag and TagText are one-sentence TagCorpus calls: the same compiled plan,
+// the same spans, and an empty sentence is no spans rather than a crash.
+TEST(PipelineTest, TagMatchesTagCorpusAndAcceptsEmpty) {
+  text::Corpus corpus = SmallNews(30, 12);
+  auto pipeline = Pipeline::Train(SmallConfig(), FastTrain(2), corpus,
+                                  nullptr,
+                                  data::EntityTypesFor(Genre::kNews));
+  const std::vector<std::vector<text::Span>> expected =
+      pipeline->TagCorpus(corpus);
+  for (int i = 0; i < corpus.size(); ++i) {
+    const auto& tokens = corpus.sentences[i].tokens;
+    EXPECT_EQ(pipeline->Tag(tokens), expected[i]) << "sentence " << i;
+    std::string raw;
+    for (const std::string& tok : tokens) raw += tok + " ";
+    const text::Sentence tagged = pipeline->TagText(raw);
+    EXPECT_EQ(tagged.tokens, tokens) << "sentence " << i;
+    EXPECT_EQ(tagged.spans, expected[i]) << "sentence " << i;
+  }
+  EXPECT_TRUE(pipeline->Tag({}).empty());
+  const text::Sentence blank = pipeline->TagText("  \t ");
+  EXPECT_TRUE(blank.tokens.empty());
+  EXPECT_TRUE(blank.spans.empty());
+}
+
 TEST(PipelineTest, SaveLoadWithExternalResources) {
   // Checkpoint format v2: resource-backed models serialize their resources
   // into the checkpoint (full round-trips in serialize_test.cc).

@@ -505,28 +505,6 @@ TEST_F(ObsTest, LogLevelStringRoundTrip) {
   EXPECT_STREQ(LogLevelName(LogLevel::kInfo), "info");
 }
 
-TEST_F(ObsTest, ConfigObsFieldsAreRuntimeOnly) {
-  core::NerConfig a;
-  core::NerConfig b;
-  b.log_level = 0;
-  b.collect_traces = 1;
-  b.collect_metrics = 1;
-  std::ostringstream sa, sb;
-  core::WriteConfig(sa, a);
-  core::WriteConfig(sb, b);
-  // Observability fields never reach the checkpoint bytes.
-  EXPECT_EQ(sa.str(), sb.str());
-
-  std::istringstream in(sb.str());
-  core::NerConfig loaded;
-  ASSERT_TRUE(core::ReadConfig(in, &loaded));
-  // Like `threads`, deserialization never touches the runtime-only fields:
-  // a loaded checkpoint keeps the "leave process state alone" default.
-  EXPECT_EQ(loaded.log_level, -1);
-  EXPECT_EQ(loaded.collect_traces, -1);
-  EXPECT_EQ(loaded.collect_metrics, -1);
-}
-
 // The observability invariant the whole design leans on: collection must
 // never change what the model computes.
 TEST_F(ObsTest, TracingDoesNotChangeEvaluateOrPredictions) {

@@ -214,9 +214,8 @@ TEST(EntityMemoryTest, SurfaceTableIsCapped) {
 // StreamTagger (trained pipeline fixture)
 
 struct StreamFixture {
-  std::unique_ptr<core::Pipeline> pipeline;       // doc_context defaults off
-  std::unique_ptr<core::Pipeline> doc_pipeline;   // doc_context defaults on
-  text::Corpus test;                              // consistency documents
+  std::unique_ptr<core::Pipeline> pipeline;
+  text::Corpus test;  // consistency documents
 };
 
 const StreamFixture& Fixture() {
@@ -242,9 +241,6 @@ const StreamFixture& Fixture() {
         data::ScenarioEntityTypes(data::Scenario::kEntityConsistency);
     fx->pipeline = core::Pipeline::Train(config, tc, split.train, nullptr,
                                          types);
-    config.doc_context = true;  // runtime knob: same weights-shape, doc on
-    fx->doc_pipeline = core::Pipeline::Train(config, tc, split.train, nullptr,
-                                             types);
     return fx;
   }();
   return *f;
@@ -288,8 +284,7 @@ TEST(StreamTaggerTest, ChunkBoundaryInvariance) {
   ASSERT_GT(raw.size(), 600u);
   for (const bool doc : {false, true}) {
     StreamOptions opts;
-    opts.doc_context = doc ? 1 : 0;
-    opts.flush_sentences = 3;  // small so mid-stream flushes actually happen
+    opts.doc_context = doc;
     const auto whole = StreamChunked(*f.pipeline, raw,
                                      static_cast<int>(raw.size()), opts);
     ASSERT_FALSE(whole.empty());
@@ -310,8 +305,7 @@ TEST(StreamTaggerTest, StatelessStreamingMatchesTagCorpusBitIdentically) {
       f.pipeline->TagCorpus(f.test);
 
   StreamOptions opts;
-  opts.doc_context = 0;
-  opts.flush_sentences = 5;
+  opts.doc_context = false;
   std::vector<TaggedSentence> emitted;
   for (int d = 0; d < f.test.DocCount(); ++d) {
     // One tagger per document, mirroring how documents stream in practice.
@@ -327,48 +321,42 @@ TEST(StreamTaggerTest, StatelessStreamingMatchesTagCorpusBitIdentically) {
   }
 }
 
-TEST(StreamTaggerTest, DocContextDefaultsFromPipelineConfig) {
-  const StreamFixture& f = Fixture();
-  EXPECT_FALSE(StreamTagger(f.pipeline.get()).doc_context());
-  EXPECT_TRUE(StreamTagger(f.doc_pipeline.get()).doc_context());
-  StreamOptions force_off;
-  force_off.doc_context = 0;
-  EXPECT_FALSE(StreamTagger(f.doc_pipeline.get(), force_off).doc_context());
-  StreamOptions force_on;
-  force_on.doc_context = 1;
-  EXPECT_TRUE(StreamTagger(f.pipeline.get(), force_on).doc_context());
-}
-
-TEST(StreamTaggerTest, SizeTriggerAndFlushSemantics) {
+// Work-conserving emission: a Feed that completes sentences returns them,
+// tagged, in that same call; only a trailing partial sentence waits, and
+// only Flush can close it. Flush also ends the document's entity memory.
+TEST(StreamTaggerTest, FeedEmitsEverySentenceItCompletes) {
   const StreamFixture& f = Fixture();
   StreamOptions opts;
-  opts.flush_sentences = 2;
-  opts.flush_deadline_us = 0;  // size trigger only
+  opts.doc_context = true;
   StreamTagger tagger(f.pipeline.get(), opts);
 
-  EXPECT_TRUE(tagger.Feed("John visited Paris .\n").empty());
-  EXPECT_EQ(tagger.PendingSentences(), 1);
-  const auto burst = tagger.Feed("Mary left Rome .\n");
-  EXPECT_EQ(burst.size(), 2u);  // second sentence tripped the size trigger
-  EXPECT_EQ(tagger.PendingSentences(), 0);
+  const auto one = tagger.Feed("John visited Paris .\n");
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].tokens,
+            (std::vector<std::string>{"John", "visited", "Paris", "."}));
+  const auto two = tagger.Feed("Mary left Rome .\nAnn met Bob .\n");
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[1].tokens,
+            (std::vector<std::string>{"Ann", "met", "Bob", "."}));
 
-  // Flush tags the final partial sentence and resets document state.
   EXPECT_TRUE(tagger.Feed("trailing words without newline").empty());
+  EXPECT_TRUE(tagger.Feed(" still").empty());
   const auto tail = tagger.Flush();
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].tokens,
             (std::vector<std::string>{"trailing", "words", "without",
-                                      "newline"}));
-  EXPECT_EQ(tagger.PendingSentences(), 0);
+                                      "newline", "still"}));
   EXPECT_EQ(tagger.memory().size(), 0u);
+  EXPECT_TRUE(tagger.Flush().empty());
 }
 
 TEST(StreamTaggerTest, FlushClearsEntityMemoryBetweenDocuments) {
   const StreamFixture& f = Fixture();
   StreamOptions opts;
-  opts.doc_context = 1;
+  opts.doc_context = true;
   StreamTagger tagger(f.pipeline.get(), opts);
   tagger.Feed(data::RenderDocument(f.test, 0));
+  ASSERT_GT(tagger.memory().size(), 0u);
   tagger.Flush();
   EXPECT_EQ(tagger.memory().size(), 0u);
 }
@@ -383,8 +371,7 @@ void CheckStreamAgainstTokenizer(const core::Pipeline& pipeline,
                                  const std::string& bytes, uint64_t seed) {
   Rng rng(seed);
   StreamOptions opts;
-  opts.flush_sentences = 1 + static_cast<int>(rng.UniformInt(0, 4));
-  opts.doc_context = static_cast<int>(rng.UniformInt(0, 1));
+  opts.doc_context = rng.UniformInt(0, 1) != 0;
   StreamTagger tagger(&pipeline, opts);
   std::vector<TaggedSentence> emitted;
   std::size_t i = 0;

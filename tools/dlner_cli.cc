@@ -92,7 +92,6 @@ FlagSpec TagSpec() {
                 {"stream", FlagKind::kBool},
                 {"doc-context", FlagKind::kBool},
                 {"chunk-bytes", FlagKind::kValue},
-                {"flush-sentences", FlagKind::kValue},
                 {"threads", FlagKind::kValue}};
   tools::AddObsFlags(&spec);
   return spec;
@@ -148,6 +147,7 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdTrain(const Args& args) {
+  tools::ApplyThreadsFlag(args);
   const std::string train_path = args.Get("train");
   const std::string model_path = args.Get("model");
   if (train_path.empty() || model_path.empty()) {
@@ -177,16 +177,6 @@ int CmdTrain(const Args& args) {
   config.hidden_dim = args.GetInt("hidden-dim", 24);
   config.word_unk_dropout = args.GetDouble("word-dropout", 0.2);
   config.seed = args.GetUInt64("seed", 42);
-  config.threads = args.GetInt("threads", -1);
-  // Mirror the process-wide obs flags into the config so models built from
-  // this config behave the same when constructed elsewhere. Runtime-only:
-  // none of these is serialized into the checkpoint.
-  if (args.Has("log-level")) {
-    config.log_level =
-        static_cast<int>(obs::LogLevelFromString(args.Get("log-level")));
-  }
-  if (args.Has("trace-out")) config.collect_traces = 1;
-  if (args.Has("metrics-out")) config.collect_metrics = 1;
 
   core::TrainConfig tc;
   tc.epochs = args.GetInt("epochs", 12);
@@ -266,8 +256,7 @@ int RunTagStream(const Args& args, core::Pipeline* pipeline) {
     return 1;
   }
   stream::StreamOptions opts;
-  opts.flush_sentences = args.GetInt("flush-sentences", 16);
-  if (args.Has("doc-context")) opts.doc_context = 1;
+  opts.doc_context = args.Has("doc-context");
   stream::StreamTagger tagger(pipeline, opts);
   // One CLI invocation streams one document; context 1 groups its
   // stream/feed|flush spans (and the plan/batch spans under them) in a
@@ -399,9 +388,8 @@ void Usage() {
       "           [--threads N]\n"
       "  tag      --model FILE (--text \"...\" | --in FILE [--out FILE])\n"
       "           [--threads N]\n"
-      "           [--stream [--doc-context] [--chunk-bytes N]\n"
-      "            [--flush-sentences N]]  (--in is raw text; see\n"
-      "            docs/STREAMING.md)\n"
+      "           [--stream [--doc-context] [--chunk-bytes N]]\n"
+      "           (--stream: --in is raw text; see docs/STREAMING.md)\n"
       "  eval     --model FILE --test FILE [--relaxed] [--threads N]\n"
       "--threads N: worker threads for corpus evaluation/tagging\n"
       "             (0 = hardware concurrency; DLNER_THREADS also honored)\n"

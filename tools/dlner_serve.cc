@@ -16,7 +16,6 @@
 // spans, rolling serve.window.* metrics, a Prometheus scrape on
 // --metrics-port, SLO gauges, slow-request logging) is described in
 // docs/OBSERVABILITY.md.
-#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -158,10 +157,7 @@ int main(int argc, char** argv) {
   config.slow_request_us = args.GetInt("slow-request-us", 0);
   config.slo_us = args.GetInt("slo-us", 0);
   config.slo_target = args.GetDouble("slo-target", 0.99);
-  const int window_s = args.GetInt("metrics-window-s", 60);
-  config.window_epochs = 12;
-  config.window_epoch_us =
-      std::max<std::int64_t>(1, window_s * 1'000'000ll / config.window_epochs);
+  config.window_us = args.GetInt("metrics-window-s", 60) * 1'000'000ll;
 
   serve::Server server(&registry, config);
   if (!server.Start()) {
