@@ -74,8 +74,7 @@ std::string PromNumber(double v) {
   return internal::JsonNumber(v);
 }
 
-// The ", count, sum, min, max, p50, p90, p99" JSON fields both histogram
-// kinds export.
+// The ", count, sum, min, max, p50, p90, p99" JSON fields of a histogram.
 std::string JsonHistogramFields(const HistogramSnapshot& s) {
   using internal::JsonNumber;
   std::string out = ", \"count\": ";
@@ -111,20 +110,6 @@ double HistogramSnapshot::Percentile(Quantile q) const {
     cum += in_bucket;
   }
   return max;
-}
-
-void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  for (int b = 0; b < kBuckets; ++b) buckets[b] += other.buckets[b];
 }
 
 void Histogram::Observe(double v) {
@@ -179,46 +164,6 @@ void Histogram::Reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-// --- Windowed instruments -----------------------------------------------
-
-void WindowedHistogram::Observe(double v, std::uint64_t now_us) {
-  CellAt(now_us)->Observe(v);
-  if (lifetime_ != nullptr) lifetime_->Observe(v);
-}
-
-HistogramSnapshot WindowedHistogram::Read(std::uint64_t now_us) const {
-  HistogramSnapshot merged;
-  ForEachLive(now_us, [&merged](const Histogram& h) {
-    merged.Merge(h.Snapshot());
-  });
-  return merged;
-}
-
-void WindowedHistogram::Reset() {
-  ResetRing();
-  if (lifetime_ != nullptr) lifetime_->Reset();
-}
-
-void WindowedCounter::Add(std::int64_t n, std::uint64_t now_us) {
-  CellAt(now_us)->Add(n);
-  if (lifetime_ != nullptr) lifetime_->Add(n);
-}
-
-std::int64_t WindowedCounter::WindowTotal(std::uint64_t now_us) const {
-  std::int64_t total = 0;
-  ForEachLive(now_us, [&total](const Counter& c) { total += c.value(); });
-  return total;
-}
-
-double WindowedCounter::RatePerSec(std::uint64_t now_us) const {
-  return static_cast<double>(WindowTotal(now_us)) / window_seconds();
-}
-
-void WindowedCounter::Reset() {
-  ResetRing();
-  if (lifetime_ != nullptr) lifetime_->Reset();
-}
-
 void Series::Append(double step, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   points_.emplace_back(step, value);
@@ -239,11 +184,11 @@ Metrics& Metrics::Get() {
   return *instance;
 }
 
-template <typename T, typename... Args>
+template <typename T>
 T* Metrics::Lookup(std::map<std::string, std::unique_ptr<T>>* instruments,
-                   const std::string& name, Args... args) {
+                   const std::string& name) {
   auto& slot = (*instruments)[name];
-  if (slot == nullptr) slot = std::make_unique<T>(args...);
+  if (slot == nullptr) slot = std::make_unique<T>();
   return slot.get();
 }
 
@@ -267,29 +212,10 @@ Series* Metrics::series(const std::string& name) {
   return Lookup(&series_, name);
 }
 
-WindowedCounter* Metrics::windowed_counter(const std::string& name,
-                                           std::int64_t epoch_us, int epochs,
-                                           const std::string& lifetime_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Counter* lifetime =
-      lifetime_name.empty() ? nullptr : Lookup(&counters_, lifetime_name);
-  return Lookup(&windowed_counters_, name, epoch_us, epochs, lifetime);
-}
-
-WindowedHistogram* Metrics::windowed_histogram(
-    const std::string& name, std::int64_t epoch_us, int epochs,
-    const std::string& lifetime_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Histogram* lifetime =
-      lifetime_name.empty() ? nullptr : Lookup(&histograms_, lifetime_name);
-  return Lookup(&windowed_histograms_, name, epoch_us, epochs, lifetime);
-}
-
 std::size_t Metrics::NumSeries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size() +
-         series_.size() + windowed_counters_.size() +
-         windowed_histograms_.size();
+         series_.size();
 }
 
 void Metrics::WriteJson(std::ostream& os,
@@ -325,23 +251,6 @@ void Metrics::WriteJson(std::ostream& os,
       }
       body += "]}";
       entries.emplace_back(name, std::move(body));
-    }
-    const std::uint64_t now_us = NowMicros();
-    for (const auto& [name, wc] : windowed_counters_) {
-      entries.emplace_back(
-          name, "{\"type\": \"windowed_counter\", \"window_s\": " +
-                    JsonNumber(wc->window_seconds()) + ", \"value\": " +
-                    std::to_string(wc->WindowTotal(now_us)) +
-                    ", \"rate_per_sec\": " +
-                    JsonNumber(wc->RatePerSec(now_us)) + "}");
-    }
-    for (const auto& [name, wh] : windowed_histograms_) {
-      const HistogramSnapshot s = wh->Read(now_us);
-      if (options.skip_empty_histograms && s.count == 0) continue;
-      entries.emplace_back(
-          name, "{\"type\": \"windowed_histogram\", \"window_s\": " +
-                    JsonNumber(wh->window_seconds()) +
-                    JsonHistogramFields(s) + "}");
     }
   }
   std::sort(entries.begin(), entries.end());
@@ -400,31 +309,6 @@ void Metrics::WritePrometheus(std::ostream& os) const {
       block += n + "_count " + std::to_string(s.count) + "\n";
       entries.emplace_back(n, std::move(block));
     }
-    const std::uint64_t now_us = NowMicros();
-    for (const auto& [name, wc] : windowed_counters_) {
-      // A rolling-window total can decrease, so it is a gauge, not a
-      // Prometheus counter; the per-second rate rides along.
-      const std::string n = PromName(name);
-      std::string block = "# TYPE " + n + " gauge\n" + n + " " +
-                          std::to_string(wc->WindowTotal(now_us)) + "\n";
-      const std::string rate = n + "_per_sec";
-      block += "# TYPE " + rate + " gauge\n" + rate + " " +
-               PromNumber(wc->RatePerSec(now_us)) + "\n";
-      entries.emplace_back(n, std::move(block));
-    }
-    for (const auto& [name, wh] : windowed_histograms_) {
-      const std::string n = PromName(name);
-      const HistogramSnapshot s = wh->Read(now_us);
-      std::string block = "# TYPE " + n + " summary\n";
-      for (const Quantile q : {Quantile::P(50), Quantile::P(90),
-                               Quantile::P(99)}) {
-        block += n + "{quantile=\"" + PromNumber(q.fraction()) + "\"} " +
-                 PromNumber(s.Percentile(q)) + "\n";
-      }
-      block += n + "_sum " + PromNumber(s.sum) + "\n";
-      block += n + "_count " + std::to_string(s.count) + "\n";
-      entries.emplace_back(n, std::move(block));
-    }
   }
   std::sort(entries.begin(), entries.end());
   for (const auto& [name, block] : entries) os << block;
@@ -436,8 +320,6 @@ void Metrics::ResetAll() {
   for (auto& [name, g] : gauges_) g->Reset();
   for (auto& [name, h] : histograms_) h->Reset();
   for (auto& [name, s] : series_) s->Reset();
-  for (auto& [name, wc] : windowed_counters_) wc->Reset();
-  for (auto& [name, wh] : windowed_histograms_) wh->Reset();
 }
 
 }  // namespace dlner::obs

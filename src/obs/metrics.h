@@ -94,10 +94,9 @@ class Quantile {
   double fraction_;
 };
 
-/// Plain-struct copy of a histogram's state at one point in time. Windowed
-/// instruments return these (their live slots rotate underneath readers);
-/// merged snapshots answer percentile queries with the same power-of-two
-/// bucket interpolation as the live Histogram.
+/// Plain-struct copy of a histogram's state at one point in time. Exports
+/// read it once per histogram, and it answers percentile queries with the
+/// same power-of-two bucket interpolation as the live Histogram.
 struct HistogramSnapshot {
   static constexpr int kBuckets = 64;
 
@@ -109,9 +108,6 @@ struct HistogramSnapshot {
 
   /// Returns 0 for an empty snapshot.
   double Percentile(Quantile q) const;
-
-  /// Folds `other` into this snapshot (bucket-wise add, min/max widen).
-  void Merge(const HistogramSnapshot& other);
 };
 
 /// Power-of-two bucketed histogram over non-negative samples (typically
@@ -156,147 +152,6 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-namespace internal {
-
-/// The slot ring both windowed instruments share: `epochs` fixed-duration
-/// cells (a Histogram or a Counter), the cell for epoch e = now_us /
-/// epoch_us living at index e % epochs. Reading merges every cell still
-/// inside the window, so the result covers the last `epochs * epoch_us`
-/// microseconds (e.g. 12 x 5 s = a one-minute window).
-///
-/// Lock discipline: the hot path (recording into an already-current cell)
-/// is the cell's relaxed atomics only. A cell is zeroed and re-tagged under
-/// its slot's mutex exactly once per epoch turnover, and the tag is stored
-/// with release order after zeroing, so a writer that sees the new tag also
-/// sees the cleared cell. One benign race is accepted: a writer stalled for
-/// longer than the entire window between loading `now` and recording may
-/// land its sample in a rotated slot, misattributing one observation by one
-/// window length — harmless for monitoring, and the tsan suite exercises
-/// the rotation.
-template <typename Cell>
-class EpochRing {
- public:
-  EpochRing(std::int64_t epoch_us, int epochs)
-      : epoch_us_(epoch_us > 0 ? epoch_us : 1),
-        epochs_(epochs > 0 ? epochs : 1),
-        slots_(new Slot[static_cast<std::size_t>(epochs_)]) {}
-
-  EpochRing(const EpochRing&) = delete;
-  EpochRing& operator=(const EpochRing&) = delete;
-
-  std::int64_t epoch_us() const { return epoch_us_; }
-  int epochs() const { return epochs_; }
-  double window_seconds() const {
-    return static_cast<double>(epoch_us_) * epochs_ / 1e6;
-  }
-
- protected:
-  /// The cell owning the epoch of `now_us`, rotated in if it still holds an
-  /// older epoch's data.
-  Cell* CellAt(std::uint64_t now_us) {
-    const std::int64_t epoch = static_cast<std::int64_t>(now_us) / epoch_us_;
-    Slot& slot = slots_[static_cast<std::size_t>(epoch % epochs_)];
-    if (slot.epoch.load(std::memory_order_acquire) != epoch) {
-      std::lock_guard<std::mutex> lock(slot.mu);
-      if (slot.epoch.load(std::memory_order_relaxed) != epoch) {
-        slot.cell.Reset();
-        slot.epoch.store(epoch, std::memory_order_release);
-      }
-    }
-    return &slot.cell;
-  }
-
-  /// Calls `fn(cell)` for every cell tagged with an epoch inside
-  /// [current - epochs + 1, current]; older cells await rotation.
-  template <typename Fn>
-  void ForEachLive(std::uint64_t now_us, Fn&& fn) const {
-    const std::int64_t current = static_cast<std::int64_t>(now_us) / epoch_us_;
-    for (int i = 0; i < epochs_; ++i) {
-      const Slot& slot = slots_[static_cast<std::size_t>(i)];
-      const std::int64_t e = slot.epoch.load(std::memory_order_acquire);
-      if (e >= 0 && e <= current && current - e < epochs_) fn(slot.cell);
-    }
-  }
-
-  /// Empties the window (every slot becomes stale).
-  void ResetRing() {
-    for (int i = 0; i < epochs_; ++i) {
-      Slot& slot = slots_[static_cast<std::size_t>(i)];
-      std::lock_guard<std::mutex> lock(slot.mu);
-      slot.epoch.store(-1, std::memory_order_release);
-    }
-  }
-
- private:
-  struct Slot {
-    std::mutex mu;  // taken only to rotate the slot into a new epoch
-    std::atomic<std::int64_t> epoch{-1};
-    Cell cell;
-  };
-
-  const std::int64_t epoch_us_;
-  const int epochs_;
-  std::unique_ptr<Slot[]> slots_;
-};
-
-}  // namespace internal
-
-/// Sliding-window histogram: a ring of power-of-two bucket tables (see
-/// internal::EpochRing) that live scrapes poll for current p50/p99 without
-/// lifetime averaging washing out a latency regression. When constructed
-/// with a `lifetime` histogram, every Observe also feeds it, so one call
-/// records both the rolling and the lifetime view of a quantity.
-class WindowedHistogram : public internal::EpochRing<Histogram> {
- public:
-  WindowedHistogram(std::int64_t epoch_us, int epochs,
-                    Histogram* lifetime = nullptr)
-      : EpochRing(epoch_us, epochs), lifetime_(lifetime) {}
-  WindowedHistogram() : WindowedHistogram(5'000'000, 12) {}
-
-  void Observe(double v) { Observe(v, NowMicros()); }
-  /// Explicit-clock overload (tests drive rotation deterministically).
-  void Observe(double v, std::uint64_t now_us);
-
-  /// Merged view of every slot inside the window ending at `now_us`.
-  HistogramSnapshot Read(std::uint64_t now_us) const;
-  HistogramSnapshot Read() const { return Read(NowMicros()); }
-
-  /// Zeroes the window and the lifetime aggregate.
-  void Reset();
-
- private:
-  Histogram* const lifetime_;
-};
-
-/// Sliding-window counter: same ring as WindowedHistogram with one value
-/// per slot. `WindowTotal` is the rolling event count; `RatePerSec` divides
-/// by the window length, which is the live requests/errors-per-second a
-/// scrape wants. A `lifetime` counter, when given, receives every Add too.
-class WindowedCounter : public internal::EpochRing<Counter> {
- public:
-  WindowedCounter(std::int64_t epoch_us, int epochs,
-                  Counter* lifetime = nullptr)
-      : EpochRing(epoch_us, epochs), lifetime_(lifetime) {}
-  WindowedCounter() : WindowedCounter(5'000'000, 12) {}
-
-  void Add(std::int64_t n = 1) { Add(n, NowMicros()); }
-  void Add(std::int64_t n, std::uint64_t now_us);
-
-  std::int64_t WindowTotal(std::uint64_t now_us) const;
-  std::int64_t WindowTotal() const { return WindowTotal(NowMicros()); }
-  double RatePerSec(std::uint64_t now_us) const;
-  double RatePerSec() const { return RatePerSec(NowMicros()); }
-
-  /// The lifetime aggregate, or null when the instrument has none.
-  const Counter* lifetime() const { return lifetime_; }
-
-  /// Zeroes the window and the lifetime aggregate.
-  void Reset();
-
- private:
-  Counter* const lifetime_;
-};
-
 /// Append-only (step, value) sequence — per-epoch training curves,
 /// per-thread-count benchmark sweeps.
 class Series {
@@ -333,28 +188,11 @@ class Metrics {
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
   Series* series(const std::string& name);
-  /// Windowed instruments take their window shape on first registration;
-  /// later lookups by the same name return the existing instrument (the
-  /// shape arguments are ignored then, like every other registry accessor).
-  /// A non-empty `lifetime_name` gives the instrument a lifetime aggregate:
-  /// the counter/histogram registered under that name, which every
-  /// Add/Observe also feeds and which exports like any other (a Prometheus
-  /// counter/histogram next to the rolling view under `name`).
-  WindowedCounter* windowed_counter(const std::string& name,
-                                    std::int64_t epoch_us = 5'000'000,
-                                    int epochs = 12,
-                                    const std::string& lifetime_name = "");
-  WindowedHistogram* windowed_histogram(const std::string& name,
-                                        std::int64_t epoch_us = 5'000'000,
-                                        int epochs = 12,
-                                        const std::string& lifetime_name = "");
-
   /// Number of registered instruments (all kinds).
   std::size_t NumSeries() const;
 
   /// Deterministic JSON snapshot: {"schema": "dlner-metrics-v1",
   /// "series": {<name>: {...}, ...}} with names sorted lexicographically.
-  /// Windowed instruments export their rolling-window view as of the call.
   void WriteJson(std::ostream& os) const { WriteJson(os, {}); }
   bool WriteJson(const std::string& path) const { return WriteJson(path, {}); }
   void WriteJson(std::ostream& os, const MetricsJsonOptions& options) const;
@@ -362,12 +200,11 @@ class Metrics {
                  const MetricsJsonOptions& options) const;
 
   /// Prometheus text exposition (format version 0.0.4): counters and
-  /// gauges as-is, histograms as cumulative `le` buckets ending in +Inf,
-  /// windowed histograms as summaries with quantile labels, windowed
-  /// counters as gauges (a rolling-window total is not monotone). Dots in
-  /// metric names become underscores; series are JSON-export-only. The
-  /// serve scrape endpoint (--metrics-port) and the admin "metrics"
-  /// command both emit this.
+  /// gauges as-is, histograms as cumulative `le` buckets ending in +Inf.
+  /// Rolling rates and quantiles are the scraper's job (PromQL `rate` and
+  /// `histogram_quantile` over two readings). Dots in metric names become
+  /// underscores; series are JSON-export-only. The serve scrape endpoint
+  /// (--metrics-port) and the admin "metrics" command both emit this.
   void WritePrometheus(std::ostream& os) const;
 
   /// Zeroes every instrument (registrations and pointers survive).
@@ -376,20 +213,16 @@ class Metrics {
  private:
   Metrics() = default;
 
-  // Find-or-create under mu_ (held by the caller); `args` construct the
-  // instrument on first registration only.
-  template <typename T, typename... Args>
+  // Find-or-create under mu_ (held by the caller).
+  template <typename T>
   static T* Lookup(std::map<std::string, std::unique_ptr<T>>* instruments,
-                   const std::string& name, Args... args);
+                   const std::string& name);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<Series>> series_;
-  std::map<std::string, std::unique_ptr<WindowedCounter>> windowed_counters_;
-  std::map<std::string, std::unique_ptr<WindowedHistogram>>
-      windowed_histograms_;
 };
 
 }  // namespace dlner::obs

@@ -352,45 +352,38 @@ InferencePlan::InferencePlan(const PlanModules& modules) {
          }});
   } else if (const auto* rnn =
                  dynamic_cast<const encoders::RnnEncoder*>(modules.encoder)) {
+    // BiRnn always pairs two LstmCells or two GruCells, and RnnEncoder has
+    // at least one layer, so every RNN encoder has a packed emitter.
     auto layers = std::make_shared<std::vector<RnnLayerRef>>();
-    bool ok = true;
     for (const auto& layer : rnn->layers()) {
       RnnLayerRef ref;
-      if (!MakeRnnLayerRef(*layer, &ref)) {
-        ok = false;
-        break;
-      }
+      DLNER_CHECK(MakeRnnLayerRef(*layer, &ref));
       layers->push_back(ref);
     }
-    if (ok && !layers->empty()) {
-      encoder_desc = layers->front().is_lstm ? "bilstm" : "bigru";
-      steps_.push_back({"encode", "encode/rnn", [layers](ExecContext& ctx) {
-                          const int rows = ctx.layout->rows();
-                          const Float* cur = ctx.cur;
-                          int d = ctx.cur_dim;
-                          for (const RnnLayerRef& layer : *layers) {
-                            Float* out = ctx.arena->Alloc(
-                                static_cast<std::size_t>(rows) * 2 *
-                                layer.hidden);
-                            if (layer.is_lstm) {
-                              batched::BiLstm(cur, d, layer.hidden,
-                                              *ctx.layout, layer.lstm_fwd,
-                                              layer.lstm_bwd, out, ctx.arena);
-                            } else {
-                              batched::BiGru(cur, d, layer.hidden, *ctx.layout,
-                                             layer.gru_fwd, layer.gru_bwd, out,
-                                             ctx.arena);
-                            }
-                            cur = out;
-                            d = 2 * layer.hidden;
+    encoder_desc = layers->front().is_lstm ? "bilstm" : "bigru";
+    steps_.push_back({"encode", "encode/rnn", [layers](ExecContext& ctx) {
+                        const int rows = ctx.layout->rows();
+                        const Float* cur = ctx.cur;
+                        int d = ctx.cur_dim;
+                        for (const RnnLayerRef& layer : *layers) {
+                          Float* out = ctx.arena->Alloc(
+                              static_cast<std::size_t>(rows) * 2 *
+                              layer.hidden);
+                          if (layer.is_lstm) {
+                            batched::BiLstm(cur, d, layer.hidden,
+                                            *ctx.layout, layer.lstm_fwd,
+                                            layer.lstm_bwd, out, ctx.arena);
+                          } else {
+                            batched::BiGru(cur, d, layer.hidden, *ctx.layout,
+                                           layer.gru_fwd, layer.gru_bwd, out,
+                                           ctx.arena);
                           }
-                          ctx.cur = cur;
-                          ctx.cur_dim = d;
-                        }});
-    } else {
-      encoder_desc = "rnn";
-      encoder_batched = false;
-    }
+                          cur = out;
+                          d = 2 * layer.hidden;
+                        }
+                        ctx.cur = cur;
+                        ctx.cur_dim = d;
+                      }});
   } else {
     encoder_batched = false;
     encoder_desc = modules.recursive != nullptr ? "brnn" : "eager";

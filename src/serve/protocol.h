@@ -20,8 +20,7 @@
 //                   {"cmd":"models"} {"cmd":"stats"} {"cmd":"metrics"}
 //                   {"cmd":"shutdown"}
 //
-// "stats" answers lifetime counters plus a rolling-window block (queue
-// depth, cache hits/misses, windowed p50/p99, SLO attainment); "metrics"
+// "stats" answers the lifetime counters and the live queue depth; "metrics"
 // answers {"id":..,"metrics":"<...>"} where the value is the full
 // Prometheus text exposition, JSON-escaped — the same bytes the
 // --metrics-port HTTP scrape serves.

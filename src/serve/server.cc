@@ -43,12 +43,11 @@ struct Server::Conn {
 
 namespace {
 
-// The serve.window.* rings: ServeConfig::window_us split into this many
-// epochs, so the window slides in twelfths.
-constexpr int kWindowEpochs = 12;
-
-std::int64_t WindowEpochUs(const ServeConfig& config) {
-  return std::max<std::int64_t>(1, config.window_us / kWindowEpochs);
+// The lifetime counter serve.model.<model>.<what>_total, so multi-model
+// servers keep a per-model breakdown.
+obs::Counter* ModelCounter(const std::string& model, const char* what) {
+  return obs::Metrics::Get().counter("serve.model." + model + "." + what +
+                                     "_total");
 }
 
 // splitmix64: maps a request id to a well-mixed 64-bit value so the
@@ -68,35 +67,23 @@ Server::Server(ModelRegistry* registry, const ServeConfig& config)
       metrics_always_(config.metrics_port >= 0),
       cache_(config.cache_capacity) {
   obs::Metrics& m = obs::Metrics::Get();
-  const std::int64_t eus = WindowEpochUs(config_);
-  // Rolling serve.window.* view + the lifetime series it also feeds.
-  const auto counts = [&](const char* window, const char* lifetime) {
-    return m.windowed_counter(window, eus, kWindowEpochs, lifetime);
-  };
-  const auto hist = [&](const char* window, const char* lifetime) {
-    return m.windowed_histogram(window, eus, kWindowEpochs, lifetime);
-  };
   requests_ = m.counter("serve.requests_total");
   batches_ = m.counter("serve.batches_total");
   reloads_ = m.counter("serve.reloads_total");
   slow_requests_ = m.counter("serve.slow_requests_total");
   queue_depth_ = m.gauge("serve.queue.depth");
   queue_peak_ = m.gauge("serve.queue.peak_depth");
-  responses_ = counts("serve.window.responses", "serve.responses_total");
-  errors_ = counts("serve.window.errors", "serve.errors_total");
-  rejected_ = counts("serve.window.rejected", "serve.rejected_total");
-  cache_hits_ = counts("serve.window.cache.hits", "serve.cache.hits");
-  cache_misses_ = counts("serve.window.cache.misses", "serve.cache.misses");
-  slo_ok_ = counts("serve.window.slo_ok", "");
-  latency_ = hist("serve.window.latency_us", "serve.request.latency_us");
-  stage_queue_ =
-      hist("serve.window.stage.queue_wait_us", "serve.stage.queue_wait_us");
-  stage_batch_ =
-      hist("serve.window.stage.batch_wait_us", "serve.stage.batch_wait_us");
-  stage_compute_ =
-      hist("serve.window.stage.compute_us", "serve.stage.compute_us");
-  stage_write_ = hist("serve.window.stage.write_us", "serve.stage.write_us");
-  batch_size_ = hist("serve.window.batch.size", "serve.batch.size");
+  responses_ = m.counter("serve.responses_total");
+  errors_ = m.counter("serve.errors_total");
+  rejected_ = m.counter("serve.rejected_total");
+  cache_hits_ = m.counter("serve.cache.hits");
+  cache_misses_ = m.counter("serve.cache.misses");
+  latency_ = m.histogram("serve.request.latency_us");
+  stage_queue_ = m.histogram("serve.stage.queue_wait_us");
+  stage_batch_ = m.histogram("serve.stage.batch_wait_us");
+  stage_compute_ = m.histogram("serve.stage.compute_us");
+  stage_write_ = m.histogram("serve.stage.write_us");
+  batch_size_ = m.histogram("serve.batch.size");
 }
 
 Server::~Server() { Stop(); }
@@ -137,22 +124,18 @@ bool Server::Start() {
   port_ = ntohs(addr.sin_port);
 
   // The serve.* instruments are registry-global; zero them so this server's
-  // counts and windows start from its own traffic (sequential in-process
-  // servers in tests and bench_serve would otherwise bleed into each
-  // other).
-  for (obs::Counter* c : {requests_, batches_, reloads_, slow_requests_}) {
+  // counts start from its own traffic (sequential in-process servers in
+  // tests and bench_serve would otherwise bleed into each other).
+  for (obs::Counter* c : {requests_, batches_, reloads_, slow_requests_,
+                          responses_, errors_, rejected_, cache_hits_,
+                          cache_misses_}) {
     c->Reset();
   }
   queue_depth_->Reset();
   queue_peak_->Reset();
-  for (obs::WindowedCounter* wc : {responses_, errors_, rejected_,
-                                   cache_hits_, cache_misses_, slo_ok_}) {
-    wc->Reset();
-  }
-  for (obs::WindowedHistogram* wh : {latency_, stage_queue_, stage_batch_,
-                                     stage_compute_, stage_write_,
-                                     batch_size_}) {
-    wh->Reset();
+  for (obs::Histogram* h : {latency_, stage_queue_, stage_batch_,
+                            stage_compute_, stage_write_, batch_size_}) {
+    h->Reset();
   }
 
   if (config_.metrics_port >= 0 && !StartMetricsListener()) {
@@ -231,7 +214,7 @@ void Server::MetricsLoop() {
 }
 
 std::string Server::ScrapeText() const {
-  PublishMetrics();  // fold lifetime counters + derived gauges in first
+  PublishMetrics();  // fold the derived gauges in first
   std::ostringstream os;
   obs::Metrics::Get().WritePrometheus(os);
   return os.str();
@@ -336,38 +319,42 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
   const std::uint64_t req_id = next_req_id_.fetch_add(1) + 1;
   const bool sampled = SampleTrace(req_id);
   const bool collect = CollectMetrics();
-  if (collect) ModelWindow(req.model, "requests")->Add(1);
+  if (collect) ModelCounter(req.model, "requests")->Add();
 
   const ModelRegistry::Entry entry = registry_->Get(req.model);
   if (entry.pipeline == nullptr) {
     errors_->Add();
-    if (collect) ModelWindow(req.model, "errors")->Add(1);
+    if (collect) ModelCounter(req.model, "errors")->Add();
     WriteLine(conn, ErrorResponse(req.has_id, req.id, kUnknownModel,
                                   "unknown model \"" + req.model + "\""));
     return;
   }
   if (static_cast<int>(req.tokens.size()) > config_.max_tokens) {
     errors_->Add();
-    if (collect) ModelWindow(req.model, "errors")->Add(1);
+    if (collect) ModelCounter(req.model, "errors")->Add();
     WriteLine(conn, ErrorResponse(req.has_id, req.id, kTooLarge,
                                   "too many tokens (max " +
                                       std::to_string(config_.max_tokens) +
                                       ")"));
     return;
   }
-  if (req.tokens.empty()) {
-    // Nothing to tag; answer inline (the plan requires non-empty
-    // sentences, and the eager path short-circuits identically).
-    Pending p{conn, std::move(req), arrival_us, req_id, sampled};
+  // Answers without the batcher (an empty sentence or a cache hit): every
+  // stage but write collapses onto the arrival instant.
+  const auto respond_inline = [&](bool cached, const std::string& payload) {
+    const Pending p{conn, std::move(req), arrival_us, req_id, sampled};
     StageTimes t;
-    t.arrival_us = arrival_us;
-    t.queue_end_us = t.batch_end_us = arrival_us;
+    t.arrival_us = t.queue_end_us = t.batch_end_us = arrival_us;
     t.compute_start_us = t.compute_end_us = arrival_us;
-    t.write_start_us = obs::NowMicros();
     responses_->Add();
-    WriteLine(conn, TagResponse(p.request, false, TagPayload({}, {})));
+    t.write_start_us = obs::NowMicros();
+    WriteLine(conn, TagResponse(p.request, cached, payload));
     t.write_end_us = obs::NowMicros();
-    FinishTagRequest(p, p.request.model, /*cached=*/false, t);
+    FinishTagRequest(p, p.request.model, cached, t);
+  };
+  if (req.tokens.empty()) {
+    // Nothing to tag (the plan requires non-empty sentences, and the eager
+    // path short-circuits identically).
+    respond_inline(/*cached=*/false, TagPayload({}, {}));
     return;
   }
 
@@ -379,16 +366,7 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
     std::string payload;
     if (cache_.Get(key, &payload)) {
       cache_hits_->Add();
-      responses_->Add();
-      Pending p{conn, std::move(req), arrival_us, req_id, sampled};
-      StageTimes t;
-      t.arrival_us = arrival_us;
-      t.queue_end_us = t.batch_end_us = arrival_us;
-      t.compute_start_us = t.compute_end_us = arrival_us;
-      t.write_start_us = obs::NowMicros();
-      WriteLine(conn, TagResponse(p.request, true, payload));
-      t.write_end_us = obs::NowMicros();
-      FinishTagRequest(p, p.request.model, /*cached=*/true, t);
+      respond_inline(/*cached=*/true, payload);
       return;
     }
     cache_misses_->Add();
@@ -417,13 +395,6 @@ void Server::HandleLine(const std::shared_ptr<Conn>& conn,
   queue_cv_.notify_one();
 }
 
-obs::WindowedCounter* Server::ModelWindow(const std::string& model,
-                                          const char* what) const {
-  return obs::Metrics::Get().windowed_counter(
-      "serve.window.model." + model + "." + what, WindowEpochUs(config_),
-      kWindowEpochs);
-}
-
 void Server::FinishTagRequest(const Pending& pending, const std::string& model,
                               bool cached, const StageTimes& t) {
   const auto stage = [](std::uint64_t from, std::uint64_t to) {
@@ -436,16 +407,11 @@ void Server::FinishTagRequest(const Pending& pending, const std::string& model,
   const std::uint64_t total = stage(t.arrival_us, t.write_end_us);
 
   if (CollectMetrics()) {
-    const std::uint64_t now_us = t.write_end_us;
-    latency_->Observe(static_cast<double>(total), now_us);
-    stage_queue_->Observe(static_cast<double>(queue_wait), now_us);
-    stage_batch_->Observe(static_cast<double>(batch_wait), now_us);
-    stage_compute_->Observe(static_cast<double>(compute), now_us);
-    stage_write_->Observe(static_cast<double>(write), now_us);
-  }
-  if (config_.slo_us > 0 &&
-      total <= static_cast<std::uint64_t>(config_.slo_us)) {
-    slo_ok_->Add(1, t.write_end_us);
+    latency_->Observe(static_cast<double>(total));
+    stage_queue_->Observe(static_cast<double>(queue_wait));
+    stage_batch_->Observe(static_cast<double>(batch_wait));
+    stage_compute_->Observe(static_cast<double>(compute));
+    stage_write_->Observe(static_cast<double>(write));
   }
 
   if (pending.sampled && obs::TracingEnabled()) {
@@ -524,28 +490,6 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn,
       std::lock_guard<std::mutex> lock(queue_mu_);
       depth = queue_.size();
     }
-    // Lifetime counters (as before), then a rolling-window block: live
-    // queue depth and cache hit/miss plus windowed latency percentiles and
-    // SLO attainment, so an operator polling stats sees the current
-    // minute, not the lifetime average.
-    const std::uint64_t now_us = obs::NowMicros();
-    const obs::HistogramSnapshot lat = latency_->Read(now_us);
-    using obs::internal::JsonNumber;
-    std::string window =
-        "{\"window_s\":" + JsonNumber(latency_->window_seconds()) +
-        ",\"responses\":" + std::to_string(responses_->WindowTotal(now_us)) +
-        ",\"errors\":" + std::to_string(errors_->WindowTotal(now_us)) +
-        ",\"rejected\":" + std::to_string(rejected_->WindowTotal(now_us)) +
-        ",\"cache_hits\":" +
-        std::to_string(cache_hits_->WindowTotal(now_us)) +
-        ",\"cache_misses\":" +
-        std::to_string(cache_misses_->WindowTotal(now_us)) +
-        ",\"p50_us\":" + JsonNumber(lat.Percentile(obs::Quantile::P(50))) +
-        ",\"p99_us\":" + JsonNumber(lat.Percentile(obs::Quantile::P(99)));
-    if (config_.slo_us > 0) {
-      window += ",\"slo_attainment\":" + JsonNumber(SloAttainment(now_us));
-    }
-    window += "}";
     WriteLine(conn,
               "{" + id_prefix + "\"requests\":" +
                   std::to_string(requests_total()) + ",\"responses\":" +
@@ -555,7 +499,7 @@ void Server::HandleAdmin(const std::shared_ptr<Conn>& conn,
                   std::to_string(cache_hits()) + ",\"cache_misses\":" +
                   std::to_string(cache_misses()) + ",\"batches\":" +
                   std::to_string(batches_total()) + ",\"queue_depth\":" +
-                  std::to_string(depth) + ",\"window\":" + window + "}");
+                  std::to_string(depth) + "}");
     return;
   }
   if (req.cmd == "metrics") {
@@ -634,7 +578,7 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
   if (entry.pipeline == nullptr) {
     for (const Pending& p : batch) {
       errors_->Add();
-      if (CollectMetrics()) ModelWindow(model, "errors")->Add(1);
+      if (CollectMetrics()) ModelCounter(model, "errors")->Add();
       Respond(p, ErrorResponse(p.request.has_id, p.request.id, kUnknownModel,
                                "unknown model \"" + model + "\""));
     }
@@ -777,39 +721,9 @@ void Server::Stop() {
            {{"responses", responses_total()}});
 }
 
-double Server::SloAttainment(std::uint64_t now_us) const {
-  // Fraction of windowed responses at or under --slo-us; an idle window
-  // counts as full attainment.
-  const std::int64_t responses = responses_->WindowTotal(now_us);
-  return responses > 0 ? static_cast<double>(slo_ok_->WindowTotal(now_us)) /
-                             static_cast<double>(responses)
-                       : 1.0;
-}
-
 void Server::PublishMetrics() const {
   obs::Metrics& m = obs::Metrics::Get();
   m.gauge("serve.cache.size")->Set(static_cast<double>(cache_.size()));
-
-  // Derived rolling-window gauges, recomputed at every publish/scrape.
-  const std::uint64_t now_us = obs::NowMicros();
-  const std::int64_t hits = cache_hits_->WindowTotal(now_us);
-  const std::int64_t misses = cache_misses_->WindowTotal(now_us);
-  m.gauge("serve.window.cache_hit_rate")
-      ->Set(hits + misses > 0
-                ? static_cast<double>(hits) /
-                      static_cast<double>(hits + misses)
-                : 0.0);
-  if (config_.slo_us > 0) {
-    // Error budget remaining: with target t the window may miss on (1 - t)
-    // of responses; the gauge is the unconsumed fraction of that
-    // allowance — 1 untouched, 0 exhausted, negative blown.
-    const double attainment = SloAttainment(now_us);
-    m.gauge("serve.window.slo_attainment")->Set(attainment);
-    const double budget = 1.0 - config_.slo_target;
-    m.gauge("serve.window.error_budget_remaining")
-        ->Set(budget > 0.0 ? (budget - (1.0 - attainment)) / budget
-                           : (attainment >= 1.0 ? 1.0 : 0.0));
-  }
   obs::PublishTraceMetrics();
 }
 

@@ -38,12 +38,13 @@
 // serve/request span plus serve/stage/{queue_wait,batch_wait,compute,
 // write} spans sharing the same "req" annotation; serve/batch spans carry
 // the ids they served and set the batch id as the thread's trace context,
-// so plan/batch spans nest attributably. Each served quantity has one
-// instrument: counts are obs::Counters, and the windowed instruments also
-// keep the lifetime aggregate, so one call records both the rolling
-// serve.window.* view and the lifetime series (serve.request.latency_us,
-// serve.stage.*, serve.errors_total, ...) exported by the admin "metrics"
-// command and the --metrics-port Prometheus scrape; requests over
+// so plan/batch spans nest attributably. Each served quantity is recorded
+// once, into one lifetime instrument: obs::Counters for counts
+// (serve.responses_total, serve.errors_total, ...) and power-of-two
+// histograms for latencies and batch sizes (serve.request.latency_us,
+// serve.stage.*). The admin "metrics" command and the --metrics-port
+// Prometheus scrape export them; rolling rates and quantiles come from two
+// readings (PromQL rate and histogram_quantile). Requests over
 // --slow-request-us emit a structured serve_slow_request log line with the
 // stage breakdown. See docs/SERVING.md.
 #ifndef DLNER_SERVE_SERVER_H_
@@ -97,24 +98,11 @@ struct ServeConfig {
   /// "serve_slow_request" warn-level log line with the per-stage
   /// breakdown, independent of trace sampling. 0 disables.
   std::int64_t slow_request_us = 0;
-  /// End-to-end latency objective. When nonzero, every response also feeds
-  /// the rolling SLO-attainment gauge (fraction of windowed responses at
-  /// or under this latency) and the error-budget-remaining gauge derived
-  /// from `slo_target`. 0 disables SLO accounting.
-  std::int64_t slo_us = 0;
-  /// Attainment objective for the error-budget gauge: with target t, the
-  /// budget is (1 - t) of windowed responses; the gauge is the fraction of
-  /// that budget not yet consumed by over-SLO responses (1 = untouched,
-  /// 0 = exhausted, negative = blown).
-  double slo_target = 0.99;
   /// TCP port for the plain-text Prometheus scrape endpoint (HTTP GET,
   /// exposition format 0.0.4). -1 disables; 0 asks for an ephemeral port
   /// (see Server::metrics_port()). While the endpoint is up, serve-side
   /// metric collection is always on, even without --metrics-out.
   int metrics_port = -1;
-  /// Length of the rolling window behind the serve.window.* instruments
-  /// (default one minute).
-  std::int64_t window_us = 60'000'000;
 };
 
 class Server {
@@ -148,10 +136,9 @@ class Server {
   /// Idempotent.
   void Stop();
 
-  /// Sets the derived gauges (serve.cache.size, the rolling cache hit rate,
-  /// SLO attainment and error budget) and the trace counters. Call before
-  /// exporting metrics, like runtime::Runtime::PublishMetrics(); the counts
-  /// themselves are live registry counters and need no publishing.
+  /// Sets the derived gauge serve.cache.size and the trace counters. Call
+  /// before exporting metrics, like runtime::Runtime::PublishMetrics(); the
+  /// counts themselves are live registry counters and need no publishing.
   void PublishMetrics() const;
 
   // Always-on lifetime counts (also the payload of the "stats" admin
@@ -159,17 +146,11 @@ class Server {
   // serve.* counters, which Start() zeroes: they describe this server as
   // long as no other Server in the process has started since.
   std::int64_t requests_total() const { return requests_->value(); }
-  std::int64_t responses_total() const {
-    return responses_->lifetime()->value();
-  }
-  std::int64_t rejected_total() const {
-    return rejected_->lifetime()->value();
-  }
-  std::int64_t errors_total() const { return errors_->lifetime()->value(); }
-  std::int64_t cache_hits() const { return cache_hits_->lifetime()->value(); }
-  std::int64_t cache_misses() const {
-    return cache_misses_->lifetime()->value();
-  }
+  std::int64_t responses_total() const { return responses_->value(); }
+  std::int64_t rejected_total() const { return rejected_->value(); }
+  std::int64_t errors_total() const { return errors_->value(); }
+  std::int64_t cache_hits() const { return cache_hits_->value(); }
+  std::int64_t cache_misses() const { return cache_misses_->value(); }
   std::int64_t batches_total() const { return batches_->value(); }
 
  private:
@@ -217,17 +198,11 @@ class Server {
   /// Deterministic per-request sampling decision (splitmix64 hash of the
   /// request id against config_.trace_sample_rate).
   bool SampleTrace(std::uint64_t req_id) const;
-  /// Tail of every answered tagging request: windowed + lifetime metrics,
-  /// per-model counters, SLO accounting, stage spans for sampled requests,
-  /// and the slow-request log line.
+  /// Tail of every answered tagging request: latency and stage
+  /// histograms, stage spans for sampled requests, and the slow-request
+  /// log line.
   void FinishTagRequest(const Pending& pending, const std::string& model,
                         bool cached, const StageTimes& t);
-  /// serve.window.model.<model>.<what> with the server's window shape.
-  obs::WindowedCounter* ModelWindow(const std::string& model,
-                                    const char* what) const;
-
-  /// Rolling SLO attainment (only meaningful when config_.slo_us > 0).
-  double SloAttainment(std::uint64_t now_us) const;
 
   bool StartMetricsListener();
   void MetricsLoop();
@@ -265,28 +240,26 @@ class Server {
   std::atomic<std::uint64_t> next_req_id_{0};
 
   // One registry instrument per served quantity (pointers are stable for
-  // the process lifetime). Each windowed instrument also feeds the lifetime
-  // series named next to it in the constructor. The registry is
-  // process-global, so Start() zeroes all of them: sequential in-process
-  // servers (tests, bench_serve) each count only their own traffic.
+  // the process lifetime). The registry is process-global, so Start()
+  // zeroes all of them: sequential in-process servers (tests, bench_serve)
+  // each count only their own traffic.
   obs::Counter* requests_;
   obs::Counter* batches_;
   obs::Counter* reloads_;
   obs::Counter* slow_requests_;
   obs::Gauge* queue_depth_;  // set under queue_mu_
   obs::Gauge* queue_peak_;   // set under queue_mu_
-  obs::WindowedCounter* responses_;
-  obs::WindowedCounter* errors_;
-  obs::WindowedCounter* rejected_;
-  obs::WindowedCounter* cache_hits_;
-  obs::WindowedCounter* cache_misses_;
-  obs::WindowedCounter* slo_ok_;  // window only: feeds SLO attainment
-  obs::WindowedHistogram* latency_;
-  obs::WindowedHistogram* stage_queue_;
-  obs::WindowedHistogram* stage_batch_;
-  obs::WindowedHistogram* stage_compute_;
-  obs::WindowedHistogram* stage_write_;
-  obs::WindowedHistogram* batch_size_;
+  obs::Counter* responses_;
+  obs::Counter* errors_;
+  obs::Counter* rejected_;
+  obs::Counter* cache_hits_;
+  obs::Counter* cache_misses_;
+  obs::Histogram* latency_;
+  obs::Histogram* stage_queue_;
+  obs::Histogram* stage_batch_;
+  obs::Histogram* stage_compute_;
+  obs::Histogram* stage_write_;
+  obs::Histogram* batch_size_;
 };
 
 }  // namespace dlner::serve

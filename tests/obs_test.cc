@@ -585,145 +585,6 @@ TEST_F(ObsTest, PlannedInferencePublishesArenaGaugesAndPlanSpans) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Sliding-window instruments. All tests drive the explicit-clock overloads,
-// so epoch rotation is deterministic.
-
-TEST_F(ObsTest, WindowedHistogramRotatesEpochBuckets) {
-  WindowedHistogram h(1000, 4);  // 4 x 1 ms window
-  h.Observe(100.0, 10'500);      // epoch 10
-  h.Observe(200.0, 10'700);      // epoch 10
-  h.Observe(400.0, 11'100);      // epoch 11
-
-  HistogramSnapshot s = h.Read(11'200);
-  EXPECT_EQ(s.count, 3);
-  EXPECT_DOUBLE_EQ(s.sum, 700.0);
-  EXPECT_DOUBLE_EQ(s.min, 100.0);
-  EXPECT_DOUBLE_EQ(s.max, 400.0);
-
-  // Window of epochs [10, 13] still holds everything; [11, 14] has rolled
-  // epoch 10 off; [12, 15] is past every observation.
-  EXPECT_EQ(h.Read(13'900).count, 3);
-  EXPECT_EQ(h.Read(14'000).count, 1);
-  EXPECT_DOUBLE_EQ(h.Read(14'000).sum, 400.0);
-  EXPECT_EQ(h.Read(15'000).count, 0);
-  EXPECT_DOUBLE_EQ(h.Read(15'000).Percentile(Quantile::P(99.0)), 0.0);
-
-  // Writing a fresh epoch reclaims its ring slot without resurrecting the
-  // expired data that used to live there.
-  h.Observe(50.0, 14'200);  // epoch 14 shares slot 14 % 4 with epoch 10
-  HistogramSnapshot s2 = h.Read(14'300);
-  EXPECT_EQ(s2.count, 2);  // epoch 11's 400 + epoch 14's 50
-  EXPECT_DOUBLE_EQ(s2.min, 50.0);
-  EXPECT_DOUBLE_EQ(s2.max, 400.0);
-
-  h.Reset();
-  EXPECT_EQ(h.Read(14'300).count, 0);
-}
-
-TEST_F(ObsTest, WindowedHistogramPercentilesOnPartialWindow) {
-  // Only one of 12 epochs is populated; percentiles must come from the
-  // occupied slot alone, interpolated and clamped like the lifetime
-  // Histogram.
-  WindowedHistogram h(1'000'000, 12);
-  const std::uint64_t now = 5'000'000;
-  for (int v = 1; v <= 100; ++v) h.Observe(static_cast<double>(v), now);
-  HistogramSnapshot s = h.Read(now);
-  EXPECT_EQ(s.count, 100);
-  EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  const double p50 = s.Percentile(Quantile::P(50.0));
-  EXPECT_GE(p50, 25.0);
-  EXPECT_LE(p50, 75.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(Quantile::P(0.0)), 1.0);
-  EXPECT_DOUBLE_EQ(s.Percentile(Quantile::P(100.0)), 100.0);
-  const double p99 = s.Percentile(Quantile::P(99.0));
-  EXPECT_GE(p99, 64.0);
-  EXPECT_LE(p99, 100.0);  // clamped to the observed max, not the 127 bound
-}
-
-TEST_F(ObsTest, WindowedCounterRollsOffExpiredEpochs) {
-  WindowedCounter c(1000, 4);
-  c.Add(5, 10'500);
-  c.Add(3, 11'500);
-  EXPECT_EQ(c.WindowTotal(11'600), 8);
-  EXPECT_DOUBLE_EQ(c.RatePerSec(11'600), 8.0 / 0.004);
-  EXPECT_EQ(c.WindowTotal(14'900), 3);  // epoch 10 rolled off
-  EXPECT_EQ(c.WindowTotal(15'100), 0);
-  c.Add(2, 15'200);
-  EXPECT_EQ(c.WindowTotal(15'300), 2);
-  c.Reset();
-  EXPECT_EQ(c.WindowTotal(15'300), 0);
-}
-
-TEST_F(ObsTest, WindowedInstrumentsFeedTheirLifetimeAggregate) {
-  // One Add/Observe records both views: the rolling window under the
-  // windowed name and the lifetime counter/histogram under the lifetime
-  // name, which outlives the window and exports as its own series.
-  Metrics& m = Metrics::Get();
-  WindowedCounter* wc = m.windowed_counter("t.agg.win_errors", 1000, 4,
-                                           "t.agg.errors_total");
-  WindowedHistogram* wh = m.windowed_histogram("t.agg.win_lat_us", 1000, 4,
-                                               "t.agg.lat_us");
-  wc->Add(2, 10'500);
-  wc->Add(1, 20'500);  // the first epoch has rolled off the window
-  wh->Observe(100.0, 10'500);
-  wh->Observe(300.0, 20'500);
-  EXPECT_EQ(wc->WindowTotal(20'600), 1);
-  EXPECT_EQ(m.counter("t.agg.errors_total")->value(), 3);
-  EXPECT_EQ(wc->lifetime(), m.counter("t.agg.errors_total"));
-  EXPECT_EQ(wh->Read(20'600).count, 1);
-  EXPECT_EQ(m.histogram("t.agg.lat_us")->count(), 2);
-  EXPECT_DOUBLE_EQ(m.histogram("t.agg.lat_us")->sum(), 400.0);
-
-  std::ostringstream os;
-  m.WritePrometheus(os);
-  const std::string text = os.str();
-  EXPECT_NE(text.find("# TYPE t_agg_errors_total counter\n"
-                      "t_agg_errors_total 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE t_agg_lat_us histogram"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE t_agg_win_lat_us summary"), std::string::npos);
-
-  // Reset zeroes the instrument: window and lifetime together.
-  wc->Reset();
-  wh->Reset();
-  EXPECT_EQ(m.counter("t.agg.errors_total")->value(), 0);
-  EXPECT_EQ(m.histogram("t.agg.lat_us")->count(), 0);
-  EXPECT_EQ(wc->WindowTotal(20'600), 0);
-}
-
-// Rotation under concurrency: writers sweep the fake clock across ~hundreds
-// of epochs while a reader merges slots. Run under the tsan preset, this
-// exercises the slot zero/re-tag path against concurrent relaxed recording;
-// the assertions only pin down what survives any interleaving.
-TEST_F(ObsTest, WindowedHistogramConcurrentObserveDuringRotation) {
-  WindowedHistogram h(50, 8);
-  const std::uint64_t base = 1'000'000;
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 2000;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&h, base, t] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        h.Observe(static_cast<double>(t + 1),
-                  base + static_cast<std::uint64_t>(i) * 7);
-      }
-    });
-  }
-  std::thread reader([&h, &stop, base] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      (void)h.Read(base + kPerWriter * 7);
-    }
-  });
-  for (std::thread& w : writers) w.join();
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-  HistogramSnapshot s = h.Read(base + (kPerWriter - 1) * 7);
-  EXPECT_GE(s.count, 0);
-  EXPECT_LE(s.count, static_cast<std::int64_t>(kWriters) * kPerWriter);
-}
-
 TEST_F(ObsTest, SpanArgsAndTraceContextReachChromeTrace) {
   EnableTracing(true);
   {
@@ -808,8 +669,6 @@ TEST_F(ObsTest, WritePrometheusExpositionShape) {
   m.gauge("t.queue-depth")->Set(3.5);  // '-' must sanitize to '_'
   m.histogram("t.lat_us")->Observe(10.0);
   m.histogram("t.lat_us")->Observe(1000.0);
-  m.windowed_histogram("t.win.lat_us")->Observe(25.0);
-  m.windowed_counter("t.win.reqs")->Add(7);
   m.series("t.curve")->Append(0, 1.0);  // series have no Prometheus shape
 
   std::ostringstream os;
@@ -823,11 +682,6 @@ TEST_F(ObsTest, WritePrometheusExpositionShape) {
   EXPECT_NE(text.find("# TYPE t_lat_us histogram"), std::string::npos);
   EXPECT_NE(text.find("t_lat_us_bucket{le=\"+Inf\"} 2"), std::string::npos);
   EXPECT_NE(text.find("t_lat_us_count 2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE t_win_lat_us summary"), std::string::npos);
-  EXPECT_NE(text.find("t_win_lat_us{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(text.find("t_win_lat_us_count 1"), std::string::npos);
-  EXPECT_NE(text.find("t_win_reqs 7"), std::string::npos);
-  EXPECT_NE(text.find("t_win_reqs_per_sec"), std::string::npos);
   EXPECT_EQ(text.find("t_curve"), std::string::npos);
 
   // Exposition-format lint: every line is a comment or `name value` /
@@ -864,32 +718,6 @@ TEST_F(ObsTest, WritePrometheusExpositionShape) {
   std::ostringstream os2;
   m.WritePrometheus(os2);
   EXPECT_EQ(text, os2.str());
-}
-
-TEST_F(ObsTest, WriteJsonExportsWindowedInstruments) {
-  Metrics& m = Metrics::Get();
-  m.windowed_histogram("t.win.lat_us")->Observe(40.0);
-  m.windowed_counter("t.win.reqs")->Add(3);
-  std::ostringstream os;
-  m.WriteJson(os);
-  JsonValue root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(&root)) << os.str();
-  const JsonValue* series = root.find("series");
-  ASSERT_NE(series, nullptr);
-
-  const JsonValue* wh = series->find("t.win.lat_us");
-  ASSERT_NE(wh, nullptr);
-  EXPECT_EQ(wh->find("type")->str, "windowed_histogram");
-  EXPECT_DOUBLE_EQ(wh->find("count")->num, 1.0);
-  ASSERT_NE(wh->find("p99"), nullptr);
-  ASSERT_NE(wh->find("window_s"), nullptr);
-  EXPECT_DOUBLE_EQ(wh->find("window_s")->num, 60.0);
-
-  const JsonValue* wc = series->find("t.win.reqs");
-  ASSERT_NE(wc, nullptr);
-  EXPECT_EQ(wc->find("type")->str, "windowed_counter");
-  EXPECT_DOUBLE_EQ(wc->find("value")->num, 3.0);
-  ASSERT_NE(wc->find("rate_per_sec"), nullptr);
 }
 
 TEST_F(ObsTest, RuntimePublishMetricsReportsPoolActivity) {

@@ -950,7 +950,7 @@ TEST(ServerTest, AdminModelsStatsAndShutdown) {
 }
 
 // ---------------------------------------------------------------------------
-// Live serving observability: windowed stats in `stats`, the `metrics` admin
+// Live serving observability: lifetime counts in `stats`, the `metrics` admin
 // command, the --metrics-port Prometheus scrape, and request-scoped stage
 // tracing. These tests also double as the "collection on does not change the
 // served bytes" differential for the serve path.
@@ -991,7 +991,7 @@ std::string HttpGet(int port) {
 }
 
 // Calls `read` until its text contains `needle`, for up to five seconds,
-// and returns the last text. A served request's latency, stage and SLO
+// and returns the last text. A served request's latency and stage
 // instruments are recorded just after its response is written, so a check
 // made right after the client reads that response waits for them to land.
 std::string ReadUntilContains(const std::function<std::string()>& read,
@@ -1005,12 +1005,13 @@ std::string ReadUntilContains(const std::function<std::string()>& read,
 }
 
 TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
+  // `stats` answers the lifetime counts and the queue depth, and they match
+  // the counters the `metrics` command exports.
   const Models& m = Fixture();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", m.path1));
   ServeConfig config;
-  config.slo_us = 10'000'000;   // generous: everything attains
-  config.slow_request_us = 1;   // everything is "slow": exercises the log
+  config.slow_request_us = 1;  // everything is "slow": exercises the log
   Server server(&registry, config);
   obs::Metrics::Get().ResetAll();
   obs::EnableMetrics(true);
@@ -1024,38 +1025,38 @@ TEST(ServerTest, AdminStatsWindowBlockAndMetricsCommand) {
   ASSERT_TRUE(client.SendLine(TokensRequest(2, tokens)));  // cache hit
   ASSERT_FALSE(client.ReadLine().empty());
 
-  const std::string stats = ReadUntilContains(
-      [&] {
-        client.SendLine(R"({"cmd":"stats"})");
-        return client.ReadLine();
-      },
-      "\"slo_attainment\":1");
-  EXPECT_NE(stats.find("\"queue_depth\":0"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"window\":{"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"responses\":2"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"cache_hits\":1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"cache_misses\":1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"p99_us\":"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"slo_attainment\":1"), std::string::npos) << stats;
+  // Three lines read (the stats command counts itself), one batch for the
+  // miss; the hit is answered inline.
+  ASSERT_TRUE(client.SendLine(R"({"cmd":"stats"})"));
+  EXPECT_EQ(client.ReadLine(),
+            "{\"requests\":3,\"responses\":2,\"rejected\":0,\"errors\":0,"
+            "\"cache_hits\":1,\"cache_misses\":1,\"batches\":1,"
+            "\"queue_depth\":0}");
 
   // The metrics command carries the Prometheus exposition as a JSON string
-  // (same bytes the --metrics-port scrape serves), id echoed when given.
-  ASSERT_TRUE(client.SendLine(R"({"cmd":"metrics"})"));
-  const std::string metrics = client.ReadLine();
+  // (same bytes the --metrics-port scrape serves). The slow-request count
+  // is the last thing a request records, so waiting for it waits for both
+  // requests' latency observations too.
+  const std::string metrics = ReadUntilContains(
+      [&] {
+        client.SendLine(R"({"cmd":"metrics"})");
+        return client.ReadLine();
+      },
+      "serve_slow_requests_total 2");
   EXPECT_NE(metrics.find("\"metrics\":\""), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("# TYPE"), std::string::npos);
-  EXPECT_NE(metrics.find("serve_window_latency_us"), std::string::npos);
+  EXPECT_NE(metrics.find("# TYPE serve_request_latency_us histogram"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("serve_request_latency_us_count 2"),
+            std::string::npos);
+  EXPECT_NE(metrics.find("serve_responses_total 2"), std::string::npos);
+  EXPECT_NE(metrics.find("serve_cache_hits 1"), std::string::npos);
+  EXPECT_EQ(metrics.find("window"), std::string::npos);
 
   server.PublishMetrics();
   obs::Metrics& reg = obs::Metrics::Get();
   EXPECT_GE(reg.counter("serve.slow_requests_total")->value(), 2);
-  EXPECT_DOUBLE_EQ(reg.gauge("serve.window.cache_hit_rate")->value(), 0.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("serve.window.slo_attainment")->value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("serve.queue.depth")->value(), 0.0);
-  // slo_target defaults to 0.99: full attainment leaves the whole error
-  // budget, so the remaining-fraction gauge reads 1.
-  EXPECT_DOUBLE_EQ(reg.gauge("serve.window.error_budget_remaining")->value(),
-                   1.0);
+  EXPECT_DOUBLE_EQ(reg.gauge("serve.cache.size")->value(), 1.0);
   server.Stop();
   obs::EnableMetrics(false);
   reg.ResetAll();
@@ -1067,7 +1068,6 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
   ASSERT_TRUE(registry.Load("default", m.path1));
   ServeConfig config;
   config.metrics_port = 0;  // ephemeral; also turns collection always-on
-  config.slo_us = 10'000'000;
   Server server(&registry, config);
   obs::Metrics::Get().ResetAll();
   ASSERT_TRUE(server.Start());
@@ -1081,7 +1081,7 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
 
   const std::string scrape = ReadUntilContains(
       [&] { return HttpGet(server.metrics_port()); },
-      "serve_window_slo_attainment 1");
+      "serve_request_latency_us_count 1");
   EXPECT_NE(scrape.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(scrape.find("text/plain; version=0.0.4"), std::string::npos);
   const std::size_t header_end = scrape.find("\r\n\r\n");
@@ -1096,15 +1096,15 @@ TEST(ServerTest, MetricsPortServesPrometheusScrape) {
                 std::atoll(scrape.c_str() + cl_pos + 16)),
             body.size());
 
-  EXPECT_NE(body.find("# TYPE serve_window_latency_us summary"),
+  EXPECT_NE(body.find("# TYPE serve_request_latency_us histogram"),
             std::string::npos);
-  EXPECT_NE(body.find("serve_window_latency_us{quantile=\"0.99\"}"),
+  EXPECT_NE(body.find("serve_request_latency_us_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
-  EXPECT_NE(body.find("serve_window_latency_us_count 1"), std::string::npos);
+  EXPECT_NE(body.find("serve_request_latency_us_count 1"), std::string::npos);
   EXPECT_NE(body.find("# TYPE serve_queue_depth gauge"), std::string::npos);
-  EXPECT_NE(body.find("serve_window_slo_attainment 1"), std::string::npos);
-  EXPECT_NE(body.find("serve_window_batch_size"), std::string::npos);
-  EXPECT_NE(body.find("serve_window_model_default_requests 1"),
+  EXPECT_NE(body.find("# TYPE serve_batch_size histogram"), std::string::npos);
+  EXPECT_NE(body.find("# TYPE serve_model_default_requests_total counter\n"
+                      "serve_model_default_requests_total 1"),
             std::string::npos);
 
   // The listener survives repeated polls.
@@ -1130,10 +1130,9 @@ std::string ScrapeBody(const Server& server) {
 }
 
 TEST(ServerTest, ErrorCountsAgreeAcrossStatsWindowAndScrape) {
-  // Every error path records through one instrument, so the lifetime
-  // count in stats, the rolling window and the scraped counter agree: a
-  // parse error, an oversized line and a failed reload are three errors in
-  // each view.
+  // Every error path records through one instrument, so the count in stats
+  // and the scraped counter agree: a parse error, an oversized line and a
+  // failed reload are three errors in each view.
   const Models& m = Fixture();
   ModelRegistry registry;
   ASSERT_TRUE(registry.Load("default", m.path1));
@@ -1156,10 +1155,7 @@ TEST(ServerTest, ErrorCountsAgreeAcrossStatsWindowAndScrape) {
 
   ASSERT_TRUE(client.SendLine(R"({"cmd":"stats"})"));
   const std::string stats = client.ReadLine();
-  const std::size_t window = stats.find("\"window\":{");
-  ASSERT_NE(window, std::string::npos) << stats;
-  EXPECT_EQ(IntAfter(stats.substr(0, window), "\"errors\":"), 3) << stats;
-  EXPECT_EQ(IntAfter(stats, "\"errors\":", window), 3) << stats;
+  EXPECT_EQ(IntAfter(stats, "\"errors\":"), 3) << stats;
   EXPECT_EQ(IntAfter(ScrapeBody(server), "\nserve_errors_total "), 3);
   EXPECT_EQ(server.errors_total(), 3);
   server.Stop();
@@ -1168,8 +1164,10 @@ TEST(ServerTest, ErrorCountsAgreeAcrossStatsWindowAndScrape) {
 TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
   // Golden: every serve/trace metric family the scrape exposed before the
   // serve counts became registry counters, with its TYPE, less the two
-  // batch flush counters that went away with the batch deadline. Only the
-  // nine monotone counts changed TYPE (gauge -> counter).
+  // batch flush counters that went away with the batch deadline and the 23
+  // rolling-window families that went away with the in-process windows,
+  // plus the per-model request counter that replaced the rolling one. Only
+  // the nine monotone counts changed TYPE (gauge -> counter).
   const std::set<std::string> counts = {
       "serve_requests_total",        "serve_responses_total",
       "serve_rejected_total",        "serve_errors_total",
@@ -1183,6 +1181,7 @@ TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
       {"serve_cache_misses", "gauge"},
       {"serve_cache_size", "gauge"},
       {"serve_errors_total", "gauge"},
+      {"serve_model_default_requests_total", "counter"},
       {"serve_queue_depth", "gauge"},
       {"serve_queue_peak_depth", "gauge"},
       {"serve_rejected_total", "gauge"},
@@ -1195,29 +1194,6 @@ TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
       {"serve_stage_compute_us", "histogram"},
       {"serve_stage_queue_wait_us", "histogram"},
       {"serve_stage_write_us", "histogram"},
-      {"serve_window_batch_size", "summary"},
-      {"serve_window_cache_hit_rate", "gauge"},
-      {"serve_window_cache_hits", "gauge"},
-      {"serve_window_cache_hits_per_sec", "gauge"},
-      {"serve_window_cache_misses", "gauge"},
-      {"serve_window_cache_misses_per_sec", "gauge"},
-      {"serve_window_error_budget_remaining", "gauge"},
-      {"serve_window_errors", "gauge"},
-      {"serve_window_errors_per_sec", "gauge"},
-      {"serve_window_latency_us", "summary"},
-      {"serve_window_model_default_requests", "gauge"},
-      {"serve_window_model_default_requests_per_sec", "gauge"},
-      {"serve_window_rejected", "gauge"},
-      {"serve_window_rejected_per_sec", "gauge"},
-      {"serve_window_responses", "gauge"},
-      {"serve_window_responses_per_sec", "gauge"},
-      {"serve_window_slo_attainment", "gauge"},
-      {"serve_window_slo_ok", "gauge"},
-      {"serve_window_slo_ok_per_sec", "gauge"},
-      {"serve_window_stage_batch_wait_us", "summary"},
-      {"serve_window_stage_compute_us", "summary"},
-      {"serve_window_stage_queue_wait_us", "summary"},
-      {"serve_window_stage_write_us", "summary"},
       {"trace_dropped_spans", "counter"},
       {"trace_recorded_spans", "counter"}};
 
@@ -1226,7 +1202,6 @@ TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
   ASSERT_TRUE(registry.Load("default", m.path1));
   ServeConfig config;
   config.metrics_port = 0;
-  config.slo_us = 1'000'000;
   Server server(&registry, config);
   ASSERT_TRUE(server.Start());
   TestClient client(server.port());
@@ -1250,6 +1225,7 @@ TEST(ServerTest, ScrapeKeepsEverySeriesAndCountsAreCounters) {
     ASSERT_EQ(types.count(name), 1u) << "scrape lost " << name;
     EXPECT_EQ(types[name], want) << name;
   }
+  EXPECT_EQ(body.find("window"), std::string::npos);
   EXPECT_EQ(IntAfter(body, "\nserve_responses_total "), 2);
   EXPECT_EQ(IntAfter(body, "\nserve_cache_hits "), 1);
   server.Stop();

@@ -8,13 +8,12 @@ capture:
         --require-span embed --require-span encode \
         --require-span-arg serve/request:req \
         --metrics metrics.json --min-series 10 \
-        --require-metric serve.window.latency_us:p99
+        --require-metric serve.request.latency_us:p99
 
 --require-metric accepts either NAME (the metric must exist) or NAME:KEY
-(the metric must exist and carry a nonzero numeric KEY, e.g. a windowed
-histogram's p99). --require-span-arg NAME:KEY asserts at least one complete
-span named NAME carries an args object with key KEY (request-id-bearing
-serve spans). A nonzero trace.dropped_spans counter in the metrics file is
+(the metric must exist and carry a nonzero numeric KEY, e.g. a histogram's
+p99). --require-span-arg NAME:KEY asserts at least one complete span named
+NAME carries an args object with key KEY (request-id-bearing serve spans). A nonzero trace.dropped_spans counter in the metrics file is
 reported as a warning (ring wraparound ate spans), not a failure.
 
 Exits 0 when every requested check passes, 1 otherwise (each failure is
@@ -24,8 +23,7 @@ import argparse
 import json
 import sys
 
-METRIC_TYPES = {"counter", "gauge", "histogram", "series",
-                "windowed_counter", "windowed_histogram"}
+METRIC_TYPES = {"counter", "gauge", "histogram", "series"}
 
 
 def fail(errors, message):
@@ -117,20 +115,11 @@ def check_metrics(path, min_series, require_metrics, errors):
         elif kind == "series":
             if not isinstance(body.get("points"), list):
                 fail(errors, f"{path}: series '{name}' missing points list")
-        elif kind in ("histogram", "windowed_histogram"):
-            keys = ("count", "sum", "min", "max", "p50", "p90", "p99")
-            if kind == "windowed_histogram":
-                keys += ("window_s",)
-            for key in keys:
+        elif kind == "histogram":
+            for key in ("count", "sum", "min", "max", "p50", "p90", "p99"):
                 if not isinstance(body.get(key), (int, float)):
                     fail(errors,
-                         f"{path}: {kind} '{name}' missing '{key}'")
-        elif kind == "windowed_counter":
-            for key in ("value", "rate_per_sec", "window_s"):
-                if not isinstance(body.get(key), (int, float)):
-                    fail(errors,
-                         f"{path}: windowed_counter '{name}' missing "
-                         f"'{key}'")
+                         f"{path}: histogram '{name}' missing '{key}'")
         elif not isinstance(body.get("value"), (int, float)):
             fail(errors, f"{path}: {kind} '{name}' missing numeric 'value'")
     if len(series) < min_series:

@@ -13,8 +13,8 @@
 // {"cmd":"shutdown"}). Concurrent requests are micro-batched through the
 // compiled inference plan, so responses are byte-identical to `dlner tag`
 // on the same model and input. Live observability (request-scoped stage
-// spans, rolling serve.window.* metrics, a Prometheus scrape on
-// --metrics-port, SLO gauges, slow-request logging) is described in
+// spans, lifetime serve.* counters and histograms, a Prometheus scrape on
+// --metrics-port, slow-request logging) is described in
 // docs/OBSERVABILITY.md.
 #include <csignal>
 #include <cstdint>
@@ -53,12 +53,6 @@ void Usage() {
       "                       serve/request + stage spans (default 1.0)\n"
       "  --slow-request-us N  log serve_slow_request (warn, with stage\n"
       "                       breakdown) for slower requests; 0 = off\n"
-      "  --slo-us N           latency objective feeding the rolling\n"
-      "                       slo_attainment / error-budget gauges; 0 = off\n"
-      "  --slo-target F       attainment target for the error budget\n"
-      "                       (default 0.99)\n"
-      "  --metrics-window-s N rolling-window length for serve.window.*\n"
-      "                       metrics (default 60, in 12 epochs)\n"
       "observability: --log-level LEVEL --trace-out FILE --metrics-out FILE\n"
       "document requests: add \"doc\":true to a tagging request to thread it\n"
       "                   through the connection's entity-consistency memory\n"
@@ -109,9 +103,6 @@ int main(int argc, char** argv) {
                 {"metrics-port", FlagKind::kValue},
                 {"trace-sample-rate", FlagKind::kValue},
                 {"slow-request-us", FlagKind::kValue},
-                {"slo-us", FlagKind::kValue},
-                {"slo-target", FlagKind::kValue},
-                {"metrics-window-s", FlagKind::kValue},
                 {"help", FlagKind::kBool}};
   tools::AddObsFlags(&spec);
   Args args;
@@ -155,9 +146,6 @@ int main(int argc, char** argv) {
   config.metrics_port = args.GetInt("metrics-port", -1);
   config.trace_sample_rate = args.GetDouble("trace-sample-rate", 1.0);
   config.slow_request_us = args.GetInt("slow-request-us", 0);
-  config.slo_us = args.GetInt("slo-us", 0);
-  config.slo_target = args.GetDouble("slo-target", 0.99);
-  config.window_us = args.GetInt("metrics-window-s", 60) * 1'000'000ll;
 
   serve::Server server(&registry, config);
   if (!server.Start()) {
