@@ -12,6 +12,8 @@
 //   bench.scenarios.doc_context.on         streaming F1, entity memory on
 //   bench.scenarios.doc_context.delta      on - off
 //   bench.scenarios.count                  scenarios evaluated
+//   bench.hardware_concurrency             cores the host reports
+//   bench.simd_isa                         0=scalar 1=avx2
 //
 // Each scenario trains on its matched clean split (MakeScenarioSplit): the
 // realistic setting where the hostile property appears only at test time.
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "applied/nested.h"
@@ -28,6 +31,7 @@
 #include "eval/metrics.h"
 #include "obs/metrics.h"
 #include "stream/stream_tagger.h"
+#include "tensor/simd/simd.h"
 
 namespace {
 
@@ -211,6 +215,9 @@ int main(int argc, char** argv) {
   m.gauge("bench.scenarios.doc_context.off")->Set(off_f1);
   m.gauge("bench.scenarios.doc_context.on")->Set(on_f1);
   m.gauge("bench.scenarios.doc_context.delta")->Set(on_f1 - off_f1);
+  m.gauge("bench.hardware_concurrency")
+      ->Set(static_cast<double>(std::thread::hardware_concurrency()));
+  m.gauge("bench.simd_isa")->Set(static_cast<double>(simd::kIsaId));
   obs::MetricsJsonOptions json_options;
   json_options.skip_empty_histograms = true;
   if (!m.WriteJson(out_path, json_options)) {

@@ -24,8 +24,6 @@
 //   bench.scalar.<kernel>_gflops             vs the true-scalar reference
 //                                            (kernel in gemm, affine;
 //                                            x = reduction dim k)
-//   bench.planned_scalar.<model>.sentences_per_sec  plan, scalar-forced, 1t
-//   bench.simd_speedup.<model>               planned(1t) / scalar-forced(1t)
 //
 // Timing loops run with collection disabled so the numbers measure the
 // zero-overhead path; the registry is populated afterwards.
@@ -141,7 +139,6 @@ struct ModelRun {
   double eager_1t = 0.0;  // eager path, single thread
   std::vector<int> threads;
   std::vector<double> planned;  // plan path, one entry per thread count
-  double planned_scalar_1t = 0.0;  // plan path, ForceScalarKernels, 1 thread
 };
 
 // One microkernel shape: C[m,n] += A[m,k] . B[k,n].
@@ -187,8 +184,8 @@ double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
   int repeats = 0;
   Stopwatch sw;
   do {
-    batched::AffineT<Isa>(x.data(), s.m, w, bias, out.data(),
-                          batched::Act::kRelu);
+    batched::Affine<Isa>(x.data(), s.m, w, bias, out.data(),
+                         batched::Act::kRelu);
     sink = sink + out[0];
     ++repeats;
   } while (sw.Seconds() < min_seconds);
@@ -280,13 +277,6 @@ int main(int argc, char** argv) {
         run.planned.push_back(MeasureThroughput(planned, corpus, min_seconds));
       }
 
-      // Same compiled plan, explicit-ISA vs true-scalar kernels: the SIMD
-      // contribution isolated from everything else.
-      runtime::Runtime::Get().SetThreads(1);
-      batched::ForceScalarKernels(true);
-      run.planned_scalar_1t = MeasureThroughput(planned, corpus, min_seconds);
-      batched::ForceScalarKernels(false);
-
       std::printf("%-18s eager 1t: %7.1f  plan 1t: %7.1f (%.2fx)",
                   run.name.c_str(), run.eager_1t, run.planned[0],
                   run.eager_1t > 0.0 ? run.planned[0] / run.eager_1t : 0.0);
@@ -294,11 +284,6 @@ int main(int argc, char** argv) {
         std::printf("  %dt: %7.1f", run.threads[i], run.planned[i]);
       }
       std::printf(" sent/s\n");
-      std::printf(
-          "%-18s scalar 1t: %7.1f (simd %.2fx) sent/s\n", "",
-          run.planned_scalar_1t,
-          run.planned_scalar_1t > 0.0 ? run.planned[0] / run.planned_scalar_1t
-                                      : 0.0);
       runs.push_back(std::move(run));
     }
   }
@@ -365,12 +350,6 @@ int main(int argc, char** argv) {
     }
     m.gauge("bench.plan_speedup." + run.name)
         ->Set(run.eager_1t > 0.0 ? run.planned[0] / run.eager_1t : 0.0);
-    m.series("bench.planned_scalar." + run.name + ".sentences_per_sec")
-        ->Append(1.0, run.planned_scalar_1t);
-    m.gauge("bench.simd_speedup." + run.name)
-        ->Set(run.planned_scalar_1t > 0.0
-                  ? run.planned[0] / run.planned_scalar_1t
-                  : 0.0);
     // Recorded only when the sweep ran 4 threads, i.e. the host has them.
     if (t4 > 0.0) {
       m.gauge("bench.throughput." + run.name + ".speedup_4t")

@@ -65,15 +65,6 @@ void ExactMatchEvaluator::Add(const std::vector<text::Span>& gold,
   }
 }
 
-void ExactMatchEvaluator::Merge(const ExactMatchEvaluator& other) {
-  for (const auto& [type, prf] : other.per_type_) {
-    Prf& mine = per_type_[type];
-    mine.tp += prf.tp;
-    mine.fp += prf.fp;
-    mine.fn += prf.fn;
-  }
-}
-
 ExactResult ExactMatchEvaluator::Result() const {
   ExactResult result;
   result.per_type = per_type_;

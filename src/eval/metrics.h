@@ -45,11 +45,6 @@ class ExactMatchEvaluator {
   void Add(const std::vector<text::Span>& gold,
            const std::vector<text::Span>& predicted);
 
-  /// Folds another evaluator's counts into this one. Counts are additive,
-  /// so merging per-shard evaluators in a fixed order yields exactly the
-  /// result of a single sequential pass (used by the parallel Evaluate).
-  void Merge(const ExactMatchEvaluator& other);
-
   ExactResult Result() const;
 
  private:

@@ -212,12 +212,6 @@ Series* Metrics::series(const std::string& name) {
   return Lookup(&series_, name);
 }
 
-std::size_t Metrics::NumSeries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         series_.size();
-}
-
 void Metrics::WriteJson(std::ostream& os,
                         const MetricsJsonOptions& options) const {
   using internal::JsonEscape;

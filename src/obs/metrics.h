@@ -188,8 +188,6 @@ class Metrics {
   Gauge* gauge(const std::string& name);
   Histogram* histogram(const std::string& name);
   Series* series(const std::string& name);
-  /// Number of registered instruments (all kinds).
-  std::size_t NumSeries() const;
 
   /// Deterministic JSON snapshot: {"schema": "dlner-metrics-v1",
   /// "series": {<name>: {...}, ...}} with names sorted lexicographically.

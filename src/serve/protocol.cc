@@ -1,9 +1,10 @@
 #include "serve/protocol.h"
 
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <sstream>
+
+#include "obs/obs.h"
 
 namespace dlner::serve {
 
@@ -354,29 +355,7 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error,
 }
 
 std::string JsonQuote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (u < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
+  return "\"" + obs::internal::JsonEscape(s) + "\"";
 }
 
 std::string TagPayload(const std::vector<std::string>& tokens,

@@ -236,8 +236,22 @@ void Server::AcceptLoop() {
       ::shutdown(fd, SHUT_RDWR);
       return;
     }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
+    // Reap readers whose connection has ended: their threads have
+    // returned (or are returning), so the join is immediate.
+    for (auto it = readers_.begin(); it != readers_.end();) {
+      if (!it->done.load()) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = readers_.erase(it);
+    }
+    Reader& reader = readers_.emplace_back();
+    reader.conn = conn;
+    reader.thread = std::thread([this, conn, &reader] {
+      ConnLoop(conn);
+      reader.done.store(true);
+    });
   }
 }
 
@@ -703,14 +717,14 @@ void Server::Stop() {
   // 3. Unblock and join the connection readers.
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const std::weak_ptr<Conn>& weak : conns_) {
-      if (const std::shared_ptr<Conn> conn = weak.lock()) {
+    for (const Reader& reader : readers_) {
+      if (const std::shared_ptr<Conn> conn = reader.conn.lock()) {
         ::shutdown(conn->fd, SHUT_RDWR);
       }
     }
   }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
+  for (Reader& reader : readers_) {
+    if (reader.thread.joinable()) reader.thread.join();
   }
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);

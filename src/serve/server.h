@@ -54,6 +54,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -156,6 +157,16 @@ class Server {
  private:
   struct Conn;
 
+  /// One connection's reader thread. `done` is set as ConnLoop returns, so
+  /// the accept loop can join exited readers instead of keeping their
+  /// stacks mapped until Stop(). Holds the connection only weakly: the fd
+  /// still closes when the last response owed on it is written.
+  struct Reader {
+    std::weak_ptr<Conn> conn;
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+
   struct Pending {
     std::shared_ptr<Conn> conn;
     Request request;
@@ -225,9 +236,8 @@ class Server {
   std::thread listener_;
   std::thread batcher_;
   std::thread metrics_thread_;
-  std::mutex conn_mu_;  // guards conns_ and conn_threads_
-  std::vector<std::weak_ptr<Conn>> conns_;
-  std::vector<std::thread> conn_threads_;
+  std::mutex conn_mu_;  // guards readers_
+  std::list<Reader> readers_;  // list: a running reader's entry never moves
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

@@ -1,29 +1,17 @@
 #include "tensor/batched.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 
 #include "tensor/gemm.h"
-#include "tensor/simd/simd.h"
 
 namespace dlner::batched {
 namespace {
 
 inline Float SigmoidScalar(Float v) { return 1.0 / (1.0 + std::exp(-v)); }
 
-std::atomic<bool> g_force_scalar{false};
-
 }  // namespace
-
-void ForceScalarKernels(bool force) {
-  g_force_scalar.store(force, std::memory_order_relaxed);
-}
-
-bool ScalarKernelsForced() {
-  return g_force_scalar.load(std::memory_order_relaxed);
-}
 
 int BatchLayout::max_len() const {
   int m = 0;
@@ -50,8 +38,8 @@ void ApplyAct(Float* x, int n, Act act) {
 }
 
 template <class Isa>
-void AffineT(const Float* x, int rows, const Tensor& w, const Tensor& b,
-             Float* out, Act act) {
+void Affine(const Float* x, int rows, const Tensor& w, const Tensor& b,
+            Float* out, Act act) {
   DLNER_CHECK_EQ(w.dim(), 2);
   DLNER_CHECK_EQ(b.dim(), 1);
   const int k = w.rows();
@@ -66,56 +54,10 @@ void AffineT(const Float* x, int rows, const Tensor& w, const Tensor& b,
   ApplyAct<Isa>(out, rows * n, act);
 }
 
-void Affine(const Float* x, int rows, const Tensor& w, const Tensor& b,
-            Float* out, Act act) {
-  if (ScalarKernelsForced()) {
-    AffineT<simd::Scalar>(x, rows, w, b, out, act);
-  } else {
-    AffineT<simd::Active>(x, rows, w, b, out, act);
-  }
-}
-
 template <class Isa>
-void ReluInPlaceT(Float* x, int n) {
-  Isa::Relu(x, n);
-}
-
-void ReluInPlace(Float* x, int n) {
-  if (ScalarKernelsForced()) {
-    ReluInPlaceT<simd::Scalar>(x, n);
-  } else {
-    ReluInPlaceT<simd::Active>(x, n);
-  }
-}
-
-void UnfoldSegments(const Float* x, int d, const BatchLayout& layout,
-                    int width, int dilation, Float* out) {
-  DLNER_CHECK_EQ(width % 2, 1);
-  DLNER_CHECK_GE(dilation, 1);
-  const int half = width / 2;
-  const int wd = width * d;
-  std::memset(out, 0,
-              static_cast<std::size_t>(layout.rows()) * wd * sizeof(Float));
-  for (int b = 0; b < layout.batch(); ++b) {
-    const int off = layout.offset(b);
-    const int len = layout.len(b);
-    for (int t = 0; t < len; ++t) {
-      Float* orow = out + static_cast<std::size_t>(off + t) * wd;
-      for (int k = -half; k <= half; ++k) {
-        const int src = t + k * dilation;
-        if (src < 0 || src >= len) continue;
-        std::memcpy(orow + (k + half) * d,
-                    x + static_cast<std::size_t>(off + src) * d,
-                    static_cast<std::size_t>(d) * sizeof(Float));
-      }
-    }
-  }
-}
-
-template <class Isa>
-void ConvSegmentsT(const Float* x, int d, const BatchLayout& layout,
-                   int width, int dilation, const Tensor& w, const Tensor& b,
-                   Float* out, Act act) {
+void ConvSegments(const Float* x, int d, const BatchLayout& layout,
+                  int width, int dilation, const Tensor& w, const Tensor& b,
+                  Float* out, Act act) {
   DLNER_CHECK_EQ(width % 2, 1);
   DLNER_CHECK_GE(dilation, 1);
   DLNER_CHECK_EQ(w.rows(), width * d);
@@ -153,19 +95,9 @@ void ConvSegmentsT(const Float* x, int d, const BatchLayout& layout,
   }
 }
 
-void ConvSegments(const Float* x, int d, const BatchLayout& layout,
-                  int width, int dilation, const Tensor& w, const Tensor& b,
-                  Float* out, Act act) {
-  if (ScalarKernelsForced()) {
-    ConvSegmentsT<simd::Scalar>(x, d, layout, width, dilation, w, b, out, act);
-  } else {
-    ConvSegmentsT<simd::Active>(x, d, layout, width, dilation, w, b, out, act);
-  }
-}
-
 template <class Isa>
-void LayerNormRowsT(const Float* x, int rows, int d, const Tensor& gain,
-                    const Tensor& bias, Float* out) {
+void LayerNormRows(const Float* x, int rows, int d, const Tensor& gain,
+                   const Tensor& bias, Float* out) {
   DLNER_CHECK_EQ(gain.size(), d);
   DLNER_CHECK_EQ(bias.size(), d);
   constexpr Float kEps = 1e-5;  // must match LayerNorm::Apply
@@ -191,15 +123,6 @@ void LayerNormRowsT(const Float* x, int rows, int d, const Tensor& gain,
   }
 }
 
-void LayerNormRows(const Float* x, int rows, int d, const Tensor& gain,
-                   const Tensor& bias, Float* out) {
-  if (ScalarKernelsForced()) {
-    LayerNormRowsT<simd::Scalar>(x, rows, d, gain, bias, out);
-  } else {
-    LayerNormRowsT<simd::Active>(x, rows, d, gain, bias, out);
-  }
-}
-
 namespace {
 
 // Column-wise max over `len` rows of h [len, d] into best[d]. Row 0 seeds
@@ -217,8 +140,8 @@ void FoldRowMax(const Float* h, int len, int d, Float* best) {
 }  // namespace
 
 template <class Isa>
-void GlobalMaxConcatT(const Float* h, int d, const BatchLayout& layout,
-                      Float* out) {
+void GlobalMaxConcat(const Float* h, int d, const BatchLayout& layout,
+                     Float* out) {
   const int od = 2 * d;
   for (int b = 0; b < layout.batch(); ++b) {
     const int off = layout.offset(b);
@@ -240,32 +163,14 @@ void GlobalMaxConcatT(const Float* h, int d, const BatchLayout& layout,
   }
 }
 
-void GlobalMaxConcat(const Float* h, int d, const BatchLayout& layout,
-                     Float* out) {
-  if (ScalarKernelsForced()) {
-    GlobalMaxConcatT<simd::Scalar>(h, d, layout, out);
-  } else {
-    GlobalMaxConcatT<simd::Active>(h, d, layout, out);
-  }
-}
-
 template <class Isa>
-void MaxOverSegmentsT(const Float* h, int d, const BatchLayout& layout,
-                      Float* out, int out_stride) {
+void MaxOverSegments(const Float* h, int d, const BatchLayout& layout,
+                     Float* out, int out_stride) {
   for (int b = 0; b < layout.batch(); ++b) {
     DLNER_CHECK_GT(layout.len(b), 0);
     FoldRowMax<Isa>(h + static_cast<std::size_t>(layout.offset(b)) * d,
                     layout.len(b), d,
                     out + static_cast<std::size_t>(b) * out_stride);
-  }
-}
-
-void MaxOverSegments(const Float* h, int d, const BatchLayout& layout,
-                     Float* out, int out_stride) {
-  if (ScalarKernelsForced()) {
-    MaxOverSegmentsT<simd::Scalar>(h, d, layout, out, out_stride);
-  } else {
-    MaxOverSegmentsT<simd::Active>(h, d, layout, out, out_stride);
   }
 }
 
@@ -305,7 +210,7 @@ void RunLstmDir(const Float* x, int in_dim, int hidden,
                   static_cast<std::size_t>(hidden) * sizeof(Float));
       lanes[na++] = b;
     }
-    AffineT<Isa>(z, na, *dir.w, *dir.b, gates, Act::kNone);
+    Affine<Isa>(z, na, *dir.w, *dir.b, gates, Act::kNone);
     for (int a = 0; a < na; ++a) {
       const int b = lanes[a];
       Float* g = gates + static_cast<std::size_t>(a) * gdim;
@@ -360,7 +265,7 @@ void RunGruDir(const Float* x, int in_dim, int hidden,
                   static_cast<std::size_t>(hidden) * sizeof(Float));
       lanes[na++] = b;
     }
-    AffineT<Isa>(z, na, *dir.rz_w, *dir.rz_b, rz, Act::kNone);
+    Affine<Isa>(z, na, *dir.rz_w, *dir.rz_b, rz, Act::kNone);
     for (int a = 0; a < na; ++a) {
       const int b = lanes[a];
       Float* rzrow = rz + static_cast<std::size_t>(a) * rdim;
@@ -371,7 +276,7 @@ void RunGruDir(const Float* x, int in_dim, int hidden,
       for (int j = 0; j < hidden; ++j) rzrow[j] = SigmoidScalar(rzrow[j]);
       Isa::Mul(rzrow, hp, zcrow + in_dim, hidden);
     }
-    AffineT<Isa>(zc, na, *dir.cand_w, *dir.cand_b, cand, Act::kNone);
+    Affine<Isa>(zc, na, *dir.cand_w, *dir.cand_b, cand, Act::kNone);
     for (int a = 0; a < na; ++a) {
       const int b = lanes[a];
       Float* rzrow = rz + static_cast<std::size_t>(a) * rdim;
@@ -395,9 +300,8 @@ void RunGruDir(const Float* x, int in_dim, int hidden,
 }  // namespace
 
 template <class Isa>
-void BiLstmT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
-             const LstmDir& fwd, const LstmDir& bwd, Float* out,
-             Arena* arena) {
+void BiLstm(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
+            const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena) {
   const int stride = 2 * hidden;
   RunLstmDir<Isa>(x, in_dim, hidden, layout, fwd, /*reverse=*/false, out,
                   stride, /*col0=*/0, arena);
@@ -405,18 +309,9 @@ void BiLstmT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
                   stride, /*col0=*/hidden, arena);
 }
 
-void BiLstm(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
-            const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena) {
-  if (ScalarKernelsForced()) {
-    BiLstmT<simd::Scalar>(x, in_dim, hidden, layout, fwd, bwd, out, arena);
-  } else {
-    BiLstmT<simd::Active>(x, in_dim, hidden, layout, fwd, bwd, out, arena);
-  }
-}
-
 template <class Isa>
-void BiGruT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
-            const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena) {
+void BiGru(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
+           const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena) {
   const int stride = 2 * hidden;
   RunGruDir<Isa>(x, in_dim, hidden, layout, fwd, /*reverse=*/false, out,
                  stride, /*col0=*/0, arena);
@@ -424,38 +319,28 @@ void BiGruT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
                  stride, /*col0=*/hidden, arena);
 }
 
-void BiGru(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
-           const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena) {
-  if (ScalarKernelsForced()) {
-    BiGruT<simd::Scalar>(x, in_dim, hidden, layout, fwd, bwd, out, arena);
-  } else {
-    BiGruT<simd::Active>(x, in_dim, hidden, layout, fwd, bwd, out, arena);
-  }
-}
-
-// Explicit instantiations so the differential tests can call the template
-// entry points from another translation unit. When the active ISA is
-// Scalar the first block already covers both.
-#define DLNER_BATCHED_INSTANTIATE(Isa)                                        \
-  template void AffineT<Isa>(const Float*, int, const Tensor&, const Tensor&, \
-                             Float*, Act);                                    \
-  template void ReluInPlaceT<Isa>(Float*, int);                               \
-  template void ConvSegmentsT<Isa>(const Float*, int, const BatchLayout&,     \
-                                   int, int, const Tensor&, const Tensor&,    \
-                                   Float*, Act);                              \
-  template void LayerNormRowsT<Isa>(const Float*, int, int, const Tensor&,    \
-                                    const Tensor&, Float*);                   \
-  template void GlobalMaxConcatT<Isa>(const Float*, int, const BatchLayout&,  \
-                                      Float*);                                \
-  template void MaxOverSegmentsT<Isa>(const Float*, int, const BatchLayout&,  \
-                                      Float*, int);                           \
-  template void BiLstmT<Isa>(const Float*, int, int, const BatchLayout&,      \
-                             const LstmDir&, const LstmDir&, Float*, Arena*); \
-  template void BiGruT<Isa>(const Float*, int, int, const BatchLayout&,       \
-                            const GruDir&, const GruDir&, Float*, Arena*);
+// Explicit instantiations: plain calls use simd::Active, and the
+// differential suite and bench_throughput also call simd::Scalar, the
+// reference every ISA must match. On a scalar build the two are one type.
+#define DLNER_BATCHED_INSTANTIATE(Isa)                                       \
+  template void Affine<Isa>(const Float*, int, const Tensor&, const Tensor&, \
+                            Float*, Act);                                    \
+  template void ConvSegments<Isa>(const Float*, int, const BatchLayout&,     \
+                                  int, int, const Tensor&, const Tensor&,    \
+                                  Float*, Act);                              \
+  template void LayerNormRows<Isa>(const Float*, int, int, const Tensor&,    \
+                                   const Tensor&, Float*);                   \
+  template void GlobalMaxConcat<Isa>(const Float*, int, const BatchLayout&,  \
+                                     Float*);                                \
+  template void MaxOverSegments<Isa>(const Float*, int, const BatchLayout&,  \
+                                     Float*, int);                           \
+  template void BiLstm<Isa>(const Float*, int, int, const BatchLayout&,      \
+                            const LstmDir&, const LstmDir&, Float*, Arena*); \
+  template void BiGru<Isa>(const Float*, int, int, const BatchLayout&,       \
+                           const GruDir&, const GruDir&, Float*, Arena*);
 
 DLNER_BATCHED_INSTANTIATE(simd::Scalar)
-#if DLNER_SIMD_ISA_ID != 0
+#ifdef __AVX2__
 DLNER_BATCHED_INSTANTIATE(simd::Active)
 #endif
 #undef DLNER_BATCHED_INSTANTIATE

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "tensor/arena.h"
+#include "tensor/simd/simd.h"
 #include "tensor/tensor.h"
 
 namespace dlner::batched {
@@ -42,39 +43,42 @@ struct BatchLayout {
 
 enum class Act { kNone, kRelu, kTanh };
 
+// Every kernel is a template over the SIMD primitive set
+// (tensor/simd/simd.h), defaulting to the build's simd::Active, so plain
+// calls run the ISA the compile target selected. Every instantiation is
+// bit-identical by contract; the differential suite checks simd::Active
+// against simd::Scalar over random shapes and ragged segment mixes.
+// batched.cc instantiates both simd::Scalar and simd::Active.
+
 /// out[rows,n] = act(x[rows,k] . w[k,n] + b[n]). Same bias-first,
 /// ascending-k accumulation as the eager Affine/AffineVec ops.
+template <class Isa = simd::Active>
 void Affine(const Float* x, int rows, const Tensor& w, const Tensor& b,
             Float* out, Act act = Act::kNone);
 
-/// In-place ReLU over a flat buffer (matches the eager Relu op).
-void ReluInPlace(Float* x, int n);
-
-/// Segment-aware im2col: the eager Unfold applied independently to every
-/// segment (windows zero-padded at segment boundaries). x is [rows, d],
-/// out is [rows, width*d]; width must be odd.
-void UnfoldSegments(const Float* x, int d, const BatchLayout& layout,
-                    int width, int dilation, Float* out);
-
-/// Implicit 1-D convolution over every segment: exactly Affine(unfold(x))
-/// with w [width*d, n] / b [n], but the window rows are read from x in
-/// place instead of materializing the unfolded buffer. Accumulation per
-/// output row runs in the same ascending-p order with the same zero-skip
-/// as the GEMM kernel over an unfolded row (out-of-segment window slots
-/// are the zeros the kernel would have skipped), so results are
-/// bit-identical to UnfoldSegments + Affine.
+/// Implicit 1-D convolution over every segment: exactly Affine over the
+/// eager Unfold (im2col) of each segment, with w [width*d, n] / b [n] and
+/// windows zero-padded at segment boundaries, but the window rows are read
+/// from x in place instead of materializing the unfolded buffer.
+/// Accumulation per output row runs in the same ascending-p order with the
+/// same zero-skip as the GEMM kernel over an unfolded row (out-of-segment
+/// window slots are the zeros the kernel would have skipped), so results
+/// are bit-identical to the eager Conv1d. width must be odd.
+template <class Isa = simd::Active>
 void ConvSegments(const Float* x, int d, const BatchLayout& layout,
                   int width, int dilation, const Tensor& w, const Tensor& b,
                   Float* out, Act act = Act::kNone);
 
 /// Per-row layer normalization replicating LayerNorm::Apply's forward
 /// arithmetic (mean, biased variance, eps = 1e-5, gain/bias).
+template <class Isa = simd::Active>
 void LayerNormRows(const Float* x, int rows, int d, const Tensor& gain,
                    const Tensor& bias, Float* out);
 
 /// CnnEncoder's global feature: for each segment, the column-wise max over
 /// the segment's rows of h [rows, d] is appended to every row of that
 /// segment; out is [rows, 2*d].
+template <class Isa = simd::Active>
 void GlobalMaxConcat(const Float* h, int d, const BatchLayout& layout,
                      Float* out);
 
@@ -83,6 +87,7 @@ void GlobalMaxConcat(const Float* h, int d, const BatchLayout& layout,
 /// h's [rows, d] rows [offset(b), offset(b+1)) — seeded with the first row,
 /// then the strict `>` scan in ascending row order. Every segment must be
 /// non-empty.
+template <class Isa = simd::Active>
 void MaxOverSegments(const Float* h, int d, const BatchLayout& layout,
                      Float* out, int out_stride);
 
@@ -105,53 +110,14 @@ struct GruDir {
 /// forward states in columns [0, hidden) and backward states in
 /// [hidden, 2*hidden), rows aligned with the input (as in BiRnn::Apply).
 /// Scratch state comes from `arena`.
+template <class Isa = simd::Active>
 void BiLstm(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
             const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena);
 
 /// Bidirectional GRU; same contract as BiLstm.
+template <class Isa = simd::Active>
 void BiGru(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
            const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena);
-
-// --- ISA-templated variants -----------------------------------------------
-//
-// Each kernel above is a thin wrapper over a template parameterized on the
-// SIMD primitive set (tensor/simd/simd.h). Every instantiation is
-// bit-identical by contract; the differential suite checks simd::Active
-// against simd::Scalar over random shapes and ragged segment mixes.
-// Instantiations for simd::Scalar and simd::Active are provided by
-// batched.cc.
-template <class Isa>
-void AffineT(const Float* x, int rows, const Tensor& w, const Tensor& b,
-             Float* out, Act act = Act::kNone);
-template <class Isa>
-void ReluInPlaceT(Float* x, int n);
-template <class Isa>
-void ConvSegmentsT(const Float* x, int d, const BatchLayout& layout,
-                   int width, int dilation, const Tensor& w, const Tensor& b,
-                   Float* out, Act act = Act::kNone);
-template <class Isa>
-void LayerNormRowsT(const Float* x, int rows, int d, const Tensor& gain,
-                    const Tensor& bias, Float* out);
-template <class Isa>
-void GlobalMaxConcatT(const Float* h, int d, const BatchLayout& layout,
-                      Float* out);
-template <class Isa>
-void MaxOverSegmentsT(const Float* h, int d, const BatchLayout& layout,
-                      Float* out, int out_stride);
-template <class Isa>
-void BiLstmT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
-             const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena);
-template <class Isa>
-void BiGruT(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
-            const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena);
-
-/// Benchmark hook: routes the non-template entry points above through the
-/// simd::Scalar instantiations, so one binary can A/B planned-SIMD against
-/// planned-scalar end to end (bench_throughput's bench.simd_speedup.*
-/// series). Outputs are bit-identical either way — this only trades speed.
-/// Process-wide; not meant for production use.
-void ForceScalarKernels(bool force);
-bool ScalarKernelsForced();
 
 }  // namespace dlner::batched
 

@@ -30,15 +30,15 @@
 // Keep the reference truly scalar: without this, -march=native lets the
 // compiler auto-vectorize these loops into the same code as the explicit
 // ISA kernels, and both the simd-vs-scalar differential suite and the
-// bench.simd_speedup series would be comparing SIMD against SIMD.
+// bench.scalar.* kernel series would be comparing SIMD against SIMD.
 // Auto-vectorization is value-preserving (we build with -ffp-contract=off
 // and without -ffast-math), so disabling it cannot change results — only
 // make the scalar fallback honest about its cost.
 #if defined(__GNUC__) && !defined(__clang__)
-#define DLNER_SIMD_SCALAR_ONLY \
+#define DLNER_SCALAR_ONLY \
   __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
 #else
-#define DLNER_SIMD_SCALAR_ONLY
+#define DLNER_SCALAR_ONLY
 #endif
 
 namespace dlner::simd {
@@ -56,7 +56,7 @@ struct Scalar {
   // 0 * inf = NaN). A NaN result is NaN on every ISA, but which NaN (sign,
   // payload) an add of two NaNs returns is not fixed. `a` and `b` must not
   // overlap `c`.
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void GemmRow(const double* a, const double* b, double* c, int k,
                       int n) {
     for (int p = 0; p < k; ++p) {
@@ -69,26 +69,26 @@ struct Scalar {
 
   // x[j] = (x[j] < 0 ? 0 : x[j])  — std::max(x, 0.0): NaN stays NaN,
   // -0.0 stays -0.0.
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void Relu(double* x, int n) {
     for (int j = 0; j < n; ++j) x[j] = std::max(x[j], 0.0);
   }
 
   // out[j] = a[j] * b[j]
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void Mul(const double* a, const double* b, double* out, int n) {
     for (int j = 0; j < n; ++j) out[j] = a[j] * b[j];
   }
 
   // out[j] = a[j]*b[j] + c[j]*d[j]  (the LSTM cell update f*c + i*g)
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void MulMulAdd(const double* a, const double* b, const double* c,
                         const double* d, double* out, int n) {
     for (int j = 0; j < n; ++j) out[j] = a[j] * b[j] + c[j] * d[j];
   }
 
   // out[j] = (1 - z[j]) * a[j] + z[j] * b[j]  (the GRU interpolation)
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void Blend(const double* z, const double* a, const double* b,
                     double* out, int n) {
     for (int j = 0; j < n; ++j) {
@@ -97,7 +97,7 @@ struct Scalar {
   }
 
   // out[j] = g[j] * ((x[j] - mu) * inv_sigma) + b[j]  (LayerNorm epilogue)
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void NormApply(const double* x, double mu, double inv_sigma,
                         const double* g, const double* b, double* out,
                         int n) {
@@ -108,7 +108,7 @@ struct Scalar {
 
   // best[j] = (x[j] > best[j] ? x[j] : best[j]): NaN x never replaces,
   // equal values (incl. ±0) keep best.
-  DLNER_SIMD_SCALAR_ONLY
+  DLNER_SCALAR_ONLY
   static void RowMax(const double* x, double* best, int n) {
     for (int j = 0; j < n; ++j) {
       if (x[j] > best[j]) best[j] = x[j];

@@ -58,11 +58,6 @@ class StreamTokenizer {
   /// Pops the oldest completed sentence. Precondition: HasSentence().
   std::vector<std::string> NextSentence();
 
-  /// Tokens buffered in the not-yet-complete sentence (diagnostics only).
-  int PendingTokens() const {
-    return static_cast<int>(current_.size()) + (partial_.empty() ? 0 : 1);
-  }
-
  private:
   void EndToken();
   void EndSentence();

@@ -478,9 +478,10 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerOnCharacterCells) {
 //
 // The contract (src/tensor/simd/kernels_scalar.h) is bit-identity, not
 // tolerance: simd::Active must reproduce simd::Scalar element for element.
-// When the tree is built with DLNER_SIMD=scalar, Active IS Scalar and these
-// tests pass trivially; on avx2 builds they pit the hand-vectorized
-// kernels against the (auto-vectorization-disabled) scalar loops.
+// When the compile target has no AVX2 (DLNER_MARCH_NATIVE=OFF on x86-64),
+// Active IS Scalar and these tests pass trivially; on avx2 builds they pit
+// the hand-vectorized kernels against the (auto-vectorization-disabled)
+// scalar loops.
 
 // Compares object representations, so -0.0 differs from +0.0. The one
 // exception is NaN against NaN: which of two NaN operands an add returns
@@ -588,11 +589,11 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       const Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * n);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::AffineT<simd::Active>(x.data(), rows, w, b, o_simd.data(),
-                                     batched::Act::kRelu);
-      batched::AffineT<simd::Scalar>(x.data(), rows, w, b, o_scalar.data(),
-                                     batched::Act::kRelu);
-      ExpectBitEqual(o_simd, o_scalar, "AffineT");
+      batched::Affine<simd::Active>(x.data(), rows, w, b, o_simd.data(),
+                                    batched::Act::kRelu);
+      batched::Affine<simd::Scalar>(x.data(), rows, w, b, o_scalar.data(),
+                                    batched::Act::kRelu);
+      ExpectBitEqual(o_simd, o_scalar, "Affine");
     }
     {
       const int dilation = 1 + trial % 3;
@@ -600,33 +601,33 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       const Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * n);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::ConvSegmentsT<simd::Active>(x.data(), d, layout, 3, dilation,
-                                           w, b, o_simd.data(),
-                                           batched::Act::kRelu);
-      batched::ConvSegmentsT<simd::Scalar>(x.data(), d, layout, 3, dilation,
-                                           w, b, o_scalar.data(),
-                                           batched::Act::kRelu);
-      ExpectBitEqual(o_simd, o_scalar, "ConvSegmentsT");
+      batched::ConvSegments<simd::Active>(x.data(), d, layout, 3, dilation,
+                                          w, b, o_simd.data(),
+                                          batched::Act::kRelu);
+      batched::ConvSegments<simd::Scalar>(x.data(), d, layout, 3, dilation,
+                                          w, b, o_scalar.data(),
+                                          batched::Act::kRelu);
+      ExpectBitEqual(o_simd, o_scalar, "ConvSegments");
     }
     {
       const Tensor gain = RandomTensor({d}, &rng, 0.5, 1.5);
       const Tensor bias = RandomTensor({d}, &rng, -0.5, 0.5);
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * d);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::LayerNormRowsT<simd::Active>(x.data(), rows, d, gain, bias,
-                                            o_simd.data());
-      batched::LayerNormRowsT<simd::Scalar>(x.data(), rows, d, gain, bias,
-                                            o_scalar.data());
-      ExpectBitEqual(o_simd, o_scalar, "LayerNormRowsT");
+      batched::LayerNormRows<simd::Active>(x.data(), rows, d, gain, bias,
+                                           o_simd.data());
+      batched::LayerNormRows<simd::Scalar>(x.data(), rows, d, gain, bias,
+                                           o_scalar.data());
+      ExpectBitEqual(o_simd, o_scalar, "LayerNormRows");
     }
     {
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * 2 * d);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::GlobalMaxConcatT<simd::Active>(x.data(), d, layout,
-                                              o_simd.data());
-      batched::GlobalMaxConcatT<simd::Scalar>(x.data(), d, layout,
-                                              o_scalar.data());
-      ExpectBitEqual(o_simd, o_scalar, "GlobalMaxConcatT");
+      batched::GlobalMaxConcat<simd::Active>(x.data(), d, layout,
+                                             o_simd.data());
+      batched::GlobalMaxConcat<simd::Scalar>(x.data(), d, layout,
+                                             o_scalar.data());
+      ExpectBitEqual(o_simd, o_scalar, "GlobalMaxConcat");
     }
     {
       // Same rows without the empty segments (every pooled segment must
@@ -639,11 +640,11 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       std::vector<Float> o_simd(static_cast<std::size_t>(words.batch()) *
                                 stride, 0.0);
       std::vector<Float> o_scalar(o_simd.size(), 0.0);
-      batched::MaxOverSegmentsT<simd::Active>(x.data(), d, words,
-                                              o_simd.data(), stride);
-      batched::MaxOverSegmentsT<simd::Scalar>(x.data(), d, words,
-                                              o_scalar.data(), stride);
-      ExpectBitEqual(o_simd, o_scalar, "MaxOverSegmentsT");
+      batched::MaxOverSegments<simd::Active>(x.data(), d, words,
+                                             o_simd.data(), stride);
+      batched::MaxOverSegments<simd::Scalar>(x.data(), d, words,
+                                             o_scalar.data(), stride);
+      ExpectBitEqual(o_simd, o_scalar, "MaxOverSegments");
     }
     {
       const int hidden = rng.UniformInt(1, 6);
@@ -655,12 +656,12 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * 2 * hidden);
       std::vector<Float> o_scalar(o_simd.size());
       Arena arena;
-      batched::BiLstmT<simd::Active>(x.data(), d, hidden, layout, fwd, bwd,
-                                     o_simd.data(), &arena);
+      batched::BiLstm<simd::Active>(x.data(), d, hidden, layout, fwd, bwd,
+                                    o_simd.data(), &arena);
       arena.Reset();
-      batched::BiLstmT<simd::Scalar>(x.data(), d, hidden, layout, fwd, bwd,
-                                     o_scalar.data(), &arena);
-      ExpectBitEqual(o_simd, o_scalar, "BiLstmT");
+      batched::BiLstm<simd::Scalar>(x.data(), d, hidden, layout, fwd, bwd,
+                                    o_scalar.data(), &arena);
+      ExpectBitEqual(o_simd, o_scalar, "BiLstm");
     }
     {
       const int hidden = rng.UniformInt(1, 6);
@@ -677,12 +678,12 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * 2 * hidden);
       std::vector<Float> o_scalar(o_simd.size());
       Arena arena;
-      batched::BiGruT<simd::Active>(x.data(), d, hidden, layout, fwd, bwd,
-                                    o_simd.data(), &arena);
+      batched::BiGru<simd::Active>(x.data(), d, hidden, layout, fwd, bwd,
+                                   o_simd.data(), &arena);
       arena.Reset();
-      batched::BiGruT<simd::Scalar>(x.data(), d, hidden, layout, fwd, bwd,
-                                    o_scalar.data(), &arena);
-      ExpectBitEqual(o_simd, o_scalar, "BiGruT");
+      batched::BiGru<simd::Scalar>(x.data(), d, hidden, layout, fwd, bwd,
+                                   o_scalar.data(), &arena);
+      ExpectBitEqual(o_simd, o_scalar, "BiGru");
     }
   }
 }

@@ -10,11 +10,13 @@
 // preset runs them under asan.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <set>
@@ -206,6 +208,19 @@ TEST(ProtocolTest, ResponseBuilders) {
   EXPECT_EQ(ErrorResponse(false, 0, kBadRequest, "bad"),
             R"({"error":{"code":400,"message":"bad"}})");
   EXPECT_EQ(JsonQuote("a\nb\x01"), "\"a\\nb\\u0001\"");
+  // Every control byte, the two escaped printables, DEL and a multibyte
+  // UTF-8 token: only \t \n \r get short escapes, DEL and UTF-8 pass
+  // through raw.
+  std::string all_escapes;
+  for (int c = 0; c < 0x20; ++c) all_escapes.push_back(static_cast<char>(c));
+  all_escapes += "\"\\\x7f\xc3\xa9\xe2\x82\xac";
+  EXPECT_EQ(JsonQuote(all_escapes),
+            std::string(R"("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007)"
+                        R"(\u0008\t\n\u000b\u000c\r\u000e\u000f)"
+                        R"(\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017)"
+                        R"(\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f)"
+                        R"(\"\\)") +
+                "\x7f\xc3\xa9\xe2\x82\xac\"");
 }
 
 // Parse -> rebuild -> reparse for a round-trip-able subset; the asan CI run
@@ -695,6 +710,61 @@ TEST(ServerTest, HotReloadUnderLoadNeverDropsRequests) {
   EXPECT_EQ(client.ReadLine(),
             ExpectedLine(10, "default", false, tokens,
                          m.pipeline2->Tag(tokens)));
+  server.Stop();
+}
+
+// VmSize of this process in kB, from /proc/self/status (-1 if unreadable).
+long VmSizeKb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::atol(line.c_str() + 7);
+  }
+  return -1;
+}
+
+// A reader thread that is never joined keeps its stack mapped, so a server
+// that only joins readers in Stop() grows by one stack per connection it
+// has ever seen. Reaped readers hand their stacks back for reuse.
+TEST(ServerTest, SequentialConnectionsDoNotAccumulateReaderStacks) {
+  const Models& m = Fixture();
+  ModelRegistry registry;
+  ASSERT_TRUE(registry.Load("default", m.path1));
+  ServeConfig config;
+  Server server(&registry, config);
+  ASSERT_TRUE(server.Start());
+
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const long stack_kb = static_cast<long>(stack_bytes / 1024);
+  ASSERT_GT(stack_kb, 0);
+
+  const std::vector<std::string>& tokens = m.corpus.sentences[2].tokens;
+  const std::string expected_tail =
+      TagPayload(tokens, m.pipeline1->Tag(tokens)) + "}";
+  constexpr int kWarmup = 10;
+  constexpr int kCycles = 200;
+  long vm_after_warmup = -1;
+  for (int i = 0; i < kCycles; ++i) {
+    if (i == kWarmup) vm_after_warmup = VmSizeKb();
+    TestClient client(server.port());
+    ASSERT_TRUE(client.ok()) << "cycle " << i;
+    ASSERT_TRUE(client.SendLine(TokensRequest(i, tokens)));
+    const std::string line = client.ReadLine();
+    ASSERT_GE(line.size(), expected_tail.size()) << "cycle " << i;
+    EXPECT_EQ(line.substr(line.size() - expected_tail.size()), expected_tail);
+  }  // each client closes here; its reader sees EOF and returns
+  const long vm_end = VmSizeKb();
+  ASSERT_GT(vm_after_warmup, 0);
+  // Unreaped, the 190 post-warmup readers would add 190 stacks; allow a
+  // few dozen for readers still exiting and allocator noise.
+  EXPECT_LT(vm_end - vm_after_warmup, 32 * stack_kb)
+      << "VmSize grew " << (vm_end - vm_after_warmup) << " kB over "
+      << (kCycles - kWarmup) << " connections (stack " << stack_kb << " kB)";
+  EXPECT_EQ(server.responses_total(), kCycles);
   server.Stop();
 }
 
