@@ -18,10 +18,17 @@ using namespace dlner::bench;
 constexpr int kSeqLen = 24;
 constexpr int kEncDim = 32;
 
+// Name of synthetic entity type i: "T0", "T1", ...
+std::string TypeName(int i) {
+  std::string name = "T";
+  name += std::to_string(i);
+  return name;
+}
+
 // Builds a synthetic BIOES tag set with the requested entity-type count.
 std::vector<std::string> SyntheticTypes(int count) {
   std::vector<std::string> types;
-  for (int i = 0; i < count; ++i) types.push_back("T" + std::to_string(i));
+  for (int i = 0; i < count; ++i) types.push_back(TypeName(i));
   return types;
 }
 
@@ -32,7 +39,7 @@ text::Sentence SyntheticGold(int num_types, Rng* rng) {
   while (pos + 2 < kSeqLen) {
     const int len = rng->UniformInt(1, 2);
     s.spans.push_back(
-        {pos, pos + len, "T" + std::to_string(rng->UniformInt(0, num_types - 1))});
+        {pos, pos + len, TypeName(rng->UniformInt(0, num_types - 1))});
     pos += len + rng->UniformInt(1, 3);
   }
   return s;

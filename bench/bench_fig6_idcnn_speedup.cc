@@ -107,11 +107,11 @@ int main() {
     Var rep_l = lstm.Represent(doc, false);
     std::unordered_map<Variable*, int> memo_l;
     const int depth_lstm =
-        CriticalPathDepth(lstm.Encode(rep_l, false), &memo_l);
+        CriticalPathDepth(lstm.EncodeTokens(rep_l, doc, false), &memo_l);
     Var rep_i = idcnn.Represent(doc, false);
     std::unordered_map<Variable*, int> memo_i;
     const int depth_idcnn =
-        CriticalPathDepth(idcnn.Encode(rep_i, false), &memo_i);
+        CriticalPathDepth(idcnn.EncodeTokens(rep_i, doc, false), &memo_i);
 
     std::printf("%8d | %12.0f %12.0f | %11d %11d %8.1fx\n", len, tps_lstm,
                 tps_idcnn, depth_lstm, depth_idcnn,

@@ -41,16 +41,14 @@ std::vector<Row> MakeRows() {
   };
 
   {  // [17] Collobert et al.: sentence-approach CNN + CRF, random word vecs.
-    Row r{"[17] Collobert  word+shape / CNN / CRF"};
-    r.config = base();
+    Row r{"[17] Collobert  word+shape / CNN / CRF", base()};
     r.config.use_shape = true;
     r.config.encoder = "cnn";
     r.config.decoder = "crf";
     rows.push_back(r);
   }
   {  // [18] Huang et al.: BiLSTM-CRF with spelling + gazetteer features.
-    Row r{"[18] Huang      word*+shape+gaz / BiLSTM / CRF"};
-    r.config = base();
+    Row r{"[18] Huang      word*+shape+gaz / BiLSTM / CRF", base()};
     r.config.use_shape = true;
     r.config.use_gazetteer = true;
     r.needs_gazetteer = true;
@@ -58,30 +56,26 @@ std::vector<Row> MakeRows() {
     rows.push_back(r);
   }
   {  // [19] Lample et al.: char-BiLSTM + pretrained word, BiLSTM-CRF.
-    Row r{"[19] Lample     word*+charLSTM / BiLSTM / CRF"};
-    r.config = base();
+    Row r{"[19] Lample     word*+charLSTM / BiLSTM / CRF", base()};
     r.config.use_char_rnn = true;
     r.needs_sgns = true;
     rows.push_back(r);
   }
   {  // [96] Ma & Hovy: char-CNN + pretrained word, BiLSTM-CRF.
-    Row r{"[96] Ma&Hovy    word*+charCNN / BiLSTM / CRF"};
-    r.config = base();
+    Row r{"[96] Ma&Hovy    word*+charCNN / BiLSTM / CRF", base()};
     r.config.use_char_cnn = true;
     r.needs_sgns = true;
     rows.push_back(r);
   }
   {  // [20] Chiu & Nichols: char-CNN + caps/lexicon features.
-    Row r{"[20] Chiu&Nich. word*+charCNN+shape / BiLSTM / CRF"};
-    r.config = base();
+    Row r{"[20] Chiu&Nich. word*+charCNN+shape / BiLSTM / CRF", base()};
     r.config.use_char_cnn = true;
     r.config.use_shape = true;
     r.needs_sgns = true;
     rows.push_back(r);
   }
   {  // [90] Strubell et al.: ID-CNN-CRF with word-shape vector.
-    Row r{"[90] Strubell   word*+shape / ID-CNN / CRF"};
-    r.config = base();
+    Row r{"[90] Strubell   word*+shape / ID-CNN / CRF", base()};
     r.config.use_shape = true;
     r.config.encoder = "idcnn";
     r.lr = 0.008;  // the deep ReLU conv stack needs a smaller step
@@ -89,29 +83,25 @@ std::vector<Row> MakeRows() {
     rows.back().needs_sgns = true;
   }
   {  // [105] Yang et al.: char-GRU + word, BiGRU-CRF.
-    Row r{"[105] Yang      word*+charRNN / BiGRU / CRF"};
-    r.config = base();
+    Row r{"[105] Yang      word*+charRNN / BiGRU / CRF", base()};
     r.config.use_char_rnn = true;
     r.config.encoder = "bigru";
     r.needs_sgns = true;
     rows.push_back(r);
   }
   {  // [87] Shen et al.: CNN chars + LSTM decoder.
-    Row r{"[87] Shen       word+charCNN / BiLSTM / RNN"};
-    r.config = base();
+    Row r{"[87] Shen       word+charCNN / BiLSTM / RNN", base()};
     r.config.use_char_cnn = true;
     r.config.decoder = "rnn";
     rows.push_back(r);
   }
   {  // [94] Zhai et al.: pointer-network chunk-and-label.
-    Row r{"[94] Zhai       word / BiLSTM / Pointer"};
-    r.config = base();
+    Row r{"[94] Zhai       word / BiLSTM / Pointer", base()};
     r.config.decoder = "pointer";
     rows.push_back(r);
   }
   {  // [141] Zhuo et al.: gated recursive semi-CRF over CNN features.
-    Row r{"[141] Zhuo      word*+gaz / CNN / Semi-CRF"};
-    r.config = base();
+    Row r{"[141] Zhuo      word*+gaz / CNN / Semi-CRF", base()};
     r.config.use_gazetteer = true;
     r.config.encoder = "cnn";
     r.config.decoder = "semicrf";
@@ -120,8 +110,7 @@ std::vector<Row> MakeRows() {
     rows.push_back(r);
   }
   {  // [142] Ye & Ling: hybrid semi-CRF over BiLSTM.
-    Row r{"[142] Ye&Ling   word*+charLSTM / BiLSTM / Semi-CRF"};
-    r.config = base();
+    Row r{"[142] Ye&Ling   word*+charLSTM / BiLSTM / Semi-CRF", base()};
     r.config.use_char_rnn = true;
     r.config.decoder = "semicrf";
     r.needs_sgns = true;
@@ -129,16 +118,14 @@ std::vector<Row> MakeRows() {
   }
   {  // [106] Akbik et al.: contextual string embeddings, BiLSTM-CRF.
     // Flair stacks classic word vectors with the char-LM embeddings.
-    Row r{"[106] Akbik     word*+charLM / BiLSTM / CRF"};
-    r.config = base();
+    Row r{"[106] Akbik     word*+charLM / BiLSTM / CRF", base()};
     r.config.use_char_lm = true;
     r.needs_sgns = true;
     r.needs_char_lm = true;
     rows.push_back(r);
   }
   {  // [21] Peters et al. TagLM: word + bidirectional token-LM embeddings.
-    Row r{"[21] TagLM      word*+tokenLM / BiGRU / CRF"};
-    r.config = base();
+    Row r{"[21] TagLM      word*+tokenLM / BiGRU / CRF", base()};
     r.config.use_token_lm = true;
     r.config.encoder = "bigru";
     r.needs_sgns = true;
@@ -151,8 +138,7 @@ std::vector<Row> MakeRows() {
      //  feeding an untrained (not pre-trained) transformer, so this row
      //  lands mid-pack rather than at the top the way [118] does in the
      //  survey's Table 3.
-    Row r{"[118] BERT-ish  tokenLM / Transformer / Softmax"};
-    r.config = base();
+    Row r{"[118] BERT-ish  tokenLM / Transformer / Softmax", base()};
     r.config.use_word = false;
     r.config.use_token_lm = true;
     r.config.encoder = "transformer";
@@ -165,8 +151,7 @@ std::vector<Row> MakeRows() {
   {  // [97] Li et al.: bidirectional recursive network over constituency
      //  structure, softmax per node (Fig. 8); heuristic bracketing stands
      //  in for the parser (see src/encoders/recursive.h).
-    Row r{"[97] Li         word*+charCNN / BRNN / Softmax"};
-    r.config = base();
+    Row r{"[97] Li         word*+charCNN / BRNN / Softmax", base()};
     r.config.use_char_cnn = true;
     r.config.encoder = "brnn";
     r.config.decoder = "softmax";
@@ -174,8 +159,7 @@ std::vector<Row> MakeRows() {
     rows.push_back(r);
   }
   {  // [115] Xu et al.: FOFE span classification (local detection).
-    Row r{"[115] Xu        word+shape / MLP / FOFE"};
-    r.config = base();
+    Row r{"[115] Xu        word+shape / MLP / FOFE", base()};
     r.config.use_shape = true;
     r.config.encoder = "mlp";
     r.config.decoder = "fofe";
@@ -183,13 +167,11 @@ std::vector<Row> MakeRows() {
   }
   {  // Matched-input decoder contrast (Section 3.5): CRF vs softmax on the
      //  identical word/BiLSTM stack.
-    Row r{"[--] baseline   word / BiLSTM / CRF"};
-    r.config = base();
+    Row r{"[--] baseline   word / BiLSTM / CRF", base()};
     rows.push_back(r);
   }
   {  // Softmax ablation baseline (the decoder contrast of Section 3.5).
-    Row r{"[--] baseline   word / BiLSTM / Softmax"};
-    r.config = base();
+    Row r{"[--] baseline   word / BiLSTM / Softmax", base()};
     r.config.decoder = "softmax";
     rows.push_back(r);
   }

@@ -21,7 +21,7 @@ double ActiveLearner::Uncertainty(const text::Sentence& sentence) {
     DLNER_CHECK_MSG(crf != nullptr,
                     "entropy strategy requires a CRF decoder");
     Var rep = model_->Represent(sentence.tokens, /*training=*/false);
-    Var enc = model_->Encode(rep, /*training=*/false);
+    Var enc = model_->EncodeTokens(rep, sentence.tokens, /*training=*/false);
     Tensor marginals = crf->Marginals(crf->Emissions(enc)->value);
     double total = 0.0;
     for (int t = 0; t < marginals.rows(); ++t) {

@@ -78,18 +78,36 @@ void LayeredNerModel::Train(const text::Corpus& train,
 }
 
 std::vector<text::Span> LayeredNerModel::Predict(
-    const std::vector<std::string>& tokens) {
-  std::set<text::Span> all;
-  for (const auto& model : models_) {
-    for (const text::Span& sp : model->Predict(tokens)) all.insert(sp);
-  }
-  return {all.begin(), all.end()};
+    const std::vector<std::string>& tokens) const {
+  text::Corpus one;
+  one.sentences.resize(1);
+  one.sentences[0].tokens = tokens;
+  return PredictCorpus(one)[0];
 }
 
-eval::ExactResult LayeredNerModel::Evaluate(const text::Corpus& corpus) {
+std::vector<std::vector<text::Span>> LayeredNerModel::PredictCorpus(
+    const text::Corpus& corpus) const {
+  std::vector<std::set<text::Span>> merged(corpus.sentences.size());
+  for (const auto& model : models_) {
+    const std::vector<std::vector<text::Span>> level =
+        model->PredictCorpus(corpus);
+    for (size_t i = 0; i < level.size(); ++i) {
+      merged[i].insert(level[i].begin(), level[i].end());
+    }
+  }
+  std::vector<std::vector<text::Span>> out;
+  out.reserve(merged.size());
+  for (const std::set<text::Span>& spans : merged) {
+    out.emplace_back(spans.begin(), spans.end());
+  }
+  return out;
+}
+
+eval::ExactResult LayeredNerModel::Evaluate(const text::Corpus& corpus) const {
+  const std::vector<std::vector<text::Span>> predicted = PredictCorpus(corpus);
   eval::ExactMatchEvaluator ev;
-  for (const text::Sentence& s : corpus.sentences) {
-    ev.Add(s.spans, Predict(s.tokens));
+  for (size_t i = 0; i < corpus.sentences.size(); ++i) {
+    ev.Add(corpus.sentences[i].spans, predicted[i]);
   }
   return ev.Result();
 }

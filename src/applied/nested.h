@@ -30,11 +30,17 @@ class LayeredNerModel {
   /// Trains one model per nesting level of `train`.
   void Train(const text::Corpus& train, const core::TrainConfig& train_config);
 
-  /// Union of per-level predictions (duplicates removed).
-  std::vector<text::Span> Predict(const std::vector<std::string>& tokens);
+  /// Union of per-level predictions (duplicates removed, sorted).
+  std::vector<text::Span> Predict(const std::vector<std::string>& tokens) const;
+
+  /// Predict for every sentence of a corpus, in corpus order: one planned
+  /// NerModel::PredictCorpus pass per level, merged per sentence. Empty
+  /// sentences yield empty vectors.
+  std::vector<std::vector<text::Span>> PredictCorpus(
+      const text::Corpus& corpus) const;
 
   /// Exact-match evaluation against (possibly nested) gold annotations.
-  eval::ExactResult Evaluate(const text::Corpus& corpus);
+  eval::ExactResult Evaluate(const text::Corpus& corpus) const;
 
   int num_levels() const { return static_cast<int>(models_.size()); }
 

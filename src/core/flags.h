@@ -30,7 +30,7 @@ bool ParseDouble(const std::string& s, double* out);
 
 /// How a flag consumes command-line arguments.
 enum class FlagKind {
-  kBool,           // --verbose            (never takes a value)
+  kBool,           // --relaxed            (never takes a value)
   kValue,          // --epochs 12          (next argv entry, required)
   kOptionalValue,  // --gazetteer [0.7]    (next entry iff it is not a flag)
 };

@@ -189,13 +189,6 @@ Var NerModel::Represent(const std::vector<std::string>& tokens,
                [&] { return representation_->Forward(tokens, training); });
 }
 
-Var NerModel::Encode(const Var& representation, bool training) const {
-  obs::ScopedSpan span("encode");
-  return Timed(encoder_forward_us_, [&] {
-    return encoder_->Encode(representation, training);
-  });
-}
-
 Var NerModel::EncodeTokens(const Var& representation,
                            const std::vector<std::string>& tokens,
                            bool training) const {
@@ -236,11 +229,6 @@ std::vector<text::Span> NerModel::Predict(
 }
 
 namespace {
-
-// Micro-batch size for the compiled plan: large enough that one packed
-// GEMM amortizes dispatch across sentences, small enough that ragged tail
-// batches still balance across the thread pool.
-constexpr std::int64_t kPlanBatch = 16;
 
 std::int64_t CountTokens(const text::Corpus& corpus) {
   std::int64_t tokens = 0;
@@ -297,13 +285,15 @@ std::vector<std::vector<text::Span>> NerModel::PredictPlanned(
     if (!sentences[i].tokens.empty()) slots.push_back(i);
   }
   const std::int64_t batches =
-      (static_cast<std::int64_t>(slots.size()) + kPlanBatch - 1) / kPlanBatch;
+      (static_cast<std::int64_t>(slots.size()) + plan::kMicroBatch - 1) /
+      plan::kMicroBatch;
   runtime::ParallelFor(
       batches, /*grain=*/1, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t batch = begin; batch < end; ++batch) {
-          const std::size_t lo = static_cast<std::size_t>(batch * kPlanBatch);
+          const std::size_t lo =
+              static_cast<std::size_t>(batch * plan::kMicroBatch);
           const std::size_t hi =
-              std::min(lo + static_cast<std::size_t>(kPlanBatch),
+              std::min(lo + static_cast<std::size_t>(plan::kMicroBatch),
                        slots.size());
           std::vector<const std::vector<std::string>*> tokens;
           tokens.reserve(hi - lo);

@@ -77,13 +77,9 @@ class NerModel : public Module {
   /// Input representation [T, rep_dim]; the node is retained so callers can
   /// read its gradient after Backward (adversarial training).
   Var Represent(const std::vector<std::string>& tokens, bool training) const;
-  /// Encoder output for a representation matrix. For the recursive ("brnn")
-  /// encoder this uses a structure-agnostic balanced bracketing; prefer
-  /// EncodeTokens when the token strings are available.
-  Var Encode(const Var& representation, bool training) const;
-  /// Encoder output with token strings available: the recursive encoder
-  /// brackets with the punctuation heuristic; all other encoders ignore
-  /// the tokens.
+  /// Encoder output for a representation matrix, as Predict and Loss
+  /// compute it: the recursive ("brnn") encoder brackets `tokens` with the
+  /// punctuation heuristic; all other encoders ignore the tokens.
   Var EncodeTokens(const Var& representation,
                    const std::vector<std::string>& tokens,
                    bool training) const;

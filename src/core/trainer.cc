@@ -91,17 +91,14 @@ TrainResult Trainer::Train(const text::Corpus& train,
           ->Add(static_cast<std::int64_t>(train.sentences.size()));
       m.counter("train.tokens")->Add(train_tokens);
     }
-    // Structured per-epoch record; `verbose` keeps its historical contract
-    // of always printing, regardless of the process-wide log level.
-    if (config_.verbose || obs::LogEnabled(obs::LogLevel::kInfo)) {
-      obs::ForceLog(obs::LogLevel::kInfo, "epoch",
-                    {{"epoch", stats.epoch},
-                     {"loss", stats.train_loss},
-                     {"dev_f1", stats.dev_f1},
-                     {"lr", config_.lr},
-                     {"wall_s", stats.wall_seconds},
-                     {"tokens_per_sec", stats.tokens_per_sec}});
-    }
+    // Structured per-epoch record, visible from --log-level info.
+    obs::Log(obs::LogLevel::kInfo, "epoch",
+             {{"epoch", stats.epoch},
+              {"loss", stats.train_loss},
+              {"dev_f1", stats.dev_f1},
+              {"lr", config_.lr},
+              {"wall_s", stats.wall_seconds},
+              {"tokens_per_sec", stats.tokens_per_sec}});
     result.history.push_back(stats);
     if (dev != nullptr && config_.patience > 0 &&
         epochs_since_best >= config_.patience) {

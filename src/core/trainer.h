@@ -21,7 +21,6 @@ struct TrainConfig {
   /// Early stopping: stop after `patience` epochs without dev-F1
   /// improvement (0 disables; requires a dev corpus).
   int patience = 0;
-  bool verbose = false;
 };
 
 struct EpochStats {

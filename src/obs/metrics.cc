@@ -241,7 +241,11 @@ void Metrics::WriteJson(std::ostream& os,
       for (const auto& [step, value] : s->points()) {
         if (!first) body += ", ";
         first = false;
-        body += "[" + JsonNumber(step) + ", " + JsonNumber(value) + "]";
+        body += '[';
+        body += JsonNumber(step);
+        body += ", ";
+        body += JsonNumber(value);
+        body += ']';
       }
       body += "]}";
       entries.emplace_back(name, std::move(body));

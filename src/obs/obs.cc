@@ -2,23 +2,10 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 namespace dlner::obs {
 namespace {
-
-bool EnvBool(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-int EnvLogLevel() {
-  const char* v = std::getenv("DLNER_LOG_LEVEL");
-  if (v == nullptr) return static_cast<int>(LogLevel::kWarn);
-  return static_cast<int>(LogLevelFromString(v, LogLevel::kWarn));
-}
 
 // Log sink shared by every thread; records are written whole under the
 // lock, so concurrent loggers interleave at record granularity only.
@@ -71,9 +58,9 @@ void WriteRecord(LogLevel level, const char* event,
 
 namespace internal {
 
-std::atomic<bool> g_tracing{EnvBool("DLNER_TRACE")};
-std::atomic<bool> g_metrics{EnvBool("DLNER_METRICS")};
-std::atomic<int> g_log_level{EnvLogLevel()};
+std::atomic<bool> g_tracing{false};
+std::atomic<bool> g_metrics{false};
+std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarn)};
 
 std::string JsonEscape(std::string_view s) {
   std::string out;
@@ -137,13 +124,16 @@ std::uint64_t NowMicros() {
           .count());
 }
 
-LogLevel LogLevelFromString(std::string_view name, LogLevel fallback) {
-  if (name == "debug") return LogLevel::kDebug;
-  if (name == "info") return LogLevel::kInfo;
-  if (name == "warn") return LogLevel::kWarn;
-  if (name == "error") return LogLevel::kError;
-  if (name == "off") return LogLevel::kOff;
-  return fallback;
+bool ParseLogLevel(std::string_view name, LogLevel* out) {
+  for (const LogLevel level : {LogLevel::kDebug, LogLevel::kInfo,
+                               LogLevel::kWarn, LogLevel::kError,
+                               LogLevel::kOff}) {
+    if (name == LogLevelName(level)) {
+      *out = level;
+      return true;
+    }
+  }
+  return false;
 }
 
 const char* LogLevelName(LogLevel level) {
@@ -199,10 +189,9 @@ bool SetLogFile(const std::string& path) {
 }
 
 void ResetForTesting() {
-  internal::g_tracing.store(EnvBool("DLNER_TRACE"), std::memory_order_relaxed);
-  internal::g_metrics.store(EnvBool("DLNER_METRICS"),
-                            std::memory_order_relaxed);
-  internal::g_log_level.store(EnvLogLevel(), std::memory_order_relaxed);
+  EnableTracing(false);
+  EnableMetrics(false);
+  SetLogLevel(LogLevel::kWarn);
   SetLogFile("");
 }
 

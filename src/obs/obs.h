@@ -3,10 +3,9 @@
 //
 // Design rule: every hot-path hook must cost exactly one relaxed atomic
 // load plus a predictable branch while the corresponding switch is off.
-// Tracing and metrics are disabled by default; the environment variables
-// DLNER_TRACE=1, DLNER_METRICS=1, and DLNER_LOG_LEVEL=debug|info|warn|
-// error|off seed the initial state, and the CLI flags --trace-out,
-// --metrics-out, --log-level flip them per run (see docs/OBSERVABILITY.md).
+// Tracing and metrics start off and the log threshold starts at warn; the
+// CLI flags --trace-out, --metrics-out and --log-level are the only
+// switches that change them per run (see docs/OBSERVABILITY.md).
 #ifndef DLNER_OBS_OBS_H_
 #define DLNER_OBS_OBS_H_
 
@@ -81,10 +80,9 @@ enum class LogLevel : int {
   kOff = 4,
 };
 
-/// Parses "debug|info|warn|error|off" (case-sensitive); anything else
-/// yields `fallback`.
-LogLevel LogLevelFromString(std::string_view name,
-                            LogLevel fallback = LogLevel::kWarn);
+/// Parses "debug|info|warn|error|off" (case-sensitive) into *out; anything
+/// else returns false and leaves *out untouched.
+bool ParseLogLevel(std::string_view name, LogLevel* out);
 const char* LogLevelName(LogLevel level);
 
 /// Sets the process-wide threshold: records below it are dropped.
@@ -122,8 +120,8 @@ struct Field {
 void Log(LogLevel level, const char* event,
          std::initializer_list<Field> fields = {});
 
-/// Same record format but bypasses the threshold (used by Trainer's
-/// `verbose` mode, which must stay visible regardless of DLNER_LOG_LEVEL).
+/// Same record format but bypasses the threshold (used for failures that
+/// must stay visible at any --log-level, such as a socket that cannot bind).
 void ForceLog(LogLevel level, const char* event,
               std::initializer_list<Field> fields = {});
 
@@ -131,8 +129,8 @@ void ForceLog(LogLevel level, const char* event,
 /// default sink (stderr). Returns false when the file cannot be opened.
 bool SetLogFile(const std::string& path);
 
-/// Test hook: restores switches and log level to their environment-derived
-/// startup values and points the log sink back at stderr.
+/// Test hook: restores switches and log level to their startup values
+/// (tracing off, metrics off, warn) and points the log sink back at stderr.
 void ResetForTesting();
 
 }  // namespace dlner::obs

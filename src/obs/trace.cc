@@ -134,14 +134,16 @@ bool Tracer::WriteChromeTrace(const std::string& path) const {
 
 void ScopedSpan::Annotate(const char* key, std::int64_t value) {
   if (!active_) return;
-  if (!args_.empty()) args_.push_back(',');
-  args_ += "\"" + internal::JsonEscape(key) + "\":" + std::to_string(value);
+  Annotate(key, std::to_string(value));
 }
 
 void ScopedSpan::Annotate(const char* key, const std::string& raw_json) {
   if (!active_) return;
   if (!args_.empty()) args_.push_back(',');
-  args_ += "\"" + internal::JsonEscape(key) + "\":" + raw_json;
+  args_.push_back('"');
+  args_ += internal::JsonEscape(key);
+  args_ += "\":";
+  args_ += raw_json;
 }
 
 void ScopedSpan::Finish() {

@@ -24,6 +24,7 @@
 #ifndef DLNER_PLAN_PLAN_H_
 #define DLNER_PLAN_PLAN_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -37,6 +38,13 @@
 #include "text/types.h"
 
 namespace dlner::plan {
+
+/// Most sentences one packed micro-batch holds: large enough that one
+/// packed GEMM amortizes dispatch across sentences, small enough that
+/// ragged tail batches still balance across the thread pool.
+/// NerModel::PredictPlanned splits a corpus at this width, and the server's
+/// batcher takes at most this many queued requests per batch.
+constexpr std::int64_t kMicroBatch = 16;
 
 /// Borrowed views of the modules a plan is compiled from. `recursive` is
 /// non-null only when `encoder` is a RecursiveEncoder (it needs token

@@ -1,6 +1,5 @@
 #include "runtime/runtime.h"
 
-#include <cstdlib>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -13,20 +12,9 @@ int HardwareThreads() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
-// Resolves the initial thread count from DLNER_THREADS (0, unset, or
-// unparsable values fall back to hardware concurrency).
-int InitialThreads() {
-  const char* env = std::getenv("DLNER_THREADS");
-  if (env != nullptr) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return HardwareThreads();
-}
-
 }  // namespace
 
-Runtime::Runtime() : threads_(InitialThreads()) {}
+Runtime::Runtime() : threads_(HardwareThreads()) {}
 
 Runtime& Runtime::Get() {
   static Runtime* instance = new Runtime();  // leaked: lives until exit

@@ -2,14 +2,11 @@
 //
 // The Runtime owns one lazily-created ThreadPool shared by every
 // corpus-level parallel operation (evaluation, batch tagging, benchmarks).
-// The logical thread count is resolved in precedence order:
-//   1. Runtime::Get().SetThreads(n)   — programmatic (NerConfig::threads,
-//                                       dlner_cli --threads)
-//   2. DLNER_THREADS environment variable
-//   3. std::thread::hardware_concurrency()
-// A count of 0 in any of these means "use hardware concurrency". The count
-// includes the calling thread, so a Runtime configured for N threads keeps
-// N-1 pool workers.
+// The logical thread count starts at std::thread::hardware_concurrency();
+// Runtime::Get().SetThreads(n) (the tools' --threads flag) changes it, and
+// n = 0 there means "use hardware concurrency" again. The count includes
+// the calling thread, so a Runtime configured for N threads keeps N-1 pool
+// workers.
 #ifndef DLNER_RUNTIME_RUNTIME_H_
 #define DLNER_RUNTIME_RUNTIME_H_
 

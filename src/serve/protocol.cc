@@ -355,7 +355,10 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error,
 }
 
 std::string JsonQuote(const std::string& s) {
-  return "\"" + obs::internal::JsonEscape(s) + "\"";
+  std::string out = "\"";
+  out += obs::internal::JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 std::string TagPayload(const std::vector<std::string>& tokens,

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "plan/plan.h"
 #include "stream/entity_memory.h"
 
 namespace dlner::serve {
@@ -553,7 +554,7 @@ void Server::BatchLoop() {
       const std::string model = queue_.front().request.model;
       for (auto it = queue_.begin();
            it != queue_.end() &&
-           static_cast<int>(batch.size()) < config_.batch_max;) {
+           static_cast<std::int64_t>(batch.size()) < plan::kMicroBatch;) {
         if (it->request.model == model) {
           batch.push_back(std::move(*it));
           it = queue_.erase(it);

@@ -13,9 +13,9 @@
 //                     │
 //                     ▼
 //               batcher thread: work-conserving — whenever it is idle it
-//                     │  takes up to batch_max queued requests for the head
-//                     │  request's model; what arrives meanwhile is the next
-//                     │  batch
+//                     │  takes up to plan::kMicroBatch (16) queued
+//                     │  requests for the head request's model; what
+//                     │  arrives meanwhile is the next batch
 //                     ▼
 //            Pipeline::TagCorpus  (compiled plan: packed ragged
 //            micro-batches over arena-backed buffers, src/plan/)
@@ -75,10 +75,6 @@ struct ServeConfig {
   int port = 0;
   /// Admission-queue bound; a full queue rejects with a 429 error response.
   int queue_capacity = 256;
-  /// Most requests one micro-batch takes. The batcher never waits for a
-  /// batch to fill: it runs whatever is queued (up to this cap) as soon as
-  /// the previous batch is done, so batch size follows load.
-  int batch_max = 16;
   /// LRU response-cache entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
   /// Request lines longer than this are rejected with a 413 error response

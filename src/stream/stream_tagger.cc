@@ -9,12 +9,7 @@ namespace dlner::stream {
 
 StreamTagger::StreamTagger(const core::Pipeline* pipeline,
                            const StreamOptions& opts)
-    : pipeline_(pipeline), opts_(opts) {
-  text::StreamTokenizerOptions tok;
-  tok.max_sentence_tokens = opts_.max_sentence_tokens;
-  tokenizer_ = text::StreamTokenizer(tok);
-  memory_ = EntityMemory(opts_.memory);
-}
+    : pipeline_(pipeline), opts_(opts) {}
 
 std::vector<TaggedSentence> StreamTagger::Feed(std::string_view chunk) {
   obs::ScopedTraceContext trace_ctx(trace_ctx_);

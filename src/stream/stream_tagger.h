@@ -35,12 +35,9 @@
 namespace dlner::stream {
 
 struct StreamOptions {
-  /// Force a sentence break after this many tokens (tokenizer cap).
-  int max_sentence_tokens = 512;
   /// Document-level entity-consistency state: spans emitted earlier in a
   /// document bias the tagging of later exact surface repetitions.
   bool doc_context = false;
-  EntityMemoryOptions memory;
 };
 
 /// One tagged sentence emitted by the stream.

@@ -242,26 +242,4 @@ Var Conv1d::Apply(const Var& x) const {
   return Affine(unfolded, weight_, bias_);
 }
 
-// ---------------------------------------------------------------------------
-// Highway.
-// ---------------------------------------------------------------------------
-
-Highway::Highway(int dim, Rng* rng, const std::string& name)
-    : dim_(dim),
-      transform_(std::make_unique<Linear>(dim, dim, rng, name + ".H")),
-      gate_(std::make_unique<Linear>(dim, dim, rng, name + ".T")) {}
-
-Var Highway::Apply(const Var& x) const {
-  DLNER_CHECK_EQ(x->value.cols(), dim_);
-  Var t = gate_->ApplySigmoid(x);
-  Var h = Relu(transform_->Apply(x));
-  Var ones = Constant(Tensor::Full(x->value.shape(), 1.0));
-  Var carry = Sub(ones, t);
-  return Add(Mul(t, h), Mul(carry, x));
-}
-
-std::vector<Var> Highway::Parameters() const {
-  return JoinParameters({transform_.get(), gate_.get()});
-}
-
 }  // namespace dlner

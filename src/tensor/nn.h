@@ -7,7 +7,6 @@
 #ifndef DLNER_TENSOR_NN_H_
 #define DLNER_TENSOR_NN_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -183,23 +182,6 @@ class Conv1d : public Module {
   int dilation_;
   Var weight_;  // [width*in, out]
   Var bias_;    // [out]
-};
-
-/// Highway layer: y = t * g(Wh x) + (1 - t) * x with t = sigmoid(Wt x)
-/// (used by Li et al.'s char representation stack).
-class Highway : public Module {
- public:
-  Highway(int dim, Rng* rng, const std::string& name = "highway");
-
-  /// Input [T, dim] -> output [T, dim].
-  Var Apply(const Var& x) const;
-
-  std::vector<Var> Parameters() const override;
-
- private:
-  int dim_;
-  std::unique_ptr<Linear> transform_;
-  std::unique_ptr<Linear> gate_;
 };
 
 }  // namespace dlner

@@ -118,13 +118,6 @@ Var Scale(const Var& a, Float s) {
   });
 }
 
-Var AddScalar(const Var& a, Float s) {
-  Tensor out = a->value;
-  for (int i = 0; i < out.size(); ++i) out[i] += s;
-  return MakeNode(std::move(out), {a},
-                  [a](Variable* n) { Accum(a, n->grad); });
-}
-
 Var Neg(const Var& a) { return Scale(a, -1.0); }
 
 // ---------------------------------------------------------------------------
@@ -202,29 +195,6 @@ Var Relu(Var&& a) {
   return MakeNode(std::move(out), {}, nullptr);
 }
 
-Var Exp(Var&& a) {
-  if (!CanReuseBuffer(a)) return Exp(a);
-  Tensor out = std::move(a->value);
-  Float* x = out.data();
-  const int n = out.size();
-  for (int i = 0; i < n; ++i) x[i] = std::exp(x[i]);
-  return MakeNode(std::move(out), {}, nullptr);
-}
-
-Var Exp(const Var& a) {
-  Tensor out = a->value;
-  for (int i = 0; i < out.size(); ++i) out[i] = std::exp(out[i]);
-  auto node = MakeNode(std::move(out), {a}, nullptr);
-  if (node->requires_grad) {
-    node->backward_fn = [a](Variable* n) {
-      for (int i = 0; i < n->grad.size(); ++i) {
-        a->grad[i] += n->grad[i] * n->value[i];
-      }
-    };
-  }
-  return node;
-}
-
 Var Log(const Var& a) {
   Tensor out = a->value;
   for (int i = 0; i < out.size(); ++i) {
@@ -266,7 +236,7 @@ Var MatMul(const Var& a, const Var& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused affine ops. One graph node instead of the MatMul -> AddRowBroadcast
+// Fused affine ops. One graph node instead of a MatMul -> bias add
 // (-> activation) chain: the bias is written into the output rows before the
 // GEMM accumulates into them, and the optional activation is applied in the
 // same pass, saving one full-tensor copy and one node per call — which on
@@ -446,26 +416,6 @@ Var Dot(const Var& a, const Var& b) {
 // ---------------------------------------------------------------------------
 // Broadcasts.
 // ---------------------------------------------------------------------------
-
-Var AddRowBroadcast(const Var& m, const Var& v) {
-  DLNER_CHECK_EQ(m->value.dim(), 2);
-  DLNER_CHECK_EQ(v->value.dim(), 1);
-  const int r = m->value.rows();
-  const int c = m->value.cols();
-  DLNER_CHECK_EQ(c, v->value.size());
-  Tensor out = m->value;
-  for (int i = 0; i < r; ++i) {
-    for (int j = 0; j < c; ++j) out.at(i, j) += v->value[j];
-  }
-  return MakeNode(std::move(out), {m, v}, [m, v, r, c](Variable* n) {
-    Accum(m, n->grad);
-    if (v->requires_grad) {
-      for (int i = 0; i < r; ++i) {
-        for (int j = 0; j < c; ++j) v->grad[j] += n->grad.at(i, j);
-      }
-    }
-  });
-}
 
 Var AddColBroadcast(const Var& m, const Var& v) {
   DLNER_CHECK_EQ(m->value.dim(), 2);
@@ -796,38 +746,6 @@ Var ConcatCols(const std::vector<Var>& parts) {
   });
 }
 
-Var ConcatRows(const std::vector<Var>& parts) {
-  DLNER_CHECK(!parts.empty());
-  const int c = parts[0]->value.cols();
-  int total = 0;
-  for (const Var& p : parts) {
-    DLNER_CHECK_EQ(p->value.dim(), 2);
-    DLNER_CHECK_EQ(p->value.cols(), c);
-    total += p->value.rows();
-  }
-  Tensor out({total, c});
-  int off = 0;
-  for (const Var& p : parts) {
-    for (int i = 0; i < p->value.rows(); ++i) {
-      for (int j = 0; j < c; ++j) out.at(off + i, j) = p->value.at(i, j);
-    }
-    off += p->value.rows();
-  }
-  return MakeNode(std::move(out), parts, [parts, c](Variable* n) {
-    int off = 0;
-    for (const Var& p : parts) {
-      if (p->requires_grad) {
-        for (int i = 0; i < p->value.rows(); ++i) {
-          for (int j = 0; j < c; ++j) {
-            p->grad.at(i, j) += n->grad.at(off + i, j);
-          }
-        }
-      }
-      off += p->value.rows();
-    }
-  });
-}
-
 Var Pick(const Var& v, int i) {
   DLNER_CHECK_EQ(v->value.dim(), 1);
   DLNER_CHECK_GE(i, 0);
@@ -845,16 +763,6 @@ Var PickAt(const Var& m, int r, int c) {
                   });
 }
 
-Var AsRow(const Var& v) {
-  DLNER_CHECK_EQ(v->value.dim(), 1);
-  const int n = v->value.size();
-  Tensor out({1, n}, v->value.vec());
-  return MakeNode(std::move(out), {v}, [v, n](Variable* node) {
-    if (!v->requires_grad) return;
-    for (int i = 0; i < n; ++i) v->grad[i] += node->grad[i];
-  });
-}
-
 Var AsVector(const Var& m) {
   DLNER_CHECK_EQ(m->value.dim(), 2);
   DLNER_CHECK_EQ(m->value.rows(), 1);
@@ -863,24 +771,6 @@ Var AsVector(const Var& m) {
   return MakeNode(std::move(out), {m}, [m, n](Variable* node) {
     if (!m->requires_grad) return;
     for (int i = 0; i < n; ++i) m->grad[i] += node->grad[i];
-  });
-}
-
-Var PadRows(const Var& m, int top, int bottom) {
-  DLNER_CHECK_EQ(m->value.dim(), 2);
-  DLNER_CHECK_GE(top, 0);
-  DLNER_CHECK_GE(bottom, 0);
-  const int r = m->value.rows();
-  const int c = m->value.cols();
-  Tensor out({r + top + bottom, c});
-  for (int i = 0; i < r; ++i) {
-    for (int j = 0; j < c; ++j) out.at(top + i, j) = m->value.at(i, j);
-  }
-  return MakeNode(std::move(out), {m}, [m, top, r, c](Variable* n) {
-    if (!m->requires_grad) return;
-    for (int i = 0; i < r; ++i) {
-      for (int j = 0; j < c; ++j) m->grad.at(i, j) += n->grad.at(top + i, j);
-    }
   });
 }
 
@@ -918,11 +808,6 @@ Var CrossEntropyWithLogits(const Var& logits, int target) {
   DLNER_CHECK_GE(target, 0);
   DLNER_CHECK_LT(target, logits->value.size());
   return Neg(Pick(LogSoftmax(logits), target));
-}
-
-Var MeanSquaredError(const Var& a, const Var& b) {
-  Var d = Sub(a, b);
-  return Mean(Mul(d, d));
 }
 
 }  // namespace dlner

@@ -34,8 +34,6 @@ Var Sub(const Var& a, const Var& b);
 Var Mul(const Var& a, const Var& b);
 /// Multiplies every element by a constant.
 Var Scale(const Var& a, Float s);
-/// Adds a constant to every element.
-Var AddScalar(const Var& a, Float s);
 /// Elementwise negation.
 Var Neg(const Var& a);
 
@@ -46,7 +44,6 @@ Var Neg(const Var& a);
 Var Tanh(const Var& a);
 Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
-Var Exp(const Var& a);
 /// Natural log; inputs must be strictly positive.
 Var Log(const Var& a);
 
@@ -57,7 +54,6 @@ Var Log(const Var& a);
 Var Tanh(Var&& a);
 Var Sigmoid(Var&& a);
 Var Relu(Var&& a);
-Var Exp(Var&& a);
 
 // ---------------------------------------------------------------------------
 // Linear algebra.
@@ -66,7 +62,7 @@ Var Exp(Var&& a);
 /// Matrix product of [m,k] and [k,n] -> [m,n].
 Var MatMul(const Var& a, const Var& b);
 /// Fused affine map: x [m,k] times w [k,n] plus row-broadcast bias b [n]
-/// -> [m,n]. One node instead of the MatMul -> AddRowBroadcast chain.
+/// -> [m,n]. One node instead of a MatMul -> bias-add chain.
 Var Affine(const Var& x, const Var& w, const Var& b);
 /// Affine followed by tanh, fused into a single node.
 Var AffineTanh(const Var& x, const Var& w, const Var& b);
@@ -83,8 +79,6 @@ Var Dot(const Var& a, const Var& b);
 // Broadcasts.
 // ---------------------------------------------------------------------------
 
-/// Adds vector [c] to every row of matrix [r,c].
-Var AddRowBroadcast(const Var& m, const Var& v);
 /// Adds vector [r] element i to every entry of row i of matrix [r,c].
 Var AddColBroadcast(const Var& m, const Var& v);
 
@@ -132,18 +126,12 @@ Var StackRows(const std::vector<Var>& rows);
 Var ConcatVecs(const std::vector<Var>& parts);
 /// Concatenates matrices with equal row counts along columns.
 Var ConcatCols(const std::vector<Var>& parts);
-/// Concatenates matrices with equal column counts along rows.
-Var ConcatRows(const std::vector<Var>& parts);
 /// Element i of a vector -> scalar [1].
 Var Pick(const Var& v, int i);
 /// Element (r,c) of a matrix -> scalar [1].
 Var PickAt(const Var& m, int r, int c);
-/// Reinterprets a vector [n] as a one-row matrix [1,n].
-Var AsRow(const Var& v);
 /// Reinterprets a one-row matrix [1,n] as a vector [n].
 Var AsVector(const Var& m);
-/// Pads a matrix [r,c] with `top` zero rows above and `bottom` below.
-Var PadRows(const Var& m, int top, int bottom);
 
 // ---------------------------------------------------------------------------
 // Regularization.
@@ -159,8 +147,6 @@ Var Dropout(const Var& a, Float p, Rng* rng, bool training);
 
 /// Negative log likelihood of class `target` under logits [n] -> scalar.
 Var CrossEntropyWithLogits(const Var& logits, int target);
-/// Mean squared error between two equal-shaped tensors -> scalar.
-Var MeanSquaredError(const Var& a, const Var& b);
 
 // ---------------------------------------------------------------------------
 // Graph utilities.

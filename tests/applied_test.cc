@@ -10,6 +10,7 @@
 #include "applied/nested.h"
 #include "applied/transfer.h"
 #include "data/dataset.h"
+#include "decoders/crf.h"
 
 namespace dlner::applied {
 namespace {
@@ -208,6 +209,38 @@ TEST(ActiveTest, UncertaintyIsNonNegative) {
   }
 }
 
+// The entropy strategy scores the encoding the tagger itself uses: for the
+// recursive encoder that is the punctuation-heuristic bracketing of
+// EncodeTokens, which differs from a balanced tree on this sentence.
+TEST(ActiveTest, EntropyUsesTheTaggersBrnnBracketing) {
+  text::Corpus pool = SmallNews(10, 13);
+  core::NerConfig model_config = SmallConfig();
+  model_config.encoder = "brnn";
+  model_config.decoder = "crf";
+  core::NerModel model(model_config, pool,
+                       data::EntityTypesFor(Genre::kNews));
+  ActiveConfig config;
+  config.strategy = "entropy";
+  ActiveLearner learner(&model, config);
+
+  text::Sentence s;
+  s.tokens = {"Maria", "Lopez", ",", "a",     "director", "at",
+              "Acme",  "Corp",  ",", "spoke", "in",       "Lyon", "."};
+  auto* crf = dynamic_cast<decoders::CrfDecoder*>(model.decoder());
+  ASSERT_NE(crf, nullptr);
+  const Var rep = model.Represent(s.tokens, /*training=*/false);
+  const Var enc = model.EncodeTokens(rep, s.tokens, /*training=*/false);
+  const Tensor marginals = crf->Marginals(crf->Emissions(enc)->value);
+  double entropy = 0.0;
+  for (int t = 0; t < marginals.rows(); ++t) {
+    for (int k = 0; k < marginals.cols(); ++k) {
+      const double p = marginals.at(t, k);
+      if (p > 1e-12) entropy -= p * std::log(p);
+    }
+  }
+  EXPECT_DOUBLE_EQ(learner.Uncertainty(s), entropy / marginals.rows());
+}
+
 // --- Adversarial ---
 
 TEST(AdversarialTest, PerturbationHasEpsilonNorm) {
@@ -343,6 +376,35 @@ TEST(NestedTest, LayeredModelRecoversNestedMentions) {
   EXPECT_GE(layered.num_levels(), 2);
   eval::ExactResult result = layered.Evaluate(split.test);
   EXPECT_GT(result.micro.f1(), 0.4);
+}
+
+// Evaluate runs through the planned PredictCorpus, which maps an empty
+// sentence to no spans (the eager per-sentence Predict rejects it).
+TEST(NestedTest, LayeredEvaluateAcceptsEmptySentences) {
+  data::GenOptions opts;
+  opts.num_sentences = 30;
+  opts.seed = 18;
+  text::Corpus corpus = data::GenerateCorpus(Genre::kNested, opts);
+  LayeredNerModel layered(SmallConfig(),
+                          data::EntityTypesFor(Genre::kNested));
+  layered.Train(corpus, FastTrain(1));
+
+  text::Corpus with_empty = corpus;
+  with_empty.sentences.insert(with_empty.sentences.begin() + 3,
+                              text::Sentence{});
+  const std::vector<std::vector<text::Span>> predicted =
+      layered.PredictCorpus(with_empty);
+  ASSERT_EQ(predicted.size(), with_empty.sentences.size());
+  EXPECT_TRUE(predicted[3].empty());
+  for (std::size_t i = 0; i < corpus.sentences.size(); ++i) {
+    const std::size_t j = i < 3 ? i : i + 1;
+    EXPECT_EQ(predicted[j], layered.Predict(corpus.sentences[i].tokens));
+  }
+  const eval::ExactResult plain = layered.Evaluate(corpus);
+  const eval::ExactResult padded = layered.Evaluate(with_empty);
+  EXPECT_EQ(padded.micro.tp, plain.micro.tp);
+  EXPECT_EQ(padded.micro.fp, plain.micro.fp);
+  EXPECT_EQ(padded.micro.fn, plain.micro.fn);
 }
 
 }  // namespace

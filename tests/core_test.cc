@@ -7,6 +7,7 @@
 #include "core/flags.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "tools/tool_common.h"
 
 namespace dlner::core {
 namespace {
@@ -394,6 +395,44 @@ TEST(FlagsDeathTest, TypedGetterExitsOnMalformedValue) {
   ASSERT_TRUE(args.Parse(3, const_cast<char* const*>(argv), 1, spec));
   EXPECT_EXIT(args.GetInt("epochs", 0), ::testing::ExitedWithCode(1),
               "--epochs");
+}
+
+// The tools' --threads flag rejects what SetThreads cannot honor before
+// touching the runtime: SetThreads(n) builds n-1 OS threads, so an
+// oversized count must never reach it. No pool is built here.
+TEST(ToolFlagsTest, ThreadsOutsideRangeIsRejectedBeforeTheRuntime) {
+  runtime::Runtime& rt = runtime::Runtime::Get();
+  const int before = rt.threads();
+  const FlagSpec spec{{"threads", FlagKind::kValue}};
+  for (const char* value : {"-1", "-4", "1025", "100000"}) {
+    const char* argv[] = {"dlner", "--threads", value};
+    Args args;
+    ASSERT_TRUE(args.Parse(3, const_cast<char* const*>(argv), 1, spec));
+    EXPECT_FALSE(tools::ApplyThreadsFlag(args)) << value;
+    EXPECT_EQ(rt.threads(), before) << value;
+  }
+  rt.SetThreads(before);  // in case a rejected value slipped through
+}
+
+TEST(ToolFlagsTest, UnknownLogLevelIsRejected) {
+  FlagSpec spec;
+  tools::AddObsFlags(&spec);
+  obs::SetLogLevel(obs::LogLevel::kWarn);
+  {
+    const char* argv[] = {"dlner", "--log-level", "bogus"};
+    Args args;
+    ASSERT_TRUE(args.Parse(3, const_cast<char* const*>(argv), 1, spec));
+    EXPECT_FALSE(tools::ApplyObsFlags(args));
+    EXPECT_EQ(obs::GetLogLevel(), obs::LogLevel::kWarn);
+  }
+  {
+    const char* argv[] = {"dlner", "--log-level", "error"};
+    Args args;
+    ASSERT_TRUE(args.Parse(3, const_cast<char* const*>(argv), 1, spec));
+    EXPECT_TRUE(tools::ApplyObsFlags(args));
+    EXPECT_EQ(obs::GetLogLevel(), obs::LogLevel::kError);
+  }
+  obs::SetLogLevel(obs::LogLevel::kWarn);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(LinearTest, ApplyVecMatchesApply) {
   Rng data_rng(3);
   Var v = RandomInput({4}, &data_rng);
   Var via_vec = lin.ApplyVec(v);
-  Var via_mat = Row(lin.Apply(AsRow(v)), 0);
+  Var via_mat = Row(lin.Apply(StackRows({v})), 0);
   for (int i = 0; i < 2; ++i) {
     EXPECT_DOUBLE_EQ(via_vec->value[i], via_mat->value[i]);
   }
@@ -180,19 +180,6 @@ TEST(Conv1dTest, UnfoldZeroPadsBoundaries) {
   EXPECT_DOUBLE_EQ(u->value.at(1, 0), 1.0);
   EXPECT_DOUBLE_EQ(u->value.at(1, 1), 2.0);
   EXPECT_DOUBLE_EQ(u->value.at(1, 2), 0.0);
-}
-
-TEST(HighwayTest, GradCheckAndShape) {
-  Rng rng(14);
-  Highway hw(4, &rng);
-  Rng data_rng(15);
-  Var x = RandomInput({3, 4}, &data_rng);
-  std::vector<Var> inputs = hw.Parameters();
-  inputs.push_back(x);
-  EXPECT_LT(MaxGradError([&] { return Sum(Tanh(hw.Apply(x))); }, inputs),
-            1e-6);
-  EXPECT_EQ(hw.Apply(x)->value.rows(), 3);
-  EXPECT_EQ(hw.Apply(x)->value.cols(), 4);
 }
 
 TEST(ModuleTest, JoinParametersSkipsNull) {

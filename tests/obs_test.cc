@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -200,7 +201,7 @@ class JsonParser {
 // ---------------------------------------------------------------------------
 
 // Every test starts and ends with collection off, empty buffers, and the
-// environment-derived defaults, so tests compose in any order.
+// startup defaults, so tests compose in any order.
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override { ResetAllState(); }
@@ -496,13 +497,37 @@ TEST_F(ObsTest, LoggerLevelFilteringAndForceLog) {
 }
 
 TEST_F(ObsTest, LogLevelStringRoundTrip) {
-  EXPECT_EQ(LogLevelFromString("debug"), LogLevel::kDebug);
-  EXPECT_EQ(LogLevelFromString("info"), LogLevel::kInfo);
-  EXPECT_EQ(LogLevelFromString("warn"), LogLevel::kWarn);
-  EXPECT_EQ(LogLevelFromString("error"), LogLevel::kError);
-  EXPECT_EQ(LogLevelFromString("off"), LogLevel::kOff);
-  EXPECT_EQ(LogLevelFromString("bogus", LogLevel::kError), LogLevel::kError);
+  for (const LogLevel level : {LogLevel::kDebug, LogLevel::kInfo,
+                               LogLevel::kWarn, LogLevel::kError,
+                               LogLevel::kOff}) {
+    LogLevel parsed = LogLevel::kOff;
+    ASSERT_TRUE(ParseLogLevel(LogLevelName(level), &parsed));
+    EXPECT_EQ(parsed, level);
+  }
   EXPECT_STREQ(LogLevelName(LogLevel::kInfo), "info");
+  LogLevel untouched = LogLevel::kError;
+  EXPECT_FALSE(ParseLogLevel("bogus", &untouched));
+  EXPECT_FALSE(ParseLogLevel("INFO", &untouched));
+  EXPECT_EQ(untouched, LogLevel::kError);
+}
+
+// The switches have one way in each (the tools' flags or the Enable*/
+// SetLogLevel calls): the environment does not seed them.
+TEST_F(ObsTest, EnvironmentDoesNotSeedSwitches) {
+  setenv("DLNER_TRACE", "1", 1);
+  setenv("DLNER_METRICS", "1", 1);
+  setenv("DLNER_LOG_LEVEL", "debug", 1);
+  ResetForTesting();
+  const bool tracing = TracingEnabled();
+  const bool metrics = MetricsEnabled();
+  const LogLevel level = GetLogLevel();
+  unsetenv("DLNER_TRACE");
+  unsetenv("DLNER_METRICS");
+  unsetenv("DLNER_LOG_LEVEL");
+  ResetForTesting();
+  EXPECT_FALSE(tracing);
+  EXPECT_FALSE(metrics);
+  EXPECT_EQ(level, LogLevel::kWarn);
 }
 
 // The observability invariant the whole design leans on: collection must

@@ -33,6 +33,7 @@
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "plan/plan.h"
 #include "serve/cache.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
@@ -590,7 +591,6 @@ TEST(ServerTest, QueueFullRejectsWith429ThenRecovers) {
   ASSERT_TRUE(registry.Load("default", m.path1));
   ServeConfig config;
   config.queue_capacity = 1;
-  config.batch_max = 16;
   config.cache_capacity = 0;
   config.max_tokens = kLongHeadTokens;
   Server server(&registry, config);
@@ -1356,7 +1356,7 @@ TEST(ServerTest, IdleBatcherDoesNotWait) {
 
 TEST(ServerTest, BatcherCoalescesWhileBusy) {
   // Requests that arrive while a batch computes form the next batch, capped
-  // at batch_max: one write carries a max_tokens head and 32 distinct
+  // at plan::kMicroBatch: one write carries a max_tokens head and 32 distinct
   // sentences, which queue behind the head's compute and run in fewer
   // batches than requests, with every response unchanged.
   const Models& m = Fixture();
@@ -1403,7 +1403,7 @@ TEST(ServerTest, BatcherCoalescesWhileBusy) {
   const obs::Histogram* sizes =
       obs::Metrics::Get().histogram("serve.batch.size");
   EXPECT_EQ(sizes->count(), server.batches_total());
-  EXPECT_LE(sizes->max(), config.batch_max);
+  EXPECT_LE(sizes->max(), static_cast<double>(plan::kMicroBatch));
   server.Stop();
 }
 

@@ -72,10 +72,6 @@ Tensor NaiveRelu(const Tensor& t) {
   return Elementwise(t, [](Float x) { return x > 0.0 ? x : 0.0; });
 }
 
-Tensor NaiveExp(const Tensor& t) {
-  return Elementwise(t, [](Float x) { return std::exp(x); });
-}
-
 Float MaxAbsDiff(const Tensor& a, const Tensor& b) {
   DLNER_CHECK_MSG(a.SameShape(b), a.ShapeString() << " vs "
                                                   << b.ShapeString());

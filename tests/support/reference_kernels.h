@@ -34,7 +34,6 @@ Tensor NaiveAffineVec(const Tensor& x, const Tensor& w, const Tensor& b);
 Tensor NaiveTanh(const Tensor& t);
 Tensor NaiveSigmoid(const Tensor& t);
 Tensor NaiveRelu(const Tensor& t);
-Tensor NaiveExp(const Tensor& t);
 
 /// Largest elementwise |a - b|; requires equal shapes.
 Float MaxAbsDiff(const Tensor& a, const Tensor& b);

@@ -78,8 +78,7 @@ FlagSpec TrainSpec() {
                 {"lr", FlagKind::kValue},
                 {"patience", FlagKind::kValue},
                 {"seed", FlagKind::kValue},
-                {"threads", FlagKind::kValue},
-                {"verbose", FlagKind::kBool}};
+                {"threads", FlagKind::kValue}};
   tools::AddObsFlags(&spec);
   return spec;
 }
@@ -147,7 +146,6 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdTrain(const Args& args) {
-  tools::ApplyThreadsFlag(args);
   const std::string train_path = args.Get("train");
   const std::string model_path = args.Get("model");
   if (train_path.empty() || model_path.empty()) {
@@ -182,7 +180,6 @@ int CmdTrain(const Args& args) {
   tc.epochs = args.GetInt("epochs", 12);
   tc.lr = args.GetDouble("lr", 0.015);
   tc.patience = has_dev ? args.GetInt("patience", 4) : 0;
-  tc.verbose = args.Has("verbose");
 
   // External resources built from the training data. They end up inside
   // the checkpoint, so the saved model stays self-contained.
@@ -298,7 +295,6 @@ int RunTagStream(const Args& args, core::Pipeline* pipeline) {
 }
 
 int CmdTag(const Args& args) {
-  tools::ApplyThreadsFlag(args);
   auto pipeline = core::Pipeline::Load(args.Get("model"));
   if (pipeline == nullptr) {
     std::fprintf(stderr, "tag: cannot load model %s\n",
@@ -342,7 +338,6 @@ int CmdTag(const Args& args) {
 }
 
 int CmdEval(const Args& args) {
-  tools::ApplyThreadsFlag(args);
   auto pipeline = core::Pipeline::Load(args.Get("model"));
   if (pipeline == nullptr) {
     std::fprintf(stderr, "eval: cannot load model %s\n",
@@ -384,7 +379,7 @@ void Usage() {
       "  train    --train FILE --model FILE [--dev FILE] [--encoder E]\n"
       "           [--decoder D] [--char-cnn] [--char-rnn] [--shape]\n"
       "           [--gazetteer [COVERAGE]] [--char-lm] [--token-lm]\n"
-      "           [--epochs N] [--lr X] [--word-dropout X] [--verbose]\n"
+      "           [--epochs N] [--lr X] [--word-dropout X]\n"
       "           [--threads N]\n"
       "  tag      --model FILE (--text \"...\" | --in FILE [--out FILE])\n"
       "           [--threads N]\n"
@@ -392,12 +387,11 @@ void Usage() {
       "           (--stream: --in is raw text; see docs/STREAMING.md)\n"
       "  eval     --model FILE --test FILE [--relaxed] [--threads N]\n"
       "--threads N: worker threads for corpus evaluation/tagging\n"
-      "             (0 = hardware concurrency; DLNER_THREADS also honored)\n"
+      "             (0 = hardware concurrency, the default; at most 1024)\n"
       "observability (any subcommand; see docs/OBSERVABILITY.md):\n"
       "  --trace-out FILE    record spans, write Chrome trace_event JSON\n"
       "  --metrics-out FILE  collect metrics, write JSON snapshot\n"
-      "  --log-level LEVEL   debug|info|warn|error|off (default warn;\n"
-      "                      DLNER_LOG_LEVEL also honored)\n"
+      "  --log-level LEVEL   debug|info|warn|error|off (default warn)\n"
       "datasets: conll-like ontonotes-like wnut-like fine-grained-like\n"
       "          nested-like bio-like\n"
       "encoders: mlp cnn idcnn bilstm bigru transformer brnn\n"
@@ -427,7 +421,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dlner %s: %s\n", cmd.c_str(), args.error().c_str());
     return 1;
   }
-  tools::ApplyObsFlags(args);
+  if (!tools::ApplyObsFlags(args) || !tools::ApplyThreadsFlag(args)) {
+    return 1;
+  }
   int rc = -1;
   if (cmd == "generate") rc = CmdGenerate(args);
   if (cmd == "train") rc = CmdTrain(args);

@@ -42,7 +42,6 @@ void Usage() {
       "  --host ADDR          bind address (default 127.0.0.1)\n"
       "  --port N             TCP port; 0 = ephemeral, printed on stdout\n"
       "  --queue-max N        admission-queue bound; full -> 429 (default 256)\n"
-      "  --batch-max N        most requests per micro-batch (default 16)\n"
       "  --cache-cap N        LRU response-cache entries; 0 = off (default 4096)\n"
       "  --max-line-bytes N   request lines above this -> 413 (default 1MiB)\n"
       "  --max-tokens N       requests above this -> 413 (default 512)\n"
@@ -95,7 +94,6 @@ int main(int argc, char** argv) {
                 {"host", FlagKind::kValue},
                 {"port", FlagKind::kValue},
                 {"queue-max", FlagKind::kValue},
-                {"batch-max", FlagKind::kValue},
                 {"cache-cap", FlagKind::kValue},
                 {"max-line-bytes", FlagKind::kValue},
                 {"max-tokens", FlagKind::kValue},
@@ -120,8 +118,9 @@ int main(int argc, char** argv) {
     Usage();
     return 1;
   }
-  tools::ApplyObsFlags(args);
-  tools::ApplyThreadsFlag(args);
+  if (!tools::ApplyObsFlags(args) || !tools::ApplyThreadsFlag(args)) {
+    return 1;
+  }
 
   serve::ModelRegistry registry;
   if (args.Has("model") && !registry.Load("default", args.Get("model"))) {
@@ -137,7 +136,6 @@ int main(int argc, char** argv) {
   config.host = args.Get("host", "127.0.0.1");
   config.port = args.GetInt("port", 0);
   config.queue_capacity = args.GetInt("queue-max", 256);
-  config.batch_max = args.GetInt("batch-max", 16);
   config.cache_capacity = static_cast<std::size_t>(
       args.GetUInt64("cache-cap", 4096));
   config.max_line_bytes = static_cast<std::size_t>(

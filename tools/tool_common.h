@@ -1,6 +1,6 @@
 // Flag plumbing shared by the dlner and dlner_serve front ends: the
 // observability flags every subcommand accepts, the --threads runtime
-// knob, and the end-of-run artifact flush.
+// flag, and the end-of-run artifact flush.
 #ifndef DLNER_TOOLS_TOOL_COMMON_H_
 #define DLNER_TOOLS_TOOL_COMMON_H_
 
@@ -25,22 +25,42 @@ inline void AddObsFlags(core::FlagSpec* spec) {
 
 /// Applies --log-level / --trace-out / --metrics-out to the process-wide
 /// observability state. Collection starts before the command runs;
-/// artifacts are written by FlushObsArtifacts afterwards.
-inline void ApplyObsFlags(const core::Args& args) {
+/// artifacts are written by FlushObsArtifacts afterwards. Returns false
+/// (with the reason on stderr) for an unknown --log-level.
+inline bool ApplyObsFlags(const core::Args& args) {
   if (args.Has("log-level")) {
-    obs::SetLogLevel(obs::LogLevelFromString(args.Get("log-level")));
+    obs::LogLevel level = obs::LogLevel::kWarn;
+    if (!obs::ParseLogLevel(args.Get("log-level"), &level)) {
+      std::fprintf(stderr,
+                   "--log-level: invalid value \"%s\" "
+                   "(debug|info|warn|error|off)\n",
+                   args.Get("log-level").c_str());
+      return false;
+    }
+    obs::SetLogLevel(level);
   }
   if (args.Has("trace-out")) obs::EnableTracing(true);
   if (args.Has("metrics-out")) obs::EnableMetrics(true);
+  return true;
 }
 
+/// Largest accepted --threads: SetThreads(n) starts n-1 OS threads.
+constexpr int kMaxThreads = 1024;
+
 /// Applies --threads to the process-wide runtime (0 = hardware
-/// concurrency). Without the flag the runtime keeps its DLNER_THREADS /
-/// hardware default.
-inline void ApplyThreadsFlag(const core::Args& args) {
-  if (args.Has("threads")) {
-    runtime::Runtime::Get().SetThreads(args.GetInt("threads", 0));
+/// concurrency). Without the flag the runtime keeps its hardware default.
+/// A value outside [0, kMaxThreads] returns false (with the reason on
+/// stderr) before any pool is built.
+inline bool ApplyThreadsFlag(const core::Args& args) {
+  if (!args.Has("threads")) return true;
+  const int n = args.GetInt("threads", 0);
+  if (n < 0 || n > kMaxThreads) {
+    std::fprintf(stderr, "--threads: %d is outside [0, %d]\n", n,
+                 kMaxThreads);
+    return false;
   }
+  runtime::Runtime::Get().SetThreads(n);
+  return true;
 }
 
 /// Writes the trace / metrics files requested on the command line. Returns
