@@ -4,26 +4,28 @@
 // is smaller than the representation dimensionality d".
 //
 // On a scalar CPU backend the claim manifests as per-token scaling: the
-// recurrent encoder's items_per_second stays flat in n (O(d^2) per token,
+// recurrent encoder's tokens per second stay flat in n (O(d^2) per token,
 // independent of n), while the self-attention encoder's per-token
 // throughput decays linearly in n (the O(n^2 d) term). The paper's
 // absolute crossover at n < d additionally relies on parallelizing the
 // attention matrix products across time steps, which a sequential LSTM
 // cannot do on parallel hardware — the same caveat as the ID-CNN speedup
 // (E4).
+#include <algorithm>
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
+#include "bench/bench_common.h"
 #include "encoders/rnn_encoder.h"
 #include "encoders/transformer.h"
-#include "tensor/ops.h"
 
 namespace {
 
 using namespace dlner;
+using namespace dlner::bench;
 
 constexpr int kDim = 64;  // representation dimensionality d
+// Tokens encoded per timed point, so every n does a similar amount of work.
+constexpr int kTokensPerPoint = 8192;
 
 Var MakeInput(int n) {
   Rng rng(n * 977 + 3);
@@ -32,45 +34,40 @@ Var MakeInput(int n) {
   return Constant(std::move(t));
 }
 
-void BM_BiLstmEncoder(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(1);
-  // Hidden d/2 per direction -> output dim d; per-step cost ~ O(d^2).
-  encoders::RnnEncoder enc("lstm", kDim, kDim / 2, 1, 0.0, &rng);
-  Var x = MakeInput(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.Encode(x, false)->value.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
+double TokensPerSecond(const encoders::ContextEncoder& enc, int n) {
+  const Var x = MakeInput(n);
+  enc.Encode(x, false);  // warm-up
+  const int repeats = std::max(4, kTokensPerPoint / n);
+  Stopwatch sw;
+  for (int r = 0; r < repeats; ++r) enc.Encode(x, false);
+  return repeats * static_cast<double>(n) / sw.Seconds();
 }
-
-void BM_TransformerEncoder(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(2);
-  encoders::TransformerEncoder enc(kDim, kDim, 4, 2 * kDim, 1, 0.0, &rng);
-  Var x = MakeInput(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.Encode(x, false)->value.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-
-BENCHMARK(BM_BiLstmEncoder)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
-BENCHMARK(BM_TransformerEncoder)->Arg(8)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
+  PrintHeader(
+      "E5: self-attention O(n^2 d) vs recurrence O(n d^2) (survey Section "
+      "3.5)");
   std::printf(
-      "\n=== E5: self-attention O(n^2 d) vs recurrence O(n d^2) "
-      "(survey Section 3.5) ===\n"
-      "d = %d fixed; watch items_per_second (tokens/s):\n"
+      "d = %d fixed; tokens/s per encoder:\n"
       "  * BiLSTM: flat in n (per-token cost O(d^2), independent of n)\n"
       "  * Transformer: decays with n (the O(n^2 d) attention term)\n\n",
       kDim);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+
+  Rng lstm_rng(1);
+  // Hidden d/2 per direction -> output dim d; per-step cost ~ O(d^2).
+  const encoders::RnnEncoder lstm("lstm", kDim, kDim / 2, 1, 0.0, &lstm_rng);
+  Rng transformer_rng(2);
+  const encoders::TransformerEncoder transformer(kDim, kDim, 4, 2 * kDim, 1,
+                                                 0.0, &transformer_rng);
+
+  std::printf("%6s | %14s %14s\n", "n", "BiLSTM tok/s", "Transf. tok/s");
+  for (int n : {8, 16, 32, 64, 128, 256}) {
+    const double tps_lstm = TokensPerSecond(lstm, n);
+    const double tps_transformer = TokensPerSecond(transformer, n);
+    std::printf("%6d | %14.0f %14.0f\n", n, tps_lstm, tps_transformer);
+  }
   std::printf(
       "\nShape check vs the paper: the scaling exponents match the quoted\n"
       "complexities. The absolute 'Transformer faster when n < d' crossover\n"

@@ -17,33 +17,6 @@ bool ReadString(std::istream& is, std::string* s) {
   return ReadLenString(is, s, 1u << 20);
 }
 
-template <typename T>
-void WritePod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-template <typename T>
-bool ReadPod(std::istream& is, T* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(is);
-}
-
-// Bools are framed as one 0/1 byte. Reading a raw byte straight into a
-// bool would be undefined behavior for corrupt values (anything but 0/1),
-// so decode via uint8_t and reject other values outright.
-void WritePod(std::ostream& os, const bool& v) {
-  const uint8_t b = v ? 1 : 0;
-  os.write(reinterpret_cast<const char*>(&b), sizeof(b));
-}
-
-bool ReadPod(std::istream& is, bool* v) {
-  uint8_t b = 0;
-  is.read(reinterpret_cast<char*>(&b), sizeof(b));
-  if (!is || b > 1) return false;
-  *v = b != 0;
-  return true;
-}
-
 }  // namespace
 
 std::string NerConfig::Describe() const {

@@ -74,13 +74,13 @@ void NerModel::Build(const Resources& resources) {
     DLNER_CHECK_MSG(resources.char_lm != nullptr,
                     "config.use_char_lm requires Resources::char_lm");
     features.push_back(
-        std::make_unique<embeddings::CharLmFeature>(resources.char_lm));
+        std::make_unique<embeddings::LmFeature>(resources.char_lm));
   }
   if (config_.use_token_lm) {
     DLNER_CHECK_MSG(resources.token_lm != nullptr,
                     "config.use_token_lm requires Resources::token_lm");
     features.push_back(
-        std::make_unique<embeddings::TokenLmFeature>(resources.token_lm));
+        std::make_unique<embeddings::LmFeature>(resources.token_lm));
   }
   DLNER_CHECK_MSG(!features.empty(), "no input features enabled");
   representation_ = std::make_unique<embeddings::ComposedRepresentation>(

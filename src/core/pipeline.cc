@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "tensor/nn.h"
@@ -18,7 +17,6 @@ constexpr char kMagic[] = "DLNERPIPE2";
 // Deserialization caps: streams exceeding them are corrupt, not large.
 constexpr uint32_t kMaxEntityTypes = 4096;
 constexpr uint32_t kMaxEntityTypeLen = 4096;
-constexpr uint32_t kMaxVocabBlock = 1u << 26;  // 64 MB of vocab text
 
 }  // namespace
 
@@ -45,9 +43,7 @@ std::vector<text::Span> Pipeline::Tag(
 
 text::Sentence Pipeline::TagText(const std::string& raw) const {
   text::Sentence s;
-  std::istringstream ss(raw);
-  std::string tok;
-  while (ss >> tok) s.tokens.push_back(tok);
+  s.tokens = text::SplitWhitespace(raw);
   s.spans = Tag(s.tokens);
   return s;
 }
@@ -79,13 +75,9 @@ bool Pipeline::Save(std::ostream& os) const {
   const auto& types = model_->entity_types();
   WriteU32(os, static_cast<uint32_t>(types.size()));
   for (const std::string& t : types) WriteLenString(os, t);
-  // Vocabularies (text blocks framed by length).
-  for (const text::Vocabulary* vocab :
-       {&model_->word_vocab(), &model_->char_vocab()}) {
-    std::ostringstream block;
-    vocab->Save(block);
-    WriteLenString(os, block.str());
-  }
+  // Vocabularies (length-framed text blocks).
+  model_->word_vocab().SaveBlock(os);
+  model_->char_vocab().SaveBlock(os);
   // Resource blocks, in fixed order, present iff the config enables them.
   if (config.use_gazetteer) resources_.gazetteer->Save(os);
   if (config.use_char_lm) resources_.char_lm->Save(os);
@@ -119,10 +111,8 @@ std::unique_ptr<Pipeline> Pipeline::Load(std::istream& is) {
     if (types[i].empty()) return nullptr;
   }
   text::Vocabulary vocabs[2];
-  std::string block;
   for (auto& vocab : vocabs) {
-    if (!ReadLenString(is, &block, kMaxVocabBlock)) return nullptr;
-    if (!text::Vocabulary::Load(block, &vocab)) return nullptr;
+    if (!text::Vocabulary::LoadBlock(is, &vocab)) return nullptr;
   }
 
   auto pipeline = std::unique_ptr<Pipeline>(new Pipeline());

@@ -28,9 +28,9 @@ struct EntitySurface {
 };
 
 void AppendWords(std::vector<std::string>* out, const std::string& phrase) {
-  std::istringstream ss(phrase);
-  std::string w;
-  while (ss >> w) out->push_back(w);
+  for (std::string& w : text::SplitWhitespace(phrase)) {
+    out->push_back(std::move(w));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,16 @@
 // Neural language models for contextualized embeddings (survey Sections
-// 3.3.4 and 3.2.3).
+// 3.3.4 and 3.2.3). Both are a BiLstmLm: independent forward and backward
+// LSTM language models over one unit inventory, pre-trained once on
+// unlabeled text and used frozen ("pre-trained language model embeddings").
 //
 // CharLm reproduces the contextual string embeddings of Akbik et al.
-// (Fig. 4): independent forward and backward character-level LSTM language
-// models trained on unlabeled text; a word's embedding concatenates the
-// forward hidden state at its last character with the backward hidden state
-// at its first character. Tokenization-independent and vocabulary-free.
+// (Fig. 4): a word's embedding concatenates the forward hidden state at its
+// last character with the backward hidden state at its first character.
+// Tokenization-independent and vocabulary-free.
 //
 // TokenLm is an ELMo-style token-level bidirectional LM (Peters et al.,
 // TagLM): forward and backward word-level LSTM LMs whose hidden states are
 // concatenated per token.
-//
-// Both are pre-trained once and used frozen, matching the survey's
-// "pre-trained language model embeddings" usage pattern.
 #ifndef DLNER_EMBEDDINGS_LM_H_
 #define DLNER_EMBEDDINGS_LM_H_
 
@@ -27,9 +25,65 @@
 
 namespace dlner::embeddings {
 
+/// Forward and backward LSTM language models over the unit ids of one
+/// vocabulary: the shared core of CharLm and TokenLm.
+class BiLstmLm : public Module {
+ public:
+  /// Contextual embeddings [T, dim()] for a tokenized sentence.
+  /// Value-only (the LM is frozen at extraction time).
+  virtual Tensor Extract(const std::vector<std::string>& tokens) const = 0;
+
+  int dim() const { return 2 * hidden_dim_; }
+  /// Empty until the modules are built.
+  std::vector<Var> Parameters() const override;
+
+ protected:
+  /// Parameters are named `<prefix>.emb`, `.fwd`, `.bwd`, `.fwd_out` and
+  /// `.bwd_out`; initialization draws from `seed` in that order.
+  BiLstmLm(const std::string& prefix, int unit_dim, int hidden_dim,
+           uint64_t seed);
+
+  /// (Re)creates the modules sized to vocab_.
+  void Build();
+  bool built() const { return embedding_ != nullptr; }
+
+  /// Mean next-unit NLL of `ids` (at least two) read in one direction.
+  Var DirectionLoss(const std::vector<int>& ids, bool backward) const;
+  /// One clipped Adam step on DirectionLoss; returns the loss value.
+  Float TrainDirection(const std::vector<int>& ids, bool backward, Adam* opt);
+
+  /// Hidden states [n, 2*hidden] after consuming each unit: the forward
+  /// LM's in the first half of a row, the backward LM's in the second.
+  Tensor States(const std::vector<int>& ids) const;
+
+  /// The checkpoint body after each class's config fields: the vocabulary
+  /// block, then the named parameters.
+  void SaveBody(std::ostream& os) const;
+  /// Builds an `Lm` from its deserialized `config` and reads the body into
+  /// it; null on malformed input, including dims far above any real LM's
+  /// (tens), so a corrupt header cannot request a large LSTM allocation.
+  template <typename Lm>
+  static std::unique_ptr<Lm> LoadBody(std::istream& is,
+                                      const typename Lm::Config& config,
+                                      int unit_dim);
+
+  text::Vocabulary vocab_;
+
+ private:
+  std::string prefix_;
+  int unit_dim_;
+  int hidden_dim_;
+  Rng rng_;
+  std::unique_ptr<Embedding> embedding_;
+  std::unique_ptr<LstmCell> fwd_;
+  std::unique_ptr<LstmCell> bwd_;
+  std::unique_ptr<Linear> fwd_out_;
+  std::unique_ptr<Linear> bwd_out_;
+};
+
 /// Character-level bidirectional language model (contextual string
 /// embeddings).
-class CharLm : public Module {
+class CharLm : public BiLstmLm {
  public:
   struct Config {
     int char_dim = 16;
@@ -43,18 +97,14 @@ class CharLm : public Module {
   explicit CharLm(const Config& config);
 
   /// Trains both directions on unlabeled sentences; returns the final
-  /// average per-character negative log likelihood.
+  /// average per-character negative log likelihood. A sentence of fewer
+  /// than two characters counts as NLL 0 and takes no step.
   Float Train(const std::vector<std::vector<std::string>>& sentences);
 
   /// Average per-character NLL on held-out sentences (perplexity probe).
   Float Evaluate(const std::vector<std::vector<std::string>>& sentences);
 
-  /// Contextual embeddings [T, 2*hidden] for a tokenized sentence.
-  /// Value-only (the LM is frozen at extraction time).
-  Tensor Extract(const std::vector<std::string>& tokens) const;
-
-  int dim() const { return 2 * config_.hidden_dim; }
-  std::vector<Var> Parameters() const override;
+  Tensor Extract(const std::vector<std::string>& tokens) const override;
 
   /// Binary serialization: config + character vocabulary + parameters.
   /// A loaded CharLm extracts bit-identical embeddings.
@@ -64,28 +114,16 @@ class CharLm : public Module {
   static std::unique_ptr<CharLm> Load(std::istream& is);
 
  private:
-  // (Re)creates embedding/cells/output layers sized to char_vocab_.
-  void BuildModules();
-
   // Builds the char-id sequence of a sentence joined with spaces, plus the
   // [start, end] char index of each token.
   std::vector<int> CharIds(const std::vector<std::string>& tokens,
                            std::vector<std::pair<int, int>>* word_bounds) const;
-  Float SentenceLoss(const std::vector<int>& ids, bool backward_dir,
-                     Var* loss) const;
 
   Config config_;
-  Rng rng_;
-  text::Vocabulary char_vocab_;  // fixed printable-ASCII inventory
-  std::unique_ptr<Embedding> char_embedding_;
-  std::unique_ptr<LstmCell> fwd_;
-  std::unique_ptr<LstmCell> bwd_;
-  std::unique_ptr<Linear> fwd_out_;
-  std::unique_ptr<Linear> bwd_out_;
 };
 
 /// Token-level bidirectional language model (TagLM/ELMo-style embeddings).
-class TokenLm : public Module {
+class TokenLm : public BiLstmLm {
  public:
   struct Config {
     int word_dim = 24;
@@ -99,14 +137,12 @@ class TokenLm : public Module {
   explicit TokenLm(const Config& config);
 
   /// Builds the vocabulary and trains both directions; returns the final
-  /// average per-token NLL.
+  /// average per-token NLL. Sentences of fewer than two tokens are skipped.
   Float Train(const std::vector<std::vector<std::string>>& sentences);
 
-  /// Contextual embeddings [T, 2*hidden]; value-only.
-  Tensor Extract(const std::vector<std::string>& tokens) const;
+  /// Needs a trained TokenLm.
+  Tensor Extract(const std::vector<std::string>& tokens) const override;
 
-  int dim() const { return 2 * config_.hidden_dim; }
-  std::vector<Var> Parameters() const override;
   const text::Vocabulary& vocab() const { return vocab_; }
 
   /// Binary serialization: config + token vocabulary + parameters. Only a
@@ -117,24 +153,14 @@ class TokenLm : public Module {
   static std::unique_ptr<TokenLm> Load(std::istream& is);
 
  private:
-  // (Re)creates embedding/cells/output layers sized to vocab_.
-  void BuildModules();
-
   Config config_;
-  Rng rng_;
-  text::Vocabulary vocab_;
-  std::unique_ptr<Embedding> word_embedding_;
-  std::unique_ptr<LstmCell> fwd_;
-  std::unique_ptr<LstmCell> bwd_;
-  std::unique_ptr<Linear> fwd_out_;
-  std::unique_ptr<Linear> bwd_out_;
-  bool trained_ = false;
 };
 
-/// Frozen contextual-string-embedding feature backed by a trained CharLm.
-class CharLmFeature : public TokenFeature {
+/// Frozen contextual-embedding feature backed by a trained CharLm or
+/// TokenLm.
+class LmFeature : public TokenFeature {
  public:
-  explicit CharLmFeature(const CharLm* lm) : lm_(lm) {
+  explicit LmFeature(const BiLstmLm* lm) : lm_(lm) {
     DLNER_CHECK(lm_ != nullptr);
   }
   Var Forward(const std::vector<std::string>& tokens,
@@ -145,24 +171,7 @@ class CharLmFeature : public TokenFeature {
   std::vector<Var> Parameters() const override { return {}; }
 
  private:
-  const CharLm* lm_;  // not owned
-};
-
-/// Frozen token-LM embedding feature backed by a trained TokenLm.
-class TokenLmFeature : public TokenFeature {
- public:
-  explicit TokenLmFeature(const TokenLm* lm) : lm_(lm) {
-    DLNER_CHECK(lm_ != nullptr);
-  }
-  Var Forward(const std::vector<std::string>& tokens,
-              bool) const override {
-    return Constant(lm_->Extract(tokens));
-  }
-  int dim() const override { return lm_->dim(); }
-  std::vector<Var> Parameters() const override { return {}; }
-
- private:
-  const TokenLm* lm_;  // not owned
+  const BiLstmLm* lm_;  // not owned
 };
 
 }  // namespace dlner::embeddings

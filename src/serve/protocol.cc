@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <map>
-#include <sstream>
 
 #include "obs/obs.h"
 
@@ -320,11 +319,7 @@ bool ParseRequest(const std::string& line, Request* out, std::string* error,
     if (text->second.kind != JsonValue::Kind::kString) {
       return SemanticFail("\"text\" must be a string", error, code);
     }
-    // Same whitespace tokenization as Pipeline::TagText, so a served
-    // request and `dlner tag --text` see identical token sequences.
-    std::istringstream ss(text->second.str);
-    std::string tok;
-    while (ss >> tok) out->tokens.push_back(tok);
+    out->tokens = text::SplitWhitespace(text->second.str);
     fields.erase(text);
   } else {
     if (tokens->second.kind != JsonValue::Kind::kStringArray) {

@@ -60,6 +60,44 @@ std::uint64_t Mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Opens a TCP socket listening on host:port (port 0 binds an ephemeral
+// port) and stores the bound port in *bound_port. On failure it logs
+// serve_socket_failed, serve_bad_host, or `bind_failed_event` when bind or
+// listen fails, and returns -1.
+int OpenListener(const std::string& host, int port, int backlog,
+                 const char* bind_failed_event, int* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    obs::ForceLog(obs::LogLevel::kError, "serve_socket_failed",
+                  {{"errno", std::strerror(errno)}});
+    return -1;
+  }
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    obs::ForceLog(obs::LogLevel::kError, "serve_bad_host", {{"host", host}});
+    ::close(fd);
+    return -1;
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, backlog) != 0) {
+    obs::ForceLog(obs::LogLevel::kError, bind_failed_event,
+                  {{"host", host},
+                   {"port", port},
+                   {"errno", std::strerror(errno)}});
+    ::close(fd);
+    return -1;
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  *bound_port = ntohs(addr.sin_port);
+  return fd;
+}
+
 }  // namespace
 
 Server::Server(ModelRegistry* registry, const ServeConfig& config)
@@ -90,39 +128,9 @@ Server::Server(ModelRegistry* registry, const ServeConfig& config)
 Server::~Server() { Stop(); }
 
 bool Server::Start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    obs::ForceLog(obs::LogLevel::kError, "serve_socket_failed",
-                  {{"errno", std::strerror(errno)}});
-    return false;
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    obs::ForceLog(obs::LogLevel::kError, "serve_bad_host",
-                  {{"host", config_.host}});
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    obs::ForceLog(obs::LogLevel::kError, "serve_bind_failed",
-                  {{"host", config_.host},
-                   {"port", config_.port},
-                   {"errno", std::strerror(errno)}});
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
+  listen_fd_ = OpenListener(config_.host, config_.port, 64,
+                            "serve_bind_failed", &port_);
+  if (listen_fd_ < 0) return false;
 
   // The serve.* instruments are registry-global; zero them so this server's
   // counts start from its own traffic (sequential in-process servers in
@@ -154,29 +162,10 @@ bool Server::Start() {
 }
 
 bool Server::StartMetricsListener() {
-  metrics_listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  metrics_listen_fd_ = OpenListener(config_.host, config_.metrics_port, 16,
+                                    "serve_metrics_bind_failed",
+                                    &metrics_port_);
   if (metrics_listen_fd_ < 0) return false;
-  int one = 1;
-  ::setsockopt(metrics_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-               sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(config_.metrics_port));
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1 ||
-      ::bind(metrics_listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(metrics_listen_fd_, 16) != 0) {
-    obs::ForceLog(obs::LogLevel::kError, "serve_metrics_bind_failed",
-                  {{"host", config_.host},
-                   {"port", config_.metrics_port},
-                   {"errno", std::strerror(errno)}});
-    ::close(metrics_listen_fd_);
-    metrics_listen_fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(metrics_listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  metrics_port_ = ntohs(addr.sin_port);
   metrics_thread_ = std::thread([this] { MetricsLoop(); });
   obs::Log(obs::LogLevel::kInfo, "serve_metrics_listening",
            {{"host", config_.host}, {"port", metrics_port_}});

@@ -120,11 +120,6 @@ Var Linear::ApplyTanh(const Var& x) const {
   return AffineTanh(x, weight_, bias_);
 }
 
-Var Linear::ApplySigmoid(const Var& x) const {
-  DLNER_CHECK_EQ(x->value.cols(), in_dim_);
-  return AffineSigmoid(x, weight_, bias_);
-}
-
 // ---------------------------------------------------------------------------
 // Embedding.
 // ---------------------------------------------------------------------------

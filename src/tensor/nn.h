@@ -91,8 +91,6 @@ class Linear : public Module {
   Var ApplyVec(const Var& x) const;
   /// Apply followed by tanh, fused into one graph node.
   Var ApplyTanh(const Var& x) const;
-  /// Apply followed by sigmoid, fused into one graph node.
-  Var ApplySigmoid(const Var& x) const;
 
   std::vector<Var> Parameters() const override { return {weight_, bias_}; }
   int in_dim() const { return in_dim_; }

@@ -245,7 +245,7 @@ Var MatMul(const Var& a, const Var& b) {
 
 namespace {
 
-enum class FusedAct { kNone, kTanh, kSigmoid };
+enum class FusedAct { kNone, kTanh };
 
 Var AffineImpl(const Var& x, const Var& w, const Var& b, FusedAct act) {
   DLNER_CHECK_EQ(x->value.dim(), 2);
@@ -265,16 +265,8 @@ Var AffineImpl(const Var& x, const Var& w, const Var& b, FusedAct act) {
                 sizeof(Float) * static_cast<std::size_t>(n));
   }
   GemmAccum(x->value.data(), w->value.data(), c, m, k, n);
-  const int total = m * n;
-  switch (act) {
-    case FusedAct::kNone:
-      break;
-    case FusedAct::kTanh:
-      for (int i = 0; i < total; ++i) c[i] = std::tanh(c[i]);
-      break;
-    case FusedAct::kSigmoid:
-      for (int i = 0; i < total; ++i) c[i] = 1.0 / (1.0 + std::exp(-c[i]));
-      break;
+  if (act == FusedAct::kTanh) {
+    for (int i = 0; i < m * n; ++i) c[i] = std::tanh(c[i]);
   }
 
   auto node = MakeNode(std::move(out), {x, w, b}, nullptr);
@@ -284,17 +276,12 @@ Var AffineImpl(const Var& x, const Var& w, const Var& b, FusedAct act) {
       // is nd->grad itself and no temporary is materialized.
       Tensor dz_store;
       const Float* dz = nd->grad.data();
-      if (act != FusedAct::kNone) {
+      if (act == FusedAct::kTanh) {
         dz_store = Tensor({m, n});
         Float* t = dz_store.data();
         const Float* y = nd->value.data();
         const Float* g = nd->grad.data();
-        const int total = m * n;
-        if (act == FusedAct::kTanh) {
-          for (int i = 0; i < total; ++i) t[i] = g[i] * (1.0 - y[i] * y[i]);
-        } else {
-          for (int i = 0; i < total; ++i) t[i] = g[i] * y[i] * (1.0 - y[i]);
-        }
+        for (int i = 0; i < m * n; ++i) t[i] = g[i] * (1.0 - y[i] * y[i]);
         dz = t;
       }
       if (x->requires_grad) {
@@ -323,10 +310,6 @@ Var Affine(const Var& x, const Var& w, const Var& b) {
 
 Var AffineTanh(const Var& x, const Var& w, const Var& b) {
   return AffineImpl(x, w, b, FusedAct::kTanh);
-}
-
-Var AffineSigmoid(const Var& x, const Var& w, const Var& b) {
-  return AffineImpl(x, w, b, FusedAct::kSigmoid);
 }
 
 Var AffineVec(const Var& x, const Var& w, const Var& b) {

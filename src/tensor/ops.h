@@ -66,8 +66,6 @@ Var MatMul(const Var& a, const Var& b);
 Var Affine(const Var& x, const Var& w, const Var& b);
 /// Affine followed by tanh, fused into a single node.
 Var AffineTanh(const Var& x, const Var& w, const Var& b);
-/// Affine followed by the logistic sigmoid, fused into a single node.
-Var AffineSigmoid(const Var& x, const Var& w, const Var& b);
 /// Vector affine map: x [k] times w [k,n] plus b [n] -> [n].
 Var AffineVec(const Var& x, const Var& w, const Var& b);
 /// Matrix transpose.

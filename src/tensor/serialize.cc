@@ -65,6 +65,19 @@ bool ReadU32(std::istream& is, uint32_t* v) {
   return static_cast<bool>(is);
 }
 
+void WritePod(std::ostream& os, const bool& v) {
+  const uint8_t b = v ? 1 : 0;
+  os.write(reinterpret_cast<const char*>(&b), sizeof(b));
+}
+
+bool ReadPod(std::istream& is, bool* v) {
+  uint8_t b = 0;
+  is.read(reinterpret_cast<char*>(&b), sizeof(b));
+  if (!is || b > 1) return false;
+  *v = b != 0;
+  return true;
+}
+
 void WriteLenString(std::ostream& os, const std::string& s) {
   WriteU32(os, static_cast<uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));

@@ -12,7 +12,8 @@
 #define DLNER_TENSOR_SERIALIZE_H_
 
 #include <cstdint>
-#include <iosfwd>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,25 @@ void WriteU32(std::ostream& os, uint32_t v);
 
 /// Reads a u32; returns false on a short stream.
 bool ReadU32(std::istream& is, uint32_t* v);
+
+/// Writes a trivially copyable value as its raw host bytes.
+template <typename T>
+void WritePod(std::ostream& os, const T& v) {
+  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Reads a value written by WritePod; returns false on a short stream.
+template <typename T>
+bool ReadPod(std::istream& is, T* v) {
+  is.read(reinterpret_cast<char*>(v), sizeof(*v));
+  return static_cast<bool>(is);
+}
+
+/// Bools are framed as one 0/1 byte. Reading a raw byte straight into a
+/// bool would be undefined behavior for corrupt values (anything but 0/1),
+/// so the reader decodes via uint8_t and rejects other values outright.
+void WritePod(std::ostream& os, const bool& v);
+bool ReadPod(std::istream& is, bool* v);
 
 /// Writes a u32-length-prefixed byte string.
 void WriteLenString(std::ostream& os, const std::string& s);

@@ -69,10 +69,6 @@ Tensor::Tensor(std::vector<int> shape, std::vector<Float> data)
   TrackAlloc();
 }
 
-Tensor Tensor::Zeros(int n) { return Tensor({n}); }
-
-Tensor Tensor::Zeros(int rows, int cols) { return Tensor({rows, cols}); }
-
 Tensor Tensor::FromVector(const std::vector<Float>& values) {
   return Tensor({static_cast<int>(values.size())}, values);
 }

@@ -67,10 +67,6 @@ class Tensor {
     if (tracked_bytes_ != 0) ReleaseTracked();
   }
 
-  /// Rank-1 zero tensor of length n.
-  static Tensor Zeros(int n);
-  /// Rank-2 zero tensor.
-  static Tensor Zeros(int rows, int cols);
   /// Rank-1 tensor from values.
   static Tensor FromVector(const std::vector<Float>& values);
   /// Tensor of the given shape filled with a constant.

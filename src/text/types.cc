@@ -1,6 +1,7 @@
 #include "text/types.h"
 
 #include <algorithm>
+#include <sstream>
 
 namespace dlner::text {
 
@@ -44,6 +45,14 @@ bool SpansAreFlat(std::vector<Span> spans) {
     if (spans[i].start < spans[i - 1].end) return false;
   }
   return true;
+}
+
+std::vector<std::string> SplitWhitespace(const std::string& raw) {
+  std::vector<std::string> tokens;
+  std::istringstream ss(raw);
+  std::string tok;
+  while (ss >> tok) tokens.push_back(tok);
+  return tokens;
 }
 
 }  // namespace dlner::text

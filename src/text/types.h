@@ -65,6 +65,11 @@ bool SpansAreValid(const std::vector<Span>& spans, int num_tokens);
 /// True when no two spans in the list overlap (flat annotation).
 bool SpansAreFlat(std::vector<Span> spans);
 
+/// Splits raw text into whitespace-separated tokens. `dlner tag --text` and
+/// a served "text" request both tokenize with it, so they see identical
+/// token sequences.
+std::vector<std::string> SplitWhitespace(const std::string& raw);
+
 }  // namespace dlner::text
 
 #endif  // DLNER_TEXT_TYPES_H_

@@ -3,10 +3,17 @@
 #include <algorithm>
 #include <charconv>
 #include <ostream>
+#include <sstream>
 
 #include "tensor/check.h"
+#include "tensor/serialize.h"
 
 namespace dlner::text {
+namespace {
+
+constexpr uint32_t kMaxVocabBlock = 1u << 26;  // 64 MB of vocab text
+
+}  // namespace
 
 Vocabulary::Vocabulary() {
   tokens_.push_back(kUnkToken);
@@ -146,6 +153,18 @@ std::vector<int> Vocabulary::EncodeChars(const std::string& word) const {
   ids.reserve(word.size());
   for (char c : word) ids.push_back(Id(std::string(1, c)));
   return ids;
+}
+
+void Vocabulary::SaveBlock(std::ostream& os) const {
+  std::ostringstream block;
+  Save(block);
+  WriteLenString(os, block.str());
+}
+
+bool Vocabulary::LoadBlock(std::istream& is, Vocabulary* vocab) {
+  std::string block;
+  if (!ReadLenString(is, &block, kMaxVocabBlock)) return false;
+  return Load(block, vocab);
 }
 
 }  // namespace dlner::text

@@ -64,6 +64,12 @@ class Vocabulary {
   void Save(std::ostream& os) const;
   static bool Load(std::string_view block, Vocabulary* vocab);
 
+  /// The checkpoint framing of Save: the block behind a u32 length.
+  /// LoadBlock also rejects blocks over 64 MB, which only corruption
+  /// produces.
+  void SaveBlock(std::ostream& os) const;
+  static bool LoadBlock(std::istream& is, Vocabulary* vocab);
+
  private:
   std::unordered_map<std::string, int> index_;
   std::vector<std::string> tokens_;

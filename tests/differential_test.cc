@@ -72,9 +72,6 @@ TEST(KernelDifferentialTest, AffineFamilyMatchesUnfusedReferences) {
     EXPECT_LE(
         MaxAbsDiff(AffineTanh(vx, vw, vb)->value, testsup::NaiveTanh(ref)),
         1e-9);
-    EXPECT_LE(MaxAbsDiff(AffineSigmoid(vx, vw, vb)->value,
-                         testsup::NaiveSigmoid(ref)),
-              1e-9);
 
     const Tensor xv = RandomTensor({k}, &rng, -1.5, 1.5);
     EXPECT_LE(MaxAbsDiff(AffineVec(Constant(xv), vw, vb)->value,
@@ -96,8 +93,6 @@ TEST(KernelDifferentialTest, FusedAffineGradientsMatchUnfusedComposition) {
   const Case cases[] = {
       {"affine", Affine, nullptr},
       {"affine_tanh", AffineTanh, [](const Var& v) { return Tanh(v); }},
-      {"affine_sigmoid", AffineSigmoid,
-       [](const Var& v) { return Sigmoid(v); }},
   };
   for (const Case& c : cases) {
     for (int trial = 0; trial < 8; ++trial) {

@@ -255,15 +255,54 @@ TEST(TokenLmTest, TrainAndExtract) {
   EXPECT_EQ(out.cols(), 20);
 }
 
+// The two LMs share one training core but keep their own conventions for
+// sentences too short to predict a next unit.
+TEST(LmTest, ShortSentencesKeepEachModelsConvention) {
+  const std::vector<std::string> s = {"the", "cat", "saw", "the", "dog"};
+
+  // CharLm counts a one-character sentence as NLL 0 in both directions and
+  // takes no step for it: the average over four directions is exactly half
+  // the average over two.
+  CharLm::Config cc;
+  cc.epochs = 1;
+  cc.hidden_dim = 6;
+  cc.char_dim = 4;
+  CharLm char_alone(cc), char_with_short(cc);
+  const Float char_nll = char_alone.Train({s});
+  EXPECT_GT(char_nll, 0.0);
+  EXPECT_EQ(char_with_short.Train({s, {"a"}}), char_nll / 2);
+
+  // TokenLm skips a one-token sentence; at min_count 2 its singleton token
+  // stays out of the vocabulary, so nothing else changes either.
+  TokenLm::Config tc;
+  tc.epochs = 1;
+  tc.hidden_dim = 6;
+  tc.word_dim = 4;
+  tc.min_count = 2;
+  TokenLm token_alone(tc), token_with_short(tc);
+  const Float token_nll = token_alone.Train({s});
+  EXPECT_GT(token_nll, 0.0);
+  EXPECT_EQ(token_with_short.Train({s, {"solo"}}), token_nll);
+}
+
 TEST(LmFeatureTest, FrozenFeaturesHaveNoParameters) {
-  CharLm::Config cfg;
-  cfg.hidden_dim = 6;
-  CharLm lm(cfg);
-  CharLmFeature feat(&lm);
-  EXPECT_TRUE(feat.Parameters().empty());
-  Var out = feat.Forward({"a", "b"}, true);
-  EXPECT_FALSE(out->requires_grad);
-  EXPECT_EQ(out->value.cols(), feat.dim());
+  CharLm::Config cc;
+  cc.hidden_dim = 6;
+  CharLm char_lm(cc);
+  TokenLm::Config tc;
+  tc.epochs = 1;
+  tc.hidden_dim = 5;
+  tc.word_dim = 4;
+  TokenLm token_lm(tc);
+  token_lm.Train(data::GenerateUnlabeledText(data::Genre::kNews, 10, 23));
+  for (const BiLstmLm* lm : std::vector<const BiLstmLm*>{&char_lm, &token_lm}) {
+    LmFeature feat(lm);
+    EXPECT_TRUE(feat.Parameters().empty());
+    Var out = feat.Forward({"a", "b"}, true);
+    EXPECT_FALSE(out->requires_grad);
+    EXPECT_EQ(out->value.rows(), 2);
+    EXPECT_EQ(out->value.cols(), feat.dim());
+  }
 }
 
 }  // namespace

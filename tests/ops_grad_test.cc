@@ -27,6 +27,10 @@ Var RandomParam(std::vector<int> shape, Rng* rng, Float lo = -1.0,
 
 // A named op case: builds a scalar loss from the given leaf inputs.
 struct OpCase {
+  // The test parameter, which gtest prints into every ctest name. Each case
+  // keeps its id for good (a new case takes the next unused one), so
+  // deleting a case renames no other test.
+  int id;
   std::string name;
   // Creates inputs (given rng) and a loss builder over them.
   std::function<void(Rng*, std::vector<Var>*, std::function<Var()>*)> make;
@@ -34,41 +38,42 @@ struct OpCase {
 
 std::vector<OpCase> AllOpCases() {
   std::vector<OpCase> cases;
-  auto add = [&cases](const std::string& name, auto fn) {
-    cases.push_back({name, fn});
+  auto add = [&cases](int id, const std::string& name, auto fn) {
+    cases.push_back({id, name, fn});
   };
 
-  add("Add", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(0, "Add", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({3, 4}, rng), b = RandomParam({3, 4}, rng);
     *in = {a, b};
     *f = [a, b] { return Sum(Add(a, b)); };
   });
-  add("Sub", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(1, "Sub", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({5}, rng), b = RandomParam({5}, rng);
     *in = {a, b};
     *f = [a, b] { return Sum(Mul(Sub(a, b), Sub(a, b))); };
   });
-  add("Mul", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(2, "Mul", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({2, 3}, rng), b = RandomParam({2, 3}, rng);
     *in = {a, b};
     *f = [a, b] { return Sum(Mul(a, b)); };
   });
-  add("Scale", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(3, "Scale", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({4}, rng);
     *in = {a};
     *f = [a] { return Sum(Tanh(Scale(a, -2.5))); };
   });
-  add("Tanh", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(4, "Tanh", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({3, 3}, rng);
     *in = {a};
     *f = [a] { return Sum(Tanh(a)); };
   });
-  add("Sigmoid", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var a = RandomParam({6}, rng);
-    *in = {a};
-    *f = [a] { return Sum(Sigmoid(a)); };
-  });
-  add("Relu", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(5, "Sigmoid",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var a = RandomParam({6}, rng);
+        *in = {a};
+        *f = [a] { return Sum(Sigmoid(a)); };
+      });
+  add(6, "Relu", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     // Keep values away from the kink at 0 for finite differences.
     Var a = RandomParam({8}, rng);
     for (int i = 0; i < 8; ++i) {
@@ -77,159 +82,165 @@ std::vector<OpCase> AllOpCases() {
     *in = {a};
     *f = [a] { return Sum(Relu(a)); };
   });
-  add("Log", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(7, "Log", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({5}, rng, 0.2, 1.5);
     *in = {a};
     *f = [a] { return Sum(Log(a)); };
   });
-  add("MatMul", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(8, "MatMul", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({3, 4}, rng), b = RandomParam({4, 2}, rng);
     *in = {a, b};
     *f = [a, b] { return Sum(MatMul(a, b)); };
   });
-  add("MatMulChained",
+  add(9, "MatMulChained",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({2, 3}, rng), b = RandomParam({3, 3}, rng);
         *in = {a, b};
         *f = [a, b] { return Sum(Tanh(MatMul(MatMul(a, b), Transpose(b)))); };
       });
-  add("Transpose",
+  add(10, "Transpose",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({2, 5}, rng);
         *in = {a};
         *f = [a] { return Sum(Mul(Transpose(a), Transpose(a))); };
       });
-  add("Dot", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(11, "Dot", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({7}, rng), b = RandomParam({7}, rng);
     *in = {a, b};
     *f = [a, b] { return Dot(a, b); };
   });
-  add("Affine", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var x = RandomParam({3, 4}, rng), w = RandomParam({4, 2}, rng);
-    Var b = RandomParam({2}, rng);
-    *in = {x, w, b};
-    *f = [x, w, b] { return Sum(Tanh(Affine(x, w, b))); };
-  });
-  add("AddColBroadcast",
+  add(12, "Affine",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var x = RandomParam({3, 4}, rng), w = RandomParam({4, 2}, rng);
+        Var b = RandomParam({2}, rng);
+        *in = {x, w, b};
+        *f = [x, w, b] { return Sum(Tanh(Affine(x, w, b))); };
+      });
+  add(13, "AddColBroadcast",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var m = RandomParam({3, 4}, rng), v = RandomParam({3}, rng);
         *in = {m, v};
         *f = [m, v] { return Sum(Tanh(AddColBroadcast(m, v))); };
       });
-  add("Mean", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(14, "Mean", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({3, 3}, rng);
     *in = {a};
     *f = [a] { return Mean(Mul(a, a)); };
   });
-  add("MaxOverRows",
+  add(15, "MaxOverRows",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         // Spread values so the max is unique per column (no kink at ties).
         Var a = RandomParam({4, 3}, rng, -2.0, 2.0);
         *in = {a};
         *f = [a] { return Sum(MaxOverRows(a)); };
       });
-  add("MeanOverRows",
+  add(16, "MeanOverRows",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({4, 3}, rng);
         *in = {a};
         *f = [a] { return Sum(Tanh(MeanOverRows(a))); };
       });
-  add("LogSumExp",
+  add(17, "LogSumExp",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({6}, rng, -3.0, 3.0);
         *in = {a};
         *f = [a] { return LogSumExp(a); };
       });
-  add("LogSumExpOverRows",
+  add(18, "LogSumExpOverRows",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({4, 5}, rng, -3.0, 3.0);
         *in = {a};
         *f = [a] { return Sum(LogSumExpOverRows(a)); };
       });
-  add("Softmax", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var a = RandomParam({5}, rng, -2.0, 2.0);
-    Var w = RandomParam({5}, rng);
-    *in = {a, w};
-    *f = [a, w] { return Dot(Softmax(a), w); };
-  });
-  add("SoftmaxRows",
+  add(19, "Softmax",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var a = RandomParam({5}, rng, -2.0, 2.0);
+        Var w = RandomParam({5}, rng);
+        *in = {a, w};
+        *f = [a, w] { return Dot(Softmax(a), w); };
+      });
+  add(20, "SoftmaxRows",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({3, 4}, rng, -2.0, 2.0);
         Var w = RandomParam({3, 4}, rng);
         *in = {a, w};
         *f = [a, w] { return Sum(Mul(SoftmaxRows(a), w)); };
       });
-  add("LogSoftmax",
+  add(21, "LogSoftmax",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({6}, rng, -2.0, 2.0);
         Var w = RandomParam({6}, rng);
         *in = {a, w};
         *f = [a, w] { return Dot(LogSoftmax(a), w); };
       });
-  add("RowPick", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var m = RandomParam({4, 3}, rng);
-    *in = {m};
-    *f = [m] { return Add(Pick(Row(m, 2), 1), PickAt(m, 0, 0)); };
-  });
-  add("RowsGather",
+  add(22, "RowPick",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var m = RandomParam({4, 3}, rng);
+        *in = {m};
+        *f = [m] { return Add(Pick(Row(m, 2), 1), PickAt(m, 0, 0)); };
+      });
+  add(23, "RowsGather",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var m = RandomParam({5, 3}, rng);
         *in = {m};
         // Duplicate indices exercise scatter-add.
         *f = [m] { return Sum(Tanh(Rows(m, {0, 2, 2, 4}))); };
       });
-  add("StackRows",
+  add(24, "StackRows",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({3}, rng), b = RandomParam({3}, rng);
         *in = {a, b};
         *f = [a, b] { return Sum(Tanh(StackRows({a, b, a}))); };
       });
-  add("ConcatVecs",
+  add(25, "ConcatVecs",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({2}, rng), b = RandomParam({3}, rng);
         *in = {a, b};
         *f = [a, b] { return Sum(Tanh(ConcatVecs({a, b}))); };
       });
-  add("ConcatCols",
+  add(26, "ConcatCols",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({3, 2}, rng), b = RandomParam({3, 4}, rng);
         *in = {a, b};
         *f = [a, b] { return Sum(Tanh(ConcatCols({a, b}))); };
       });
-  add("Neg", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+  add(27, "Neg", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({5}, rng);
     *in = {a};
     *f = [a] { return Sum(Mul(Neg(a), a)); };
   });
-  add("AsVector", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var a = RandomParam({1, 4}, rng);
-    *in = {a};
-    *f = [a] { return Sum(Tanh(AsVector(a))); };
-  });
-  add("AffineVec",
+  add(28, "AsVector",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var a = RandomParam({1, 4}, rng);
+        *in = {a};
+        *f = [a] { return Sum(Tanh(AsVector(a))); };
+      });
+  add(29, "AffineVec",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var x = RandomParam({4}, rng), w = RandomParam({4, 3}, rng);
         Var b = RandomParam({3}, rng);
         *in = {x, w, b};
         *f = [x, w, b] { return Sum(Tanh(AffineVec(x, w, b))); };
       });
-  add("SliceVec", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var a = RandomParam({8}, rng);
-    *in = {a};
-    *f = [a] { return Sum(Mul(SliceVec(a, 2, 4), SliceVec(a, 2, 4))); };
-  });
-  add("Unfold", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var a = RandomParam({5, 3}, rng);
-    *in = {a};
-    *f = [a] { return Sum(Tanh(Unfold(a, 3, 1))); };
-  });
-  add("UnfoldDilated",
+  add(30, "SliceVec",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var a = RandomParam({8}, rng);
+        *in = {a};
+        *f = [a] { return Sum(Mul(SliceVec(a, 2, 4), SliceVec(a, 2, 4))); };
+      });
+  add(31, "Unfold",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var a = RandomParam({5, 3}, rng);
+        *in = {a};
+        *f = [a] { return Sum(Tanh(Unfold(a, 3, 1))); };
+      });
+  add(32, "UnfoldDilated",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({7, 2}, rng);
         *in = {a};
         *f = [a] { return Sum(Tanh(Unfold(a, 3, 2))); };
       });
-  add("CrossEntropyWithLogits",
+  add(33, "CrossEntropyWithLogits",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({5}, rng, -2.0, 2.0);
         *in = {a};
@@ -238,12 +249,25 @@ std::vector<OpCase> AllOpCases() {
   return cases;
 }
 
+OpCase CaseWithId(int id) {
+  for (OpCase& c : AllOpCases()) {
+    if (c.id == id) return c;
+  }
+  ADD_FAILURE() << "no op case has id " << id;
+  return {};
+}
+
+std::vector<int> AllCaseIds() {
+  std::vector<int> ids;
+  for (const OpCase& c : AllOpCases()) ids.push_back(c.id);
+  return ids;
+}
+
 class OpGradTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(OpGradTest, AnalyticMatchesNumeric) {
-  const int case_idx = std::get<0>(GetParam());
   const int seed = std::get<1>(GetParam());
-  OpCase c = AllOpCases()[case_idx];
+  OpCase c = CaseWithId(std::get<0>(GetParam()));
   Rng rng(1000 + 77 * seed);
   std::vector<Var> inputs;
   std::function<Var()> loss;
@@ -252,15 +276,14 @@ TEST_P(OpGradTest, AnalyticMatchesNumeric) {
 }
 
 std::string CaseName(const ::testing::TestParamInfo<std::tuple<int, int>>& p) {
-  return AllOpCases()[std::get<0>(p.param)].name + "_seed" +
+  return CaseWithId(std::get<0>(p.param)).name + "_seed" +
          std::to_string(std::get<1>(p.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllOps, OpGradTest,
-    ::testing::Combine(
-        ::testing::Range(0, static_cast<int>(AllOpCases().size())),
-        ::testing::Range(0, 3)),
+    ::testing::Combine(::testing::ValuesIn(AllCaseIds()),
+                       ::testing::Range(0, 3)),
     CaseName);
 
 TEST(OpsForwardTest, MatMulKnownValues) {
