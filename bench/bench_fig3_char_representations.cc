@@ -20,12 +20,14 @@ using namespace dlner::bench;
 
 // Recall over gold mentions that contain at least one token unseen in
 // training.
-double OovEntityRecall(core::NerModel* model, const text::Corpus& test,
+double OovEntityRecall(const core::NerModel& model, const text::Corpus& test,
                        const std::unordered_set<std::string>& train_tokens) {
+  const std::vector<std::vector<text::Span>> predicted =
+      model.PredictCorpus(test);
   int tp = 0, total = 0;
-  for (const text::Sentence& s : test.sentences) {
-    std::vector<text::Span> pred = model->Predict(s.tokens);
-    std::set<text::Span> pred_set(pred.begin(), pred.end());
+  for (std::size_t i = 0; i < test.sentences.size(); ++i) {
+    const text::Sentence& s = test.sentences[i];
+    std::set<text::Span> pred_set(predicted[i].begin(), predicted[i].end());
     for (const text::Span& g : s.spans) {
       bool oov = false;
       for (int t = g.start; t < g.end; ++t) {
@@ -98,7 +100,7 @@ int main() {
     std::printf("%-28s %9.3f %9.3f %18.3f\n", v.name,
                 model.Evaluate(easy_test).micro.f1(),
                 model.Evaluate(oov_test).micro.f1(),
-                OovEntityRecall(&model, oov_test, train_tokens));
+                OovEntityRecall(model, oov_test, train_tokens));
   }
   std::printf(
       "\nShape check vs the paper: both char-level variants beat the\n"

@@ -7,13 +7,13 @@
 //
 // The speedup is a *parallelism* result: on GPU hardware the convolution
 // at every position executes simultaneously, so latency is governed by
-// the length of the longest chain of dependent operations. A scalar CPU
-// backend executes the same arithmetic either way, so wall-clock
-// throughput is roughly even — the honest measurable counterpart of the
-// claim here is the SEQUENTIAL CRITICAL-PATH LENGTH of the computation
-// graph: O(depth) for the ID-CNN versus O(T) for the BiLSTM. We report
-// both (wall time for transparency, critical path for the claim), plus
-// the accuracy parity after identical training budgets.
+// the length of the longest chain of dependent operations. One CPU core
+// gains only what packed GEMMs give the convolutions over the stepped
+// recurrence, so the measurable counterpart of the claim here is the
+// SEQUENTIAL CRITICAL-PATH LENGTH of the computation graph: O(depth) for
+// the ID-CNN versus O(T) for the BiLSTM. We report both (wall time of the
+// planned path that serving runs, critical path for the claim), plus the
+// accuracy parity after identical training budgets.
 #include <unordered_map>
 
 #include "bench/bench_common.h"
@@ -38,11 +38,13 @@ int CriticalPathDepth(const Var& node,
   return depth;
 }
 
-double Throughput(core::NerModel* model, const std::vector<std::string>& doc,
-                  int repeats) {
-  model->Predict(doc);  // warm-up
+double Throughput(const core::NerModel& model,
+                  const std::vector<std::string>& doc, int repeats) {
+  text::Corpus corpus;
+  corpus.sentences.push_back({doc, {}});
+  model.PredictCorpus(corpus);  // warm-up
   Stopwatch sw;
-  for (int r = 0; r < repeats; ++r) model->Predict(doc);
+  for (int r = 0; r < repeats; ++r) model.PredictCorpus(corpus);
   return repeats * static_cast<double>(doc.size()) / sw.Seconds();
 }
 
@@ -94,13 +96,13 @@ int main() {
       f1_lstm, f1_idcnn, f1_idcnn - f1_lstm);
   std::printf("%8s | %12s %12s | %11s %11s %9s\n", "doc len", "LSTM tok/s",
               "IDCNN tok/s", "LSTM depth", "IDCNN depth", "parallel");
-  std::printf("%8s | %25s | %23s %9s\n", "", "scalar-CPU wall clock",
+  std::printf("%8s | %25s | %23s %9s\n", "", "planned-path wall clock",
               "sequential critical path", "speedup");
   for (int len : {32, 64, 128, 256, 512}) {
     std::vector<std::string> doc(words.begin(), words.begin() + len);
     const int repeats = std::max(2, 1024 / len);
-    const double tps_lstm = Throughput(&lstm, doc, repeats);
-    const double tps_idcnn = Throughput(&idcnn, doc, repeats);
+    const double tps_lstm = Throughput(lstm, doc, repeats);
+    const double tps_idcnn = Throughput(idcnn, doc, repeats);
 
     // Critical path of the encoder graph (the component the claim is
     // about; the CRF decode is shared by both systems).
@@ -122,9 +124,9 @@ int main() {
       "sequential critical path is constant in document length while the\n"
       "BiLSTM's grows linearly — the depth ratio (the upper bound a\n"
       "time-parallel device can exploit) passes the paper's 14-20x band\n"
-      "within a few dozen tokens and keeps growing. Scalar-CPU wall clock\n"
-      "is roughly even because it executes the same arithmetic either way;\n"
-      "the 14-20x claim is a parallel-hardware result (substitution note\n"
-      "in DESIGN.md).\n");
+      "within a few dozen tokens and keeps growing. On one core the planned\n"
+      "path gains only what packed convolution GEMMs give over the stepped\n"
+      "recurrence; the 14-20x claim is a parallel-hardware result\n"
+      "(substitution note in DESIGN.md).\n");
   return 0;
 }

@@ -18,16 +18,13 @@ using namespace dlner;
 using namespace dlner::bench;
 
 // Recall over a subset of gold spans (level 0 = innermost).
-double LevelRecall(const text::Corpus& test,
-                   const std::vector<text::Corpus>& levels, int level,
-                   const std::function<std::vector<text::Span>(
-                       const std::vector<std::string>&)>& predict) {
+double LevelRecall(const std::vector<text::Corpus>& levels, int level,
+                   const std::vector<std::vector<text::Span>>& predicted) {
   int tp = 0, total = 0;
-  for (size_t i = 0; i < test.sentences.size(); ++i) {
+  for (size_t i = 0; i < predicted.size(); ++i) {
     const auto& gold_level = levels[level].sentences[i].spans;
     if (gold_level.empty()) continue;
-    std::vector<text::Span> pred = predict(test.sentences[i].tokens);
-    std::set<text::Span> pred_set(pred.begin(), pred.end());
+    std::set<text::Span> pred_set(predicted[i].begin(), predicted[i].end());
     for (const text::Span& g : gold_level) {
       ++total;
       if (pred_set.count(g) > 0) ++tp;
@@ -79,30 +76,26 @@ int main() {
   layered.Train(split.train, tc);
 
   auto test_levels = applied::SplitNestingLevels(split.test);
-  auto flat_predict = [&](const std::vector<std::string>& tokens) {
-    return flat.Predict(tokens);
-  };
-  auto layered_predict = [&](const std::vector<std::string>& tokens) {
-    return layered.Predict(tokens);
-  };
+  const auto flat_pred = flat.PredictCorpus(split.test);
+  const auto layered_pred = layered.PredictCorpus(split.test);
 
   eval::ExactMatchEvaluator flat_ev, layered_ev;
-  for (const auto& s : split.test.sentences) {
-    flat_ev.Add(s.spans, flat.Predict(s.tokens));
-    layered_ev.Add(s.spans, layered.Predict(s.tokens));
+  for (size_t i = 0; i < split.test.sentences.size(); ++i) {
+    flat_ev.Add(split.test.sentences[i].spans, flat_pred[i]);
+    layered_ev.Add(split.test.sentences[i].spans, layered_pred[i]);
   }
 
   std::printf("\n%-26s %10s %14s %14s\n", "model", "micro-F1",
               "inner recall", "outer recall");
   std::printf("%-26s %10.3f %14.3f %14.3f\n", "flat (outermost only)",
               flat_ev.Result().micro.f1(),
-              LevelRecall(split.test, test_levels, 0, flat_predict),
-              LevelRecall(split.test, test_levels, 1, flat_predict));
+              LevelRecall(test_levels, 0, flat_pred),
+              LevelRecall(test_levels, 1, flat_pred));
   std::printf("%-26s %10.3f %14.3f %14.3f   (%d levels)\n",
               "layered flat NER (Ju et al.)",
               layered_ev.Result().micro.f1(),
-              LevelRecall(split.test, test_levels, 0, layered_predict),
-              LevelRecall(split.test, test_levels, 1, layered_predict),
+              LevelRecall(test_levels, 0, layered_pred),
+              LevelRecall(test_levels, 1, layered_pred),
               layered.num_levels());
   std::printf(
       "\nShape check vs the paper: the flat model's innermost-mention recall\n"

@@ -8,7 +8,9 @@
 // Recorded series (dlner-metrics-v1 snapshot, written to --out, default
 // BENCH_throughput.json, intended to be run from the repo root and
 // committed):
-//   bench.eager.<model>.sentences_per_sec    Predict per sentence, 1 thread
+//   bench.eager.<model>.sentences_per_sec    eager forward per sentence
+//                                            (Represent, EncodeTokens,
+//                                            decoder Predict), 1 thread
 //   bench.planned.<model>.sentences_per_sec  plan path, thread sweep over
 //                                            powers of two up to the host's
 //                                            cores, plus the core count
@@ -260,11 +262,14 @@ int main(int argc, char** argv) {
       ModelRun run;
       run.name = cell.name;
 
-      // Eager baseline: the per-sentence forward training uses, one
-      // Predict per sentence on one thread.
+      // Eager baseline: the per-sentence forward training uses, built
+      // from the model's public hooks, one sentence at a time on one thread.
       const auto eager = [&] {
+        NoGradGuard no_grad;
         for (const text::Sentence& s : corpus.sentences) {
-          if (!s.tokens.empty()) model.Predict(s.tokens);
+          if (s.tokens.empty()) continue;
+          const Var rep = model.Represent(s.tokens, false);
+          model.decoder()->Predict(model.EncodeTokens(rep, s.tokens, false));
         }
       };
       const auto planned = [&] { model.Evaluate(corpus); };

@@ -49,12 +49,14 @@ int main() {
   }
 
   // Typed evaluation + prediction collection for the significance test.
-  std::vector<std::vector<text::Span>> gold, pred_base, pred_mtl;
+  const std::vector<std::vector<text::Span>> pred_base =
+      baseline.PredictCorpus(split.test);
+  const std::vector<std::vector<text::Span>> pred_mtl =
+      mtl.PredictCorpus(split.test);
+  std::vector<std::vector<text::Span>> gold;
   eval::ExactMatchEvaluator boundary_eval;
   for (const text::Sentence& s : split.test.sentences) {
     gold.push_back(s.spans);
-    pred_base.push_back(baseline.Predict(s.tokens));
-    pred_mtl.push_back(mtl.Predict(s.tokens));
     // Untyped boundary evaluation of the dedicated head.
     std::vector<text::Span> untyped_gold = s.spans;
     for (text::Span& sp : untyped_gold) sp.type = "ENT";

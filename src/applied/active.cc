@@ -15,31 +15,40 @@ ActiveLearner::ActiveLearner(core::NerModel* model,
   trainer_ = std::make_unique<core::Trainer>(model_, config_.train);
 }
 
-double ActiveLearner::Uncertainty(const text::Sentence& sentence) {
+std::vector<double> ActiveLearner::Uncertainty(const text::Corpus& sentences) {
+  std::vector<double> scores;
   if (config_.strategy == "entropy") {
     auto* crf = dynamic_cast<decoders::CrfDecoder*>(model_->decoder());
     DLNER_CHECK_MSG(crf != nullptr,
                     "entropy strategy requires a CRF decoder");
-    Var rep = model_->Represent(sentence.tokens, /*training=*/false);
-    Var enc = model_->EncodeTokens(rep, sentence.tokens, /*training=*/false);
-    Tensor marginals = crf->Marginals(crf->Emissions(enc)->value);
-    double total = 0.0;
-    for (int t = 0; t < marginals.rows(); ++t) {
-      for (int k = 0; k < marginals.cols(); ++k) {
-        const double p = marginals.at(t, k);
-        if (p > 1e-12) total -= p * std::log(p);
+    for (const text::Sentence& sentence : sentences.sentences) {
+      Var rep = model_->Represent(sentence.tokens, /*training=*/false);
+      Var enc = model_->EncodeTokens(rep, sentence.tokens, /*training=*/false);
+      Tensor marginals = crf->Marginals(crf->Emissions(enc)->value);
+      double total = 0.0;
+      for (int t = 0; t < marginals.rows(); ++t) {
+        for (int k = 0; k < marginals.cols(); ++k) {
+          const double p = marginals.at(t, k);
+          if (p > 1e-12) total -= p * std::log(p);
+        }
       }
+      scores.push_back(total / marginals.rows());
     }
-    return total / marginals.rows();
+    return scores;
   }
   // Least confidence: NLL of the model's own best prediction. The spans
   // are re-labeled with the predicted annotation, so this works for every
   // decoder type uniformly.
-  text::Sentence self = sentence;
-  self.spans = model_->Predict(sentence.tokens);
-  if (!text::SpansAreFlat(self.spans)) return 0.0;  // defensive
-  Var loss = model_->Loss(self, /*training=*/false);
-  return loss->value[0];
+  const std::vector<std::vector<text::Span>> predicted =
+      model_->PredictCorpus(sentences);
+  for (std::size_t i = 0; i < predicted.size(); ++i) {
+    text::Sentence self = sentences.sentences[i];
+    self.spans = predicted[i];
+    scores.push_back(text::SpansAreFlat(self.spans)  // defensive
+                         ? model_->Loss(self, /*training=*/false)->value[0]
+                         : 0.0);
+  }
+  return scores;
 }
 
 std::vector<ActiveRound> ActiveLearner::Run(const text::Corpus& pool,
@@ -54,10 +63,14 @@ std::vector<ActiveRound> ActiveLearner::Run(const text::Corpus& pool,
     // Order remaining pool items by uncertainty (or leave the random
     // shuffle order for the baseline strategy).
     if (config_.strategy != "random" && !labeled.sentences.empty()) {
-      std::vector<std::pair<double, int>> scored;
-      scored.reserve(unlabeled.size());
+      text::Corpus candidates;
       for (int idx : unlabeled) {
-        scored.push_back({Uncertainty(pool.sentences[idx]), idx});
+        candidates.sentences.push_back(pool.sentences[idx]);
+      }
+      const std::vector<double> scores = Uncertainty(candidates);
+      std::vector<std::pair<double, int>> scored;
+      for (std::size_t i = 0; i < unlabeled.size(); ++i) {
+        scored.push_back({scores[i], unlabeled[i]});
       }
       std::sort(scored.begin(), scored.end(),
                 [](const auto& a, const auto& b) { return a.first > b.first; });

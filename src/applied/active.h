@@ -49,8 +49,11 @@ class ActiveLearner {
   std::vector<ActiveRound> Run(const text::Corpus& pool,
                                const text::Corpus& test);
 
-  /// Least-confidence uncertainty of one sentence under the current model.
-  double Uncertainty(const text::Sentence& sentence);
+  /// Uncertainty of every sentence of `sentences` under the current model,
+  /// in corpus order (higher = more informative). Least confidence tags the
+  /// whole corpus with one PredictCorpus call, then scores each sentence's
+  /// loss against its own prediction.
+  std::vector<double> Uncertainty(const text::Corpus& sentences);
 
  private:
   core::NerModel* model_;  // not owned

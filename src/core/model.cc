@@ -14,6 +14,7 @@
 #include "decoders/softmax.h"
 #include "embeddings/char_features.h"
 #include "encoders/cnn.h"
+#include "encoders/recursive.h"
 #include "encoders/rnn_encoder.h"
 #include "encoders/transformer.h"
 
@@ -109,10 +110,8 @@ void NerModel::Build(const Resources& resources) {
         "gru", rep_dim, config_.hidden_dim, config_.encoder_layers,
         config_.encoder_dropout, &rng_);
   } else if (config_.encoder == "brnn") {
-    auto recursive = std::make_unique<encoders::RecursiveEncoder>(
+    encoder_ = std::make_unique<encoders::RecursiveEncoder>(
         rep_dim, config_.hidden_dim, &rng_);
-    recursive_encoder_ = recursive.get();
-    encoder_ = std::move(recursive);
   } else if (config_.encoder == "transformer") {
     encoder_ = std::make_unique<encoders::TransformerEncoder>(
         rep_dim, config_.hidden_dim, config_.transformer_heads,
@@ -163,8 +162,6 @@ void NerModel::Build(const Resources& resources) {
       metrics.histogram("encoder." + config_.encoder + ".forward_us");
   decoder_loss_us_ =
       metrics.histogram("decoder." + config_.decoder + ".loss_us");
-  decoder_decode_us_ =
-      metrics.histogram("decoder." + config_.decoder + ".decode_us");
 }
 
 namespace {
@@ -193,12 +190,8 @@ Var NerModel::EncodeTokens(const Var& representation,
                            const std::vector<std::string>& tokens,
                            bool training) const {
   obs::ScopedSpan span("encode");
-  return Timed(encoder_forward_us_, [&]() -> Var {
-    if (recursive_encoder_ != nullptr) {
-      return recursive_encoder_->EncodeTree(
-          representation, encoders::BuildHeuristicTree(tokens));
-    }
-    return encoder_->Encode(representation, training);
+  return Timed(encoder_forward_us_, [&] {
+    return encoder_->Encode(representation, tokens, training);
   });
 }
 
@@ -215,17 +208,6 @@ Var NerModel::Loss(const text::Sentence& sentence, bool training) {
   DLNER_CHECK_GT(sentence.size(), 0);
   return LossFromRepresentation(Represent(sentence.tokens, training),
                                 sentence, training);
-}
-
-std::vector<text::Span> NerModel::Predict(
-    const std::vector<std::string>& tokens) const {
-  DLNER_CHECK(!tokens.empty());
-  NoGradGuard no_grad;
-  Var rep = Represent(tokens, /*training=*/false);
-  Var encoded = EncodeTokens(rep, tokens, /*training=*/false);
-  obs::ScopedSpan span("decode");
-  return Timed(decoder_decode_us_,
-               [&] { return decoder_->Predict(encoded); });
 }
 
 namespace {
@@ -265,7 +247,6 @@ const plan::InferencePlan& NerModel::plan() const {
     plan::PlanModules modules;
     modules.representation = representation_.get();
     modules.encoder = encoder_.get();
-    modules.recursive = recursive_encoder_;
     modules.decoder = decoder_.get();
     plan_ = std::make_unique<plan::InferencePlan>(modules);
   });

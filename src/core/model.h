@@ -16,7 +16,6 @@
 #include "embeddings/lm.h"
 #include "embeddings/sgns.h"
 #include "encoders/encoder.h"
-#include "encoders/recursive.h"
 #include "eval/metrics.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
@@ -54,16 +53,12 @@ class NerModel : public Module {
   /// wrappers (multi-task, adversarial) can extend it.
   virtual Var Loss(const text::Sentence& sentence, bool training = true);
 
-  /// Predicted entity spans for a token sequence. Runs under NoGradGuard
-  /// (value-only graph, in-place kernels) and is safe to call concurrently
-  /// from multiple threads on a shared model.
-  std::vector<text::Span> Predict(const std::vector<std::string>& tokens) const;
-
-  /// Predictions for every sentence of a corpus, in corpus order. Sentences
-  /// run through the compiled batched plan in packed micro-batches spread
-  /// over the thread pool; results are identical to calling Predict
-  /// sequentially (the differential suite's oracle), empty sentences yield
-  /// empty vectors.
+  /// Predictions for every sentence of a corpus, in corpus order: the one
+  /// inference entry. Sentences run through the compiled batched plan in
+  /// packed micro-batches spread over the thread pool; results are
+  /// identical to the eager per-sentence forward (Represent, EncodeTokens,
+  /// decoder()->Predict; the differential suite's oracle), empty sentences
+  /// yield empty vectors. Safe to call concurrently on a shared model.
   std::vector<std::vector<text::Span>> PredictCorpus(
       const text::Corpus& corpus) const;
 
@@ -77,9 +72,8 @@ class NerModel : public Module {
   /// Input representation [T, rep_dim]; the node is retained so callers can
   /// read its gradient after Backward (adversarial training).
   Var Represent(const std::vector<std::string>& tokens, bool training) const;
-  /// Encoder output for a representation matrix, as Predict and Loss
-  /// compute it: the recursive ("brnn") encoder brackets `tokens` with the
-  /// punctuation heuristic; all other encoders ignore the tokens.
+  /// Encoder output for a representation matrix and its tokens, as Loss
+  /// computes it and the plan reproduces it.
   Var EncodeTokens(const Var& representation,
                    const std::vector<std::string>& tokens,
                    bool training) const;
@@ -101,6 +95,7 @@ class NerModel : public Module {
   }
   encoders::ContextEncoder* encoder() { return encoder_.get(); }
   decoders::TagDecoder* decoder() { return decoder_.get(); }
+  const decoders::TagDecoder* decoder() const { return decoder_.get(); }
   Rng* rng() { return &rng_; }
 
   /// The compiled inference plan for this model's architecture. Built
@@ -123,9 +118,6 @@ class NerModel : public Module {
   std::unique_ptr<text::TagSet> tags_;
   std::unique_ptr<embeddings::ComposedRepresentation> representation_;
   std::unique_ptr<encoders::ContextEncoder> encoder_;
-  // Set when encoder_ is a RecursiveEncoder (non-owning view) so encoding
-  // can use heuristic trees built from token strings.
-  encoders::RecursiveEncoder* recursive_encoder_ = nullptr;
   std::unique_ptr<decoders::TagDecoder> decoder_;
 
   mutable std::once_flag plan_once_;
@@ -137,7 +129,6 @@ class NerModel : public Module {
   obs::Histogram* repr_forward_us_ = nullptr;
   obs::Histogram* encoder_forward_us_ = nullptr;
   obs::Histogram* decoder_loss_us_ = nullptr;
-  obs::Histogram* decoder_decode_us_ = nullptr;
 };
 
 }  // namespace dlner::core

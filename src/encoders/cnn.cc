@@ -18,7 +18,8 @@ CnnEncoder::CnnEncoder(int in_dim, int hidden_dim, int num_layers,
   }
 }
 
-Var CnnEncoder::Encode(const Var& input, bool /*training*/) const {
+Var CnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
+                       bool /*training*/) const {
   obs::ScopedSpan span("encode/cnn");
   Var h = input;
   for (const auto& layer : layers_) h = Relu(layer->Apply(h));
@@ -65,7 +66,8 @@ IdCnnEncoder::IdCnnEncoder(int in_dim, int hidden_dim,
   }
 }
 
-Var IdCnnEncoder::Encode(const Var& input, bool /*training*/) const {
+Var IdCnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
+                         bool /*training*/) const {
   obs::ScopedSpan span("encode/idcnn");
   Var h = Relu(project_->Apply(input));
   // The same block (shared parameters) is iterated, which is what lets

@@ -29,7 +29,8 @@ class CnnEncoder : public ContextEncoder {
   CnnEncoder(int in_dim, int hidden_dim, int num_layers, bool global_feature,
              Rng* rng, const std::string& name = "cnn_enc");
 
-  Var Encode(const Var& input, bool training) const override;
+  Var Encode(const Var& input, const std::vector<std::string>& tokens,
+             bool training) const override;
   int out_dim() const override;
   std::vector<Var> Parameters() const override;
   int hidden_dim() const { return hidden_dim_; }
@@ -49,7 +50,8 @@ class IdCnnEncoder : public ContextEncoder {
   IdCnnEncoder(int in_dim, int hidden_dim, std::vector<int> dilations,
                int iterations, Rng* rng, const std::string& name = "idcnn");
 
-  Var Encode(const Var& input, bool training) const override;
+  Var Encode(const Var& input, const std::vector<std::string>& tokens,
+             bool training) const override;
   int out_dim() const override { return hidden_dim_; }
   std::vector<Var> Parameters() const override;
   int iterations() const { return iterations_; }

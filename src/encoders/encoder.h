@@ -1,11 +1,13 @@
 // Context encoder interface (survey Section 3.3, the middle stage of the
-// Fig. 2 taxonomy): consumes the [T, d_in] input representation and produces
-// context-dependent token representations [T, d_out].
+// Fig. 2 taxonomy): reads one sentence, as its [T, d_in] input
+// representation and its T tokens, and produces context-dependent token
+// representations [T, d_out].
 #ifndef DLNER_ENCODERS_ENCODER_H_
 #define DLNER_ENCODERS_ENCODER_H_
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "tensor/nn.h"
 
@@ -13,9 +15,13 @@ namespace dlner::encoders {
 
 class ContextEncoder : public Module {
  public:
-  /// Input [T, in_dim] -> output [T, out_dim]. Const so a shared model can
-  /// run concurrent forward passes; implementations must not mutate state.
-  virtual Var Encode(const Var& input, bool training) const = 0;
+  /// Input [T, in_dim] -> output [T, out_dim]. `tokens` are the sentence's
+  /// T tokens; encoders that need only the matrix ignore them, structured
+  /// ones (the recursive encoder's bracketing) build from them. Const so a
+  /// shared model can run concurrent forward passes; implementations must
+  /// not mutate state.
+  virtual Var Encode(const Var& input, const std::vector<std::string>& tokens,
+                     bool training) const = 0;
   virtual int out_dim() const = 0;
 };
 
@@ -27,7 +33,8 @@ class MlpEncoder : public ContextEncoder {
   MlpEncoder(int in_dim, int hidden_dim, Rng* rng,
              const std::string& name = "mlp_enc");
 
-  Var Encode(const Var& input, bool training) const override;
+  Var Encode(const Var& input, const std::vector<std::string>& tokens,
+             bool training) const override;
   int out_dim() const override { return hidden_->out_dim(); }
   std::vector<Var> Parameters() const override { return hidden_->Parameters(); }
   const Linear& hidden() const { return *hidden_; }

@@ -64,14 +64,6 @@ int JoinRoots(BinaryTree* tree, const std::vector<int>& roots) {
 
 }  // namespace
 
-BinaryTree BuildBalancedTree(int num_tokens) {
-  DLNER_CHECK_GT(num_tokens, 0);
-  BinaryTree tree;
-  AddLeaves(&tree, num_tokens);
-  BuildBalancedRange(&tree, 0, num_tokens);
-  return tree;
-}
-
 BinaryTree BuildHeuristicTree(const std::vector<std::string>& tokens) {
   const int n = static_cast<int>(tokens.size());
   DLNER_CHECK_GT(n, 0);
@@ -104,13 +96,11 @@ RecursiveEncoder::RecursiveEncoder(int in_dim, int hidden_dim, Rng* rng,
       down_right_(std::make_unique<Linear>(2 * hidden_dim, hidden_dim, rng,
                                            name + ".down_right")) {}
 
-Var RecursiveEncoder::Encode(const Var& input, bool /*training*/) const {
-  return EncodeTree(input, BuildBalancedTree(input->value.rows()));
-}
-
-Var RecursiveEncoder::EncodeTree(const Var& input,
-                                 const BinaryTree& tree) const {
+Var RecursiveEncoder::Encode(const Var& input,
+                             const std::vector<std::string>& tokens,
+                             bool /*training*/) const {
   obs::ScopedSpan span("encode/brnn");
+  const BinaryTree tree = BuildHeuristicTree(tokens);
   const int t_len = input->value.rows();
   DLNER_CHECK_EQ(t_len, tree.num_tokens);
   const int num_nodes = static_cast<int>(tree.nodes.size());

@@ -11,7 +11,10 @@
 // deterministic heuristic bracketing — sentences split at punctuation into
 // segments, each segment covered by a balanced binary tree — which
 // preserves the mechanism under study (recursive composition over a
-// hierarchy) without requiring parsed data.
+// hierarchy) without requiring parsed data. Encode builds that bracketing
+// from the sentence's tokens itself, so every caller of the ContextEncoder
+// interface (training, eager inference, the plan's encoder bridge) runs
+// the same tree.
 #ifndef DLNER_ENCODERS_RECURSIVE_H_
 #define DLNER_ENCODERS_RECURSIVE_H_
 
@@ -40,12 +43,9 @@ struct BinaryTree {
   bool IsLeaf(int i) const { return nodes[i].left < 0; }
 };
 
-/// Heuristic bracketing: punctuation-delimited segments, balanced within.
+/// Heuristic bracketing: punctuation-delimited segments, balanced within
+/// (a sentence without punctuation gets one balanced tree).
 BinaryTree BuildHeuristicTree(const std::vector<std::string>& tokens);
-
-/// Balanced binary tree over n tokens (structure-agnostic fallback and
-/// test fixture).
-BinaryTree BuildBalancedTree(int num_tokens);
 
 /// The Fig. 8 encoder. Output per token: [bottom_up_leaf, top_down_leaf]
 /// -> [T, 2*hidden].
@@ -54,14 +54,10 @@ class RecursiveEncoder : public ContextEncoder {
   RecursiveEncoder(int in_dim, int hidden_dim, Rng* rng,
                    const std::string& name = "brnn_enc");
 
-  /// Encodes with the heuristic tree built from token count alone (the
-  /// ContextEncoder interface carries no strings, so bracketing uses the
-  /// balanced fallback).
-  Var Encode(const Var& input, bool training) const override;
-
-  /// Encodes over an explicit tree (used by NerModel, which has tokens and
-  /// can call BuildHeuristicTree).
-  Var EncodeTree(const Var& input, const BinaryTree& tree) const;
+  /// Encodes over BuildHeuristicTree(tokens); `tokens` must have one entry
+  /// per input row.
+  Var Encode(const Var& input, const std::vector<std::string>& tokens,
+             bool training) const override;
 
   int out_dim() const override { return 2 * hidden_dim_; }
   std::vector<Var> Parameters() const override;

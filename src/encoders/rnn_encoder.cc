@@ -18,7 +18,8 @@ RnnEncoder::RnnEncoder(const std::string& kind, int in_dim, int hidden_dim,
   }
 }
 
-Var RnnEncoder::Encode(const Var& input, bool training) const {
+Var RnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
+                       bool training) const {
   obs::ScopedSpan span("encode/rnn");
   Var h = input;
   for (size_t l = 0; l < layers_.size(); ++l) {

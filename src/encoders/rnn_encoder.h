@@ -21,7 +21,8 @@ class RnnEncoder : public ContextEncoder {
              int num_layers, Float dropout, Rng* rng,
              const std::string& name = "rnn_enc");
 
-  Var Encode(const Var& input, bool training) const override;
+  Var Encode(const Var& input, const std::vector<std::string>& tokens,
+             bool training) const override;
   int out_dim() const override { return 2 * hidden_dim_; }
   std::vector<Var> Parameters() const override;
   const std::vector<std::unique_ptr<BiRnn>>& layers() const { return layers_; }

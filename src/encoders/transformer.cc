@@ -103,7 +103,9 @@ Tensor TransformerEncoder::PositionEncodings(int t_len) const {
   return pe;
 }
 
-Var TransformerEncoder::Encode(const Var& input, bool training) const {
+Var TransformerEncoder::Encode(const Var& input,
+                               const std::vector<std::string>& /*tokens*/,
+                               bool training) const {
   obs::ScopedSpan span("encode/transformer");
   Var h = input_proj_->Apply(input);
   h = Add(h, Constant(PositionEncodings(h->value.rows())));

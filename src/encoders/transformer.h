@@ -45,7 +45,8 @@ class TransformerEncoder : public ContextEncoder {
                      int num_layers, Float dropout, Rng* rng,
                      const std::string& name = "transformer");
 
-  Var Encode(const Var& input, bool training) const override;
+  Var Encode(const Var& input, const std::vector<std::string>& tokens,
+             bool training) const override;
   int out_dim() const override { return model_dim_; }
   std::vector<Var> Parameters() const override;
 

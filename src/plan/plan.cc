@@ -386,16 +386,13 @@ InferencePlan::InferencePlan(const PlanModules& modules) {
                       }});
   } else {
     encoder_batched = false;
-    encoder_desc = modules.recursive != nullptr ? "brnn" : "eager";
-  }
-  if (!encoder_batched) {
+    encoder_desc = "eager";
     // Eager bridge: wrap each segment's packed rows in a constant Tensor and
-    // run the encoder's normal const forward. Covers transformer, the
-    // recursive encoder (which needs token strings for its bracketing), and
-    // any future encoder without a packed emitter.
+    // run the encoder's normal const forward on them and the sentence's
+    // tokens. Covers transformer, brnn and any future encoder without a
+    // packed emitter.
     const encoders::ContextEncoder* enc = modules.encoder;
-    const encoders::RecursiveEncoder* rec = modules.recursive;
-    steps_.push_back({"encode", nullptr, [enc, rec, enc_dim](ExecContext& ctx) {
+    steps_.push_back({"encode", nullptr, [enc, enc_dim](ExecContext& ctx) {
                         const int rows = ctx.layout->rows();
                         Float* out = ctx.arena->Alloc(
                             static_cast<std::size_t>(rows) * enc_dim);
@@ -410,13 +407,10 @@ InferencePlan::InferencePlan(const PlanModules& modules) {
                                             ctx.cur_dim,
                               static_cast<std::size_t>(len) * ctx.cur_dim *
                                   kF);
-                          const Var input = Constant(std::move(in));
                           const Var encoded =
-                              rec != nullptr
-                                  ? rec->EncodeTree(
-                                        input, encoders::BuildHeuristicTree(
-                                                   *(*ctx.sentences)[b]))
-                                  : enc->Encode(input, /*training=*/false);
+                              enc->Encode(Constant(std::move(in)),
+                                          *(*ctx.sentences)[b],
+                                          /*training=*/false);
                           std::memcpy(
                               out + static_cast<std::size_t>(off) * enc_dim,
                               encoded->value.data(),

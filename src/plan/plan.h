@@ -32,7 +32,6 @@
 #include "decoders/decoder.h"
 #include "embeddings/features.h"
 #include "encoders/encoder.h"
-#include "encoders/recursive.h"
 #include "tensor/arena.h"
 #include "tensor/batched.h"
 #include "text/types.h"
@@ -46,13 +45,10 @@ namespace dlner::plan {
 /// batcher takes at most this many queued requests per batch.
 constexpr std::int64_t kMicroBatch = 16;
 
-/// Borrowed views of the modules a plan is compiled from. `recursive` is
-/// non-null only when `encoder` is a RecursiveEncoder (it needs token
-/// strings to build its heuristic bracketing).
+/// Borrowed views of the modules a plan is compiled from.
 struct PlanModules {
   const embeddings::ComposedRepresentation* representation = nullptr;
   const encoders::ContextEncoder* encoder = nullptr;
-  const encoders::RecursiveEncoder* recursive = nullptr;
   const decoders::TagDecoder* decoder = nullptr;
 };
 

@@ -64,8 +64,9 @@ class Variable {
 /// freed as soon as the forward pass moves past them), and the
 /// buffer-reusing in-place op variants in ops.h become eligible even when an
 /// input depends on trainable parameters. Inference entry points
-/// (NerModel::Predict) disable gradients via NoGradGuard; each thread has
-/// its own flag, so parallel inference never disturbs a training thread.
+/// (InferencePlan::Execute, behind NerModel::PredictCorpus) disable
+/// gradients via NoGradGuard; each thread has its own flag, so parallel
+/// inference never disturbs a training thread.
 bool GradModeEnabled();
 
 /// RAII guard that disables gradient recording on the current thread.

@@ -11,6 +11,7 @@
 #include "applied/transfer.h"
 #include "data/dataset.h"
 #include "decoders/crf.h"
+#include "support/oracles.h"
 
 namespace dlner::applied {
 namespace {
@@ -204,8 +205,27 @@ TEST(ActiveTest, UncertaintyIsNonNegative) {
   ActiveConfig config;
   config.train = FastTrain(1);
   ActiveLearner learner(&model, config);
-  for (const auto& s : pool.sentences) {
-    EXPECT_GE(learner.Uncertainty(s), -1e-9);
+  const std::vector<double> scores = learner.Uncertainty(pool);
+  ASSERT_EQ(static_cast<int>(scores.size()), pool.size());
+  for (const double u : scores) EXPECT_GE(u, -1e-9);
+}
+
+// Least confidence tags the whole set in one planned pass; each score is
+// still the loss of the sentence relabeled with the eager prediction.
+TEST(ActiveTest, LeastConfidenceScoresTheTaggersOwnPrediction) {
+  text::Corpus pool = SmallNews(12, 17);
+  core::NerModel model(SmallConfig(), pool,
+                       data::EntityTypesFor(Genre::kNews));
+  ActiveConfig config;
+  config.train = FastTrain(1);
+  ActiveLearner learner(&model, config);
+  const std::vector<double> scores = learner.Uncertainty(pool);
+  ASSERT_EQ(static_cast<int>(scores.size()), pool.size());
+  for (int i = 0; i < pool.size(); ++i) {
+    text::Sentence self = pool.sentences[i];
+    self.spans = testsup::EagerPredict(model, self.tokens);
+    EXPECT_EQ(scores[i], model.Loss(self, /*training=*/false)->value[0])
+        << "sentence " << i;
   }
 }
 
@@ -238,7 +258,9 @@ TEST(ActiveTest, EntropyUsesTheTaggersBrnnBracketing) {
       if (p > 1e-12) entropy -= p * std::log(p);
     }
   }
-  EXPECT_DOUBLE_EQ(learner.Uncertainty(s), entropy / marginals.rows());
+  text::Corpus one;
+  one.sentences.push_back(s);
+  EXPECT_DOUBLE_EQ(learner.Uncertainty(one)[0], entropy / marginals.rows());
 }
 
 // --- Adversarial ---

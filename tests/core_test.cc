@@ -7,6 +7,7 @@
 #include "core/flags.h"
 #include "core/pipeline.h"
 #include "data/dataset.h"
+#include "support/oracles.h"
 #include "tools/tool_common.h"
 
 namespace dlner::core {
@@ -94,7 +95,7 @@ TEST_P(TaxonomyTest, BuildsAndRuns) {
   EXPECT_TRUE(std::isfinite(loss->value[0]));
   EXPECT_GT(loss->value[0], 0.0);
 
-  std::vector<text::Span> spans = model.Predict(s.tokens);
+  std::vector<text::Span> spans = testsup::EagerPredict(model, s.tokens);
   EXPECT_TRUE(text::SpansAreValid(spans, s.size()));
   EXPECT_TRUE(text::SpansAreFlat(spans));
 }
@@ -108,6 +109,32 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
+
+// The recursive encoder brackets the tokens it is given, so reaching it
+// through the ContextEncoder interface yields the tree NerModel trains and
+// tags with. On this sentence the punctuation bracketing differs from a
+// balanced tree over 13 tokens.
+TEST(NerModelTest, BrnnThroughTheEncoderInterfaceMatchesEncodeTokens) {
+  NerConfig config = SmallConfig();
+  config.encoder = "brnn";
+  config.decoder = "crf";
+  NerModel model(config, SmallNews(10, 13),
+                 data::EntityTypesFor(Genre::kNews));
+  const std::vector<std::string> tokens = {
+      "Maria", "Lopez", ",",     "a",  "director", "at", "Acme",
+      "Corp",  ",",     "spoke", "in", "Lyon",     "."};
+  const encoders::ContextEncoder& encoder = *model.encoder();
+  const Var rep = model.Represent(tokens, /*training=*/false);
+  const Tensor via_interface =
+      encoder.Encode(rep, tokens, /*training=*/false)->value;
+  const Tensor via_model =
+      model.EncodeTokens(rep, tokens, /*training=*/false)->value;
+  ASSERT_EQ(via_interface.rows(), via_model.rows());
+  ASSERT_EQ(via_interface.cols(), via_model.cols());
+  for (int i = 0; i < via_model.size(); ++i) {
+    EXPECT_EQ(via_interface[i], via_model[i]) << "element " << i;
+  }
+}
 
 TEST(NerModelTest, AllInputFeaturesCompose) {
   NerConfig config = SmallConfig();

@@ -19,6 +19,12 @@ Var RandomInput(int rows, int cols, uint64_t seed) {
   return Parameter(std::move(t));
 }
 
+// Encodes `x` as a sentence of x.rows() unpunctuated placeholder tokens.
+Var EncodeWords(const ContextEncoder& enc, const Var& x) {
+  return enc.Encode(x, std::vector<std::string>(x->value.rows(), "w"),
+                    /*training=*/false);
+}
+
 std::unique_ptr<ContextEncoder> MakeEncoder(const std::string& kind,
                                             int in_dim, Rng* rng) {
   if (kind == "mlp") return std::make_unique<MlpEncoder>(in_dim, 10, rng);
@@ -49,7 +55,7 @@ TEST_P(EncoderTest, OutputShapeMatchesContract) {
   auto enc = MakeEncoder(GetParam(), 7, &rng);
   ASSERT_NE(enc, nullptr);
   Var x = Constant(Tensor({9, 7}));
-  Var out = enc->Encode(x, false);
+  Var out = EncodeWords(*enc, x);
   EXPECT_EQ(out->value.rows(), 9);
   EXPECT_EQ(out->value.cols(), enc->out_dim());
 }
@@ -61,7 +67,7 @@ TEST_P(EncoderTest, GradCheck) {
   std::vector<Var> inputs = enc->Parameters();
   inputs.push_back(x);
   EXPECT_LT(
-      MaxGradError([&] { return Mean(Tanh(enc->Encode(x, false))); }, inputs),
+      MaxGradError([&] { return Mean(Tanh(EncodeWords(*enc, x))); }, inputs),
       2e-5)
       << GetParam();
 }
@@ -76,7 +82,7 @@ TEST_P(EncoderTest, SingleTokenSentence) {
   Rng rng(4);
   auto enc = MakeEncoder(GetParam(), 6, &rng);
   Var x = Constant(Tensor({1, 6}));
-  Var out = enc->Encode(x, false);
+  Var out = EncodeWords(*enc, x);
   EXPECT_EQ(out->value.rows(), 1);
 }
 
@@ -92,8 +98,8 @@ TEST(MlpEncoderTest, NoContextMixing) {
   Tensor base({3, 3});
   Tensor modified = base;
   modified.at(0, 0) = 5.0;
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   for (int j = 0; j < 6; ++j) {
     EXPECT_DOUBLE_EQ(out_a->value.at(2, j), out_b->value.at(2, j));
   }
@@ -107,8 +113,8 @@ TEST(CnnEncoderTest, GlobalFeatureMixesWholeSentence) {
   Tensor base({8, 3});
   Tensor modified = base;
   modified.at(7, 2) = 9.0;  // far from position 0, outside any conv window
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   bool changed = false;
   for (int j = 0; j < enc.out_dim(); ++j) {
     if (out_a->value.at(0, j) != out_b->value.at(0, j)) changed = true;
@@ -122,8 +128,8 @@ TEST(CnnEncoderTest, LocalOnlyWithoutGlobalFeature) {
   Tensor base({8, 3});
   Tensor modified = base;
   modified.at(7, 2) = 9.0;
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   for (int j = 0; j < enc.out_dim(); ++j) {
     EXPECT_DOUBLE_EQ(out_a->value.at(0, j), out_b->value.at(0, j));
   }
@@ -139,8 +145,8 @@ TEST(IdCnnTest, DilationGrowsReceptiveField) {
   for (int i = 0; i < base.size(); ++i) base[i] = data_rng.Uniform(-1.0, 1.0);
   Tensor modified = base;
   modified.at(6 + 5, 1) += 5.0;  // 5 positions away from the probe at t=6
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   // Some position at distance >= 4 from the perturbation must change
   // (individual positions can be masked by dead ReLU units, so probe a
   // band rather than a single index).
@@ -173,8 +179,8 @@ TEST(RnnEncoderTest, BidirectionalContextReachesBothEnds) {
   Tensor base({6, 2});
   Tensor modified = base;
   modified.at(5, 0) = 2.0;  // last token change must reach position 0
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   bool changed = false;
   for (int j = 0; j < enc.out_dim(); ++j) {
     if (out_a->value.at(0, j) != out_b->value.at(0, j)) changed = true;
@@ -192,8 +198,8 @@ TEST(TransformerTest, PositionSensitivity) {
   for (int i = 0; i < x.size(); ++i) x[i] = data_rng.Uniform(-1.0, 1.0);
   Tensor swapped = x;
   for (int j = 0; j < 3; ++j) std::swap(swapped.at(1, j), swapped.at(3, j));
-  Var out_a = enc.Encode(Constant(x), false);
-  Var out_b = enc.Encode(Constant(swapped), false);
+  Var out_a = EncodeWords(enc, Constant(x));
+  Var out_b = EncodeWords(enc, Constant(swapped));
   bool changed = false;
   for (int j = 0; j < enc.out_dim(); ++j) {
     if (out_a->value.at(0, j) != out_b->value.at(0, j)) changed = true;

@@ -16,7 +16,6 @@ namespace {
 
 using decoders::FofeDecoder;
 using encoders::BinaryTree;
-using encoders::BuildBalancedTree;
 using encoders::BuildHeuristicTree;
 using encoders::RecursiveEncoder;
 
@@ -27,11 +26,18 @@ Var RandomInput(int rows, int cols, uint64_t seed) {
   return Parameter(std::move(t));
 }
 
+// Encodes `x` as a sentence of x.rows() unpunctuated placeholder tokens.
+Var EncodeWords(const RecursiveEncoder& enc, const Var& x) {
+  return enc.Encode(x, std::vector<std::string>(x->value.rows(), "w"),
+                    /*training=*/false);
+}
+
 // --- Trees ---
 
 TEST(TreeTest, BalancedTreeCoversAllTokens) {
+  // Without punctuation the heuristic bracketing is one balanced tree.
   for (int n : {1, 2, 3, 7, 12}) {
-    BinaryTree tree = BuildBalancedTree(n);
+    BinaryTree tree = BuildHeuristicTree(std::vector<std::string>(n, "w"));
     EXPECT_EQ(tree.num_tokens, n);
     // Exactly 2n-1 nodes for a full binary tree over n leaves.
     EXPECT_EQ(static_cast<int>(tree.nodes.size()), 2 * n - 1);
@@ -81,7 +87,7 @@ TEST(RecursiveEncoderTest, OutputShape) {
   Rng rng(1);
   RecursiveEncoder enc(5, 7, &rng);
   Var x = Constant(Tensor({9, 5}));
-  Var out = enc.Encode(x, false);
+  Var out = EncodeWords(enc, x);
   EXPECT_EQ(out->value.rows(), 9);
   EXPECT_EQ(out->value.cols(), 14);
   EXPECT_EQ(enc.out_dim(), 14);
@@ -94,7 +100,7 @@ TEST(RecursiveEncoderTest, GradCheck) {
   std::vector<Var> inputs = enc.Parameters();
   inputs.push_back(x);
   EXPECT_LT(
-      MaxGradError([&] { return Mean(Tanh(enc.Encode(x, false))); }, inputs),
+      MaxGradError([&] { return Mean(Tanh(EncodeWords(enc, x))); }, inputs),
       2e-5);
 }
 
@@ -108,8 +114,8 @@ TEST(RecursiveEncoderTest, TopDownPropagatesGlobalContext) {
   for (int i = 0; i < base.size(); ++i) base[i] = data_rng.Uniform(-1, 1);
   Tensor modified = base;
   modified.at(7, 0) += 2.0;
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   bool changed = false;
   for (int j = 0; j < enc.out_dim(); ++j) {
     if (out_a->value.at(0, j) != out_b->value.at(0, j)) changed = true;
@@ -125,8 +131,8 @@ TEST(RecursiveEncoderTest, BottomUpHalfIsLocalToSubtree) {
   Tensor base({8, 2});
   Tensor modified = base;
   modified.at(7, 0) = 3.0;
-  Var out_a = enc.Encode(Constant(base), false);
-  Var out_b = enc.Encode(Constant(modified), false);
+  Var out_a = EncodeWords(enc, Constant(base));
+  Var out_b = EncodeWords(enc, Constant(modified));
   for (int j = 0; j < 4; ++j) {  // bottom-up half
     EXPECT_DOUBLE_EQ(out_a->value.at(0, j), out_b->value.at(0, j));
   }
@@ -135,7 +141,7 @@ TEST(RecursiveEncoderTest, BottomUpHalfIsLocalToSubtree) {
 TEST(RecursiveEncoderTest, SingleTokenSentence) {
   Rng rng(7);
   RecursiveEncoder enc(3, 4, &rng);
-  Var out = enc.Encode(Constant(Tensor({1, 3})), false);
+  Var out = EncodeWords(enc, Constant(Tensor({1, 3})));
   EXPECT_EQ(out->value.rows(), 1);
 }
 

@@ -12,6 +12,7 @@
 #include "data/dataset.h"
 #include "runtime/runtime.h"
 #include "runtime/thread_pool.h"
+#include "support/oracles.h"
 
 namespace dlner::runtime {
 namespace {
@@ -197,7 +198,7 @@ TEST(ParallelEvaluateTest, BitIdenticalAcrossThreadCounts) {
   // Reference: a manual serial pass over the corpus.
   eval::ExactMatchEvaluator serial;
   for (const auto& s : corpus.sentences) {
-    serial.Add(s.spans, model.Predict(s.tokens));
+    serial.Add(s.spans, testsup::EagerPredict(model, s.tokens));
   }
   const eval::ExactResult reference = serial.Result();
 
@@ -229,7 +230,8 @@ TEST(ParallelEvaluateTest, PredictCorpusMatchesSequentialPredict) {
 
   ASSERT_EQ(static_cast<int>(parallel.size()), corpus.size());
   for (int i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(parallel[i], model.Predict(corpus.sentences[i].tokens))
+    EXPECT_EQ(parallel[i],
+              testsup::EagerPredict(model, corpus.sentences[i].tokens))
         << "sentence " << i;
   }
 }

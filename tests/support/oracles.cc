@@ -148,12 +148,21 @@ eval::ExactResult OracleExactMatch(
   return result;
 }
 
+std::vector<text::Span> EagerPredict(const core::NerModel& model,
+                                     const std::vector<std::string>& tokens) {
+  DLNER_CHECK(!tokens.empty());
+  NoGradGuard no_grad;
+  const Var rep = model.Represent(tokens, /*training=*/false);
+  return model.decoder()->Predict(
+      model.EncodeTokens(rep, tokens, /*training=*/false));
+}
+
 std::vector<std::vector<text::Span>> EagerPredictCorpus(
     const core::NerModel& model, const text::Corpus& corpus) {
   std::vector<std::vector<text::Span>> predicted(corpus.sentences.size());
   for (std::size_t i = 0; i < corpus.sentences.size(); ++i) {
     const std::vector<std::string>& tokens = corpus.sentences[i].tokens;
-    if (!tokens.empty()) predicted[i] = model.Predict(tokens);
+    if (!tokens.empty()) predicted[i] = EagerPredict(model, tokens);
   }
   return predicted;
 }

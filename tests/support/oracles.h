@@ -10,6 +10,7 @@
 #ifndef DLNER_TESTS_SUPPORT_ORACLES_H_
 #define DLNER_TESTS_SUPPORT_ORACLES_H_
 
+#include <string>
 #include <vector>
 
 #include "core/model.h"
@@ -50,8 +51,13 @@ eval::ExactResult OracleExactMatch(
     const std::vector<std::vector<text::Span>>& gold,
     const std::vector<std::vector<text::Span>>& predicted);
 
-/// Eager inference oracle: NerModel::Predict (the per-sentence forward that
-/// training uses) looped over the corpus in order, empty sentences yielding
+/// Eager inference oracle for one non-empty sentence: the per-sentence
+/// forward that training uses (Represent -> EncodeTokens ->
+/// decoder()->Predict) under NoGradGuard.
+std::vector<text::Span> EagerPredict(const core::NerModel& model,
+                                     const std::vector<std::string>& tokens);
+
+/// EagerPredict looped over the corpus in order, empty sentences yielding
 /// empty span lists. The compiled plan behind PredictCorpus must reproduce
 /// it bit-for-bit.
 std::vector<std::vector<text::Span>> EagerPredictCorpus(

@@ -8,6 +8,14 @@
 #include "text/vocab.h"
 
 namespace dlner::text {
+
+// Prints a TagScheme by name, so parameterized test names read
+// "GetParam() = bio" instead of the enum's bytes. Declared in the enum's
+// namespace so that gtest finds it by argument-dependent lookup.
+void PrintTo(TagScheme scheme, std::ostream* os) {
+  *os << TagSchemeToString(scheme);
+}
+
 namespace {
 
 TEST(SpanTest, ValidityChecks) {
