@@ -43,7 +43,7 @@ int main() {
   base.seed_size = 20;
   base.batch_size = 40;
   base.rounds = 6;
-  base.epochs_per_round = 4;
+  base.train.epochs = 4;
   base.train.lr = 0.015;
 
   std::vector<applied::ActiveRound> curves[3];

@@ -35,10 +35,9 @@ int main() {
   noisy_opts.lowercase_prob = 0.3;
   text::Corpus noisy_test = data::GenerateCorpus(genre, noisy_opts);
 
-  const int epochs = 8;
   core::TrainConfig tc;
   tc.lr = 0.015;
-  tc.epochs = epochs;
+  tc.epochs = 8;
 
   core::NerConfig config;
   config.use_char_cnn = true;
@@ -55,12 +54,12 @@ int main() {
   // Adversarial training (same budget of epochs).
   core::NerConfig adv_config = config;
   adv_config.seed = 115;
-  core::NerModel adv_model(adv_config, train, types);
-  applied::AdversarialConfig adv;
-  adv.epsilon = 0.6;
-  adv.adv_weight = 1.0;
-  applied::AdversarialTrainer adv_trainer(&adv_model, tc, adv);
-  adv_trainer.Train(train, epochs);
+  applied::AdversarialNerModel adv_model(adv_config, train, types,
+                                        /*epsilon=*/0.6, /*adv_weight=*/1.0);
+  {
+    core::Trainer trainer(&adv_model, tc);
+    trainer.Train(train, nullptr);
+  }
 
   std::printf("%-24s %12s %14s\n", "training", "clean F1", "noised F1");
   std::printf("%-24s %12.3f %14.3f\n", "standard",

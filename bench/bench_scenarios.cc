@@ -19,13 +19,13 @@
 // realistic setting where the hostile property appears only at test time.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "applied/nested.h"
 #include "bench/bench_common.h"
+#include "core/flags.h"
 #include "core/pipeline.h"
 #include "data/scenarios.h"
 #include "eval/metrics.h"
@@ -127,21 +127,21 @@ double StreamF1(const core::Pipeline& pipeline, const text::Corpus& corpus,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scenarios.json";
-  int epochs = 8;
-  int num_sentences = 140;
-  int min_doc_tokens = 10000;
-  uint64_t seed = 5;
-  for (int i = 1; i < argc - 1; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--out") out_path = argv[i + 1];
-    if (flag == "--epochs") epochs = std::atoi(argv[i + 1]);
-    if (flag == "--sentences") num_sentences = std::atoi(argv[i + 1]);
-    if (flag == "--min-doc-tokens") min_doc_tokens = std::atoi(argv[i + 1]);
-    if (flag == "--seed") {
-      seed = static_cast<uint64_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
+  const core::FlagSpec spec{{"out", core::FlagKind::kValue},
+                            {"epochs", core::FlagKind::kValue},
+                            {"sentences", core::FlagKind::kValue},
+                            {"min-doc-tokens", core::FlagKind::kValue},
+                            {"seed", core::FlagKind::kValue}};
+  core::Args args;
+  if (!args.Parse(argc, argv, 1, spec)) {
+    std::fprintf(stderr, "bench_scenarios: %s\n", args.error().c_str());
+    return 1;
   }
+  const std::string out_path = args.Get("out", "BENCH_scenarios.json");
+  const int epochs = args.GetInt("epochs", 8);
+  const int num_sentences = args.GetInt("sentences", 140);
+  const int min_doc_tokens = args.GetInt("min-doc-tokens", 10000);
+  const uint64_t seed = args.GetUInt64("seed", 5);
 
   PrintHeader("Hostile-input scenarios (architecture cells x scenarios)");
 

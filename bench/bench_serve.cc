@@ -379,17 +379,9 @@ int main(int argc, char** argv) {
   core::TrainConfig tc;
   tc.epochs = 3;
   tc.lr = 0.02;
-  std::vector<std::string> types;
-  for (const auto& s : corpus.sentences) {
-    for (const auto& sp : s.spans) {
-      if (std::find(types.begin(), types.end(), sp.type) == types.end()) {
-        types.push_back(sp.type);
-      }
-    }
-  }
-  std::sort(types.begin(), types.end());
   const std::string model_path = "/tmp/bench_serve_model.bin";
-  core::Pipeline::Train(config, tc, corpus, nullptr, types)->Save(model_path);
+  core::Pipeline::Train(config, tc, corpus, nullptr, corpus.EntityTypes())
+      ->Save(model_path);
 
   serve::ModelRegistry registry;
   if (!registry.Load("default", model_path)) {

@@ -1,20 +1,16 @@
-// Inference throughput benchmark: compiled-plan (packed batch) vs eager
-// per-sentence corpus inference, for the softmax/CRF decoders crossed with
-// the BiLSTM/CNN encoders and the survey's standard char-CNN + BiLSTM + CRF
-// cell, plus a single-thread MatMul kernel
-// microbenchmark (raw-pointer GEMM kernel vs the bounds-checked triple
-// loop it replaced).
+// Inference throughput benchmark: compiled-plan (packed batch) corpus
+// inference, the path NerModel::PredictCorpus and serving run, for the
+// softmax/CRF decoders crossed with the BiLSTM/CNN encoders and the
+// survey's standard char-CNN + BiLSTM + CRF cell, plus a single-thread
+// MatMul kernel microbenchmark (raw-pointer GEMM kernel vs the
+// bounds-checked triple loop it replaced).
 //
 // Recorded series (dlner-metrics-v1 snapshot, written to --out, default
 // BENCH_throughput.json, intended to be run from the repo root and
 // committed):
-//   bench.eager.<model>.sentences_per_sec    eager forward per sentence
-//                                            (Represent, EncodeTokens,
-//                                            decoder Predict), 1 thread
 //   bench.planned.<model>.sentences_per_sec  plan path, thread sweep over
 //                                            powers of two up to the host's
 //                                            cores, plus the core count
-//   bench.plan_speedup.<model>               planned(1t) / eager(1t)
 //   bench.throughput.<model>.speedup_4t      only when the sweep reaches 4
 //   bench.hardware_concurrency               cores the host reports
 // On a single-core host a multi-thread speedup is unmeasurable (the sweep
@@ -30,12 +26,12 @@
 // Timing loops run with collection disabled so the numbers measure the
 // zero-overhead path; the registry is populated afterwards.
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/flags.h"
 #include "core/model.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
@@ -48,19 +44,6 @@ namespace {
 
 using namespace dlner;
 using namespace dlner::bench;
-
-std::vector<std::string> EntityTypesOf(const text::Corpus& corpus) {
-  std::vector<std::string> types;
-  for (const auto& s : corpus.sentences) {
-    for (const auto& sp : s.spans) {
-      if (std::find(types.begin(), types.end(), sp.type) == types.end()) {
-        types.push_back(sp.type);
-      }
-    }
-  }
-  std::sort(types.begin(), types.end());
-  return types;
-}
 
 // Runs `pass` (one inference pass over `corpus`) repeatedly for >=
 // min_seconds after one warmup pass and returns sentences/sec.
@@ -138,7 +121,6 @@ MatMulResult MeasureMatMul(int m, int k, int n, double min_seconds) {
 
 struct ModelRun {
   std::string name;
-  double eager_1t = 0.0;  // eager path, single thread
   std::vector<int> threads;
   std::vector<double> planned;  // plan path, one entry per thread count
 };
@@ -197,16 +179,17 @@ double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_throughput.json";
-  double min_seconds = 1.0;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::string(argv[i]) == "--out") out_path = argv[i + 1];
-    if (std::string(argv[i]) == "--min-seconds") {
-      min_seconds = std::atof(argv[i + 1]);
-    }
+  const core::FlagSpec spec{{"out", core::FlagKind::kValue},
+                            {"min-seconds", core::FlagKind::kValue}};
+  core::Args args;
+  if (!args.Parse(argc, argv, 1, spec)) {
+    std::fprintf(stderr, "bench_throughput: %s\n", args.error().c_str());
+    return 1;
   }
+  const std::string out_path = args.Get("out", "BENCH_throughput.json");
+  const double min_seconds = args.GetDouble("min-seconds", 1.0);
 
-  PrintHeader("Inference throughput (compiled plan vs eager)");
+  PrintHeader("Inference throughput (compiled plan)");
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware_concurrency = %u\n", hw);
   std::printf("simd_isa = %s (id %d)\n", simd::kIsaName, simd::kIsaId);
@@ -216,7 +199,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   const text::Corpus corpus = data::MakeDataset("conll-like", 300, 17);
-  const auto types = EntityTypesOf(corpus);
+  const auto types = corpus.EntityTypes();
   // Powers of two up to the host's cores, then the core count itself:
   // threads beyond it only time-share cores.
   std::vector<int> thread_counts;
@@ -262,29 +245,14 @@ int main(int argc, char** argv) {
       ModelRun run;
       run.name = cell.name;
 
-      // Eager baseline: the per-sentence forward training uses, built
-      // from the model's public hooks, one sentence at a time on one thread.
-      const auto eager = [&] {
-        NoGradGuard no_grad;
-        for (const text::Sentence& s : corpus.sentences) {
-          if (s.tokens.empty()) continue;
-          const Var rep = model.Represent(s.tokens, false);
-          model.decoder()->Predict(model.EncodeTokens(rep, s.tokens, false));
-        }
-      };
       const auto planned = [&] { model.Evaluate(corpus); };
-      runtime::Runtime::Get().SetThreads(1);
-      run.eager_1t = MeasureThroughput(eager, corpus, min_seconds);
-
       for (const int t : thread_counts) {
         runtime::Runtime::Get().SetThreads(t);
         run.threads.push_back(t);
         run.planned.push_back(MeasureThroughput(planned, corpus, min_seconds));
       }
 
-      std::printf("%-18s eager 1t: %7.1f  plan 1t: %7.1f (%.2fx)",
-                  run.name.c_str(), run.eager_1t, run.planned[0],
-                  run.eager_1t > 0.0 ? run.planned[0] / run.eager_1t : 0.0);
+      std::printf("%-18s plan 1t: %7.1f", run.name.c_str(), run.planned[0]);
       for (std::size_t i = 1; i < run.threads.size(); ++i) {
         std::printf("  %dt: %7.1f", run.threads[i], run.planned[i]);
       }
@@ -343,8 +311,6 @@ int main(int argc, char** argv) {
   m.gauge("bench.corpus_sentences")->Set(static_cast<double>(corpus.size()));
   if (hw <= 1) m.gauge("bench.multithread_unmeasurable")->Set(1.0);
   for (const ModelRun& run : runs) {
-    m.series("bench.eager." + run.name + ".sentences_per_sec")
-        ->Append(1.0, run.eager_1t);
     obs::Series* planned =
         m.series("bench.planned." + run.name + ".sentences_per_sec");
     double t1 = 0.0, t4 = 0.0;
@@ -353,8 +319,6 @@ int main(int argc, char** argv) {
       if (run.threads[i] == 1) t1 = run.planned[i];
       if (run.threads[i] == 4) t4 = run.planned[i];
     }
-    m.gauge("bench.plan_speedup." + run.name)
-        ->Set(run.eager_1t > 0.0 ? run.planned[0] / run.eager_1t : 0.0);
     // Recorded only when the sweep ran 4 threads, i.e. the host has them.
     if (t4 > 0.0) {
       m.gauge("bench.throughput." + run.name + ".speedup_4t")

@@ -32,7 +32,7 @@ int main() {
   active_config.seed_size = 25;
   active_config.batch_size = 25;
   active_config.rounds = 8;
-  active_config.epochs_per_round = 4;
+  active_config.train.epochs = 4;
   active_config.train.lr = 0.015;
 
   core::NerConfig al_config = config;

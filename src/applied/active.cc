@@ -16,6 +16,7 @@ ActiveLearner::ActiveLearner(core::NerModel* model,
 }
 
 std::vector<double> ActiveLearner::Uncertainty(const text::Corpus& sentences) {
+  NoGradGuard no_grad;  // scores read values only
   std::vector<double> scores;
   if (config_.strategy == "entropy") {
     auto* crf = dynamic_cast<decoders::CrfDecoder*>(model_->decoder());
@@ -88,7 +89,7 @@ std::vector<ActiveRound> ActiveLearner::Run(const text::Corpus& pool,
   acquire(config_.seed_size);
   for (int round = 0; round <= config_.rounds; ++round) {
     if (round > 0) acquire(config_.batch_size);
-    trainer_->TrainEpochs(labeled, config_.epochs_per_round);
+    trainer_->Train(labeled, nullptr);
     ActiveRound stats;
     stats.round = round;
     stats.labeled_sentences = labeled.size();

@@ -21,14 +21,14 @@ struct ActiveConfig {
   int seed_size = 20;        // initial random labeled set
   int batch_size = 20;       // sentences labeled per round
   int rounds = 8;
-  int epochs_per_round = 3;  // incremental epochs after each acquisition
   /// "least_confidence": NLL of the model's own best prediction (works for
   /// every decoder; for a CRF this is logZ - Viterbi score).
   /// "entropy": mean posterior token entropy from CRF forward-backward
   /// marginals (requires a CRF decoder).
   /// "random": baseline.
   std::string strategy = "least_confidence";
-  core::TrainConfig train;
+  /// `train.epochs` incremental epochs run after each acquisition.
+  core::TrainConfig train{.epochs = 3};
   uint64_t seed = 17;
 };
 
@@ -52,7 +52,7 @@ class ActiveLearner {
   /// Uncertainty of every sentence of `sentences` under the current model,
   /// in corpus order (higher = more informative). Least confidence tags the
   /// whole corpus with one PredictCorpus call, then scores each sentence's
-  /// loss against its own prediction.
+  /// loss against its own prediction. Value-only: runs under NoGradGuard.
   std::vector<double> Uncertainty(const text::Corpus& sentences);
 
  private:

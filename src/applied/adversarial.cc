@@ -4,67 +4,40 @@
 
 namespace dlner::applied {
 
-AdversarialTrainer::AdversarialTrainer(core::NerModel* model,
-                                       const core::TrainConfig& train_config,
-                                       const AdversarialConfig& adv_config)
-    : model_(model),
-      train_config_(train_config),
-      adv_config_(adv_config),
-      shuffle_rng_(train_config.shuffle_seed) {
-  DLNER_CHECK(model_ != nullptr);
-  optimizer_ = MakeOptimizer(train_config_.optimizer, model_->Parameters(),
-                             train_config_.lr);
-}
+AdversarialNerModel::AdversarialNerModel(const core::NerConfig& config,
+                                         const text::Corpus& train,
+                                         std::vector<std::string> entity_types,
+                                         Float epsilon, Float adv_weight,
+                                         const core::Resources& resources)
+    : core::NerModel(config, train, std::move(entity_types), resources),
+      epsilon_(epsilon),
+      adv_weight_(adv_weight) {}
 
-Tensor AdversarialTrainer::ComputePerturbation(
+Tensor AdversarialNerModel::ComputePerturbation(
     const text::Sentence& sentence) {
   // Throwaway pass: gradient of the loss at the representation matrix.
-  Var rep = model_->Represent(sentence.tokens, /*training=*/true);
+  Var rep = Represent(sentence.tokens, /*training=*/true);
   DLNER_CHECK_MSG(rep->requires_grad,
                   "adversarial training needs a trainable representation");
-  Var loss = model_->LossFromRepresentation(rep, sentence, /*training=*/true);
-  Backward(loss);
+  Backward(LossFromRepresentation(rep, sentence, /*training=*/true));
   Tensor eta = rep->grad;
   const Float norm = eta.Norm();
   if (norm > 0.0) {
-    for (int i = 0; i < eta.size(); ++i) {
-      eta[i] *= adv_config_.epsilon / norm;
-    }
+    for (int i = 0; i < eta.size(); ++i) eta[i] *= epsilon_ / norm;
   }
   return eta;
 }
 
-double AdversarialTrainer::RunEpoch(const text::Corpus& train) {
-  std::vector<int> order(train.sentences.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  shuffle_rng_.Shuffle(&order);
-
-  double total = 0.0;
-  for (int idx : order) {
-    const text::Sentence& sentence = train.sentences[idx];
-    if (sentence.size() == 0) continue;
-    Tensor eta = ComputePerturbation(sentence);
-
-    optimizer_->ZeroGrad();
-    Var clean_rep = model_->Represent(sentence.tokens, true);
-    Var clean_loss =
-        model_->LossFromRepresentation(clean_rep, sentence, true);
-    Var adv_rep = Add(model_->Represent(sentence.tokens, true),
-                      Constant(std::move(eta)));
-    Var adv_loss = model_->LossFromRepresentation(adv_rep, sentence, true);
-    Var combined = Add(clean_loss, Scale(adv_loss, adv_config_.adv_weight));
-    Backward(combined);
-    optimizer_->ClipGradNorm(train_config_.clip_norm);
-    optimizer_->Step();
-    total += combined->value[0];
-  }
-  return train.sentences.empty()
-             ? 0.0
-             : total / static_cast<double>(train.sentences.size());
-}
-
-void AdversarialTrainer::Train(const text::Corpus& train, int epochs) {
-  for (int e = 0; e < epochs; ++e) RunEpoch(train);
+Var AdversarialNerModel::Loss(const text::Sentence& sentence, bool training) {
+  if (!training) return core::NerModel::Loss(sentence, false);
+  // The perturbation pass, then the clean and the perturbed pass, in this
+  // order, so dropout draws follow one fixed sequence.
+  Tensor eta = ComputePerturbation(sentence);
+  Var clean = LossFromRepresentation(Represent(sentence.tokens, true),
+                                     sentence, true);
+  Var adv_rep = Add(Represent(sentence.tokens, true), Constant(std::move(eta)));
+  Var adv = LossFromRepresentation(adv_rep, sentence, true);
+  return Add(clean, Scale(adv, adv_weight_));
 }
 
 }  // namespace dlner::applied

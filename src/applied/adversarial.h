@@ -6,44 +6,38 @@
 // where g is the loss gradient at the representation matrix. Each training
 // step minimizes loss(x) + adv_weight * loss(x + eta), which the survey
 // reports "improves generalization", particularly on noisy/low-resource
-// inputs (bench_adversarial).
+// inputs (bench_adversarial). The objective is a NerModel::Loss override,
+// so core::Trainer runs it like any other model.
 #ifndef DLNER_APPLIED_ADVERSARIAL_H_
 #define DLNER_APPLIED_ADVERSARIAL_H_
 
-#include <memory>
+#include <string>
+#include <vector>
 
-#include "core/trainer.h"
+#include "core/model.h"
 
 namespace dlner::applied {
 
-struct AdversarialConfig {
-  Float epsilon = 0.5;     // perturbation radius (L2)
-  Float adv_weight = 1.0;  // weight of the adversarial term
-};
-
-class AdversarialTrainer {
+class AdversarialNerModel : public core::NerModel {
  public:
-  AdversarialTrainer(core::NerModel* model,
-                     const core::TrainConfig& train_config,
-                     const AdversarialConfig& adv_config);
+  /// `epsilon` is the L2 radius of the perturbation; `adv_weight` scales
+  /// the adversarial term relative to the clean loss.
+  AdversarialNerModel(const core::NerConfig& config, const text::Corpus& train,
+                      std::vector<std::string> entity_types, Float epsilon,
+                      Float adv_weight, const core::Resources& resources = {});
 
-  /// One shuffled epoch of combined clean + adversarial updates; returns
-  /// the mean combined loss.
-  double RunEpoch(const text::Corpus& train);
-
-  /// Runs `epochs` epochs.
-  void Train(const text::Corpus& train, int epochs);
+  /// Clean loss + adv_weight * loss at the perturbed representation; the
+  /// clean loss alone when not training. Computing eta runs its own
+  /// Backward, which the caller's Backward on the result fully overwrites.
+  Var Loss(const text::Sentence& sentence, bool training) override;
 
   /// The FGSM perturbation for one sentence under the current model
   /// (exposed for tests: it must increase the loss to first order).
   Tensor ComputePerturbation(const text::Sentence& sentence);
 
  private:
-  core::NerModel* model_;  // not owned
-  core::TrainConfig train_config_;
-  AdversarialConfig adv_config_;
-  Rng shuffle_rng_;
-  std::unique_ptr<Optimizer> optimizer_;
+  Float epsilon_;
+  Float adv_weight_;
 };
 
 }  // namespace dlner::applied

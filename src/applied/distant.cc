@@ -34,20 +34,23 @@ DistantResult InstanceSelector::Run(
   DistantResult result;
   Rng rng(config_.seed);
 
+  auto train_for = [&](core::NerModel* model, const text::Corpus& data,
+                       int epochs) {
+    core::TrainConfig tc = config_.train;
+    tc.epochs = epochs;
+    core::Trainer(model, tc).Train(data, nullptr);
+  };
+
   // Baseline: tagger trained on all noisy data.
   {
     core::NerModel model(config_.model_config, noisy_train, entity_types);
-    core::Trainer trainer(&model, config_.train);
-    trainer.Train(noisy_train, nullptr);
+    train_for(&model, noisy_train, config_.train.epochs);
     result.f1_all_data = model.Evaluate(test).micro.f1();
   }
 
   // Warm-up tagger used only for sentence features.
   core::NerModel warm(config_.model_config, noisy_train, entity_types);
-  {
-    core::Trainer trainer(&warm, config_.train);
-    trainer.TrainEpochs(noisy_train, config_.warmup_epochs);
-  }
+  train_for(&warm, noisy_train, config_.warmup_epochs);
 
   // Per-sentence features under the warm model. The NLL of the noisy
   // labels is z-scored so the policy's logistic weights act on a
@@ -93,8 +96,7 @@ DistantResult InstanceSelector::Run(
       core::NerConfig episode_config = config_.model_config;
       episode_config.seed = config_.seed + 1000;
       core::NerModel model(episode_config, noisy_train, entity_types);
-      core::Trainer trainer(&model, config_.train);
-      trainer.TrainEpochs(kept, config_.episode_epochs);
+      train_for(&model, kept, config_.episode_epochs);
       reward = model.Evaluate(dev).micro.f1();
     }
     result.episode_rewards.push_back(reward);
@@ -137,8 +139,7 @@ DistantResult InstanceSelector::Run(
     final_config.seed = config_.seed + seed_offset;
     auto model = std::make_unique<core::NerModel>(final_config, noisy_train,
                                                   entity_types);
-    core::Trainer trainer(model.get(), config_.train);
-    trainer.TrainEpochs(data, config_.final_epochs);
+    train_for(model.get(), data, config_.final_epochs);
     const double dev_f1 = model->Evaluate(dev).micro.f1();
     return std::make_pair(std::move(model), dev_f1);
   };

@@ -104,7 +104,8 @@ Var MultiTaskBoundaryModel::Loss(const text::Sentence& sentence,
 }
 
 std::vector<text::Span> MultiTaskBoundaryModel::PredictBoundaries(
-    const std::vector<std::string>& tokens) {
+    const std::vector<std::string>& tokens) const {
+  NoGradGuard no_grad;
   Var rep = Represent(tokens, /*training=*/false);
   Var enc = EncodeTokens(rep, tokens, /*training=*/false);
   std::vector<int> ids(tokens.size());

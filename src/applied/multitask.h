@@ -58,9 +58,10 @@ class MultiTaskBoundaryModel : public core::NerModel {
   Var BoundaryLoss(const Var& encodings, const text::Sentence& gold);
 
   /// Untyped boundary spans predicted by the auxiliary head (a dedicated
-  /// boundary detector, usable on its own).
+  /// boundary detector, usable on its own). Value-only: runs under
+  /// NoGradGuard.
   std::vector<text::Span> PredictBoundaries(
-      const std::vector<std::string>& tokens);
+      const std::vector<std::string>& tokens) const;
 
  private:
   Float boundary_weight_;

@@ -113,10 +113,4 @@ TrainResult Trainer::Train(const text::Corpus& train,
   return result;
 }
 
-double Trainer::TrainEpochs(const text::Corpus& train, int epochs) {
-  double loss = 0.0;
-  for (int e = 0; e < epochs; ++e) loss = RunEpoch(train);
-  return loss;
-}
-
 }  // namespace dlner::core

@@ -1,5 +1,6 @@
 // Training loop: shuffled per-sentence SGD with gradient clipping, optional
-// dev-set early stopping — the recipe shared by every Table 3 system.
+// dev-set early stopping — the recipe shared by every Table 3 system and
+// by the applied techniques, which change NerModel::Loss or the data.
 #ifndef DLNER_CORE_TRAINER_H_
 #define DLNER_CORE_TRAINER_H_
 
@@ -51,13 +52,10 @@ class Trainer {
   /// epoch for early stopping and history. With a dev corpus the model's
   /// parameters are restored to the best-dev-F1 epoch before returning, so
   /// the trained model always carries best-epoch (not last-epoch) weights.
+  /// A call continues from the current weights, optimizer state and shuffle
+  /// stream, so repeated calls train incrementally (deep active learning,
+  /// Section 4.3: "update for a small number of epochs").
   TrainResult Train(const text::Corpus& train, const text::Corpus* dev);
-
-  /// One incremental pass of `epochs` epochs (used by deep active learning,
-  /// Section 4.3: "mix newly annotated samples ... update for a small
-  /// number of epochs" instead of retraining from scratch).
-  /// Returns the mean train loss of the last epoch.
-  double TrainEpochs(const text::Corpus& train, int epochs);
 
   Optimizer* optimizer() { return optimizer_.get(); }
 

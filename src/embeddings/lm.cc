@@ -50,17 +50,33 @@ Var BiLstmLm::DirectionLoss(const std::vector<int>& ids, bool backward) const {
   return Scale(Sum(ConcatVecs(terms)), 1.0 / static_cast<int>(terms.size()));
 }
 
-Float BiLstmLm::TrainDirection(const std::vector<int>& ids, bool backward,
-                               Adam* opt) {
-  const Var loss = DirectionLoss(ids, backward);
-  opt->ZeroGrad();
-  Backward(loss);
-  opt->ClipGradNorm(5.0);
-  opt->Step();
-  return loss->value[0];
+Float BiLstmLm::TrainSequences(const std::vector<std::vector<int>>& sequences,
+                               int epochs, double lr) {
+  Adam opt(Parameters(), lr);
+  Float last_nll = 0.0;
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    Float total = 0.0;
+    int count = 0;
+    for (const std::vector<int>& ids : sequences) {
+      for (bool backward : {false, true}) {
+        if (ids.size() >= 2) {
+          const Var loss = DirectionLoss(ids, backward);
+          opt.ZeroGrad();
+          Backward(loss);
+          opt.ClipGradNorm(5.0);
+          opt.Step();
+          total += loss->value[0];
+        }
+        ++count;
+      }
+    }
+    last_nll = count > 0 ? total / count : 0.0;
+  }
+  return last_nll;
 }
 
 Tensor BiLstmLm::States(const std::vector<int>& ids) const {
+  NoGradGuard no_grad;  // value-only: record no tape to throw away
   const Var units = embedding_->Lookup(ids);
   return ConcatCols({RunRnn(*fwd_, units, /*reverse=*/false),
                      RunRnn(*bwd_, units, /*reverse=*/true)})
@@ -144,24 +160,15 @@ std::vector<int> CharLm::CharIds(
 }
 
 Float CharLm::Train(const std::vector<std::vector<std::string>>& sentences) {
-  Adam opt(Parameters(), config_.lr);
-  Float last_nll = 0.0;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    Float total = 0.0;
-    int count = 0;
-    for (const auto& sent : sentences) {
-      std::vector<int> ids = CharIds(sent, nullptr);
-      if (static_cast<int>(ids.size()) > config_.max_chars) {
-        ids.resize(config_.max_chars);
-      }
-      for (bool backward : {false, true}) {
-        if (ids.size() >= 2) total += TrainDirection(ids, backward, &opt);
-        ++count;
-      }
+  std::vector<std::vector<int>> sequences;
+  sequences.reserve(sentences.size());
+  for (const auto& sent : sentences) {
+    sequences.push_back(CharIds(sent, nullptr));
+    if (static_cast<int>(sequences.back().size()) > config_.max_chars) {
+      sequences.back().resize(config_.max_chars);
     }
-    last_nll = count > 0 ? total / count : 0.0;
   }
-  return last_nll;
+  return TrainSequences(sequences, config_.epochs, config_.lr);
 }
 
 Float CharLm::Evaluate(const std::vector<std::vector<std::string>>& sentences) {
@@ -230,22 +237,12 @@ Float TokenLm::Train(const std::vector<std::vector<std::string>>& sentences) {
   vocab_.Freeze(config_.min_count);
   Build();
 
-  Adam opt(Parameters(), config_.lr);
-  Float last_nll = 0.0;
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    Float total = 0.0;
-    int count = 0;
-    for (const auto& sent : sentences) {
-      const std::vector<int> ids = vocab_.Encode(sent);
-      if (ids.size() < 2) continue;
-      for (bool backward : {false, true}) {
-        total += TrainDirection(ids, backward, &opt);
-        ++count;
-      }
-    }
-    last_nll = count > 0 ? total / count : 0.0;
+  std::vector<std::vector<int>> sequences;
+  for (const auto& sent : sentences) {
+    std::vector<int> ids = vocab_.Encode(sent);
+    if (ids.size() >= 2) sequences.push_back(std::move(ids));
   }
-  return last_nll;
+  return TrainSequences(sequences, config_.epochs, config_.lr);
 }
 
 Tensor TokenLm::Extract(const std::vector<std::string>& tokens) const {

@@ -49,11 +49,16 @@ class BiLstmLm : public Module {
 
   /// Mean next-unit NLL of `ids` (at least two) read in one direction.
   Var DirectionLoss(const std::vector<int>& ids, bool backward) const;
-  /// One clipped Adam step on DirectionLoss; returns the loss value.
-  Float TrainDirection(const std::vector<int>& ids, bool backward, Adam* opt);
+  /// The one pre-training loop: `epochs` passes of Adam at `lr` over
+  /// `sequences`, one clipped step per sequence and direction. Returns the
+  /// last epoch's mean NLL over every sequence and direction; a sequence of
+  /// fewer than two ids counts as NLL 0 and takes no step.
+  Float TrainSequences(const std::vector<std::vector<int>>& sequences,
+                       int epochs, double lr);
 
   /// Hidden states [n, 2*hidden] after consuming each unit: the forward
   /// LM's in the first half of a row, the backward LM's in the second.
+  /// Runs under NoGradGuard: extraction records no autograd tape.
   Tensor States(const std::vector<int>& ids) const;
 
   /// The checkpoint body after each class's config fields: the vocabulary

@@ -3,6 +3,22 @@
 #include <algorithm>
 
 namespace dlner::stream {
+namespace {
+
+// Apply relabels a predicted span only when the majority type has at least
+// kMinVotesToRelabel votes AND at least kRelabelRatio times the votes of the
+// predicted type: one early mistake should not rewrite a confident later
+// decode.
+constexpr int kMinVotesToRelabel = 2;
+constexpr int kRelabelRatio = 2;
+// Longest remembered surface, in tokens, that Apply scans for.
+constexpr int kMaxSurfaceTokens = 8;
+// Cap on distinct remembered surfaces; once full, new surfaces are dropped
+// (existing ones keep accumulating votes). Bounds memory on 10k+-token
+// documents.
+constexpr std::size_t kMaxSurfaces = 4096;
+
+}  // namespace
 
 std::string EntityMemory::Key(const std::vector<std::string>& tokens,
                               int start, int end) {
@@ -36,11 +52,11 @@ void EntityMemory::Observe(const std::vector<std::string>& tokens,
       continue;
     }
     const int width = sp.end - sp.start;
-    if (width > opts_.max_surface_tokens) continue;
+    if (width > kMaxSurfaceTokens) continue;
     std::string key = Key(tokens, sp.start, sp.end);
     auto it = table_.find(key);
     if (it == table_.end()) {
-      if (table_.size() >= opts_.max_surfaces) continue;
+      if (table_.size() >= kMaxSurfaces) continue;
       it = table_.emplace(std::move(key), VoteEntry{}).first;
       it->second.surface_tokens = width;
     }
@@ -58,15 +74,15 @@ void EntityMemory::Apply(const std::vector<std::string>& tokens,
   // dominant different type in memory.
   for (text::Span& sp : *spans) {
     if (sp.start < 0 || sp.end > n || sp.start >= sp.end) continue;
-    if (sp.end - sp.start > opts_.max_surface_tokens) continue;
+    if (sp.end - sp.start > kMaxSurfaceTokens) continue;
     auto it = table_.find(Key(tokens, sp.start, sp.end));
     if (it == table_.end()) continue;
     const auto [major_type, major_votes] = Majority(it->second);
     if (major_type.empty() || major_type == sp.type) continue;
     auto own = it->second.votes.find(sp.type);
     const int own_votes = own == it->second.votes.end() ? 0 : own->second;
-    if (major_votes >= opts_.min_votes_to_relabel &&
-        major_votes >= opts_.relabel_ratio * std::max(own_votes, 1)) {
+    if (major_votes >= kMinVotesToRelabel &&
+        major_votes >= kRelabelRatio * std::max(own_votes, 1)) {
       sp.type = major_type;
     }
   }
@@ -80,7 +96,7 @@ void EntityMemory::Apply(const std::vector<std::string>& tokens,
       covered[static_cast<std::size_t>(t)] = true;
     }
   }
-  const int max_width = std::min(longest_surface_, opts_.max_surface_tokens);
+  const int max_width = std::min(longest_surface_, kMaxSurfaceTokens);
   std::vector<text::Span> injected;
   for (int start = 0; start < n; ++start) {
     if (covered[static_cast<std::size_t>(start)]) continue;
@@ -96,9 +112,8 @@ void EntityMemory::Apply(const std::vector<std::string>& tokens,
       if (blocked) continue;
       auto it = table_.find(Key(tokens, start, end));
       if (it == table_.end() || it->second.surface_tokens != width) continue;
-      const auto [major_type, major_votes] = Majority(it->second);
-      if (major_votes < opts_.min_votes_to_inject) continue;
-      injected.push_back(text::Span{start, end, major_type});
+      // Every remembered surface has at least one vote, and one suffices.
+      injected.push_back(text::Span{start, end, Majority(it->second).first});
       for (int t = start; t < end; ++t) {
         covered[static_cast<std::size_t>(t)] = true;
       }

@@ -22,8 +22,9 @@
 // invariance property holds with doc-context on, too.
 //
 // All tie-breaks are deterministic (lexicographically smallest type wins a
-// vote tie), and the table is capped so a pathological document cannot grow
-// memory without bound.
+// vote tie), and the table is capped (4096 surfaces) so a pathological
+// document cannot grow memory without bound. The thresholds are fixed
+// constants in entity_memory.cc.
 #ifndef DLNER_STREAM_ENTITY_MEMORY_H_
 #define DLNER_STREAM_ENTITY_MEMORY_H_
 
@@ -37,29 +38,8 @@
 
 namespace dlner::stream {
 
-struct EntityMemoryOptions {
-  /// Votes a surface needs before Apply will inject it into a sentence
-  /// where the decoder produced no span.
-  int min_votes_to_inject = 1;
-  /// Apply relabels a predicted span only when the majority type has at
-  /// least this many votes AND at least `relabel_ratio` times the votes of
-  /// the predicted type. Conservative by default: one early mistake should
-  /// not rewrite a confident later decode.
-  int min_votes_to_relabel = 2;
-  int relabel_ratio = 2;
-  /// Longest remembered surface, in tokens, that Apply will scan for.
-  int max_surface_tokens = 8;
-  /// Hard cap on distinct remembered surfaces; once full, new surfaces are
-  /// dropped (existing ones keep accumulating votes). Bounds memory on
-  /// 10k+-token documents.
-  std::size_t max_surfaces = 4096;
-};
-
 class EntityMemory {
  public:
-  EntityMemory() = default;
-  explicit EntityMemory(const EntityMemoryOptions& opts) : opts_(opts) {}
-
   /// Records one vote per span for (surface form -> type).
   void Observe(const std::vector<std::string>& tokens,
                const std::vector<text::Span>& spans);
@@ -93,7 +73,6 @@ class EntityMemory {
   // Majority (type, votes) of an entry.
   static std::pair<std::string, int> Majority(const VoteEntry& entry);
 
-  EntityMemoryOptions opts_;
   std::unordered_map<std::string, VoteEntry> table_;
   int longest_surface_ = 0;  // tokens of the longest remembered surface
 };

@@ -1,6 +1,7 @@
 #include "text/types.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 namespace dlner::text {
@@ -15,6 +16,14 @@ int Corpus::EntityCount() const {
   int n = 0;
   for (const Sentence& s : sentences) n += static_cast<int>(s.spans.size());
   return n;
+}
+
+std::vector<std::string> Corpus::EntityTypes() const {
+  std::set<std::string> types;
+  for (const Sentence& s : sentences) {
+    for (const Span& sp : s.spans) types.insert(sp.type);
+  }
+  return {types.begin(), types.end()};
 }
 
 int Corpus::DocCount() const {

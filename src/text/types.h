@@ -52,6 +52,8 @@ struct Corpus {
   int TokenCount() const;
   /// Total entity mention count across sentences.
   int EntityCount() const;
+  /// The entity types the spans use, sorted and unique.
+  std::vector<std::string> EntityTypes() const;
   /// Number of documents (1 for a non-empty corpus without boundaries).
   int DocCount() const;
   /// Sentence-index range [first, last) of document `doc`.

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -188,8 +189,7 @@ TEST(ActiveTest, RunsAndGrowsLabeledSet) {
   config.seed_size = 10;
   config.batch_size = 10;
   config.rounds = 3;
-  config.epochs_per_round = 2;
-  config.train = FastTrain(1);
+  config.train = FastTrain(2);
   ActiveLearner learner(&model, config);
   auto history = learner.Run(pool, test);
   ASSERT_EQ(history.size(), 4u);
@@ -265,32 +265,31 @@ TEST(ActiveTest, EntropyUsesTheTaggersBrnnBracketing) {
 
 // --- Adversarial ---
 
+AdversarialNerModel SmallAdversarial(const text::Corpus& corpus,
+                                     Float epsilon) {
+  return AdversarialNerModel(SmallConfig(), corpus,
+                             data::EntityTypesFor(Genre::kNews), epsilon,
+                             /*adv_weight=*/1.0);
+}
+
 TEST(AdversarialTest, PerturbationHasEpsilonNorm) {
   text::Corpus corpus = SmallNews(10, 12);
-  core::NerModel model(SmallConfig(), corpus,
-                       data::EntityTypesFor(Genre::kNews));
-  AdversarialConfig adv;
-  adv.epsilon = 0.25;
-  AdversarialTrainer trainer(&model, FastTrain(1), adv);
-  Tensor eta = trainer.ComputePerturbation(corpus.sentences[0]);
+  AdversarialNerModel model = SmallAdversarial(corpus, 0.25);
+  Tensor eta = model.ComputePerturbation(corpus.sentences[0]);
   EXPECT_NEAR(eta.Norm(), 0.25, 1e-9);
 }
 
 TEST(AdversarialTest, PerturbationIncreasesLoss) {
   text::Corpus corpus = SmallNews(20, 13);
-  core::NerModel model(SmallConfig(), corpus,
-                       data::EntityTypesFor(Genre::kNews));
+  AdversarialNerModel model = SmallAdversarial(corpus, 0.5);
   // Brief training so gradients are meaningful.
   core::Trainer warm(&model, FastTrain(2));
   warm.Train(corpus, nullptr);
 
-  AdversarialConfig adv;
-  adv.epsilon = 0.5;
-  AdversarialTrainer trainer(&model, FastTrain(1), adv);
   int increased = 0, total = 0;
   for (int i = 0; i < 10; ++i) {
     const text::Sentence& s = corpus.sentences[i];
-    Tensor eta = trainer.ComputePerturbation(s);
+    Tensor eta = model.ComputePerturbation(s);
     // Evaluate loss without dropout for a clean comparison.
     Var rep_clean = model.Represent(s.tokens, false);
     const double clean =
@@ -307,14 +306,70 @@ TEST(AdversarialTest, PerturbationIncreasesLoss) {
 
 TEST(AdversarialTest, TrainingDecreasesLoss) {
   text::Corpus corpus = SmallNews(20, 14);
-  core::NerModel model(SmallConfig(), corpus,
-                       data::EntityTypesFor(Genre::kNews));
-  AdversarialConfig adv;
-  AdversarialTrainer trainer(&model, FastTrain(1), adv);
-  const double l1 = trainer.RunEpoch(corpus);
-  trainer.Train(corpus, 3);
-  const double l2 = trainer.RunEpoch(corpus);
+  AdversarialNerModel model = SmallAdversarial(corpus, 0.5);
+  core::Trainer trainer(&model, FastTrain(1));
+  const double l1 = trainer.Train(corpus, nullptr).final_train_loss;
+  for (int e = 0; e < 3; ++e) trainer.Train(corpus, nullptr);
+  const double l2 = trainer.Train(corpus, nullptr).final_train_loss;
   EXPECT_LT(l2, l1);
+}
+
+TEST(AdversarialTest, LossOverrideMatchesTheInlineAdversarialStep) {
+  text::Corpus corpus = SmallNews(16, 15);
+  core::NerConfig config = SmallConfig();
+  config.use_char_cnn = true;
+  config.word_unk_dropout = 0.2;
+  const core::TrainConfig tc = FastTrain(3);
+  const Float epsilon = 0.6, adv_weight = 0.7;
+  const auto types = data::EntityTypesFor(Genre::kNews);
+
+  // Oracle: the adversarial epoch written out by hand on a plain model —
+  // the perturbation pass and its Backward, then one combined clean +
+  // adversarial step per sentence.
+  core::NerModel oracle(config, corpus, types);
+  std::unique_ptr<Optimizer> opt =
+      MakeOptimizer(tc.optimizer, oracle.Parameters(), tc.lr);
+  Rng shuffle(tc.shuffle_seed);
+  for (int epoch = 0; epoch < tc.epochs; ++epoch) {
+    std::vector<int> order(corpus.sentences.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+    shuffle.Shuffle(&order);
+    for (int idx : order) {
+      const text::Sentence& s = corpus.sentences[idx];
+      if (s.size() == 0) continue;
+      Var probe = oracle.Represent(s.tokens, true);
+      Backward(oracle.LossFromRepresentation(probe, s, true));
+      Tensor eta = probe->grad;
+      const Float norm = eta.Norm();
+      if (norm > 0.0) {
+        for (int i = 0; i < eta.size(); ++i) eta[i] *= epsilon / norm;
+      }
+      opt->ZeroGrad();
+      Var clean = oracle.LossFromRepresentation(
+          oracle.Represent(s.tokens, true), s, true);
+      Var adv_rep =
+          Add(oracle.Represent(s.tokens, true), Constant(std::move(eta)));
+      Var adv = oracle.LossFromRepresentation(adv_rep, s, true);
+      Backward(Add(clean, Scale(adv, adv_weight)));
+      opt->ClipGradNorm(tc.clip_norm);
+      opt->Step();
+    }
+  }
+
+  AdversarialNerModel model(config, corpus, types, epsilon, adv_weight);
+  core::Trainer trainer(&model, tc);
+  trainer.Train(corpus, nullptr);
+
+  const std::vector<Var> want = oracle.Parameters();
+  const std::vector<Var> got = model.Parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t p = 0; p < want.size(); ++p) {
+    ASSERT_EQ(got[p]->value.size(), want[p]->value.size()) << got[p]->name;
+    EXPECT_EQ(std::memcmp(got[p]->value.data(), want[p]->value.data(),
+                          sizeof(Float) * want[p]->value.size()),
+              0)
+        << got[p]->name;
+  }
 }
 
 // --- Distant supervision / RL ---

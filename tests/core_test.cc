@@ -212,9 +212,11 @@ TEST(TrainerTest, IncrementalTrainEpochs) {
   text::Corpus corpus = SmallNews(20, 7);
   NerConfig config = SmallConfig();
   NerModel model(config, corpus, data::EntityTypesFor(Genre::kNews));
+  // Each Train call continues from the weights the previous one left.
   Trainer trainer(&model, FastTrain(1));
-  const double l1 = trainer.TrainEpochs(corpus, 1);
-  const double l2 = trainer.TrainEpochs(corpus, 3);
+  const double l1 = trainer.Train(corpus, nullptr).final_train_loss;
+  for (int e = 0; e < 2; ++e) trainer.Train(corpus, nullptr);
+  const double l2 = trainer.Train(corpus, nullptr).final_train_loss;
   EXPECT_LT(l2, l1);
 }
 

@@ -31,7 +31,6 @@ using testsup::AllDecoders;
 using testsup::AllEncoders;
 using testsup::EnumerateCrf;
 using testsup::EnumerateSemiCrf;
-using testsup::EntityTypesOf;
 using testsup::MaxAbsDiff;
 using testsup::OracleExactMatch;
 using testsup::RandomTensor;
@@ -277,7 +276,7 @@ TEST(PipelineDifferentialTest, EveryEncoderDecoderComboAgreesWithOracle) {
   // on PredictCorpus output. Untrained models are fine — the scorer
   // contract holds for arbitrary predictions.
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 10, 77);
-  const std::vector<std::string> types = EntityTypesOf(corpus);
+  const std::vector<std::string> types = corpus.EntityTypes();
   std::vector<std::vector<text::Span>> gold;
   for (const auto& s : corpus.sentences) gold.push_back(s.spans);
 
@@ -312,7 +311,7 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerOnEveryEncoderDecoderCell) {
   // encoders, softmax/crf decoders) and the eager-bridge fallbacks must both
   // agree exactly with the plain eager path.
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 20, 91);
-  const std::vector<std::string> types = EntityTypesOf(corpus);
+  const std::vector<std::string> types = corpus.EntityTypes();
   for (const std::string& encoder : AllEncoders()) {
     for (const std::string& decoder : AllDecoders()) {
       const std::string cell = encoder + "/" + decoder;
@@ -332,7 +331,7 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerAcrossBatchSizesAndRaggedMixes) {
   // boundary), plus a mix that interleaves empty and truncated sentences so
   // segment boundaries land everywhere in the packed layout.
   const text::Corpus base = testsup::SmallCorpus("conll-like", 17, 92);
-  const std::vector<std::string> types = EntityTypesOf(base);
+  const std::vector<std::string> types = base.EntityTypes();
   const std::pair<std::string, std::string> cells[] = {
       {"cnn", "softmax"}, {"bilstm", "crf"}, {"idcnn", "crf"}};
   for (const auto& [encoder, decoder] : cells) {
@@ -373,7 +372,7 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerWithHybridFeatures) {
   // A composed representation (word + shape features) makes the embed step
   // a multi-slice fill; the planned path must still agree exactly.
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 12, 93);
-  const std::vector<std::string> types = EntityTypesOf(corpus);
+  const std::vector<std::string> types = corpus.EntityTypes();
   core::NerConfig config = TinyConfig("cnn", "crf", 23);
   config.use_shape = true;
   core::NerModel model(config, corpus, types);
@@ -392,7 +391,7 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerOnCharacterCells) {
   // ones for batch sizes 1, 3 and 17 and for tokens that hit every edge of
   // the character path.
   const text::Corpus base = testsup::SmallCorpus("conll-like", 17, 96);
-  const std::vector<std::string> types = EntityTypesOf(base);
+  const std::vector<std::string> types = base.EntityTypes();
   // The empty word (no characters: the features read one kUnkId),
   // one-character words, words longer than 32 characters, and bytes that
   // never occur in the training corpus (so outside the character vocab).
@@ -686,7 +685,7 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
 
 TEST(PlanDifferentialTest, PlannedEvaluateMatchesEagerEvaluate) {
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 15, 94);
-  const std::vector<std::string> types = EntityTypesOf(corpus);
+  const std::vector<std::string> types = corpus.EntityTypes();
   core::NerModel model(TinyConfig("bilstm", "softmax", 29), corpus, types);
   const eval::ExactResult eager = testsup::EagerEvaluate(model, corpus);
   const eval::ExactResult planned = model.Evaluate(corpus);

@@ -34,7 +34,7 @@ std::string CheckpointBytes(const std::string& encoder,
   tc.epochs = 1;
   const auto pipeline =
       core::Pipeline::Train(testsup::TinyConfig(encoder, decoder, seed), tc,
-                            train, nullptr, testsup::EntityTypesOf(train));
+                            train, nullptr, train.EntityTypes());
   std::ostringstream os;
   EXPECT_TRUE(pipeline->Save(os));
   return os.str();
@@ -80,12 +80,12 @@ TEST(CheckpointFuzzTest, EveryStrictPrefixIsRejected) {
 
 TEST(ConllFuzzTest, MutatedConllFilesNeverCrashTheReader) {
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 8, 53);
-  text::TagSet tags(testsup::EntityTypesOf(corpus), text::TagScheme::kBio);
+  text::TagSet tags(corpus.EntityTypes(), text::TagScheme::kBio);
   std::ostringstream base_os, donor_os;
   text::WriteConll(base_os, corpus, tags);
   const text::Corpus donor_corpus =
       testsup::SmallCorpus("ontonotes-like", 5, 59);
-  text::TagSet donor_tags(testsup::EntityTypesOf(donor_corpus),
+  text::TagSet donor_tags(donor_corpus.EntityTypes(),
                           text::TagScheme::kBioes);
   text::WriteConll(donor_os, donor_corpus, donor_tags);
   const std::string base = base_os.str();

@@ -179,21 +179,13 @@ bool SameResult(const eval::ExactResult& a, const eval::ExactResult& b) {
   return true;
 }
 
-std::vector<std::string> EntityTypesOf(const text::Corpus& corpus) {
-  std::set<std::string> types;
-  for (const auto& s : corpus.sentences) {
-    for (const auto& sp : s.spans) types.insert(sp.type);
-  }
-  return {types.begin(), types.end()};
-}
-
 TEST(ParallelEvaluateTest, BitIdenticalAcrossThreadCounts) {
   const text::Corpus corpus = data::MakeDataset("conll-like", 200, 7);
   core::NerConfig config;
   config.word_dim = 12;
   config.hidden_dim = 10;
   config.seed = 11;
-  core::NerModel model(config, corpus, EntityTypesOf(corpus));
+  core::NerModel model(config, corpus, corpus.EntityTypes());
 
   // Reference: a manual serial pass over the corpus.
   eval::ExactMatchEvaluator serial;
@@ -222,7 +214,7 @@ TEST(ParallelEvaluateTest, PredictCorpusMatchesSequentialPredict) {
   config.encoder = "cnn";
   config.decoder = "softmax";
   config.seed = 23;
-  core::NerModel model(config, corpus, EntityTypesOf(corpus));
+  core::NerModel model(config, corpus, corpus.EntityTypes());
 
   Runtime::Get().SetThreads(4);
   const auto parallel = model.PredictCorpus(corpus);

@@ -526,7 +526,7 @@ TEST(PipelineCheckpointTest, EveryCellRestoresIntoUninitializedModel) {
   // built that way and restored from an initialized twin must match it
   // parameter for parameter and prediction for prediction.
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 8, 30);
-  const std::vector<std::string> types = testsup::EntityTypesOf(corpus);
+  const std::vector<std::string> types = corpus.EntityTypes();
   int cell_index = 0;
   for (const std::string& encoder : testsup::AllEncoders()) {
     for (const std::string& decoder : testsup::AllDecoders()) {

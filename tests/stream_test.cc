@@ -146,23 +146,8 @@ TEST(EntityMemoryTest, InjectionPrefersLongestMatchAndNeverOverlaps) {
   EXPECT_EQ(spans[0], (text::Span{1, 3, "ORG"}));
 }
 
-TEST(EntityMemoryTest, MinVotesGatesInjection) {
-  EntityMemoryOptions opts;
-  opts.min_votes_to_inject = 2;
-  EntityMemory memory(opts);
-  memory.Observe({"Zhang"}, {{0, 1, "PER"}});
-  std::vector<text::Span> spans;
-  memory.Apply({"Zhang"}, &spans);
-  EXPECT_TRUE(spans.empty());  // one vote is not enough
-
-  memory.Observe({"Zhang"}, {{0, 1, "PER"}});
-  memory.Apply({"Zhang"}, &spans);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].type, "PER");
-}
-
 TEST(EntityMemoryTest, RelabelRequiresDominantMajority) {
-  EntityMemory memory;  // min_votes_to_relabel=2, relabel_ratio=2
+  EntityMemory memory;  // relabel needs 2 votes and a 2:1 majority
   memory.Observe({"Jordan"}, {{0, 1, "PER"}});
   std::vector<text::Span> spans = {{0, 1, "LOC"}};
   memory.Apply({"Jordan"}, &spans);
@@ -201,13 +186,16 @@ TEST(EntityMemoryTest, ClearForgetsEverything) {
 }
 
 TEST(EntityMemoryTest, SurfaceTableIsCapped) {
-  EntityMemoryOptions opts;
-  opts.max_surfaces = 4;
-  EntityMemory memory(opts);
-  for (int i = 0; i < 10; ++i) {
+  EntityMemory memory;
+  for (int i = 0; i <= 4096; ++i) {
     memory.Observe({"tok" + std::to_string(i)}, {{0, 1, "PER"}});
   }
-  EXPECT_EQ(memory.size(), 4u);
+  EXPECT_EQ(memory.size(), 4096u);
+  // A remembered surface keeps voting once the table is full.
+  memory.Observe({"tok0"}, {{0, 1, "LOC"}});
+  memory.Observe({"tok0"}, {{0, 1, "LOC"}});
+  EXPECT_EQ(memory.MajorityType({"tok0"}), "LOC");
+  EXPECT_EQ(memory.MajorityType({"tok4096"}), "");
 }
 
 // ---------------------------------------------------------------------------

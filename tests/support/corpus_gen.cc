@@ -1,7 +1,6 @@
 #include "support/corpus_gen.h"
 
 #include <algorithm>
-#include <set>
 
 namespace dlner::testsup {
 
@@ -13,14 +12,6 @@ text::Corpus SmallCorpus(const std::string& dataset, int num_sentences,
 data::DataSplit SmallSplit(data::Genre genre, int train_size, int test_size,
                            uint64_t seed) {
   return data::MakeOovSplit(genre, train_size, test_size, seed);
-}
-
-std::vector<std::string> EntityTypesOf(const text::Corpus& corpus) {
-  std::set<std::string> types;
-  for (const auto& s : corpus.sentences) {
-    for (const auto& sp : s.spans) types.insert(sp.type);
-  }
-  return {types.begin(), types.end()};
 }
 
 text::Corpus TruncateSentences(const text::Corpus& corpus, int max_tokens) {

@@ -24,9 +24,6 @@ text::Corpus SmallCorpus(const std::string& dataset, int num_sentences,
 data::DataSplit SmallSplit(data::Genre genre, int train_size, int test_size,
                            uint64_t seed);
 
-/// Sorted entity-type inventory actually used by a corpus.
-std::vector<std::string> EntityTypesOf(const text::Corpus& corpus);
-
 /// Copy of `corpus` with every sentence truncated to `max_tokens` tokens
 /// (spans crossing the cut are dropped), for brute-force-sized inputs.
 text::Corpus TruncateSentences(const text::Corpus& corpus, int max_tokens);

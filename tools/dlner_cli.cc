@@ -23,7 +23,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 
@@ -41,14 +40,6 @@ using namespace dlner;
 using core::Args;
 using core::FlagKind;
 using core::FlagSpec;
-
-std::vector<std::string> EntityTypesOf(const text::Corpus& corpus) {
-  std::set<std::string> types;
-  for (const auto& s : corpus.sentences) {
-    for (const auto& sp : s.spans) types.insert(sp.type);
-  }
-  return {types.begin(), types.end()};
-}
 
 FlagSpec GenerateSpec() {
   FlagSpec spec{{"dataset", FlagKind::kValue}, {"n", FlagKind::kValue},
@@ -135,7 +126,7 @@ int CmdGenerate(const Args& args) {
       s.spans = std::move(flat);
     }
   }
-  text::TagSet tags(EntityTypesOf(corpus),
+  text::TagSet tags(corpus.EntityTypes(),
                     text::TagSchemeFromString(args.Get("scheme", "bioes")));
   if (!text::WriteConllFile(out, corpus, tags)) {
     std::fprintf(stderr, "generate: cannot write %s\n", out.c_str());
@@ -229,7 +220,7 @@ int CmdTrain(const Args& args) {
               config.Describe().c_str(), train.size());
   auto pipeline = core::Pipeline::Train(config, tc, train,
                                         has_dev ? &dev : nullptr,
-                                        EntityTypesOf(train), res);
+                                        train.EntityTypes(), res);
   if (has_dev) {
     std::printf("best dev F1 = %.3f\n", pipeline->train_result().best_dev_f1);
   }
