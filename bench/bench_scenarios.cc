@@ -13,7 +13,7 @@
 //   bench.scenarios.doc_context.delta      on - off
 //   bench.scenarios.count                  scenarios evaluated
 //   bench.hardware_concurrency             cores the host reports
-//   bench.simd_isa                         0=scalar 1=avx2
+//   bench.simd_isa                         0=scalar 1=avx2 2=avx512
 //
 // Each scenario trains on its matched clean split (MakeScenarioSplit): the
 // realistic setting where the hostile property appears only at test time.

@@ -27,7 +27,7 @@
 //       batch-wait vs compute instead of being a single opaque number.
 //   bench.serve.responses_total         total tagged responses, all points
 //   bench.hardware_concurrency          cores the host reports
-//   bench.simd_isa                      0=scalar 1=avx2
+//   bench.simd_isa                      0=scalar 1=avx2 2=avx512
 //   serve.*                             the sweep server's own instruments
 //
 // The whole sweep runs with metrics collection on and request tracing

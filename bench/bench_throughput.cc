@@ -10,14 +10,18 @@
 // committed):
 //   bench.planned.<model>.sentences_per_sec  plan path, thread sweep over
 //                                            powers of two up to the host's
-//                                            cores, plus the core count
+//                                            cores, plus the core count;
+//                                            each point is the median of
+//                                            kRepeats timed runs
+//   bench.planned.<model>.spread             per point, (max - min) / median
+//                                            of those runs
 //   bench.throughput.<model>.speedup_4t      only when the sweep reaches 4
 //   bench.hardware_concurrency               cores the host reports
 // On a single-core host a multi-thread speedup is unmeasurable (the sweep
 // is just 1 thread), so bench.multithread_unmeasurable = 1 is recorded.
 //
 // SIMD series (docs/PERFORMANCE.md):
-//   bench.simd_isa                           0=scalar 1=avx2
+//   bench.simd_isa                           0=scalar 1=avx2 2=avx512
 //   bench.simd.<kernel>_gflops               explicit-ISA microkernels,
 //   bench.scalar.<kernel>_gflops             vs the true-scalar reference
 //                                            (kernel in gemm, affine;
@@ -119,10 +123,17 @@ MatMulResult MeasureMatMul(int m, int k, int n, double min_seconds) {
   return result;
 }
 
+// Timed runs per (cell, thread count) point. The runs of one cell go round
+// robin over its thread counts, so a burst of host noise lands on one run
+// of several points rather than on every run of one point.
+constexpr int kRepeats = 5;
+
 struct ModelRun {
   std::string name;
   std::vector<int> threads;
-  std::vector<double> planned;  // plan path, one entry per thread count
+  // Plan path, one entry per thread count: median of the runs, and their
+  // (max - min) / median.
+  std::vector<double> planned, spread;
 };
 
 // One microkernel shape: C[m,n] += A[m,k] . B[k,n].
@@ -246,15 +257,28 @@ int main(int argc, char** argv) {
       run.name = cell.name;
 
       const auto planned = [&] { model.Evaluate(corpus); };
-      for (const int t : thread_counts) {
-        runtime::Runtime::Get().SetThreads(t);
-        run.threads.push_back(t);
-        run.planned.push_back(MeasureThroughput(planned, corpus, min_seconds));
+      std::vector<std::vector<double>> samples(thread_counts.size());
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+          runtime::Runtime::Get().SetThreads(thread_counts[i]);
+          samples[i].push_back(
+              MeasureThroughput(planned, corpus, min_seconds));
+        }
+      }
+      for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+        std::vector<double>& v = samples[i];
+        std::sort(v.begin(), v.end());
+        const double median = v[v.size() / 2];
+        run.threads.push_back(thread_counts[i]);
+        run.planned.push_back(median);
+        run.spread.push_back(median > 0.0 ? (v.back() - v.front()) / median
+                                          : 0.0);
       }
 
-      std::printf("%-18s plan 1t: %7.1f", run.name.c_str(), run.planned[0]);
-      for (std::size_t i = 1; i < run.threads.size(); ++i) {
-        std::printf("  %dt: %7.1f", run.threads[i], run.planned[i]);
+      std::printf("%-18s plan", run.name.c_str());
+      for (std::size_t i = 0; i < run.threads.size(); ++i) {
+        std::printf("  %dt: %7.1f (spread %4.1f%%)", run.threads[i],
+                    run.planned[i], 100.0 * run.spread[i]);
       }
       std::printf(" sent/s\n");
       runs.push_back(std::move(run));
@@ -313,9 +337,11 @@ int main(int argc, char** argv) {
   for (const ModelRun& run : runs) {
     obs::Series* planned =
         m.series("bench.planned." + run.name + ".sentences_per_sec");
+    obs::Series* spread = m.series("bench.planned." + run.name + ".spread");
     double t1 = 0.0, t4 = 0.0;
     for (std::size_t i = 0; i < run.threads.size(); ++i) {
       planned->Append(static_cast<double>(run.threads[i]), run.planned[i]);
+      spread->Append(static_cast<double>(run.threads[i]), run.spread[i]);
       if (run.threads[i] == 1) t1 = run.planned[i];
       if (run.threads[i] == 4) t4 = run.planned[i];
     }

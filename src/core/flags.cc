@@ -70,6 +70,10 @@ bool ParseDouble(const std::string& s, double* out) {
 }
 
 bool Args::Parse(int argc, char* const* argv, int start, const FlagSpec& spec) {
+  if (argc > 0 && argv[0] != nullptr) {
+    const std::string path(argv[0]);
+    program_ = path.substr(path.find_last_of('/') + 1);
+  }
   for (int i = start; i < argc; ++i) {
     const char* arg = argv[i];
     if (!LooksLikeFlag(arg) || arg[2] == '\0') {
@@ -110,21 +114,16 @@ std::string Args::Get(const std::string& key, const std::string& dflt) const {
   return it == values_.end() ? dflt : it->second;
 }
 
-namespace {
-
-[[noreturn]] void FailFlag(const std::string& key, const std::string& value,
-                           const char* expected) {
-  std::fprintf(stderr, "dlner: --%s: invalid %s \"%s\"\n", key.c_str(),
-               expected, value.c_str());
+void Args::FailFlag(const std::string& key, const char* expected) const {
+  std::fprintf(stderr, "%s: --%s: invalid %s \"%s\"\n", program_.c_str(),
+               key.c_str(), expected, Get(key).c_str());
   std::exit(1);
 }
-
-}  // namespace
 
 int Args::GetInt(const std::string& key, int dflt) const {
   if (!Has(key)) return dflt;
   int v = 0;
-  if (!ParseInt(Get(key), &v)) FailFlag(key, Get(key), "integer");
+  if (!ParseInt(Get(key), &v)) FailFlag(key, "integer");
   return v;
 }
 
@@ -133,7 +132,7 @@ std::uint64_t Args::GetUInt64(const std::string& key,
   if (!Has(key)) return dflt;
   std::uint64_t v = 0;
   if (!ParseUInt64(Get(key), &v)) {
-    FailFlag(key, Get(key), "unsigned integer");
+    FailFlag(key, "unsigned integer");
   }
   return v;
 }
@@ -141,7 +140,7 @@ std::uint64_t Args::GetUInt64(const std::string& key,
 double Args::GetDouble(const std::string& key, double dflt) const {
   if (!Has(key)) return dflt;
   double v = 0.0;
-  if (!ParseDouble(Get(key), &v)) FailFlag(key, Get(key), "number");
+  if (!ParseDouble(Get(key), &v)) FailFlag(key, "number");
   return v;
 }
 

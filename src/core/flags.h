@@ -52,7 +52,8 @@ class Args {
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
   std::string Get(const std::string& key, const std::string& dflt = "") const;
 
-  /// Checked typed accessors: a malformed value prints the offending flag
+  /// Checked typed accessors: a malformed value prints the program name
+  /// (argv[0]'s last path component, as given to Parse), the offending flag
   /// and value to stderr and exits 1 — garbage never silently becomes 0
   /// (the old atoi behavior) and seeds above INT_MAX survive (GetUInt64
   /// never round-trips through int).
@@ -61,8 +62,12 @@ class Args {
   double GetDouble(const std::string& key, double dflt) const;
 
  private:
+  [[noreturn]] void FailFlag(const std::string& key,
+                             const char* expected) const;
+
   std::map<std::string, std::string> values_;
   std::string error_;
+  std::string program_;
 };
 
 }  // namespace dlner::core

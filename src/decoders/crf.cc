@@ -72,45 +72,63 @@ Var CrfDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
 }
 
 std::vector<int> CrfDecoder::ViterbiPath(const Tensor& emissions) const {
-  const int t_len = emissions.rows();
+  DLNER_CHECK_EQ(emissions.cols(), tags_->size());
+  return ViterbiPath(emissions.data(), emissions.rows());
+}
+
+std::vector<int> CrfDecoder::ViterbiPath(const Float* emissions,
+                                         int t_len) const {
   const int k = tags_->size();
-  DLNER_CHECK_EQ(emissions.cols(), k);
+  if (t_len == 0) return {};
+  // Masked score tables, built once per call: a start, transition or end
+  // the scheme forbids scores kNegInf, so the k^2 * T loop reads plain
+  // arrays and never asks the tag set. The transition table is stored
+  // transposed (trans_t[j*k + i] scores i -> j) so the inner loop over i is
+  // contiguous.
+  std::vector<Float> start(k), end(k);
+  std::vector<Float> trans_t(static_cast<std::size_t>(k) * k);
+  for (int j = 0; j < k; ++j) {
+    start[j] = constrained_ && !tags_->IsValidStart(j) ? kNegInf
+                                                       : start_->value[j];
+    end[j] = constrained_ && !tags_->IsValidEnd(j) ? kNegInf : end_->value[j];
+    for (int i = 0; i < k; ++i) {
+      trans_t[static_cast<std::size_t>(j) * k + i] =
+          constrained_ && !tags_->IsValidTransition(i, j)
+              ? kNegInf
+              : transitions_->value[i * k + j];
+    }
+  }
 
-  auto start_score = [&](int j) {
-    if (constrained_ && !tags_->IsValidStart(j)) return kNegInf;
-    return start_->value[j];
-  };
-  auto trans_score = [&](int i, int j) {
-    if (constrained_ && !tags_->IsValidTransition(i, j)) return kNegInf;
-    return transitions_->value.at(i, j);
-  };
-  auto end_score = [&](int j) {
-    if (constrained_ && !tags_->IsValidEnd(j)) return kNegInf;
-    return end_->value[j];
-  };
-
-  std::vector<std::vector<Float>> dp(t_len, std::vector<Float>(k));
-  std::vector<std::vector<int>> parent(t_len, std::vector<int>(k, -1));
-  for (int j = 0; j < k; ++j) dp[0][j] = start_score(j) + emissions.at(0, j);
+  // dp[t*k + j]: best score of a prefix ending in tag j at t; parent[t*k + j]
+  // its predecessor tag.
+  std::vector<Float> dp(static_cast<std::size_t>(t_len) * k);
+  std::vector<int> parent(static_cast<std::size_t>(t_len) * k, -1);
+  for (int j = 0; j < k; ++j) dp[j] = start[j] + emissions[j];
   for (int t = 1; t < t_len; ++t) {
+    const Float* prev = dp.data() + static_cast<std::size_t>(t - 1) * k;
+    const Float* emit = emissions + static_cast<std::size_t>(t) * k;
+    Float* cur = dp.data() + static_cast<std::size_t>(t) * k;
+    int* par = parent.data() + static_cast<std::size_t>(t) * k;
     for (int j = 0; j < k; ++j) {
+      const Float* trans = trans_t.data() + static_cast<std::size_t>(j) * k;
       Float best = kNegInf * 2;
       int arg = 0;
       for (int i = 0; i < k; ++i) {
-        const Float s = dp[t - 1][i] + trans_score(i, j);
+        const Float s = prev[i] + trans[i];
         if (s > best) {
           best = s;
           arg = i;
         }
       }
-      dp[t][j] = best + emissions.at(t, j);
-      parent[t][j] = arg;
+      cur[j] = best + emit[j];
+      par[j] = arg;
     }
   }
+  const Float* last = dp.data() + static_cast<std::size_t>(t_len - 1) * k;
   int best_tag = 0;
   Float best = kNegInf * 2;
   for (int j = 0; j < k; ++j) {
-    const Float s = dp[t_len - 1][j] + end_score(j);
+    const Float s = last[j] + end[j];
     if (s > best) {
       best = s;
       best_tag = j;
@@ -118,7 +136,9 @@ std::vector<int> CrfDecoder::ViterbiPath(const Tensor& emissions) const {
   }
   std::vector<int> path(t_len);
   path[t_len - 1] = best_tag;
-  for (int t = t_len - 1; t > 0; --t) path[t - 1] = parent[t][path[t]];
+  for (int t = t_len - 1; t > 0; --t) {
+    path[t - 1] = parent[static_cast<std::size_t>(t) * k + path[t]];
+  }
   return path;
 }
 

@@ -38,8 +38,13 @@ class CrfDecoder : public TagDecoder {
   Var PathScore(const Var& emissions, const std::vector<int>& path) const;
   /// Emission matrix [T, K] for the given encodings.
   Var Emissions(const Var& encodings) const { return proj_->Apply(encodings); }
-  /// Best tag path under the model (Viterbi).
+  /// Best tag path under the model (Viterbi) for emissions [T, K].
   std::vector<int> ViterbiPath(const Tensor& emissions) const;
+  /// The same over `t_len` raw emission rows of K floats each, read in
+  /// place (the inference plan passes its arena rows). Reads the live
+  /// parameters on every call: nothing is cached, because training and
+  /// active learning change them between decodes.
+  std::vector<int> ViterbiPath(const Float* emissions, int t_len) const;
 
   /// Posterior tag marginals p(y_t = k | x) via the forward-backward
   /// algorithm -> [T, K] (rows sum to 1). Value-only (no gradients); used

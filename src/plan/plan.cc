@@ -98,8 +98,10 @@ const Float* GatherChars(ExecContext& ctx, const text::Vocabulary& vocab,
 
 // Char CNN (Fig. 3a): conv + ReLU over each word's characters, then
 // max-pooling over them — CharCnnFeature::Forward, one segment per word.
+// The character rows are scratch, freed once the pooled rows are written.
 FeatureFill CharCnnFill(const embeddings::CharCnnFeature* f) {
   return [f](ExecContext& ctx, Float* dst, int stride) {
+    const Arena::Scope scratch(ctx.arena);
     const Tensor& table = f->char_embedding().table()->value;
     const Conv1d& conv = f->conv();
     batched::BatchLayout chars;
@@ -115,13 +117,15 @@ FeatureFill CharCnnFill(const embeddings::CharCnnFeature* f) {
 
 // Char BiLSTM (Fig. 3b): the forward state after a word's last character
 // and the backward state after its first — CharRnnFeature::Forward's two
-// final states, one segment per word.
+// final states, one segment per word. Character rows are scratch, as in
+// CharCnnFill.
 FeatureFill CharRnnFill(const embeddings::CharRnnFeature* f) {
   const auto& fc = f->forward_cell().gates();
   const auto& bc = f->backward_cell().gates();
   const batched::LstmDir fwd{&fc.weight()->value, &fc.bias()->value};
   const batched::LstmDir bwd{&bc.weight()->value, &bc.bias()->value};
   return [f, fwd, bwd](ExecContext& ctx, Float* dst, int stride) {
+    const Arena::Scope scratch(ctx.arena);
     const Tensor& table = f->char_embedding().table()->value;
     batched::BatchLayout chars;
     const Float* x = GatherChars(ctx, f->char_vocab(), table, &chars);
@@ -466,15 +470,13 @@ InferencePlan::InferencePlan(const PlanModules& modules) {
                             ctx.arena->Alloc(static_cast<std::size_t>(rows) * k);
                         batched::Affine(ctx.cur, rows, *w, *b, em);
                         for (int s = 0; s < ctx.layout->batch(); ++s) {
-                          const int off = ctx.layout->offset(s);
                           const int len = ctx.layout->len(s);
                           if (len == 0) continue;
-                          Tensor emissions({len, k});
-                          std::memcpy(emissions.data(),
-                                      em + static_cast<std::size_t>(off) * k,
-                                      static_cast<std::size_t>(len) * k * kF);
+                          const Float* emissions =
+                              em + static_cast<std::size_t>(
+                                       ctx.layout->offset(s)) * k;
                           (*ctx.out)[s] = crf->tags().TagIdsToSpans(
-                              crf->ViterbiPath(emissions));
+                              crf->ViterbiPath(emissions, len));
                         }
                       }});
   } else {

@@ -1,11 +1,12 @@
 // Bump-pointer arena for inference-plan activation buffers.
 //
 // The planned batch path (src/plan/) sizes every intermediate up front and
-// frees nothing mid-batch, so allocation reduces to pointer arithmetic:
-// Alloc bumps a cursor inside a block, Reset rewinds the cursors while
-// keeping the blocks, and after the first batch of a given shape the hot
-// path performs zero heap allocation. Each worker thread owns its own
-// arena (thread_local in plan.cc), so no synchronization is needed.
+// frees only whole steps' scratch (Arena::Scope, LIFO), so allocation
+// reduces to pointer arithmetic: Alloc bumps a cursor inside a block,
+// Reset or a Scope's end rewinds the cursors while keeping the blocks, and
+// after the first batch of a given shape the hot path performs zero heap
+// allocation. Each worker thread owns its own arena (thread_local in
+// plan.cc), so no synchronization is needed.
 #ifndef DLNER_TENSOR_ARENA_H_
 #define DLNER_TENSOR_ARENA_H_
 
@@ -34,6 +35,31 @@ class Arena {
 
   /// Rewinds every block cursor; capacity is retained for reuse.
   void Reset();
+
+  /// Scratch for one step: on destruction, frees everything allocated
+  /// through the arena since construction (allocations made before stay
+  /// valid), so the next step reuses that memory and the high-water mark
+  /// counts the step's scratch once instead of stacking it under every
+  /// later buffer. Scopes nest LIFO.
+  class Scope {
+   public:
+    explicit Scope(Arena* arena)
+        : arena_(arena),
+          block_(arena->block_),
+          used_(arena->used_),
+          in_use_floats_(arena->in_use_floats_) {}
+    ~Scope() {
+      arena_->block_ = block_;
+      arena_->used_ = used_;
+      arena_->in_use_floats_ = in_use_floats_;
+    }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    Arena* arena_;
+    std::size_t block_, used_, in_use_floats_;
+  };
 
   /// Total bytes of block capacity ever reserved (monotone).
   std::size_t bytes_reserved() const { return reserved_floats_ * sizeof(Float); }

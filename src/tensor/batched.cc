@@ -13,12 +13,6 @@ inline Float SigmoidScalar(Float v) { return 1.0 / (1.0 + std::exp(-v)); }
 
 }  // namespace
 
-int BatchLayout::max_len() const {
-  int m = 0;
-  for (int b = 0; b < batch(); ++b) m = std::max(m, len(b));
-  return m;
-}
-
 // Activation epilogue shared by the affine/conv kernels. ReLU is a
 // comparison-select (vectorizable with scalar-identical semantics); tanh
 // stays a scalar libm call on every ISA so results never depend on a
@@ -37,20 +31,30 @@ void ApplyAct(Float* x, int n, Act act) {
   }
 }
 
+namespace {
+
+// out[rows, n] = bias + x[rows, k] . w[k, n], with w's rows n floats apart:
+// every row starts from the bias, then accumulates in ascending k.
+template <class Isa>
+void BiasGemm(const Float* x, int rows, int k, const Float* w, int n,
+              const Float* bias, Float* out) {
+  for (int i = 0; i < rows; ++i) {
+    std::memcpy(out + static_cast<std::size_t>(i) * n, bias,
+                sizeof(Float) * static_cast<std::size_t>(n));
+  }
+  gemm::GemmAccum<Isa>(x, w, out, rows, k, n);
+}
+
+}  // namespace
+
 template <class Isa>
 void Affine(const Float* x, int rows, const Tensor& w, const Tensor& b,
             Float* out, Act act) {
   DLNER_CHECK_EQ(w.dim(), 2);
   DLNER_CHECK_EQ(b.dim(), 1);
-  const int k = w.rows();
   const int n = w.cols();
   DLNER_CHECK_EQ(n, b.size());
-  const Float* bias = b.data();
-  for (int i = 0; i < rows; ++i) {
-    std::memcpy(out + static_cast<std::size_t>(i) * n, bias,
-                sizeof(Float) * static_cast<std::size_t>(n));
-  }
-  gemm::GemmAccum<Isa>(x, w.data(), out, rows, k, n);
+  BiasGemm<Isa>(x, rows, w.rows(), w.data(), n, b.data(), out);
   ApplyAct<Isa>(out, rows * n, act);
 }
 
@@ -176,59 +180,91 @@ void MaxOverSegments(const Float* h, int d, const BatchLayout& layout,
 
 namespace {
 
-// One direction of a packed-batch LSTM layer. At step s every segment with
-// len > s is "active"; active lanes are compacted (in segment order) into
-// one gate GEMM, then stepped with exactly the eager cell's per-element
-// arithmetic: gates order i,f,o,g; c = f*c + i*g; h = o*tanh(c). The step
-// is phased — all gate nonlinearities first (scalar libm), then the state
-// update as vector primitives — which changes only loop structure, never
-// any element's value or operand order, so bit-identity with the eager
-// LstmCell holds on every ISA.
+// Lanes of a packed layout for the recurrent kernels: segment indices
+// ordered by descending length (stable), so the segments still active at
+// step s are always a prefix of the order and per-lane state rows stay
+// contiguous without compaction. Rows of a GEMM are independent, so the
+// lane order never changes a value.
+struct Lanes {
+  explicit Lanes(const BatchLayout& layout) : layout(layout) {
+    order.resize(layout.batch());
+    for (int b = 0; b < layout.batch(); ++b) order[b] = b;
+    std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
+      return layout.len(x) > layout.len(y);
+    });
+  }
+  // Lanes active at step s, given the na active at step s - 1.
+  int ActiveAt(int s, int na) const {
+    while (na > 0 && layout.len(order[na - 1]) <= s) --na;
+    return na;
+  }
+  // Packed row of lane a at step s.
+  std::size_t Row(int a, int s, bool reverse) const {
+    const int b = order[a];
+    return static_cast<std::size_t>(layout.offset(b) +
+                                    (reverse ? layout.len(b) - 1 - s : s));
+  }
+
+  const BatchLayout& layout;
+  std::vector<int> order;
+};
+
+// Copies each active lane's pre-projected row into dst (rows n apart).
+void GatherPre(const Lanes& lanes, int na, int s, bool reverse,
+               const Float* pre, int n, Float* dst) {
+  for (int a = 0; a < na; ++a) {
+    std::memcpy(dst + static_cast<std::size_t>(a) * n,
+                pre + lanes.Row(a, s, reverse) * n,
+                static_cast<std::size_t>(n) * sizeof(Float));
+  }
+}
+
+// One direction of a packed-batch LSTM layer. The eager cell computes
+// gates = b + [x_t, h] . W in ascending row order of W, so the input
+// projection pre = b + x . W[0:in] is hoisted out of the recurrence as one
+// GEMM over every row of the layout; each step then copies the active
+// lanes' pre rows and accumulates h . W[in:] onto them with one GEMM over
+// the active lanes. Every element keeps its operation sequence (bias, the
+// x terms, then the h terms, each ascending), so the hoist is bit-identical.
+// The step then applies exactly the eager cell's per-element arithmetic:
+// gates order i,f,o,g; c = f*c + i*g; h = o*tanh(c) — all gate
+// nonlinearities first (scalar libm), then the state update as vector
+// primitives. `pre` is [rows, 4*hidden] scratch; `h`, `c` and `gates`
+// hold one row per lane.
 template <class Isa>
-void RunLstmDir(const Float* x, int in_dim, int hidden,
-                const BatchLayout& layout, const LstmDir& dir, bool reverse,
-                Float* out, int out_stride, int col0, Arena* arena) {
-  const int batch = layout.batch();
-  const int zdim = in_dim + hidden;
+void RunLstmDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
+                const LstmDir& dir, bool reverse, Float* pre, Float* h,
+                Float* c, Float* gates, Float* out, int out_stride,
+                int col0) {
+  const BatchLayout& layout = lanes.layout;
   const int gdim = 4 * hidden;
-  Float* h_prev = arena->AllocZero(static_cast<std::size_t>(batch) * hidden);
-  Float* c_prev = arena->AllocZero(static_cast<std::size_t>(batch) * hidden);
-  Float* z = arena->Alloc(static_cast<std::size_t>(batch) * zdim);
-  Float* gates = arena->Alloc(static_cast<std::size_t>(batch) * gdim);
-  std::vector<int> lanes(batch);
-  const int max_len = layout.max_len();
-  for (int s = 0; s < max_len; ++s) {
-    int na = 0;
-    for (int b = 0; b < batch; ++b) {
-      const int len = layout.len(b);
-      if (len <= s) continue;
-      const int t = reverse ? len - 1 - s : s;
-      Float* zrow = z + static_cast<std::size_t>(na) * zdim;
-      std::memcpy(zrow, x + static_cast<std::size_t>(layout.offset(b) + t) * in_dim,
-                  static_cast<std::size_t>(in_dim) * sizeof(Float));
-      std::memcpy(zrow + in_dim, h_prev + static_cast<std::size_t>(b) * hidden,
-                  static_cast<std::size_t>(hidden) * sizeof(Float));
-      lanes[na++] = b;
-    }
-    Affine<Isa>(z, na, *dir.w, *dir.b, gates, Act::kNone);
+  const Tensor& w = *dir.w;
+  DLNER_CHECK_EQ(w.rows(), in_dim + hidden);
+  DLNER_CHECK_EQ(w.cols(), gdim);
+  DLNER_CHECK_EQ(dir.b->size(), gdim);
+  const Float* w_h = w.data() + static_cast<std::size_t>(in_dim) * gdim;
+  BiasGemm<Isa>(x, layout.rows(), in_dim, w.data(), gdim, dir.b->data(), pre);
+  const std::size_t state = static_cast<std::size_t>(layout.batch()) * hidden;
+  std::memset(h, 0, state * sizeof(Float));
+  std::memset(c, 0, state * sizeof(Float));
+  int na = layout.batch();
+  for (int s = 0; (na = lanes.ActiveAt(s, na)) > 0; ++s) {
+    GatherPre(lanes, na, s, reverse, pre, gdim, gates);
+    gemm::GemmAccum<Isa>(h, w_h, gates, na, hidden, gdim);
     for (int a = 0; a < na; ++a) {
-      const int b = lanes[a];
       Float* g = gates + static_cast<std::size_t>(a) * gdim;
-      Float* hp = h_prev + static_cast<std::size_t>(b) * hidden;
-      Float* cp = c_prev + static_cast<std::size_t>(b) * hidden;
-      const int t = reverse ? layout.len(b) - 1 - s : s;
-      Float* orow =
-          out + static_cast<std::size_t>(layout.offset(b) + t) * out_stride +
-          col0;
+      Float* hp = h + static_cast<std::size_t>(a) * hidden;
+      Float* cp = c + static_cast<std::size_t>(a) * hidden;
+      Float* orow = out + lanes.Row(a, s, reverse) * out_stride + col0;
       for (int j = 0; j < 3 * hidden; ++j) g[j] = SigmoidScalar(g[j]);
       for (int j = 3 * hidden; j < gdim; ++j) g[j] = std::tanh(g[j]);
       // c = f*c_prev + i*g, in place over c_prev (same-offset aliasing is
       // allowed by the primitive contract).
       Isa::MulMulAdd(g + hidden, cp, g, g + 3 * hidden, cp, hidden);
       for (int j = 0; j < hidden; ++j) {
-        const Float h = g[2 * hidden + j] * std::tanh(cp[j]);
-        hp[j] = h;
-        orow[j] = h;
+        const Float hv = g[2 * hidden + j] * std::tanh(cp[j]);
+        hp[j] = hv;
+        orow[j] = hv;
       }
     }
   }
@@ -236,56 +272,53 @@ void RunLstmDir(const Float* x, int in_dim, int hidden,
 
 // One direction of a packed-batch GRU layer; mirrors GruCell::Step:
 // r,z gates from [x, h]; candidate from [x, r*h]; h = (1-z)*h + z*h~.
-// Phased like the LSTM step: sigmoids/tanh in place first, then the
-// elementwise products and interpolation as vector primitives.
+// Both input projections are hoisted as in RunLstmDir (pre_rz and pre_c
+// hold b + x . W[0:in] for every row), and each step accumulates h . W[in:]
+// and (r*h) . W[in:] onto copies of the lanes' rows. Phased like the LSTM
+// step: sigmoids/tanh in place first, then the elementwise products and
+// interpolation as vector primitives.
 template <class Isa>
-void RunGruDir(const Float* x, int in_dim, int hidden,
-               const BatchLayout& layout, const GruDir& dir, bool reverse,
-               Float* out, int out_stride, int col0, Arena* arena) {
-  const int batch = layout.batch();
-  const int zdim = in_dim + hidden;
+void RunGruDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
+               const GruDir& dir, bool reverse, Float* pre_rz, Float* pre_c,
+               Float* h, Float* rz, Float* rh, Float* cand, Float* out,
+               int out_stride, int col0) {
+  const BatchLayout& layout = lanes.layout;
   const int rdim = 2 * hidden;
-  Float* h_prev = arena->AllocZero(static_cast<std::size_t>(batch) * hidden);
-  Float* z = arena->Alloc(static_cast<std::size_t>(batch) * zdim);
-  Float* rz = arena->Alloc(static_cast<std::size_t>(batch) * rdim);
-  Float* zc = arena->Alloc(static_cast<std::size_t>(batch) * zdim);
-  Float* cand = arena->Alloc(static_cast<std::size_t>(batch) * hidden);
-  std::vector<int> lanes(batch);
-  const int max_len = layout.max_len();
-  for (int s = 0; s < max_len; ++s) {
-    int na = 0;
-    for (int b = 0; b < batch; ++b) {
-      const int len = layout.len(b);
-      if (len <= s) continue;
-      const int t = reverse ? len - 1 - s : s;
-      Float* zrow = z + static_cast<std::size_t>(na) * zdim;
-      std::memcpy(zrow, x + static_cast<std::size_t>(layout.offset(b) + t) * in_dim,
-                  static_cast<std::size_t>(in_dim) * sizeof(Float));
-      std::memcpy(zrow + in_dim, h_prev + static_cast<std::size_t>(b) * hidden,
-                  static_cast<std::size_t>(hidden) * sizeof(Float));
-      lanes[na++] = b;
-    }
-    Affine<Isa>(z, na, *dir.rz_w, *dir.rz_b, rz, Act::kNone);
+  const Tensor& rz_w = *dir.rz_w;
+  const Tensor& cand_w = *dir.cand_w;
+  DLNER_CHECK_EQ(rz_w.rows(), in_dim + hidden);
+  DLNER_CHECK_EQ(rz_w.cols(), rdim);
+  DLNER_CHECK_EQ(cand_w.rows(), in_dim + hidden);
+  DLNER_CHECK_EQ(cand_w.cols(), hidden);
+  DLNER_CHECK_EQ(dir.rz_b->size(), rdim);
+  DLNER_CHECK_EQ(dir.cand_b->size(), hidden);
+  const Float* rz_wh = rz_w.data() + static_cast<std::size_t>(in_dim) * rdim;
+  const Float* cand_wh =
+      cand_w.data() + static_cast<std::size_t>(in_dim) * hidden;
+  BiasGemm<Isa>(x, layout.rows(), in_dim, rz_w.data(), rdim,
+                dir.rz_b->data(), pre_rz);
+  BiasGemm<Isa>(x, layout.rows(), in_dim, cand_w.data(), hidden,
+                dir.cand_b->data(), pre_c);
+  std::memset(h, 0,
+              static_cast<std::size_t>(layout.batch()) * hidden *
+                  sizeof(Float));
+  int na = layout.batch();
+  for (int s = 0; (na = lanes.ActiveAt(s, na)) > 0; ++s) {
+    GatherPre(lanes, na, s, reverse, pre_rz, rdim, rz);
+    gemm::GemmAccum<Isa>(h, rz_wh, rz, na, hidden, rdim);
     for (int a = 0; a < na; ++a) {
-      const int b = lanes[a];
       Float* rzrow = rz + static_cast<std::size_t>(a) * rdim;
-      const Float* hp = h_prev + static_cast<std::size_t>(b) * hidden;
-      Float* zcrow = zc + static_cast<std::size_t>(a) * zdim;
-      std::memcpy(zcrow, z + static_cast<std::size_t>(a) * zdim,
-                  static_cast<std::size_t>(in_dim) * sizeof(Float));
       for (int j = 0; j < hidden; ++j) rzrow[j] = SigmoidScalar(rzrow[j]);
-      Isa::Mul(rzrow, hp, zcrow + in_dim, hidden);
+      Isa::Mul(rzrow, h + static_cast<std::size_t>(a) * hidden,
+               rh + static_cast<std::size_t>(a) * hidden, hidden);
     }
-    Affine<Isa>(zc, na, *dir.cand_w, *dir.cand_b, cand, Act::kNone);
+    GatherPre(lanes, na, s, reverse, pre_c, hidden, cand);
+    gemm::GemmAccum<Isa>(rh, cand_wh, cand, na, hidden, hidden);
     for (int a = 0; a < na; ++a) {
-      const int b = lanes[a];
       Float* rzrow = rz + static_cast<std::size_t>(a) * rdim;
       Float* crow = cand + static_cast<std::size_t>(a) * hidden;
-      Float* hp = h_prev + static_cast<std::size_t>(b) * hidden;
-      const int t = reverse ? layout.len(b) - 1 - s : s;
-      Float* orow =
-          out + static_cast<std::size_t>(layout.offset(b) + t) * out_stride +
-          col0;
+      Float* hp = h + static_cast<std::size_t>(a) * hidden;
+      Float* orow = out + lanes.Row(a, s, reverse) * out_stride + col0;
       for (int j = 0; j < hidden; ++j) {
         rzrow[hidden + j] = SigmoidScalar(rzrow[hidden + j]);
       }
@@ -299,29 +332,52 @@ void RunGruDir(const Float* x, int in_dim, int hidden,
 
 }  // namespace
 
+// Both directions share one layer's scratch: the hoisted projection is
+// recomputed into the same `pre` rows by the backward pass, and the lane
+// state is re-zeroed, so the arena holds one copy, not two, and frees it
+// when the layer returns.
 template <class Isa>
 void BiLstm(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
             const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena) {
+  const Arena::Scope scratch(arena);
+  const Lanes lanes(layout);
+  const std::size_t batch = layout.batch();
+  const std::size_t gdim = 4 * static_cast<std::size_t>(hidden);
+  Float* pre = arena->Alloc(static_cast<std::size_t>(layout.rows()) * gdim);
+  Float* h = arena->Alloc(batch * hidden);
+  Float* c = arena->Alloc(batch * hidden);
+  Float* gates = arena->Alloc(batch * gdim);
   const int stride = 2 * hidden;
-  RunLstmDir<Isa>(x, in_dim, hidden, layout, fwd, /*reverse=*/false, out,
-                  stride, /*col0=*/0, arena);
-  RunLstmDir<Isa>(x, in_dim, hidden, layout, bwd, /*reverse=*/true, out,
-                  stride, /*col0=*/hidden, arena);
+  RunLstmDir<Isa>(x, in_dim, hidden, lanes, fwd, /*reverse=*/false, pre, h,
+                  c, gates, out, stride, /*col0=*/0);
+  RunLstmDir<Isa>(x, in_dim, hidden, lanes, bwd, /*reverse=*/true, pre, h, c,
+                  gates, out, stride, /*col0=*/hidden);
 }
 
 template <class Isa>
 void BiGru(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
            const GruDir& fwd, const GruDir& bwd, Float* out, Arena* arena) {
+  const Arena::Scope scratch(arena);
+  const Lanes lanes(layout);
+  const std::size_t batch = layout.batch();
+  const std::size_t rows = layout.rows();
+  Float* pre_rz = arena->Alloc(rows * 2 * hidden);
+  Float* pre_c = arena->Alloc(rows * hidden);
+  Float* h = arena->Alloc(batch * hidden);
+  Float* rz = arena->Alloc(batch * 2 * hidden);
+  Float* rh = arena->Alloc(batch * hidden);
+  Float* cand = arena->Alloc(batch * hidden);
   const int stride = 2 * hidden;
-  RunGruDir<Isa>(x, in_dim, hidden, layout, fwd, /*reverse=*/false, out,
-                 stride, /*col0=*/0, arena);
-  RunGruDir<Isa>(x, in_dim, hidden, layout, bwd, /*reverse=*/true, out,
-                 stride, /*col0=*/hidden, arena);
+  RunGruDir<Isa>(x, in_dim, hidden, lanes, fwd, /*reverse=*/false, pre_rz,
+                 pre_c, h, rz, rh, cand, out, stride, /*col0=*/0);
+  RunGruDir<Isa>(x, in_dim, hidden, lanes, bwd, /*reverse=*/true, pre_rz,
+                 pre_c, h, rz, rh, cand, out, stride, /*col0=*/hidden);
 }
 
-// Explicit instantiations: plain calls use simd::Active, and the
-// differential suite and bench_throughput also call simd::Scalar, the
-// reference every ISA must match. On a scalar build the two are one type.
+// Explicit instantiations: every ISA the compile target supports. Plain
+// calls use simd::Active; the differential suite pits each ISA against
+// simd::Scalar, the reference every ISA must match, and bench_throughput
+// times Active against Scalar.
 #define DLNER_BATCHED_INSTANTIATE(Isa)                                       \
   template void Affine<Isa>(const Float*, int, const Tensor&, const Tensor&, \
                             Float*, Act);                                    \
@@ -341,7 +397,10 @@ void BiGru(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
 
 DLNER_BATCHED_INSTANTIATE(simd::Scalar)
 #ifdef __AVX2__
-DLNER_BATCHED_INSTANTIATE(simd::Active)
+DLNER_BATCHED_INSTANTIATE(simd::Avx2)
+#endif
+#ifdef __AVX512F__
+DLNER_BATCHED_INSTANTIATE(simd::Avx512)
 #endif
 #undef DLNER_BATCHED_INSTANTIATE
 

@@ -38,7 +38,6 @@ struct BatchLayout {
   int rows() const { return offsets.back(); }
   int offset(int b) const { return offsets[b]; }
   int len(int b) const { return offsets[b + 1] - offsets[b]; }
-  int max_len() const;
 };
 
 enum class Act { kNone, kRelu, kTanh };
@@ -109,7 +108,7 @@ struct GruDir {
 /// per sentence). x is [rows, in_dim], out is [rows, 2*hidden] with
 /// forward states in columns [0, hidden) and backward states in
 /// [hidden, 2*hidden), rows aligned with the input (as in BiRnn::Apply).
-/// Scratch state comes from `arena`.
+/// Scratch comes from `arena` and is freed before returning.
 template <class Isa = simd::Active>
 void BiLstm(const Float* x, int in_dim, int hidden, const BatchLayout& layout,
             const LstmDir& fwd, const LstmDir& bwd, Float* out, Arena* arena);

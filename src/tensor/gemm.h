@@ -2,20 +2,22 @@
 // packed-batch inference kernels (batched.cc).
 //
 // All access A, B, and C strictly row-major with hoisted row pointers. The
-// forward kernel is one ISA primitive per output row (Isa::GemmRow in
-// tensor/simd/): the vector ISA register-tiles over columns only, keeping
-// a 32/16/8/4-column tile of the C row in registers across the whole k
-// loop (a scalar tail covers n % 4), so C is loaded and stored once per
-// tile instead of once per k step. Zero entries of A are skipped:
-// activation matrices from ReLU layers and one-hot-ish features are sparse
-// enough for the branch to pay for itself — and the skip is load-bearing
-// for bit-identity, because accumulating a literal a*0 is not a no-op in
-// IEEE arithmetic (-0.0 + 0.0 = +0.0, 0 * inf = NaN).
+// forward kernel is built from ISA primitives (tensor/simd/): GemmRow
+// register-tiles one output row over columns, keeping a tile of the C row
+// in registers across the whole k loop (a scalar tail covers the columns
+// left over), so C is loaded and stored once per tile instead of once per
+// k step. An ISA that also has GemmRows4 (AVX-512) runs four rows at a
+// time, so each load of a B row slice feeds four C rows and B streams once
+// per four rows. Zero entries of A are skipped, per (row, k): activation
+// matrices from ReLU layers and one-hot-ish features are sparse enough for
+// the branch to pay for itself — and the skip is load-bearing for
+// bit-identity, because accumulating a literal a*0 is not a no-op in IEEE
+// arithmetic (-0.0 + 0.0 = +0.0, 0 * inf = NaN).
 //
 // Every output element is accumulated independently, in ascending-k order,
-// as a separate multiply then add (never FMA): the column tiling changes
-// only the loop nest, never an element's operation sequence. That is what
-// lets the planned batch path produce bit-identical results to the
+// as a separate multiply then add (never FMA): the row and column tiling
+// changes only the loop nest, never an element's operation sequence. That
+// is what lets the planned batch path produce bit-identical results to the
 // per-sentence eager path, and every Isa instantiation produce
 // bit-identical results to Scalar: a packed [sum(T), k] x [k, n] GEMM
 // computes exactly the same per-row sums as B separate per-sentence GEMMs
@@ -38,7 +40,14 @@ namespace dlner::gemm {
 template <class Isa = simd::Active>
 void GemmAccumStrided(const double* a, int lda, const double* b, double* c,
                       int m, int k, int n) {
-  for (int i = 0; i < m; ++i) {
+  int i = 0;
+  if constexpr (requires { Isa::GemmRows4(a, lda, b, c, k, n); }) {
+    for (; i + 4 <= m; i += 4) {
+      Isa::GemmRows4(a + static_cast<std::size_t>(i) * lda, lda, b,
+                     c + static_cast<std::size_t>(i) * n, k, n);
+    }
+  }
+  for (; i < m; ++i) {
     Isa::GemmRow(a + static_cast<std::size_t>(i) * lda, b,
                  c + static_cast<std::size_t>(i) * n, k, n);
   }

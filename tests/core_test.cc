@@ -426,6 +426,18 @@ TEST(FlagsDeathTest, TypedGetterExitsOnMalformedValue) {
               "--epochs");
 }
 
+TEST(FlagsDeathTest, TypedGetterNamesTheCallingProgram) {
+  // The message leads with argv[0]'s last path component, so a bench's bad
+  // value reads like its Parse errors ("bench_scenarios: ...").
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const FlagSpec spec{{"epochs", FlagKind::kValue}};
+  const char* argv[] = {"build/bench/bench_scenarios", "--epochs", "3x"};
+  Args args;
+  ASSERT_TRUE(args.Parse(3, const_cast<char* const*>(argv), 1, spec));
+  EXPECT_EXIT(args.GetInt("epochs", 0), ::testing::ExitedWithCode(1),
+              "^bench_scenarios: --epochs: invalid integer \"3x\"");
+}
+
 // The tools' --threads flag rejects what SetThreads cannot honor before
 // touching the runtime: SetThreads(n) builds n-1 OS threads, so an
 // oversized count must never reach it. No pool is built here.

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -156,6 +158,70 @@ TEST(CrfDecoderTest, ConstrainedViterbiRespectsScheme) {
     }
     EXPECT_TRUE(tags.IsValidEnd(path.back()));
   }
+}
+
+TEST(CrfDecoderTest, ViterbiMatchesExhaustiveArgmax) {
+  // The table-driven Viterbi (masked start/transition/end tables, flat dp
+  // rows) against an argmax of PathScore over all K^T tag paths; with
+  // constrained decoding only scheme-valid paths compete. Both overloads
+  // (Tensor and raw rows) must return the oracle's path.
+  struct Grid {
+    TagScheme scheme;
+    std::vector<std::string> types;
+    int max_len;
+  };
+  const Grid grids[] = {
+      {TagScheme::kIo, {"A", "B"}, 6},   // 3 tags
+      {TagScheme::kBio, {"A"}, 6},       // 3 tags
+      {TagScheme::kBio, {"A", "B"}, 4},  // 5 tags
+      {TagScheme::kBioes, {"A"}, 5},     // 5 tags: up to 3125 paths
+  };
+  NoGradGuard no_grad;
+  uint64_t seed = 700;
+  int invalid_argmax = 0;  // unconstrained argmaxes the scheme forbids
+  for (const Grid& g : grids) {
+    const TagSet tags(g.types, g.scheme);
+    const int k = tags.size();
+    for (const bool constrained : {false, true}) {
+      for (int n = 1; n <= g.max_len; ++n) {
+        Rng rng(seed);
+        CrfDecoder dec(3, &tags, &rng, constrained);
+        const Var emissions = dec.Emissions(RandomInput(n, 3, seed + 1));
+        seed += 13;
+        std::vector<int> path(n, 0), best;
+        Float best_score = 0.0;
+        bool best_valid = false;
+        for (;;) {
+          bool valid = tags.IsValidStart(path[0]) &&
+                       tags.IsValidEnd(path[n - 1]);
+          for (int t = 1; valid && t < n; ++t) {
+            valid = tags.IsValidTransition(path[t - 1], path[t]);
+          }
+          if (valid || !constrained) {
+            const Float score = dec.PathScore(emissions, path)->value[0];
+            if (best.empty() || score > best_score) {
+              best = path;
+              best_score = score;
+              best_valid = valid;
+            }
+          }
+          int t = n - 1;  // next path in lexicographic order
+          while (t >= 0 && ++path[t] == k) path[t--] = 0;
+          if (t < 0) break;
+        }
+        const std::string where = text::TagSchemeToString(g.scheme) +
+                                  " k=" + std::to_string(k) +
+                                  " n=" + std::to_string(n) +
+                                  (constrained ? " constrained" : "");
+        ASSERT_FALSE(best.empty()) << where;
+        if (!best_valid) ++invalid_argmax;
+        EXPECT_EQ(dec.ViterbiPath(emissions->value), best) << where;
+        EXPECT_EQ(dec.ViterbiPath(emissions->value.data(), n), best) << where;
+      }
+    }
+  }
+  // The constraint must have mattered somewhere on the grid.
+  EXPECT_GT(invalid_argmax, 0);
 }
 
 TEST(CrfDecoderTest, OverfitsToy) {

@@ -19,6 +19,7 @@
 #include "tensor/batched.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "tensor/rnn.h"
 #include "tensor/simd/simd.h"
 #include "text/tagging.h"
 
@@ -472,11 +473,13 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerOnCharacterCells) {
 // --- Explicit SIMD kernels vs the scalar reference ------------------------
 //
 // The contract (src/tensor/simd/kernels_scalar.h) is bit-identity, not
-// tolerance: simd::Active must reproduce simd::Scalar element for element.
-// When the compile target has no AVX2 (DLNER_MARCH_NATIVE=OFF on x86-64),
-// Active IS Scalar and these tests pass trivially; on avx2 builds they pit
-// the hand-vectorized kernels against the (auto-vectorization-disabled)
-// scalar loops.
+// tolerance: every ISA must reproduce simd::Scalar element for element.
+// The suite is typed over every ISA the compile target supports — Scalar
+// always (against itself it checks only the harness), Avx2 under __AVX2__
+// and Avx512 under __AVX512F__ — so the AVX2 kernels stay tested on an
+// AVX-512 build, where simd::Active is Avx512. Each pits the
+// hand-vectorized kernels against the (auto-vectorization-disabled) scalar
+// loops.
 
 // Compares object representations, so -0.0 differs from +0.0. The one
 // exception is NaN against NaN: which of two NaN operands an add returns
@@ -510,7 +513,24 @@ void InjectSpecials(Tensor* t, int count, Rng* rng) {
   }
 }
 
-TEST(SimdDifferentialTest, GemmAccumMatchesScalarBitExactly) {
+template <class Isa>
+class SimdDifferentialTest : public ::testing::Test {};
+
+using CompiledIsas = ::testing::Types<simd::Scalar
+#ifdef __AVX2__
+                                      ,
+                                      simd::Avx2
+#endif
+#ifdef __AVX512F__
+                                      ,
+                                      simd::Avx512
+#endif
+                                      >;
+
+TYPED_TEST_SUITE(SimdDifferentialTest, CompiledIsas);
+
+TYPED_TEST(SimdDifferentialTest, GemmAccumMatchesScalarBitExactly) {
+  using Isa = TypeParam;
   // Widths reach several 32-column register tiles plus every 16/8/4/scalar
   // tail: always 256 (the LSTM gates at hidden 64) and 17 (CRF tags), the
   // rest drawn up to 300.
@@ -537,7 +557,7 @@ TEST(SimdDifferentialTest, GemmAccumMatchesScalarBitExactly) {
     }
     std::vector<Float> c_simd = CopyOf(c0);
     std::vector<Float> c_scalar = CopyOf(c0);
-    gemm::GemmAccum<simd::Active>(a.data(), b.data(), c_simd.data(), m, k, n);
+    gemm::GemmAccum<Isa>(a.data(), b.data(), c_simd.data(), m, k, n);
     gemm::GemmAccum<simd::Scalar>(a.data(), b.data(), c_scalar.data(), m, k,
                                   n);
     ExpectBitEqual(c_simd, c_scalar, "GemmAccum");
@@ -549,8 +569,8 @@ TEST(SimdDifferentialTest, GemmAccumMatchesScalarBitExactly) {
       InjectSpecials(&aw, 1 + m / 3, &rng);
       std::vector<Float> cs_simd = CopyOf(c0);
       std::vector<Float> cs_scalar = CopyOf(c0);
-      gemm::GemmAccumStrided<simd::Active>(aw.data(), lda, b.data(),
-                                           cs_simd.data(), m, k, n);
+      gemm::GemmAccumStrided<Isa>(aw.data(), lda, b.data(),
+                                  cs_simd.data(), m, k, n);
       gemm::GemmAccumStrided<simd::Scalar>(aw.data(), lda, b.data(),
                                            cs_scalar.data(), m, k, n);
       ExpectBitEqual(cs_simd, cs_scalar, "GemmAccumStrided");
@@ -570,7 +590,8 @@ batched::BatchLayout RandomRaggedLayout(Rng* rng) {
   return layout;
 }
 
-TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
+TYPED_TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
+  using Isa = TypeParam;
   Rng rng(4003);
   for (int trial = 0; trial < 12; ++trial) {
     const batched::BatchLayout layout = RandomRaggedLayout(&rng);
@@ -584,8 +605,8 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       const Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * n);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::Affine<simd::Active>(x.data(), rows, w, b, o_simd.data(),
-                                    batched::Act::kRelu);
+      batched::Affine<Isa>(x.data(), rows, w, b, o_simd.data(),
+                           batched::Act::kRelu);
       batched::Affine<simd::Scalar>(x.data(), rows, w, b, o_scalar.data(),
                                     batched::Act::kRelu);
       ExpectBitEqual(o_simd, o_scalar, "Affine");
@@ -596,9 +617,9 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       const Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * n);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::ConvSegments<simd::Active>(x.data(), d, layout, 3, dilation,
-                                          w, b, o_simd.data(),
-                                          batched::Act::kRelu);
+      batched::ConvSegments<Isa>(x.data(), d, layout, 3, dilation,
+                                 w, b, o_simd.data(),
+                                 batched::Act::kRelu);
       batched::ConvSegments<simd::Scalar>(x.data(), d, layout, 3, dilation,
                                           w, b, o_scalar.data(),
                                           batched::Act::kRelu);
@@ -609,8 +630,8 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       const Tensor bias = RandomTensor({d}, &rng, -0.5, 0.5);
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * d);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::LayerNormRows<simd::Active>(x.data(), rows, d, gain, bias,
-                                           o_simd.data());
+      batched::LayerNormRows<Isa>(x.data(), rows, d, gain, bias,
+                                  o_simd.data());
       batched::LayerNormRows<simd::Scalar>(x.data(), rows, d, gain, bias,
                                            o_scalar.data());
       ExpectBitEqual(o_simd, o_scalar, "LayerNormRows");
@@ -618,8 +639,8 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
     {
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * 2 * d);
       std::vector<Float> o_scalar(o_simd.size());
-      batched::GlobalMaxConcat<simd::Active>(x.data(), d, layout,
-                                             o_simd.data());
+      batched::GlobalMaxConcat<Isa>(x.data(), d, layout,
+                                    o_simd.data());
       batched::GlobalMaxConcat<simd::Scalar>(x.data(), d, layout,
                                              o_scalar.data());
       ExpectBitEqual(o_simd, o_scalar, "GlobalMaxConcat");
@@ -635,8 +656,8 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       std::vector<Float> o_simd(static_cast<std::size_t>(words.batch()) *
                                 stride, 0.0);
       std::vector<Float> o_scalar(o_simd.size(), 0.0);
-      batched::MaxOverSegments<simd::Active>(x.data(), d, words,
-                                             o_simd.data(), stride);
+      batched::MaxOverSegments<Isa>(x.data(), d, words,
+                                    o_simd.data(), stride);
       batched::MaxOverSegments<simd::Scalar>(x.data(), d, words,
                                              o_scalar.data(), stride);
       ExpectBitEqual(o_simd, o_scalar, "MaxOverSegments");
@@ -651,8 +672,8 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * 2 * hidden);
       std::vector<Float> o_scalar(o_simd.size());
       Arena arena;
-      batched::BiLstm<simd::Active>(x.data(), d, hidden, layout, fwd, bwd,
-                                    o_simd.data(), &arena);
+      batched::BiLstm<Isa>(x.data(), d, hidden, layout, fwd, bwd,
+                           o_simd.data(), &arena);
       arena.Reset();
       batched::BiLstm<simd::Scalar>(x.data(), d, hidden, layout, fwd, bwd,
                                     o_scalar.data(), &arena);
@@ -673,12 +694,151 @@ TEST(SimdDifferentialTest, BatchedKernelsMatchScalarOnRaggedMixes) {
       std::vector<Float> o_simd(static_cast<std::size_t>(rows) * 2 * hidden);
       std::vector<Float> o_scalar(o_simd.size());
       Arena arena;
-      batched::BiGru<simd::Active>(x.data(), d, hidden, layout, fwd, bwd,
-                                   o_simd.data(), &arena);
+      batched::BiGru<Isa>(x.data(), d, hidden, layout, fwd, bwd,
+                          o_simd.data(), &arena);
       arena.Reset();
       batched::BiGru<simd::Scalar>(x.data(), d, hidden, layout, fwd, bwd,
                                    o_scalar.data(), &arena);
       ExpectBitEqual(o_simd, o_scalar, "BiGru");
+    }
+  }
+}
+
+TYPED_TEST(SimdDifferentialTest, GemmCoversEveryRowAndColumnTail) {
+  // Every multi-row remainder (m = 1..9 around the 4-row tile) against
+  // every column tail of the 128/64/32/16/8 and 32/16/8/4 column tiles.
+  // A is zero-heavy, and each B row opposite an all-zero column of A holds
+  // inf or NaN: a kernel that multiplied a skipped zero turns that column
+  // NaN where the scalar reference stays finite.
+  using Isa = TypeParam;
+  Rng rng(4005);
+  const Float inf = std::numeric_limits<Float>::infinity();
+  const Float nan = std::numeric_limits<Float>::quiet_NaN();
+  for (int m = 1; m <= 9; ++m) {
+    for (const int n : {1, 7, 8, 15, 16, 17, 128, 130, 256}) {
+      const int k = rng.UniformInt(1, 24);
+      Tensor a = RandomTensor({m, k}, &rng, -2.0, 2.0, /*zero_prob=*/0.6);
+      Tensor b = RandomTensor({k, n}, &rng, -2.0, 2.0);
+      Tensor c0 = RandomTensor({m, n}, &rng, -1.0, 1.0, /*zero_prob=*/0.2);
+      const int dead = rng.UniformInt(0, k - 1);
+      for (int i = 0; i < m; ++i) a[i * k + dead] = (i % 2 == 0) ? 0.0 : -0.0;
+      for (int j = 0; j < n; ++j) b[dead * n + j] = (j % 3 == 0) ? nan : inf;
+      InjectSpecials(&c0, 2, &rng);
+      std::vector<Float> c_isa = CopyOf(c0);
+      std::vector<Float> c_scalar = CopyOf(c0);
+      gemm::GemmAccum<Isa>(a.data(), b.data(), c_isa.data(), m, k, n);
+      gemm::GemmAccum<simd::Scalar>(a.data(), b.data(), c_scalar.data(), m,
+                                    k, n);
+      ExpectBitEqual(c_isa, c_scalar, "GemmAccum tails");
+      // The reference skipped every zero: only an injected NaN in C makes
+      // a NaN.
+      for (std::size_t i = 0; i < c_scalar.size(); ++i) {
+        ASSERT_EQ(std::isnan(c_scalar[i]), std::isnan(c0[i]))
+            << "m=" << m << " n=" << n << " element " << i;
+      }
+    }
+  }
+}
+
+TYPED_TEST(SimdDifferentialTest, AffineKeepsNegativeZeroBias) {
+  // A -0.0 bias element stays -0.0 in every row whose activations are all
+  // zero: each skipped a*0 would have added +0.0 and flipped its sign.
+  // The all-zero rows sit at every position of a 4-row tile (rows 4, 1, 2,
+  // 7) and in the single-row remainder (row 8).
+  using Isa = TypeParam;
+  Rng rng(4007);
+  const int zero_rows[] = {1, 2, 4, 7, 8};
+  for (const int n : {7, 16, 17, 130, 256}) {
+    const int rows = 9;
+    const int k = 12;
+    Tensor x = RandomTensor({rows, k}, &rng, -1.0, 1.0, /*zero_prob=*/0.7);
+    for (const int row : zero_rows) {
+      for (int p = 0; p < k; ++p) x[row * k + p] = (p % 2 == 0) ? 0.0 : -0.0;
+    }
+    const Tensor w = RandomTensor({k, n}, &rng, -1.0, 1.0);
+    Tensor b = RandomTensor({n}, &rng, -1.0, 1.0);
+    for (int j = 0; j < n; j += 3) b[j] = -0.0;
+    std::vector<Float> o_isa(static_cast<std::size_t>(rows) * n);
+    std::vector<Float> o_scalar(o_isa.size());
+    batched::Affine<Isa>(x.data(), rows, w, b, o_isa.data());
+    batched::Affine<simd::Scalar>(x.data(), rows, w, b, o_scalar.data());
+    ExpectBitEqual(o_isa, o_scalar, "Affine -0.0 bias");
+    for (const int row : zero_rows) {
+      for (int j = 0; j < n; j += 3) {
+        EXPECT_TRUE(std::signbit(o_isa[static_cast<std::size_t>(row) * n + j]))
+            << "n=" << n << " row " << row << " col " << j;
+      }
+    }
+  }
+}
+
+TYPED_TEST(SimdDifferentialTest, RecurrentKernelsMatchEagerOnLongSegments) {
+  // Segments of 1, 3, 17 and 40 steps, so lanes drop out of the recurrence
+  // at different steps, at the served width (96 inputs, 64 hidden: 256 LSTM
+  // gate columns, every tile full) and at an odd one (every tail). The
+  // packed kernels hoist the input projection out of the recurrence; each
+  // segment must still match the eager BiRnn bit for bit.
+  using Isa = TypeParam;
+  const int lens[] = {17, 1, 40, 3};
+  batched::BatchLayout layout;
+  for (const int len : lens) layout.Add(len);
+  const int rows = layout.rows();
+  struct Dims {
+    int in_dim, hidden;
+  };
+  for (const Dims dims : {Dims{96, 64}, Dims{13, 5}}) {
+    for (const char* kind : {"lstm", "gru"}) {
+      Rng rng(4009 + dims.hidden);
+      const BiRnn eager(kind, dims.in_dim, dims.hidden, &rng);
+      const Tensor x =
+          RandomTensor({rows, dims.in_dim}, &rng, -1.5, 1.5, 0.3);
+      const int od = 2 * dims.hidden;
+      std::vector<Float> o_isa(static_cast<std::size_t>(rows) * od);
+      std::vector<Float> o_scalar(o_isa.size());
+      Arena arena;
+      if (std::string(kind) == "lstm") {
+        const auto& f = dynamic_cast<const LstmCell&>(eager.forward_cell());
+        const auto& r = dynamic_cast<const LstmCell&>(eager.backward_cell());
+        const batched::LstmDir fwd{&f.gates().weight()->value,
+                                   &f.gates().bias()->value};
+        const batched::LstmDir bwd{&r.gates().weight()->value,
+                                   &r.gates().bias()->value};
+        batched::BiLstm<Isa>(x.data(), dims.in_dim, dims.hidden, layout, fwd,
+                             bwd, o_isa.data(), &arena);
+        batched::BiLstm<simd::Scalar>(x.data(), dims.in_dim, dims.hidden,
+                                      layout, fwd, bwd, o_scalar.data(),
+                                      &arena);
+      } else {
+        const auto& f = dynamic_cast<const GruCell&>(eager.forward_cell());
+        const auto& r = dynamic_cast<const GruCell&>(eager.backward_cell());
+        const batched::GruDir fwd{
+            &f.rz().weight()->value, &f.rz().bias()->value,
+            &f.candidate().weight()->value, &f.candidate().bias()->value};
+        const batched::GruDir bwd{
+            &r.rz().weight()->value, &r.rz().bias()->value,
+            &r.candidate().weight()->value, &r.candidate().bias()->value};
+        batched::BiGru<Isa>(x.data(), dims.in_dim, dims.hidden, layout, fwd,
+                            bwd, o_isa.data(), &arena);
+        batched::BiGru<simd::Scalar>(x.data(), dims.in_dim, dims.hidden,
+                                     layout, fwd, bwd, o_scalar.data(),
+                                     &arena);
+      }
+      ExpectBitEqual(o_isa, o_scalar, kind);
+      NoGradGuard no_grad;
+      for (int seg = 0; seg < layout.batch(); ++seg) {
+        const int len = layout.len(seg);
+        const std::size_t first =
+            static_cast<std::size_t>(layout.offset(seg));
+        Tensor in({len, dims.in_dim});
+        std::memcpy(in.data(), x.data() + first * dims.in_dim,
+                    static_cast<std::size_t>(len) * dims.in_dim *
+                        sizeof(Float));
+        const Tensor want = eager.Apply(Constant(std::move(in)))->value;
+        const std::vector<Float> got(
+            o_isa.begin() + static_cast<std::ptrdiff_t>(first * od),
+            o_isa.begin() + static_cast<std::ptrdiff_t>((first + len) * od));
+        ExpectBitEqual(got, CopyOf(want), kind);
+      }
     }
   }
 }

@@ -151,6 +151,33 @@ TEST(ArenaTest, HighWaterTracksPeakLiveBytesAcrossResets) {
   EXPECT_GE(arena.high_water(), 2000 * sizeof(Float));
 }
 
+TEST(ArenaTest, ScopeFreesOnlyItsOwnScratch) {
+  Arena arena;
+  Float* kept = arena.Alloc(100);
+  for (int i = 0; i < 100; ++i) kept[i] = 7.0;
+  Float* first = nullptr;
+  {
+    Arena::Scope scope(&arena);
+    first = arena.Alloc(300);
+    // Spill into later blocks too: the scope's end must rewind across them.
+    for (int i = 0; i < 6; ++i) arena.Alloc(Arena::kInitialFloats / 2);
+    for (int i = 0; i < 300; ++i) first[i] = -1.0;
+  }
+  const std::size_t peak = arena.high_water();
+  EXPECT_GE(peak, (400 + 3 * Arena::kInitialFloats) * sizeof(Float));
+  const std::size_t reserved = arena.bytes_reserved();
+  {
+    Arena::Scope scope(&arena);
+    EXPECT_EQ(arena.Alloc(300), first);  // the freed scratch is reused
+    for (int i = 0; i < 6; ++i) arena.Alloc(Arena::kInitialFloats / 2);
+  }
+  EXPECT_EQ(arena.bytes_reserved(), reserved);  // no new blocks
+  EXPECT_EQ(arena.high_water(), peak);  // same scratch, same peak
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(kept[i], 7.0) << i;
+  Float* after = arena.Alloc(10);
+  EXPECT_TRUE(after >= kept + 100 || after + 10 <= kept);
+}
+
 TEST(ArenaTest, ManySmallAllocationsSpanBlocksSafely) {
   Arena arena;
   std::set<Float*> seen;
