@@ -9,7 +9,7 @@ namespace {
 using namespace dlner;
 using namespace dlner::bench;
 
-double Run(core::NerConfig config, const BenchData& bd,
+double Run(core::NerConfig config, const data::DataSplit& bd,
            const std::vector<std::string>& types, uint64_t seed,
            double lr = 0.015, int epochs = 8) {
   config.seed = seed;
@@ -23,7 +23,7 @@ int main() {
 
   const auto genre = data::Genre::kNews;
   const auto& types = data::EntityTypesFor(genre);
-  BenchData bd = MakeBenchData(genre, 250, 120, 201);
+  data::DataSplit bd = data::MakeOovSplit(genre, 250, 120, 201);
 
   core::NerConfig base;
   base.use_char_cnn = true;

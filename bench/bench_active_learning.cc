@@ -17,7 +17,8 @@ int main() {
 
   const auto genre = data::Genre::kNews;
   const auto& types = data::EntityTypesFor(genre);
-  BenchData bd = MakeBenchData(genre, 400, 120, 51, /*test_oov=*/0.2);
+  data::DataSplit bd =
+      data::MakeOovSplit(genre, 400, 120, 51, /*test_oov=*/0.2);
 
   // Full-data reference.
   core::NerConfig config;

@@ -15,23 +15,10 @@
 
 namespace dlner::bench {
 
-/// Train/test pair where the test split injects out-of-vocabulary entities
-/// and genre-typical noise, so architectures differentiate the way they do
-/// on real corpora (memorizable synthetic data would saturate at F1=1).
-/// The generator lives in data::MakeOovSplit so the correctness harness
-/// (tests/support/) draws from exactly the same distribution.
-using BenchData = data::DataSplit;
-
-inline BenchData MakeBenchData(data::Genre genre, int train_size,
-                               int test_size, uint64_t seed,
-                               double test_oov = 0.35) {
-  return data::MakeOovSplit(genre, train_size, test_size, seed, test_oov);
-}
-
 /// Trains a model described by `config` and returns its exact-match test
 /// micro-F1.
 inline double TrainAndScore(const core::NerConfig& config,
-                            const BenchData& data,
+                            const data::DataSplit& data,
                             const std::vector<std::string>& types,
                             const core::Resources& resources = {},
                             int epochs = 8, double lr = 0.015) {
@@ -43,10 +30,6 @@ inline double TrainAndScore(const core::NerConfig& config,
   trainer.Train(data.train, nullptr);
   return model.Evaluate(data.test).micro.f1();
 }
-
-/// Wall-clock helper — the observability subsystem's monotonic stopwatch,
-/// re-exported under the historical bench name.
-using Stopwatch = obs::Stopwatch;
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());

@@ -39,7 +39,7 @@ double TokensPerSecond(const encoders::ContextEncoder& enc, int n) {
   const std::vector<std::string> tokens(n, "w");
   enc.Encode(x, tokens, false);  // warm-up
   const int repeats = std::max(4, kTokensPerPoint / n);
-  Stopwatch sw;
+  obs::Stopwatch sw;
   for (int r = 0; r < repeats; ++r) enc.Encode(x, tokens, false);
   return repeats * static_cast<double>(n) / sw.Seconds();
 }

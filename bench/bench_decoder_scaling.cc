@@ -63,10 +63,10 @@ Timing Time(MakeDecoder make, const text::Sentence& gold) {
   decoder->Predict(enc);
 
   const int reps = 30;
-  Stopwatch train_sw;
+  obs::Stopwatch train_sw;
   for (int r = 0; r < reps; ++r) Backward(decoder->Loss(enc, gold));
   const double train_ms = 1000.0 * train_sw.Seconds() / reps;
-  Stopwatch decode_sw;
+  obs::Stopwatch decode_sw;
   for (int r = 0; r < reps; ++r) decoder->Predict(enc);
   const double decode_ms = 1000.0 * decode_sw.Seconds() / reps;
   return {train_ms, decode_ms};

@@ -43,7 +43,7 @@ double Throughput(const core::NerModel& model,
   text::Corpus corpus;
   corpus.sentences.push_back({doc, {}});
   model.PredictCorpus(corpus);  // warm-up
-  Stopwatch sw;
+  obs::Stopwatch sw;
   for (int r = 0; r < repeats; ++r) model.PredictCorpus(corpus);
   return repeats * static_cast<double>(doc.size()) / sw.Seconds();
 }
@@ -55,7 +55,7 @@ int main() {
 
   const auto genre = data::Genre::kNews;
   const auto& types = data::EntityTypesFor(genre);
-  BenchData bd = MakeBenchData(genre, 200, 100, 31);
+  data::DataSplit bd = data::MakeOovSplit(genre, 200, 100, 31);
 
   core::NerConfig lstm_config;
   lstm_config.encoder = "bilstm";

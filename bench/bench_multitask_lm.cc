@@ -16,7 +16,8 @@ int main() {
 
   const auto genre = data::Genre::kNews;
   const auto& types = data::EntityTypesFor(genre);
-  BenchData bd = MakeBenchData(genre, 300, 120, 91, /*test_oov=*/0.3);
+  data::DataSplit bd =
+      data::MakeOovSplit(genre, 300, 120, 91, /*test_oov=*/0.3);
 
   // Both variants train with dev-based early stopping to their own best
   // epoch (the auxiliary objective changes convergence speed, so a fixed

@@ -17,8 +17,10 @@ int main() {
   const auto genre = data::Genre::kNews;
   const auto& types = data::EntityTypesFor(genre);
   // Two labeled-data regimes: freezing-vs-fine-tuning flips between them.
-  BenchData small_bd = MakeBenchData(genre, 100, 120, 131, /*test_oov=*/0.4);
-  BenchData large_bd = MakeBenchData(genre, 300, 120, 136, /*test_oov=*/0.4);
+  data::DataSplit small_bd =
+      data::MakeOovSplit(genre, 100, 120, 131, /*test_oov=*/0.4);
+  data::DataSplit large_bd =
+      data::MakeOovSplit(genre, 300, 120, 136, /*test_oov=*/0.4);
 
   // Pretraining corpus is much larger than the labeled set (the survey's
   // setting for Word2Vec/ELMo-style inputs).

@@ -20,7 +20,8 @@ int main() {
   const auto& types = data::EntityTypesFor(genre);
 
   // Clean corpora for dev/test and as the distant-supervision source.
-  BenchData bd = MakeBenchData(genre, 300, 120, 121, /*test_oov=*/0.2);
+  data::DataSplit bd =
+      data::MakeOovSplit(genre, 300, 120, 121, /*test_oov=*/0.2);
 
   // Distant supervision: a 55%-coverage gazetteer annotates raw training
   // text; remaining gold structure is discarded.

@@ -210,7 +210,7 @@ double MeasureCapacity(int port, const std::vector<std::string>& bodies,
   std::thread reader([&] {
     conn.ReadLoop([&](const std::string&) { done.fetch_add(1); });
   });
-  bench::Stopwatch sw;
+  obs::Stopwatch sw;
   std::int64_t sent = 0;
   while (sw.Seconds() < min_seconds) {
     conn.SendLine("{\"id\":" + std::to_string(sent) +

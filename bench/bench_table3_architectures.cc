@@ -185,8 +185,8 @@ struct DatasetResources {
   data::Gazetteer gazetteer;
 };
 
-DatasetResources PretrainResources(data::Genre genre, const BenchData& bd,
-                                   uint64_t seed) {
+DatasetResources PretrainResources(data::Genre genre,
+                                   const data::DataSplit& bd, uint64_t seed) {
   DatasetResources res;
   // Unlabeled text: the "large corpus" all pre-trained inputs come from.
   auto unlabeled = data::GenerateUnlabeledText(genre, 2500, seed + 10);
@@ -221,7 +221,7 @@ DatasetResources PretrainResources(data::Genre genre, const BenchData& bd,
 
 void RunDataset(const std::string& label, data::Genre genre, uint64_t seed,
                 const std::vector<int>& row_filter, double test_oov) {
-  BenchData bd = MakeBenchData(genre, 250, 120, seed, test_oov);
+  data::DataSplit bd = data::MakeOovSplit(genre, 250, 120, seed, test_oov);
   DatasetResources shared = PretrainResources(genre, bd, seed);
   const auto& types = data::EntityTypesFor(genre);
 
@@ -242,7 +242,7 @@ void RunDataset(const std::string& label, data::Genre genre, uint64_t seed,
     if (row.needs_char_lm) resources.char_lm = shared.char_lm.get();
     if (row.needs_token_lm) resources.token_lm = shared.token_lm.get();
     if (row.needs_gazetteer) resources.gazetteer = &shared.gazetteer;
-    Stopwatch sw;
+    obs::Stopwatch sw;
     const double f1 = TrainAndScore(row.config, bd, types, resources,
                                     /*epochs=*/8, row.lr);
     std::printf("%-48s %8.3f   (%.1fs)\n", row.paper_ref.c_str(), f1,

@@ -56,7 +56,7 @@ double MeasureThroughput(const Pass& pass, const text::Corpus& corpus,
                          double min_seconds) {
   pass();  // warmup: faults pages, primes arena/allocator
   int repeats = 0;
-  Stopwatch sw;
+  obs::Stopwatch sw;
   do {
     pass();
     ++repeats;
@@ -97,7 +97,7 @@ MatMulResult MeasureMatMul(int m, int k, int n, double min_seconds) {
   {
     volatile Float sink = 0.0;
     int repeats = 0;
-    Stopwatch sw;
+    obs::Stopwatch sw;
     do {
       Tensor c = NaiveMatMul(ta, tb);
       sink = sink + c[0];
@@ -111,7 +111,7 @@ MatMulResult MeasureMatMul(int m, int k, int n, double min_seconds) {
     Var vb = Constant(tb);
     volatile Float sink = 0.0;
     int repeats = 0;
-    Stopwatch sw;
+    obs::Stopwatch sw;
     do {
       Var c = MatMul(va, vb);
       sink = sink + c->value[0];
@@ -156,7 +156,7 @@ double MeasureGemmKernel(const KernelShape& s, double min_seconds) {
   for (Float& v : b) v = rng.Uniform(-1.0, 1.0);
   volatile Float sink = 0.0;
   int repeats = 0;
-  Stopwatch sw;
+  obs::Stopwatch sw;
   do {
     gemm::GemmAccum<Isa>(a.data(), b.data(), c.data(), s.m, s.k, s.n);
     sink = sink + c[0];
@@ -177,7 +177,7 @@ double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
   for (int i = 0; i < bias.size(); ++i) bias[i] = rng.Uniform(-1.0, 1.0);
   volatile Float sink = 0.0;
   int repeats = 0;
-  Stopwatch sw;
+  obs::Stopwatch sw;
   do {
     batched::Affine<Isa>(x.data(), s.m, w, bias, out.data(),
                          batched::Act::kRelu);

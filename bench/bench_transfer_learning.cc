@@ -33,8 +33,8 @@ int main() {
     trainer.Train(source_corpus, nullptr);
   }
 
-  BenchData target = MakeBenchData(data::Genre::kSocial, 200, 120, 83,
-                                   /*test_oov=*/0.2);
+  data::DataSplit target = data::MakeOovSplit(data::Genre::kSocial, 200, 120,
+                                              83, /*test_oov=*/0.2);
   const auto& target_types = data::EntityTypesFor(data::Genre::kSocial);
 
   std::printf("%8s %12s %12s %16s\n", "#target", "scratch", "fine-tune",

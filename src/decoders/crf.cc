@@ -199,4 +199,19 @@ std::vector<text::Span> CrfDecoder::Predict(const Var& encodings) const {
   return tags_->TagIdsToSpans(ViterbiPath(emissions->value));
 }
 
+void CrfDecoder::DecodePacked(const batched::PackedBatch& batch,
+                              const Float* x, int /*in_dim*/,
+                              std::vector<std::vector<text::Span>>* out) const {
+  obs::ScopedSpan span("decode/crf");
+  const int k = proj_->out_dim();
+  Float* em = batch.AllocRows(k);
+  batched::Affine(x, batch.rows(), proj_->weight()->value,
+                  proj_->bias()->value, em);
+  for (int b = 0; b < batch.batch(); ++b) {
+    (*out)[b] = tags_->TagIdsToSpans(ViterbiPath(
+        em + static_cast<std::size_t>(batch.layout->offset(b)) * k,
+        batch.layout->len(b)));
+  }
+}
+
 }  // namespace dlner::decoders

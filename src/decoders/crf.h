@@ -30,6 +30,12 @@ class CrfDecoder : public TagDecoder {
   Var Loss(const Var& encodings, const text::Sentence& gold) override;
   std::vector<text::Span> Predict(const Var& encodings) const override;
   std::vector<Var> Parameters() const override;
+  /// Emissions for the whole packed batch in one GEMM, then Viterbi per
+  /// sentence over the arena rows.
+  void DecodePacked(const batched::PackedBatch& batch, const Float* x,
+                    int in_dim,
+                    std::vector<std::vector<text::Span>>* out) const override;
+  const char* packed_kind() const override { return "crf"; }
 
   /// Sequence log partition function (exposed for tests against brute
   /// force enumeration).
@@ -41,7 +47,7 @@ class CrfDecoder : public TagDecoder {
   /// Best tag path under the model (Viterbi) for emissions [T, K].
   std::vector<int> ViterbiPath(const Tensor& emissions) const;
   /// The same over `t_len` raw emission rows of K floats each, read in
-  /// place (the inference plan passes its arena rows). Reads the live
+  /// place (DecodePacked passes its arena rows). Reads the live
   /// parameters on every call: nothing is cached, because training and
   /// active learning change them between decodes.
   std::vector<int> ViterbiPath(const Float* emissions, int t_len) const;
@@ -52,7 +58,6 @@ class CrfDecoder : public TagDecoder {
   Tensor Marginals(const Tensor& emissions) const;
 
   const text::TagSet& tags() const { return *tags_; }
-  const Linear& proj() const { return *proj_; }
 
  private:
   const text::TagSet* tags_;  // not owned

@@ -8,6 +8,9 @@
 #ifndef DLNER_DECODERS_DECODER_H_
 #define DLNER_DECODERS_DECODER_H_
 
+#include <vector>
+
+#include "tensor/batched.h"
 #include "tensor/nn.h"
 #include "text/types.h"
 
@@ -21,6 +24,17 @@ class TagDecoder : public Module {
 
   /// Decodes entity spans from [T, d] encodings.
   virtual std::vector<text::Span> Predict(const Var& encodings) const = 0;
+
+  /// Inference over a packed micro-batch: x is the packed [batch.rows(),
+  /// in_dim] encodings; writes sentence b's spans to (*out)[b]. Must equal
+  /// Predict on every segment. The default is an eager bridge: Predict per
+  /// sentence.
+  virtual void DecodePacked(const batched::PackedBatch& batch, const Float* x,
+                            int in_dim,
+                            std::vector<std::vector<text::Span>>* out) const;
+  /// Non-null (the decoder's name in InferencePlan::Describe) when
+  /// DecodePacked is a packed kernel rather than the eager bridge.
+  virtual const char* packed_kind() const { return nullptr; }
 };
 
 }  // namespace dlner::decoders

@@ -20,8 +20,11 @@ class SoftmaxDecoder : public TagDecoder {
   Var Loss(const Var& encodings, const text::Sentence& gold) override;
   std::vector<text::Span> Predict(const Var& encodings) const override;
   std::vector<Var> Parameters() const override { return proj_->Parameters(); }
+  void DecodePacked(const batched::PackedBatch& batch, const Float* x,
+                    int in_dim,
+                    std::vector<std::vector<text::Span>>* out) const override;
+  const char* packed_kind() const override { return "softmax"; }
   const text::TagSet& tags() const { return *tags_; }
-  const Linear& proj() const { return *proj_; }
 
  private:
   const text::TagSet* tags_;  // not owned

@@ -1,13 +1,45 @@
 #include "embeddings/char_features.h"
 
-namespace dlner::embeddings {
+#include <cstring>
 
+namespace dlner::embeddings {
+namespace {
+
+// The character ids a char feature reads for one word: the word's bytes
+// through `char_vocab`, or a single kUnkId for the empty word.
 std::vector<int> CharIdsOf(const text::Vocabulary& char_vocab,
                            const std::string& word) {
   std::vector<int> ids = char_vocab.EncodeChars(word);
   if (ids.empty()) ids.push_back(text::Vocabulary::kUnkId);
   return ids;
 }
+
+// The packed character fills: every token of the micro-batch becomes one
+// segment of a character BatchLayout (segment r is packed token row r), so
+// the whole batch's characters go through one embedding gather and one
+// batched kernel instead of one eager graph per word. Returns the gathered
+// [chars->rows(), char_dim] embedding rows.
+const Float* GatherChars(const batched::PackedBatch& batch,
+                         const text::Vocabulary& vocab, const Tensor& table,
+                         batched::BatchLayout* chars) {
+  std::vector<int> ids;
+  for (int b = 0; b < batch.batch(); ++b) {
+    for (const std::string& word : batch.tokens(b)) {
+      const std::vector<int> word_ids = CharIdsOf(vocab, word);
+      ids.insert(ids.end(), word_ids.begin(), word_ids.end());
+      chars->Add(static_cast<int>(word_ids.size()));
+    }
+  }
+  const int d = table.cols();
+  Float* x = batch.arena->Alloc(ids.size() * d);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::memcpy(x + i * d, table.data() + static_cast<std::size_t>(ids[i]) * d,
+                d * sizeof(Float));
+  }
+  return x;
+}
+
+}  // namespace
 
 CharCnnFeature::CharCnnFeature(const text::Vocabulary* char_vocab,
                                int char_dim, int num_filters, Rng* rng,
@@ -32,6 +64,23 @@ Var CharCnnFeature::Forward(const std::vector<std::string>& tokens,
     rows.push_back(MaxOverRows(conv));                 // [filters]
   }
   return StackRows(rows);
+}
+
+// Forward with one segment per word: conv + ReLU over each word's
+// characters, then max-pooling over them. The character rows are scratch,
+// freed once the pooled rows are written.
+void CharCnnFeature::FillPacked(const batched::PackedBatch& batch, Float* dst,
+                                int stride) const {
+  const Arena::Scope scratch(batch.arena);
+  const Tensor& table = char_embedding_->table()->value;
+  batched::BatchLayout chars;
+  const Float* x = GatherChars(batch, *char_vocab_, table, &chars);
+  Float* h =
+      batch.arena->Alloc(static_cast<std::size_t>(chars.rows()) * num_filters_);
+  batched::ConvSegments(x, table.cols(), chars, conv_->width(),
+                        conv_->dilation(), conv_->weight()->value,
+                        conv_->bias()->value, h, batched::Act::kRelu);
+  batched::MaxOverSegments(h, num_filters_, chars, dst, stride);
 }
 
 std::vector<Var> CharCnnFeature::Parameters() const {
@@ -64,6 +113,29 @@ Var CharRnnFeature::Forward(const std::vector<std::string>& tokens,
     rows.push_back(ConcatVecs({fwd_state.h, bwd_state.h}));
   }
   return StackRows(rows);
+}
+
+// Forward's two final states with one segment per word: the forward state
+// after a word's last character and the backward state after its first.
+// Character rows are scratch, as in CharCnnFeature::FillPacked.
+void CharRnnFeature::FillPacked(const batched::PackedBatch& batch, Float* dst,
+                                int stride) const {
+  const Arena::Scope scratch(batch.arena);
+  const Tensor& table = char_embedding_->table()->value;
+  batched::BatchLayout chars;
+  const Float* x = GatherChars(batch, *char_vocab_, table, &chars);
+  const int hd = hidden_dim_;
+  Float* h =
+      batch.arena->Alloc(static_cast<std::size_t>(chars.rows()) * 2 * hd);
+  batched::BiLstm(x, table.cols(), hd, chars, forward_->packed(),
+                  backward_->packed(), h, batch.arena);
+  for (int w = 0; w < chars.batch(); ++w) {
+    const std::size_t first = chars.offset(w);
+    const std::size_t last = first + chars.len(w) - 1;
+    Float* row = dst + static_cast<std::size_t>(w) * stride;
+    std::memcpy(row, h + last * 2 * hd, hd * sizeof(Float));
+    std::memcpy(row + hd, h + first * 2 * hd + hd, hd * sizeof(Float));
+  }
 }
 
 std::vector<Var> CharRnnFeature::Parameters() const {

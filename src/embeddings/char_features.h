@@ -17,11 +17,6 @@
 
 namespace dlner::embeddings {
 
-/// The character ids a char feature reads for one word: the word's bytes
-/// through `char_vocab`, or a single kUnkId for the empty word.
-std::vector<int> CharIdsOf(const text::Vocabulary& char_vocab,
-                           const std::string& word);
-
 /// CNN-over-characters word representation (Fig. 3a).
 class CharCnnFeature : public TokenFeature {
  public:
@@ -33,11 +28,10 @@ class CharCnnFeature : public TokenFeature {
               bool training) const override;
   int dim() const override { return num_filters_; }
   std::vector<Var> Parameters() const override;
-
-  // Read-only views for the compiled plan's packed character fill.
-  const text::Vocabulary& char_vocab() const { return *char_vocab_; }
-  const Embedding& char_embedding() const { return *char_embedding_; }
-  const Conv1d& conv() const { return *conv_; }
+  /// Every token of the batch is one segment of one batched conv.
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override;
+  const char* packed_kind() const override { return "char_cnn"; }
 
  private:
   const text::Vocabulary* char_vocab_;  // not owned
@@ -57,13 +51,10 @@ class CharRnnFeature : public TokenFeature {
               bool training) const override;
   int dim() const override { return 2 * hidden_dim_; }
   std::vector<Var> Parameters() const override;
-
-  // Read-only views for the compiled plan's packed character fill.
-  const text::Vocabulary& char_vocab() const { return *char_vocab_; }
-  const Embedding& char_embedding() const { return *char_embedding_; }
-  const LstmCell& forward_cell() const { return *forward_; }
-  const LstmCell& backward_cell() const { return *backward_; }
-  int hidden_dim() const { return hidden_dim_; }
+  /// Every token of the batch is one segment of one batched BiLSTM.
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override;
+  const char* packed_kind() const override { return "char_rnn"; }
 
  private:
   const text::Vocabulary* char_vocab_;  // not owned

@@ -1,8 +1,29 @@
 #include "embeddings/features.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 
 namespace dlner::embeddings {
+
+// ---------------------------------------------------------------------------
+// TokenFeature: the eager bridge.
+// ---------------------------------------------------------------------------
+
+void TokenFeature::FillPacked(const batched::PackedBatch& batch, Float* dst,
+                              int stride) const {
+  const int d = dim();
+  for (int b = 0; b < batch.batch(); ++b) {
+    const Var v = Forward(batch.tokens(b), /*training=*/false);
+    const Tensor& m = v->value;
+    const int off = batch.layout->offset(b);
+    for (int t = 0; t < batch.layout->len(b); ++t) {
+      std::memcpy(dst + static_cast<std::size_t>(off + t) * stride,
+                  m.data() + static_cast<std::size_t>(t) * d,
+                  d * sizeof(Float));
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // WordEmbeddingFeature.
@@ -30,6 +51,21 @@ Var WordEmbeddingFeature::Forward(const std::vector<std::string>& tokens,
     }
   }
   return embedding_->Lookup(ids);
+}
+
+void WordEmbeddingFeature::FillPacked(const batched::PackedBatch& batch,
+                                      Float* dst, int stride) const {
+  const Tensor& table = embedding_->table()->value;
+  const int d = dim();
+  for (int b = 0; b < batch.batch(); ++b) {
+    const std::vector<int> ids = vocab_->Encode(batch.tokens(b));
+    const int off = batch.layout->offset(b);
+    for (int t = 0; t < batch.layout->len(b); ++t) {
+      std::memcpy(dst + static_cast<std::size_t>(off + t) * stride,
+                  table.data() + static_cast<std::size_t>(ids[t]) * d,
+                  d * sizeof(Float));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -75,6 +111,19 @@ Var WordShapeFeature::Forward(const std::vector<std::string>& tokens,
   return Constant(std::move(out));
 }
 
+void WordShapeFeature::FillPacked(const batched::PackedBatch& batch,
+                                  Float* dst, int stride) const {
+  for (int b = 0; b < batch.batch(); ++b) {
+    const auto& tokens = batch.tokens(b);
+    const int off = batch.layout->offset(b);
+    for (int t = 0; t < batch.layout->len(b); ++t) {
+      const std::vector<Float> shape = ShapeOf(tokens[t]);
+      std::memcpy(dst + static_cast<std::size_t>(off + t) * stride,
+                  shape.data(), shape.size() * sizeof(Float));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // GazetteerFeature.
 // ---------------------------------------------------------------------------
@@ -98,6 +147,18 @@ Var GazetteerFeature::Forward(const std::vector<std::string>& tokens,
   return Constant(std::move(out));
 }
 
+void GazetteerFeature::FillPacked(const batched::PackedBatch& batch,
+                                  Float* dst, int stride) const {
+  for (int b = 0; b < batch.batch(); ++b) {
+    const auto rows = gazetteer_->MatchFeatures(batch.tokens(b));
+    const int off = batch.layout->offset(b);
+    for (int t = 0; t < batch.layout->len(b); ++t) {
+      std::memcpy(dst + static_cast<std::size_t>(off + t) * stride,
+                  rows[t].data(), rows[t].size() * sizeof(Float));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ComposedRepresentation.
 // ---------------------------------------------------------------------------
@@ -118,6 +179,22 @@ Var ComposedRepresentation::Forward(const std::vector<std::string>& tokens,
   for (const auto& f : features_) parts.push_back(f->Forward(tokens, training));
   Var out = parts.size() == 1 ? parts[0] : ConcatCols(parts);
   return Dropout(out, dropout_, rng_, training);
+}
+
+void ComposedRepresentation::FillPacked(const batched::PackedBatch& batch,
+                                        Float* dst, int stride) const {
+  int col = 0;
+  for (const auto& f : features_) {
+    f->FillPacked(batch, dst + col, stride);
+    col += f->dim();
+  }
+}
+
+const char* ComposedRepresentation::packed_kind() const {
+  const bool packed =
+      std::all_of(features_.begin(), features_.end(),
+                  [](const auto& f) { return f->packed_kind() != nullptr; });
+  return packed ? "batched" : nullptr;
 }
 
 std::vector<Var> ComposedRepresentation::Parameters() const {

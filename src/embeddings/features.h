@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "data/gazetteer.h"
+#include "tensor/batched.h"
 #include "tensor/nn.h"
 #include "text/vocab.h"
 
@@ -25,6 +26,17 @@ class TokenFeature : public Module {
   virtual Var Forward(const std::vector<std::string>& tokens,
                       bool training) const = 0;
   virtual int dim() const = 0;
+
+  /// Inference over a packed micro-batch: writes this feature's
+  /// [batch.rows(), dim()] rows into the packed representation, packed row
+  /// r at `dst + r * stride`. Must equal Forward(tokens, false) bit for
+  /// bit. The default is an eager bridge: Forward per sentence, rows copied
+  /// out.
+  virtual void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                          int stride) const;
+  /// Non-null when FillPacked is a packed kernel rather than the eager
+  /// bridge.
+  virtual const char* packed_kind() const { return nullptr; }
 };
 
 /// Trainable word-embedding lookup (survey Section 3.2.1). The table can be
@@ -46,9 +58,11 @@ class WordEmbeddingFeature : public TokenFeature {
   std::vector<Var> Parameters() const override {
     return embedding_->Parameters();
   }
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override;
+  const char* packed_kind() const override { return "word"; }
   Embedding* embedding() { return embedding_.get(); }
   const Embedding& embedding() const { return *embedding_; }
-  const text::Vocabulary& vocab() const { return *vocab_; }
 
  private:
   const text::Vocabulary* vocab_;  // not owned
@@ -68,6 +82,9 @@ class WordShapeFeature : public TokenFeature {
               bool training) const override;
   int dim() const override { return kDim; }
   std::vector<Var> Parameters() const override { return {}; }
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override;
+  const char* packed_kind() const override { return "shape"; }
 
   /// Shape vector of a single word (exposed for tests).
   static std::vector<Float> ShapeOf(const std::string& word);
@@ -83,7 +100,9 @@ class GazetteerFeature : public TokenFeature {
               bool training) const override;
   int dim() const override;
   std::vector<Var> Parameters() const override { return {}; }
-  const data::Gazetteer& gazetteer() const { return *gazetteer_; }
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override;
+  const char* packed_kind() const override { return "gazetteer"; }
 
  private:
   const data::Gazetteer* gazetteer_;  // not owned
@@ -100,11 +119,11 @@ class ComposedRepresentation : public TokenFeature {
               bool training) const override;
   int dim() const override { return dim_; }
   std::vector<Var> Parameters() const override;
-
-  int feature_count() const { return static_cast<int>(features_.size()); }
-  const std::vector<std::unique_ptr<TokenFeature>>& features() const {
-    return features_;
-  }
+  /// Each feature fills its own column range, in order.
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override;
+  /// "batched" when every feature has a packed kernel, else null.
+  const char* packed_kind() const override;
 
  private:
   std::vector<std::unique_ptr<TokenFeature>> features_;

@@ -36,6 +36,25 @@ Var CnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
   return StackRows(rows);
 }
 
+const Float* CnnEncoder::EncodePacked(const batched::PackedBatch& batch,
+                                      const Float* x, int in_dim) const {
+  obs::ScopedSpan span("encode/cnn");
+  const Float* h = x;
+  int d = in_dim;
+  for (const auto& layer : layers_) {
+    Float* conv = batch.AllocRows(hidden_dim_);
+    batched::ConvSegments(h, d, *batch.layout, layer->width(),
+                          layer->dilation(), layer->weight()->value,
+                          layer->bias()->value, conv, batched::Act::kRelu);
+    h = conv;
+    d = hidden_dim_;
+  }
+  if (!global_feature_) return h;
+  Float* g = batch.AllocRows(2 * hidden_dim_);
+  batched::GlobalMaxConcat(h, hidden_dim_, *batch.layout, g);
+  return g;
+}
+
 int CnnEncoder::out_dim() const {
   return global_feature_ ? 2 * hidden_dim_ : hidden_dim_;
 }
@@ -75,6 +94,30 @@ Var IdCnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
   for (int it = 0; it < iterations_; ++it) {
     for (size_t i = 0; i < block_.size(); ++i) {
       h = norms_[i]->Apply(Relu(block_[i]->Apply(h)));
+    }
+  }
+  return h;
+}
+
+const Float* IdCnnEncoder::EncodePacked(const batched::PackedBatch& batch,
+                                        const Float* x,
+                                        int /*in_dim*/) const {
+  obs::ScopedSpan span("encode/idcnn");
+  Float* h = batch.AllocRows(hidden_dim_);
+  batched::Affine(x, batch.rows(), project_->weight()->value,
+                  project_->bias()->value, h, batched::Act::kRelu);
+  for (int it = 0; it < iterations_; ++it) {
+    for (size_t i = 0; i < block_.size(); ++i) {
+      const Conv1d& conv = *block_[i];
+      Float* c = batch.AllocRows(hidden_dim_);
+      batched::ConvSegments(h, hidden_dim_, *batch.layout, conv.width(),
+                            conv.dilation(), conv.weight()->value,
+                            conv.bias()->value, c, batched::Act::kRelu);
+      Float* normed = batch.AllocRows(hidden_dim_);
+      batched::LayerNormRows(c, batch.rows(), hidden_dim_,
+                             norms_[i]->gain()->value, norms_[i]->bias()->value,
+                             normed);
+      h = normed;
     }
   }
   return h;

@@ -33,9 +33,9 @@ class CnnEncoder : public ContextEncoder {
              bool training) const override;
   int out_dim() const override;
   std::vector<Var> Parameters() const override;
-  int hidden_dim() const { return hidden_dim_; }
-  bool global_feature() const { return global_feature_; }
-  const std::vector<std::unique_ptr<Conv1d>>& layers() const { return layers_; }
+  const Float* EncodePacked(const batched::PackedBatch& batch, const Float* x,
+                            int in_dim) const override;
+  const char* packed_kind() const override { return "cnn"; }
 
  private:
   int hidden_dim_;
@@ -54,12 +54,9 @@ class IdCnnEncoder : public ContextEncoder {
              bool training) const override;
   int out_dim() const override { return hidden_dim_; }
   std::vector<Var> Parameters() const override;
-  int iterations() const { return iterations_; }
-  const Linear& project() const { return *project_; }
-  const std::vector<std::unique_ptr<Conv1d>>& block() const { return block_; }
-  const std::vector<std::unique_ptr<LayerNorm>>& norms() const {
-    return norms_;
-  }
+  const Float* EncodePacked(const batched::PackedBatch& batch, const Float* x,
+                            int in_dim) const override;
+  const char* packed_kind() const override { return "idcnn"; }
 
  private:
   int hidden_dim_;

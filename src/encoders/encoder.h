@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/batched.h"
 #include "tensor/nn.h"
 
 namespace dlner::encoders {
@@ -23,6 +24,17 @@ class ContextEncoder : public Module {
   virtual Var Encode(const Var& input, const std::vector<std::string>& tokens,
                      bool training) const = 0;
   virtual int out_dim() const = 0;
+
+  /// Inference over a packed micro-batch: x is the packed [batch.rows(),
+  /// in_dim] representation; returns the packed [batch.rows(), out_dim()]
+  /// encodings, allocated from batch.arena. Must equal Encode(segment,
+  /// tokens, false) bit for bit on every segment. The default is an eager
+  /// bridge: Encode per sentence, rows copied out.
+  virtual const Float* EncodePacked(const batched::PackedBatch& batch,
+                                    const Float* x, int in_dim) const;
+  /// Non-null (the encoder's name in InferencePlan::Describe) when
+  /// EncodePacked is a packed kernel rather than the eager bridge.
+  virtual const char* packed_kind() const { return nullptr; }
 };
 
 /// No-context baseline: a per-token MLP (tanh). Equivalent to tagging each
@@ -37,7 +49,9 @@ class MlpEncoder : public ContextEncoder {
              bool training) const override;
   int out_dim() const override { return hidden_->out_dim(); }
   std::vector<Var> Parameters() const override { return hidden_->Parameters(); }
-  const Linear& hidden() const { return *hidden_; }
+  const Float* EncodePacked(const batched::PackedBatch& batch, const Float* x,
+                            int in_dim) const override;
+  const char* packed_kind() const override { return "mlp"; }
 
  private:
   std::unique_ptr<Linear> hidden_;

@@ -13,8 +13,8 @@
 // preserves the mechanism under study (recursive composition over a
 // hierarchy) without requiring parsed data. Encode builds that bracketing
 // from the sentence's tokens itself, so every caller of the ContextEncoder
-// interface (training, eager inference, the plan's encoder bridge) runs
-// the same tree.
+// interface (training, eager inference, the default EncodePacked bridge)
+// runs the same tree.
 #ifndef DLNER_ENCODERS_RECURSIVE_H_
 #define DLNER_ENCODERS_RECURSIVE_H_
 

@@ -31,6 +31,20 @@ Var RnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
   return h;
 }
 
+const Float* RnnEncoder::EncodePacked(const batched::PackedBatch& batch,
+                                      const Float* x, int in_dim) const {
+  obs::ScopedSpan span("encode/rnn");
+  const Float* h = x;
+  int d = in_dim;
+  for (const auto& layer : layers_) {
+    Float* out = batch.AllocRows(layer->out_dim());
+    layer->ApplyPacked(h, d, *batch.layout, out, batch.arena);
+    h = out;
+    d = layer->out_dim();
+  }
+  return h;
+}
+
 std::vector<Var> RnnEncoder::Parameters() const {
   std::vector<Var> all;
   for (const auto& l : layers_) {

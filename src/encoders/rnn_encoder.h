@@ -25,7 +25,12 @@ class RnnEncoder : public ContextEncoder {
              bool training) const override;
   int out_dim() const override { return 2 * hidden_dim_; }
   std::vector<Var> Parameters() const override;
-  const std::vector<std::unique_ptr<BiRnn>>& layers() const { return layers_; }
+  /// Inter-layer dropout is the identity at inference, so each layer is
+  /// one BiRnn::ApplyPacked.
+  const Float* EncodePacked(const batched::PackedBatch& batch, const Float* x,
+                            int in_dim) const override;
+  /// "bilstm" or "bigru".
+  const char* packed_kind() const override { return layers_.front()->kind(); }
 
  private:
   int hidden_dim_;

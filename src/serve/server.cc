@@ -577,17 +577,10 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
   const std::string& model = batch.front().request.model;
   // Resolve the pipeline at execution time: requests queued before a hot
   // reload are served by the new model, and the shared_ptr keeps whichever
-  // pipeline we picked alive for the whole batch.
+  // pipeline we picked alive for the whole batch. HandleLine admits only
+  // known models and the registry never removes one, so the entry exists.
   const ModelRegistry::Entry entry = registry_->Get(model);
-  if (entry.pipeline == nullptr) {
-    for (const Pending& p : batch) {
-      errors_->Add();
-      if (CollectMetrics()) ModelCounter(model, "errors")->Add();
-      Respond(p, ErrorResponse(p.request.has_id, p.request.id, kUnknownModel,
-                               "unknown model \"" + model + "\""));
-    }
-    return;
-  }
+  DLNER_CHECK(entry.pipeline != nullptr);
 
   text::Corpus corpus;
   corpus.sentences.resize(batch.size());
@@ -639,16 +632,6 @@ void Server::ExecuteBatch(std::vector<Pending> batch,
     t.write_end_us = obs::NowMicros();
     FinishTagRequest(p, model, /*cached=*/false, t);
   }
-}
-
-// Error-path responder (the tagging path runs FinishTagRequest instead,
-// which also feeds the stage instruments).
-void Server::Respond(const Pending& pending, const std::string& line) {
-  if (CollectMetrics()) {
-    latency_->Observe(
-        static_cast<double>(obs::NowMicros() - pending.arrival_us));
-  }
-  WriteLine(pending.conn, line);
 }
 
 void Server::WriteLine(const std::shared_ptr<Conn>& conn,

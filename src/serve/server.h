@@ -194,7 +194,6 @@ class Server {
   void BatchLoop();
   void ExecuteBatch(std::vector<Pending> batch, std::uint64_t collect_start_us,
                     std::uint64_t collect_end_us);
-  void Respond(const Pending& pending, const std::string& line);
   void WriteLine(const std::shared_ptr<Conn>& conn, const std::string& line);
 
   /// True while serve-side metric collection should run: always while the

@@ -13,6 +13,13 @@ inline Float SigmoidScalar(Float v) { return 1.0 / (1.0 + std::exp(-v)); }
 
 }  // namespace
 
+Tensor PackedBatch::SegmentRows(const Float* x, int d, int b) const {
+  Tensor m({layout->len(b), d});
+  std::memcpy(m.data(), x + static_cast<std::size_t>(layout->offset(b)) * d,
+              static_cast<std::size_t>(m.size()) * sizeof(Float));
+  return m;
+}
+
 // Activation epilogue shared by the affine/conv kernels. ReLU is a
 // comparison-select (vectorizable with scalar-identical semantics); tanh
 // stays a scalar libm call on every ISA so results never depend on a

@@ -20,6 +20,8 @@
 #ifndef DLNER_TENSOR_BATCHED_H_
 #define DLNER_TENSOR_BATCHED_H_
 
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "tensor/arena.h"
@@ -38,6 +40,29 @@ struct BatchLayout {
   int rows() const { return offsets.back(); }
   int offset(int b) const { return offsets[b]; }
   int len(int b) const { return offsets[b + 1] - offsets[b]; }
+};
+
+/// One packed micro-batch as the modules' packed hooks see it
+/// (TokenFeature::FillPacked, ContextEncoder::EncodePacked,
+/// TagDecoder::DecodePacked): the scratch arena, the ragged layout, and the
+/// token sequence of every segment (all non-empty).
+struct PackedBatch {
+  Arena* arena = nullptr;
+  const BatchLayout* layout = nullptr;
+  const std::vector<const std::vector<std::string>*>* sentences = nullptr;
+
+  int batch() const { return layout->batch(); }
+  int rows() const { return layout->rows(); }
+  const std::vector<std::string>& tokens(int b) const {
+    return *(*sentences)[b];
+  }
+  /// Uninitialized arena storage for [rows(), cols].
+  Float* AllocRows(int cols) const {
+    return arena->Alloc(static_cast<std::size_t>(rows()) * cols);
+  }
+  /// Copy of segment b's rows of the packed [rows(), d] buffer x, as the
+  /// [len(b), d] matrix an eager forward takes.
+  Tensor SegmentRows(const Float* x, int d, int b) const;
 };
 
 enum class Act { kNone, kRelu, kTanh };

@@ -100,13 +100,31 @@ std::pair<Var, RnnState> RunRnnWithState(const RnnCell& cell, const Var& input,
 
 BiRnn::BiRnn(const std::string& kind, int in_dim, int hidden_dim, Rng* rng,
              const std::string& name)
-    : forward_(MakeRnnCell(kind, in_dim, hidden_dim, rng, name + ".fwd")),
+    : lstm_(kind == "lstm"),
+      forward_(MakeRnnCell(kind, in_dim, hidden_dim, rng, name + ".fwd")),
       backward_(MakeRnnCell(kind, in_dim, hidden_dim, rng, name + ".bwd")) {}
 
 Var BiRnn::Apply(const Var& input) const {
   Var fwd = RunRnn(*forward_, input, /*reverse=*/false);
   Var bwd = RunRnn(*backward_, input, /*reverse=*/true);
   return ConcatCols({fwd, bwd});
+}
+
+void BiRnn::ApplyPacked(const Float* x, int in_dim,
+                        const batched::BatchLayout& layout, Float* out,
+                        Arena* arena) const {
+  const int hidden = forward_->hidden_dim();
+  if (lstm_) {
+    batched::BiLstm(x, in_dim, hidden, layout,
+                    static_cast<const LstmCell&>(*forward_).packed(),
+                    static_cast<const LstmCell&>(*backward_).packed(), out,
+                    arena);
+  } else {
+    batched::BiGru(x, in_dim, hidden, layout,
+                   static_cast<const GruCell&>(*forward_).packed(),
+                   static_cast<const GruCell&>(*backward_).packed(), out,
+                   arena);
+  }
 }
 
 std::vector<Var> BiRnn::Parameters() const {

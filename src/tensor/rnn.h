@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "tensor/batched.h"
 #include "tensor/nn.h"
 
 namespace dlner {
@@ -44,6 +45,10 @@ class LstmCell : public RnnCell {
   int in_dim() const override { return in_dim_; }
   int hidden_dim() const override { return hidden_dim_; }
   const Linear& gates() const { return *gates_; }
+  /// The live parameters as the packed kernels read them.
+  batched::LstmDir packed() const {
+    return {&gates_->weight()->value, &gates_->bias()->value};
+  }
 
  private:
   int in_dim_;
@@ -64,6 +69,11 @@ class GruCell : public RnnCell {
   int hidden_dim() const override { return hidden_dim_; }
   const Linear& rz() const { return *rz_; }
   const Linear& candidate() const { return *candidate_; }
+  /// The live parameters as the packed kernels read them.
+  batched::GruDir packed() const {
+    return {&rz_->weight()->value, &rz_->bias()->value,
+            &candidate_->weight()->value, &candidate_->bias()->value};
+  }
 
  private:
   int in_dim_;
@@ -91,6 +101,14 @@ class BiRnn : public Module {
 
   /// Input [T, in] -> [T, 2*hidden].
   Var Apply(const Var& input) const;
+  /// Apply over every segment of a packed batch at once, bit-identical to
+  /// Apply per segment: x [layout.rows(), in_dim] -> out [layout.rows(),
+  /// out_dim()] through batched::BiLstm or batched::BiGru.
+  void ApplyPacked(const Float* x, int in_dim,
+                   const batched::BatchLayout& layout, Float* out,
+                   Arena* arena) const;
+  /// "bilstm" or "bigru".
+  const char* kind() const { return lstm_ ? "bilstm" : "bigru"; }
 
   std::vector<Var> Parameters() const override;
   int out_dim() const { return 2 * forward_->hidden_dim(); }
@@ -98,6 +116,7 @@ class BiRnn : public Module {
   const RnnCell& backward_cell() const { return *backward_; }
 
  private:
+  bool lstm_;  // both cells are LstmCells, else both GruCells
   std::unique_ptr<RnnCell> forward_;
   std::unique_ptr<RnnCell> backward_;
 };

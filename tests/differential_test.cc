@@ -308,7 +308,7 @@ TEST(PipelineDifferentialTest, EveryEncoderDecoderComboAgreesWithOracle) {
 // bit-identical predictions, not "close".
 
 TEST(PlanDifferentialTest, PlannedMatchesEagerOnEveryEncoderDecoderCell) {
-  // All 42 taxonomy cells: batched emitters (mlp/cnn/idcnn/bilstm/bigru
+  // All 42 taxonomy cells: packed kernels (mlp/cnn/idcnn/bilstm/bigru
   // encoders, softmax/crf decoders) and the eager-bridge fallbacks must both
   // agree exactly with the plain eager path.
   const text::Corpus corpus = testsup::SmallCorpus("conll-like", 20, 91);
@@ -387,8 +387,8 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerWithHybridFeatures) {
 
 TEST(PlanDifferentialTest, PlannedMatchesEagerOnCharacterCells) {
   // Word + char-CNN and word + char-BiLSTM representations (survey Fig. 3)
-  // compile to the plan's packed character fill (one character segment per
-  // token), not to the eager bridge. Planned predictions must equal eager
+  // run their packed character fills (one character segment per token),
+  // not the eager bridge. Planned predictions must equal eager
   // ones for batch sizes 1, 3 and 17 and for tokens that hit every edge of
   // the character path.
   const text::Corpus base = testsup::SmallCorpus("conll-like", 17, 96);

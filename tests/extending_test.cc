@@ -1,9 +1,12 @@
-// The extension bridges docs/EXTENDING.md §7 promises: a user-defined
-// TokenFeature, ContextEncoder and TagDecoder that the plan does not
-// recognize still run through InferencePlan, bit-identical to the eager
-// per-sentence forward. The feature and encoder are the guide's own
-// examples, compiled verbatim (tests/CMakeLists.txt extracts them).
+// The extension paths docs/EXTENDING.md §7 promises: a user-defined
+// TokenFeature, ContextEncoder and TagDecoder without packed hooks still run
+// through InferencePlan on the eager bridges, and an extension encoder that
+// overrides the packed hook gets the packed path — both bit-identical to
+// the eager per-sentence forward, without editing src/plan/. The feature
+// and the mean-context encoder are the guide's own examples, compiled
+// verbatim (tests/CMakeLists.txt extracts them).
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,14 +16,19 @@
 #include "extending_snippets.h"
 
 #include "decoders/decoder.h"
+#include "decoders/softmax.h"
+#include "encoders/encoder.h"
+#include "obs/trace.h"
 #include "plan/plan.h"
+#include "tensor/batched.h"
 #include "tensor/ops.h"
+#include "text/tagging.h"
 #include "text/vocab.h"
 
 namespace dlner {
 namespace {
 
-// A decoder without a plan emitter: every token whose first encoding
+// A decoder without a packed hook: every token whose first encoding
 // column is positive becomes a one-token "ENT" span.
 class SignDecoder : public decoders::TagDecoder {
  public:
@@ -37,7 +45,40 @@ class SignDecoder : public decoders::TagDecoder {
   std::vector<Var> Parameters() const override { return {}; }
 };
 
-TEST(ExtensionBridgeTest, DocumentedModulesPlanLikeEager) {
+// An extension encoder with its own packed kernel (docs/EXTENDING.md §7):
+// a per-token ReLU projection, eager through the autograd ops and packed
+// through one batched::Affine over the whole micro-batch.
+class ReluProjectionEncoder : public encoders::ContextEncoder {
+ public:
+  ReluProjectionEncoder(int in_dim, int out_dim, Rng* rng)
+      : proj_(std::make_unique<Linear>(in_dim, out_dim, rng, "relu_proj")) {}
+
+  Var Encode(const Var& input, const std::vector<std::string>& /*tokens*/,
+             bool /*training*/) const override {
+    return Relu(proj_->Apply(input));
+  }
+  int out_dim() const override { return proj_->out_dim(); }
+  std::vector<Var> Parameters() const override { return proj_->Parameters(); }
+
+  const Float* EncodePacked(const batched::PackedBatch& batch, const Float* x,
+                            int /*in_dim*/) const override {
+    obs::ScopedSpan span("encode/relu_proj");
+    ++packed_calls;
+    Float* out = batch.AllocRows(out_dim());
+    batched::Affine(x, batch.rows(), proj_->weight()->value,
+                    proj_->bias()->value, out, batched::Act::kRelu);
+    return out;
+  }
+  const char* packed_kind() const override { return "relu_proj"; }
+
+  mutable std::atomic<int> packed_calls{0};
+
+ private:
+  std::unique_ptr<Linear> proj_;
+};
+
+// 17 sentences of 1 to 11 tokens over a 13-word vocabulary.
+text::Corpus TinyCorpus() {
   text::Corpus corpus;
   for (int i = 0; i < 17; ++i) {
     std::vector<std::string> tokens;
@@ -46,21 +87,16 @@ TEST(ExtensionBridgeTest, DocumentedModulesPlanLikeEager) {
     }
     corpus.sentences.push_back({tokens, {}});
   }
-  const text::Vocabulary vocab = text::Vocabulary::FromCorpus(corpus);
-  Rng rng(3);
-  std::vector<std::unique_ptr<embeddings::TokenFeature>> features;
-  features.push_back(
-      std::make_unique<embeddings::WordEmbeddingFeature>(&vocab, 4, &rng));
-  features.push_back(std::make_unique<SentencePositionFeature>());
-  const embeddings::ComposedRepresentation representation(
-      std::move(features), /*dropout=*/0.0, &rng);
-  const MeanContextEncoder encoder(representation.dim(), 5, &rng);
-  const SignDecoder decoder;
-  const plan::InferencePlan plan({&representation, &encoder, &decoder});
-  EXPECT_FALSE(plan.fully_batched());
-  EXPECT_EQ(plan.Describe(),
-            "plan[embed=mixed encoder=eager:eager decoder=eager:eager]");
+  return corpus;
+}
 
+// Runs `plan` over `corpus` in micro-batches of 1, 3 and 17 sentences and
+// compares every sentence with the eager per-sentence forward.
+void ExpectPlannedMatchesEager(
+    const plan::InferencePlan& plan, const text::Corpus& corpus,
+    const embeddings::ComposedRepresentation& representation,
+    const encoders::ContextEncoder& encoder,
+    const decoders::TagDecoder& decoder) {
   std::vector<std::vector<text::Span>> eager;
   int spans = 0;
   {
@@ -89,6 +125,49 @@ TEST(ExtensionBridgeTest, DocumentedModulesPlanLikeEager) {
       }
     }
   }
+}
+
+TEST(ExtensionBridgeTest, DocumentedModulesPlanLikeEager) {
+  const text::Corpus corpus = TinyCorpus();
+  const text::Vocabulary vocab = text::Vocabulary::FromCorpus(corpus);
+  Rng rng(3);
+  std::vector<std::unique_ptr<embeddings::TokenFeature>> features;
+  features.push_back(
+      std::make_unique<embeddings::WordEmbeddingFeature>(&vocab, 4, &rng));
+  features.push_back(std::make_unique<SentencePositionFeature>());
+  const embeddings::ComposedRepresentation representation(
+      std::move(features), /*dropout=*/0.0, &rng);
+  const MeanContextEncoder encoder(representation.dim(), 5, &rng);
+  const SignDecoder decoder;
+  const plan::InferencePlan plan({&representation, &encoder, &decoder});
+  EXPECT_FALSE(plan.fully_batched());
+  EXPECT_EQ(plan.Describe(),
+            "plan[embed=mixed encoder=eager:eager decoder=eager:eager]");
+  ExpectPlannedMatchesEager(plan, corpus, representation, encoder, decoder);
+}
+
+TEST(ExtensionBridgeTest, ExtensionEncoderWithPackedHookRunsPacked) {
+  const text::Corpus corpus = TinyCorpus();
+  const text::Vocabulary vocab = text::Vocabulary::FromCorpus(corpus);
+  Rng rng(5);
+  std::vector<std::unique_ptr<embeddings::TokenFeature>> features;
+  features.push_back(
+      std::make_unique<embeddings::WordEmbeddingFeature>(&vocab, 4, &rng));
+  const embeddings::ComposedRepresentation representation(
+      std::move(features), /*dropout=*/0.0, &rng);
+  const ReluProjectionEncoder encoder(representation.dim(), 5, &rng);
+  // A softmax decoder reads every encoding value, so a packed kernel that
+  // differs from Encode anywhere (not only in sign) changes some tag.
+  const text::TagSet tags({"LOC", "ORG", "PER"}, text::TagScheme::kIo);
+  const decoders::SoftmaxDecoder decoder(encoder.out_dim(), &tags, &rng);
+  const plan::InferencePlan plan({&representation, &encoder, &decoder});
+  EXPECT_TRUE(plan.fully_batched());
+  EXPECT_EQ(plan.Describe(),
+            "plan[embed=batched encoder=relu_proj:batched "
+            "decoder=softmax:batched]");
+  ExpectPlannedMatchesEager(plan, corpus, representation, encoder, decoder);
+  // One packed call per micro-batch: 17 + 6 + 1 for batch sizes 1, 3, 17.
+  EXPECT_EQ(encoder.packed_calls.load(), 24);
 }
 
 }  // namespace
