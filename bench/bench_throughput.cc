@@ -26,10 +26,18 @@
 //   bench.scalar.<kernel>_gflops             vs the true-scalar reference
 //                                            (kernel in gemm, affine;
 //                                            x = reduction dim k)
+//   bench.simd.<fn>_gelems_per_s             in-place Sigmoid/Tanh (fn in
+//   bench.scalar.<fn>_gelems_per_s           sigmoid, tanh) per element,
+//   bench.libm.<fn>_gelems_per_s             against the libm expressions
+//                                            they replaced (x = elements
+//                                            per call)
 //
 // Timing loops run with collection disabled so the numbers measure the
 // zero-overhead path; the registry is populated afterwards.
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +195,39 @@ double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
   return repeats * 2.0 * s.m * s.k * s.n / sw.Seconds() / 1e9;
 }
 
+// Elements per call of the transcendental series: an odd length (vector
+// tails), the served LSTM's hidden width (tanh of g and of c) and its three
+// sigmoid gates.
+constexpr int kElemLengths[] = {17, 64, 192};
+
+// The per-element expressions Sigmoid and Tanh replaced, as a baseline.
+void LibmSigmoid(double* x, int n) {
+  for (int i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
+}
+void LibmTanh(double* x, int n) {
+  for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+}
+
+// Billions of elements per second of an in-place elementwise `fn` on n
+// inputs uniform in [-6, 6] (the gates' working range). Every call first
+// restores the inputs with one memcpy, which the rate includes.
+double MeasureElementwise(void (*fn)(double*, int), int n,
+                          double min_seconds) {
+  Rng rng(7);
+  std::vector<Float> src(n), x(n);
+  for (Float& v : src) v = rng.Uniform(-6.0, 6.0);
+  volatile Float sink = 0.0;
+  int repeats = 0;
+  obs::Stopwatch sw;
+  do {
+    std::memcpy(x.data(), src.data(), sizeof(Float) * n);
+    fn(x.data(), n);
+    sink = sink + x[0];
+    ++repeats;
+  } while (sw.Seconds() < min_seconds);
+  return static_cast<double>(repeats) * n / sw.Seconds() / 1e9;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -325,6 +366,32 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  std::printf("\nTranscendentals (%s vs scalar vs libm, Gelem/s by n)\n",
+              simd::kIsaName);
+  struct ElemSeries {
+    const char* name;
+    void (*simd)(double*, int);
+    void (*scalar)(double*, int);
+    void (*libm)(double*, int);
+    std::vector<double> simd_rate, scalar_rate, libm_rate;
+  };
+  std::vector<ElemSeries> elementwise = {
+      {"sigmoid", simd::Active::Sigmoid, simd::Scalar::Sigmoid, LibmSigmoid,
+       {}, {}, {}},
+      {"tanh", simd::Active::Tanh, simd::Scalar::Tanh, LibmTanh, {}, {}, {}}};
+  for (ElemSeries& es : elementwise) {
+    std::printf("  %-8s", es.name);
+    for (const int n : kElemLengths) {
+      es.simd_rate.push_back(MeasureElementwise(es.simd, n, kernel_seconds));
+      es.scalar_rate.push_back(
+          MeasureElementwise(es.scalar, n, kernel_seconds));
+      es.libm_rate.push_back(MeasureElementwise(es.libm, n, kernel_seconds));
+      std::printf("  n=%-3d %5.3f vs %5.3f vs %5.3f", n, es.simd_rate.back(),
+                  es.scalar_rate.back(), es.libm_rate.back());
+    }
+    std::printf("\n");
+  }
+
   // Publish everything through the metrics registry and snapshot it.
   // Collection was off during the timing loops; flipping it on now only
   // affects bookkeeping done below.
@@ -364,6 +431,18 @@ int main(int argc, char** argv) {
                           ks.simd[i]);
       scalar_series->Append(static_cast<double>(kKernelShapes[i].k),
                             ks.scalar[i]);
+    }
+  }
+  for (const ElemSeries& es : elementwise) {
+    const std::string suffix = std::string(".") + es.name + "_gelems_per_s";
+    obs::Series* simd_series = m.series("bench.simd" + suffix);
+    obs::Series* scalar_series = m.series("bench.scalar" + suffix);
+    obs::Series* libm_series = m.series("bench.libm" + suffix);
+    for (std::size_t i = 0; i < std::size(kElemLengths); ++i) {
+      const double n = static_cast<double>(kElemLengths[i]);
+      simd_series->Append(n, es.simd_rate[i]);
+      scalar_series->Append(n, es.scalar_rate[i]);
+      libm_series->Append(n, es.libm_rate[i]);
     }
   }
   // Thread-pool counters from the measured Evaluate runs.

@@ -7,11 +7,6 @@
 #include "tensor/gemm.h"
 
 namespace dlner::batched {
-namespace {
-
-inline Float SigmoidScalar(Float v) { return 1.0 / (1.0 + std::exp(-v)); }
-
-}  // namespace
 
 Tensor PackedBatch::SegmentRows(const Float* x, int d, int b) const {
   Tensor m({layout->len(b), d});
@@ -20,10 +15,10 @@ Tensor PackedBatch::SegmentRows(const Float* x, int d, int b) const {
   return m;
 }
 
-// Activation epilogue shared by the affine/conv kernels. ReLU is a
-// comparison-select (vectorizable with scalar-identical semantics); tanh
-// stays a scalar libm call on every ISA so results never depend on a
-// vector polynomial approximation.
+// Activation epilogue shared by the affine/conv kernels. Both activations
+// are ISA primitives whose every ISA matches the scalar reference bit for
+// bit: ReLU a comparison-select, tanh the fixed expm1 sequence of
+// kernels_scalar.h (the eager Tanh/AffineTanh run the same one).
 template <class Isa>
 void ApplyAct(Float* x, int n, Act act) {
   switch (act) {
@@ -33,7 +28,7 @@ void ApplyAct(Float* x, int n, Act act) {
       Isa::Relu(x, n);
       break;
     case Act::kTanh:
-      for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+      Isa::Tanh(x, n);
       break;
   }
 }
@@ -235,9 +230,9 @@ void GatherPre(const Lanes& lanes, int na, int s, bool reverse,
 // x terms, then the h terms, each ascending), so the hoist is bit-identical.
 // The step then applies exactly the eager cell's per-element arithmetic:
 // gates order i,f,o,g; c = f*c + i*g; h = o*tanh(c) — all gate
-// nonlinearities first (scalar libm), then the state update as vector
-// primitives. `pre` is [rows, 4*hidden] scratch; `h`, `c` and `gates`
-// hold one row per lane.
+// nonlinearities first, then the state update, every step an ISA
+// primitive. `pre` is [rows, 4*hidden] scratch; `h`, `c` and `gates` hold
+// one row per lane.
 template <class Isa>
 void RunLstmDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
                 const LstmDir& dir, bool reverse, Float* pre, Float* h,
@@ -263,16 +258,16 @@ void RunLstmDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
       Float* hp = h + static_cast<std::size_t>(a) * hidden;
       Float* cp = c + static_cast<std::size_t>(a) * hidden;
       Float* orow = out + lanes.Row(a, s, reverse) * out_stride + col0;
-      for (int j = 0; j < 3 * hidden; ++j) g[j] = SigmoidScalar(g[j]);
-      for (int j = 3 * hidden; j < gdim; ++j) g[j] = std::tanh(g[j]);
+      Isa::Sigmoid(g, 3 * hidden);
+      Isa::Tanh(g + 3 * hidden, hidden);
       // c = f*c_prev + i*g, in place over c_prev (same-offset aliasing is
       // allowed by the primitive contract).
       Isa::MulMulAdd(g + hidden, cp, g, g + 3 * hidden, cp, hidden);
-      for (int j = 0; j < hidden; ++j) {
-        const Float hv = g[2 * hidden + j] * std::tanh(cp[j]);
-        hp[j] = hv;
-        orow[j] = hv;
-      }
+      // h = o*tanh(c), with tanh(c) in the spent i gate's slot.
+      std::memcpy(g, cp, static_cast<std::size_t>(hidden) * sizeof(Float));
+      Isa::Tanh(g, hidden);
+      Isa::Mul(g + 2 * hidden, g, hp, hidden);
+      std::memcpy(orow, hp, static_cast<std::size_t>(hidden) * sizeof(Float));
     }
   }
 }
@@ -283,7 +278,7 @@ void RunLstmDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
 // hold b + x . W[0:in] for every row), and each step accumulates h . W[in:]
 // and (r*h) . W[in:] onto copies of the lanes' rows. Phased like the LSTM
 // step: sigmoids/tanh in place first, then the elementwise products and
-// interpolation as vector primitives.
+// interpolation, all as ISA primitives.
 template <class Isa>
 void RunGruDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
                const GruDir& dir, bool reverse, Float* pre_rz, Float* pre_c,
@@ -315,7 +310,7 @@ void RunGruDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
     gemm::GemmAccum<Isa>(h, rz_wh, rz, na, hidden, rdim);
     for (int a = 0; a < na; ++a) {
       Float* rzrow = rz + static_cast<std::size_t>(a) * rdim;
-      for (int j = 0; j < hidden; ++j) rzrow[j] = SigmoidScalar(rzrow[j]);
+      Isa::Sigmoid(rzrow, hidden);
       Isa::Mul(rzrow, h + static_cast<std::size_t>(a) * hidden,
                rh + static_cast<std::size_t>(a) * hidden, hidden);
     }
@@ -326,10 +321,8 @@ void RunGruDir(const Float* x, int in_dim, int hidden, const Lanes& lanes,
       Float* crow = cand + static_cast<std::size_t>(a) * hidden;
       Float* hp = h + static_cast<std::size_t>(a) * hidden;
       Float* orow = out + lanes.Row(a, s, reverse) * out_stride + col0;
-      for (int j = 0; j < hidden; ++j) {
-        rzrow[hidden + j] = SigmoidScalar(rzrow[hidden + j]);
-      }
-      for (int j = 0; j < hidden; ++j) crow[j] = std::tanh(crow[j]);
+      Isa::Sigmoid(rzrow + hidden, hidden);
+      Isa::Tanh(crow, hidden);
       // h = (1-z)*h_prev + z*h~, into the output row, then carried forward.
       Isa::Blend(rzrow + hidden, hp, crow, orow, hidden);
       std::memcpy(hp, orow, static_cast<std::size_t>(hidden) * sizeof(Float));

@@ -126,7 +126,7 @@ Var Neg(const Var& a) { return Scale(a, -1.0); }
 
 Var Tanh(const Var& a) {
   Tensor out = a->value;
-  for (int i = 0; i < out.size(); ++i) out[i] = std::tanh(out[i]);
+  simd::Active::Tanh(out.data(), out.size());
   auto node = MakeNode(std::move(out), {a}, nullptr);
   if (node->requires_grad) {
     node->backward_fn = [a](Variable* n) {
@@ -140,7 +140,7 @@ Var Tanh(const Var& a) {
 
 Var Sigmoid(const Var& a) {
   Tensor out = a->value;
-  for (int i = 0; i < out.size(); ++i) out[i] = 1.0 / (1.0 + std::exp(-out[i]));
+  simd::Active::Sigmoid(out.data(), out.size());
   auto node = MakeNode(std::move(out), {a}, nullptr);
   if (node->requires_grad) {
     node->backward_fn = [a](Variable* n) {
@@ -171,18 +171,14 @@ Var Relu(const Var& a) {
 Var Tanh(Var&& a) {
   if (!CanReuseBuffer(a)) return Tanh(a);
   Tensor out = std::move(a->value);
-  Float* x = out.data();
-  const int n = out.size();
-  for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+  simd::Active::Tanh(out.data(), out.size());
   return MakeNode(std::move(out), {}, nullptr);
 }
 
 Var Sigmoid(Var&& a) {
   if (!CanReuseBuffer(a)) return Sigmoid(a);
   Tensor out = std::move(a->value);
-  Float* x = out.data();
-  const int n = out.size();
-  for (int i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
+  simd::Active::Sigmoid(out.data(), out.size());
   return MakeNode(std::move(out), {}, nullptr);
 }
 
@@ -265,9 +261,7 @@ Var AffineImpl(const Var& x, const Var& w, const Var& b, FusedAct act) {
                 sizeof(Float) * static_cast<std::size_t>(n));
   }
   GemmAccum(x->value.data(), w->value.data(), c, m, k, n);
-  if (act == FusedAct::kTanh) {
-    for (int i = 0; i < m * n; ++i) c[i] = std::tanh(c[i]);
-  }
+  if (act == FusedAct::kTanh) simd::Active::Tanh(c, m * n);
 
   auto node = MakeNode(std::move(out), {x, w, b}, nullptr);
   if (node->requires_grad) {

@@ -1,6 +1,8 @@
 // Differential suite (ctest label "differential"): every fused, blocked, or
 // dynamic-programming fast path is pitted against a naive reference or a
 // brute-force oracle from tests/support/. See docs/TESTING.md.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -841,6 +843,196 @@ TYPED_TEST(SimdDifferentialTest, RecurrentKernelsMatchEagerOnLongSegments) {
       }
     }
   }
+}
+
+// --- Sigmoid / Tanh: one operation sequence on every ISA -----------------
+//
+// kernels_scalar.h defines both as a fixed sequence (a Cody–Waite
+// reduction, a Horner polynomial, exponent-bit scaling, clamps) rather than
+// libm calls, and every ISA repeats it step for step; the planned, eager
+// and training paths all call it.
+
+// Order-preserving map of a double onto the integers: the distance of two
+// finite values is their distance in ulps (+0 and -0 are 0 apart).
+std::int64_t UlpDistance(Float a, Float b) {
+  const auto ordered = [](Float v) {
+    const std::int64_t i = std::bit_cast<std::int64_t>(v);
+    return i < 0 ? std::numeric_limits<std::int64_t>::min() - i : i;
+  };
+  const std::int64_t d = ordered(a) - ordered(b);
+  return d < 0 ? -d : d;
+}
+
+// [-50, 50] in `steps` equal steps.
+std::vector<Float> TranscendentalSweep(int steps) {
+  std::vector<Float> x(static_cast<std::size_t>(steps) + 1);
+  for (int i = 0; i <= steps; ++i) x[i] = -50.0 + 100.0 * i / steps;
+  return x;
+}
+
+// ±0, subnormals, the extremes, ±inf, NaN, and both signs of a few ulps
+// around each threshold of the sequence: the tanh clamp (20), where
+// sigmoid rounds to 1 (ln 2^53 = 36.74) and where its exponent is clamped
+// (40), where e^-x overflows (709.78) and is clamped (710), where e^x
+// underflows (745.13), and the first reduction step (ln2/2).
+std::vector<Float> TranscendentalEdges() {
+  using Lim = std::numeric_limits<Float>;
+  std::vector<Float> x = {0.0,          -0.0,          Lim::denorm_min(),
+                          -Lim::denorm_min(), Lim::min(), -Lim::min(),
+                          Lim::max(),   -Lim::max(),   Lim::infinity(),
+                          -Lim::infinity(), Lim::quiet_NaN()};
+  for (const Float c : {20.0, 36.7368005696771, 40.0, 709.782712893384, 710.0,
+                        745.1332191019412, 0.34657359027997264}) {
+    Float up = c, down = c;
+    for (int i = 0; i < 4; ++i) {
+      for (const Float v : {up, down}) {
+        x.push_back(v);
+        x.push_back(-v);
+      }
+      up = std::nextafter(up, Lim::infinity());
+      down = std::nextafter(down, 0.0);
+    }
+  }
+  return x;
+}
+
+TYPED_TEST(SimdDifferentialTest, SigmoidAndTanhMatchScalarBitExactly) {
+  using Isa = TypeParam;
+  std::vector<Float> x = TranscendentalSweep(200000);
+  const std::vector<Float> edges = TranscendentalEdges();
+  x.insert(x.end(), edges.begin(), edges.end());
+  const int n = static_cast<int>(x.size());
+  std::vector<Float> s_isa = x, s_ref = x, t_isa = x, t_ref = x;
+  Isa::Sigmoid(s_isa.data(), n);
+  simd::Scalar::Sigmoid(s_ref.data(), n);
+  Isa::Tanh(t_isa.data(), n);
+  simd::Scalar::Tanh(t_ref.data(), n);
+  ExpectBitEqual(s_isa, s_ref, "Sigmoid");
+  ExpectBitEqual(t_isa, t_ref, "Tanh");
+
+  // Every tail length 1–17, from an odd start so no load is aligned: the
+  // first n elements match the reference and the guard elements after
+  // them are never written.
+  constexpr Float kGuard = 12345.0;
+  for (int len = 1; len <= 17; ++len) {
+    for (const bool is_tanh : {false, true}) {
+      std::vector<Float> buf(1 + len + 9, kGuard);
+      std::copy(edges.begin(), edges.begin() + len, buf.begin() + 1);
+      std::vector<Float> want(edges.begin(), edges.begin() + len);
+      if (is_tanh) {
+        Isa::Tanh(buf.data() + 1, len);
+        simd::Scalar::Tanh(want.data(), len);
+      } else {
+        Isa::Sigmoid(buf.data() + 1, len);
+        simd::Scalar::Sigmoid(want.data(), len);
+      }
+      ExpectBitEqual(std::vector<Float>(buf.begin() + 1, buf.begin() + 1 + len),
+                     want, is_tanh ? "Tanh tail" : "Sigmoid tail");
+      EXPECT_EQ(buf[0], kGuard) << "len " << len;
+      for (std::size_t i = 1 + len; i < buf.size(); ++i) {
+        EXPECT_EQ(buf[i], kGuard) << "len " << len << " wrote past the end";
+      }
+    }
+  }
+}
+
+// The sequence's values, pinned: any change to a constant, a step or its
+// order fails here on every ISA and compiler, not only against libm.
+TYPED_TEST(SimdDifferentialTest, TranscendentalsMatchGoldenBits) {
+  using Isa = TypeParam;
+  constexpr Float kInf = std::numeric_limits<Float>::infinity();
+  struct Golden {
+    Float x;
+    std::uint64_t sigmoid, tanh;
+  };
+  const Golden golden[] = {
+      {0x0p+0, 0x3fe0000000000000u, 0x0000000000000000u},
+      {-0x0p+0, 0x3fe0000000000000u, 0x8000000000000000u},
+      {0x0.0000000000001p-1022, 0x3fe0000000000000u, 0x0000000000000001u},
+      {-0x1p-1022, 0x3fe0000000000000u, 0x8010000000000000u},
+      {0x1.12e0be826d695p-30, 0x3fe0000000225c18u, 0x3e112e0be826d695u},
+      {-0x1.999999999999ap-4, 0x3fde66bdb1aca090u, 0xbfb983d7795f413au},
+      {0x1.62e42fefa39efp-2, 0x3fe2bec333018867u, 0x3fd5555555555555u},
+      {-0x1p-1, 0x3fd829a0565978deu, 0xbfdd9353d7568af3u},
+      {0x1.8p-1, 0x3fe5bbd4f7a323ecu, 0x3fe45323e552f228u},
+      {-0x1p+0, 0x3fd136561454ba86u, 0xbfe85efab514f394u},
+      {0x1.8p+0, 0x3fea2991f2a97914u, 0x3fecf6f9786df577u},
+      {-0x1p+1, 0x3fbe84152bac31aeu, 0xbfeed9505e1bc3d4u},
+      {0x1.8p+1, 0x3fee7b7cbc36fabdu, 0x3fefd77d111a0b00u},
+      {-0x1.2p+2, 0x3f8680527a405c3bu, 0xbfeffdfa72153983u},
+      {0x1.8p+2, 0x3fefebbe888d0581u, 0x3fefffe63abe253cu},
+      {-0x1.08p+3, 0x3f311e0be0e88435u, 0xbfefffffb6b5ecf3u},
+      {0x1.4p+3, 0x3fefffa0cb346f89u, 0x3feffffffdc96f35u},
+      {-0x1.9p+3, 0x3ecf42e59cdcdad3u, 0xbfeffffffffc2eb9u},
+      {0x1p+4, 0x3fefffffc39548fcu, 0x3fefffffffffff1cu},
+      {-0x1.3ffffffffffffp+4, 0x3e21b4865556b5e6u, 0xbff0000000000000u},
+      {0x1.4p+4, 0x3feffffffee4b79au, 0x3ff0000000000000u},
+      {-0x1.9p+4, 0x3dae8a37a45df0d5u, 0xbff0000000000000u},
+      {0x1.25e4f7b2737fap+5, 0x3feffffffffffffeu, 0x3ff0000000000000u},
+      {-0x1.2666666666666p+5, 0x3c9e0a4a85f0f834u, 0xbff0000000000000u},
+      {0x1.9p+5, 0x3ff0000000000000u, 0x3ff0000000000000u},
+      {-0x1.9p+6, 0x36ea8c1f14e2af5cu, 0xbff0000000000000u},
+      {0x1.624p+9, 0x3ff0000000000000u, 0x3ff0000000000000u},
+      {-0x1.62cp+9, 0x00054e90c99fb878u, 0xbff0000000000000u},
+      {-0x1.62e51eb851eb8p+9, 0x0000000000000000u, 0xbff0000000000000u},
+      {0x1.74910d52d3052p+9, 0x3ff0000000000000u, 0x3ff0000000000000u},
+      {kInf, 0x3ff0000000000000u, 0x3ff0000000000000u},
+      {-kInf, 0x0000000000000000u, 0xbff0000000000000u},
+  };
+  std::vector<Float> s, t;
+  for (const Golden& g : golden) {
+    s.push_back(g.x);
+    t.push_back(g.x);
+  }
+  Isa::Sigmoid(s.data(), static_cast<int>(s.size()));
+  Isa::Tanh(t.data(), static_cast<int>(t.size()));
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s[i]), golden[i].sigmoid)
+        << std::hexfloat << "sigmoid(" << golden[i].x << ") = " << s[i];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(t[i]), golden[i].tanh)
+        << std::hexfloat << "tanh(" << golden[i].x << ") = " << t[i];
+  }
+}
+
+// Accuracy of the reference against libm's tanh and its 1 / (1 + exp(-x)):
+// at most 4 ulp over the sweep, and the special values exact.
+TEST(TranscendentalTest, ScalarIsWithinFourUlpOfLibm) {
+  std::int64_t worst_sigmoid = 0, worst_tanh = 0;
+  Float at_sigmoid = 0.0, at_tanh = 0.0;
+  for (const Float x : TranscendentalSweep(400000)) {
+    Float s = x, t = x;
+    simd::Scalar::Sigmoid(&s, 1);
+    simd::Scalar::Tanh(&t, 1);
+    const std::int64_t ds = UlpDistance(s, 1.0 / (1.0 + std::exp(-x)));
+    const std::int64_t dt = UlpDistance(t, std::tanh(x));
+    if (ds > worst_sigmoid) worst_sigmoid = ds, at_sigmoid = x;
+    if (dt > worst_tanh) worst_tanh = dt, at_tanh = x;
+  }
+  EXPECT_LE(worst_sigmoid, 4) << "sigmoid at x = " << at_sigmoid;
+  EXPECT_LE(worst_tanh, 4) << "tanh at x = " << at_tanh;
+
+  using Lim = std::numeric_limits<Float>;
+  const auto sigmoid = [](Float x) {
+    simd::Scalar::Sigmoid(&x, 1);
+    return x;
+  };
+  const auto tanh = [](Float x) {
+    simd::Scalar::Tanh(&x, 1);
+    return x;
+  };
+  const auto bits = [](Float v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(tanh(0.0)), bits(0.0));
+  EXPECT_EQ(bits(tanh(-0.0)), bits(-0.0));
+  EXPECT_EQ(tanh(Lim::infinity()), 1.0);
+  EXPECT_EQ(tanh(-Lim::infinity()), -1.0);
+  EXPECT_EQ(tanh(Lim::denorm_min()), Lim::denorm_min());
+  EXPECT_EQ(sigmoid(0.0), 0.5);
+  EXPECT_EQ(sigmoid(-0.0), 0.5);
+  EXPECT_EQ(sigmoid(Lim::infinity()), 1.0);
+  EXPECT_EQ(bits(sigmoid(-Lim::infinity())), bits(0.0));
+  EXPECT_TRUE(std::isnan(sigmoid(Lim::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(tanh(Lim::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(tanh(-Lim::quiet_NaN())));
 }
 
 TEST(PlanDifferentialTest, PlannedEvaluateMatchesEagerEvaluate) {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "tensor/check.h"
+#include "tensor/simd/simd.h"
 
 namespace dlner::testsup {
 
@@ -61,11 +62,15 @@ Tensor Elementwise(const Tensor& t, F f) {
 }  // namespace
 
 Tensor NaiveTanh(const Tensor& t) {
-  return Elementwise(t, [](Float x) { return std::tanh(x); });
+  Tensor out = t;
+  simd::Scalar::Tanh(out.data(), out.size());
+  return out;
 }
 
 Tensor NaiveSigmoid(const Tensor& t) {
-  return Elementwise(t, [](Float x) { return 1.0 / (1.0 + std::exp(-x)); });
+  Tensor out = t;
+  simd::Scalar::Sigmoid(out.data(), out.size());
+  return out;
 }
 
 Tensor NaiveRelu(const Tensor& t) {

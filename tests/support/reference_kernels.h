@@ -30,7 +30,10 @@ Tensor NaiveAffine(const Tensor& x, const Tensor& w, const Tensor& b);
 /// x [k] * w [k,n] + b [n].
 Tensor NaiveAffineVec(const Tensor& x, const Tensor& w, const Tensor& b);
 
-// Elementwise references for the fused/in-place activation paths.
+// Elementwise references for the fused/in-place activation paths. Tanh and
+// Sigmoid apply the scalar reference sequence (simd::Scalar) element by
+// element; its closeness to libm is tested on its own (differential_test's
+// ScalarIsWithinFourUlpOfLibm).
 Tensor NaiveTanh(const Tensor& t);
 Tensor NaiveSigmoid(const Tensor& t);
 Tensor NaiveRelu(const Tensor& t);
