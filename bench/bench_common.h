@@ -3,8 +3,10 @@
 #ifndef DLNER_BENCH_BENCH_COMMON_H_
 #define DLNER_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/trainer.h"
 #include "data/dataset.h"
@@ -29,6 +31,23 @@ inline double TrainAndScore(const core::NerConfig& config,
   core::Trainer trainer(&model, tc);
   trainer.Train(data.train, nullptr);
   return model.Evaluate(data.test).micro.f1();
+}
+
+/// The median of repeated timings (the upper one of an even count) and
+/// their spread, (max - min) / median (0 when the median is 0).
+struct RunStats {
+  double median = 0.0;
+  double spread = 0.0;
+};
+
+inline RunStats Summarize(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  RunStats stats;
+  stats.median = runs[runs.size() / 2];
+  if (stats.median > 0.0) {
+    stats.spread = (runs.back() - runs.front()) / stats.median;
+  }
+  return stats;
 }
 
 inline void PrintHeader(const std::string& title) {

@@ -13,7 +13,9 @@
 // SEQUENTIAL CRITICAL-PATH LENGTH of the computation graph: O(depth) for
 // the ID-CNN versus O(T) for the BiLSTM. We report both (wall time of the
 // planned path that serving runs, critical path for the claim), plus the
-// accuracy parity after identical training budgets.
+// accuracy parity after identical training budgets. Each wall-clock cell is
+// the median of kRuns alternating timings, with its spread, since one run
+// on a shared host can be off by more than the ratio being measured.
 #include <unordered_map>
 
 #include "bench/bench_common.h"
@@ -37,6 +39,10 @@ int CriticalPathDepth(const Var& node,
   (*memo)[node.get()] = depth;
   return depth;
 }
+
+// Timings per cell and document length; the table reports their median
+// and (max - min) / median.
+constexpr int kRuns = 5;
 
 double Throughput(const core::NerModel& model,
                   const std::vector<std::string>& doc, int repeats) {
@@ -94,15 +100,25 @@ int main() {
   std::printf(
       "accuracy: BiLSTM-CRF F1=%.3f  ID-CNN-CRF F1=%.3f (delta %+.3f)\n\n",
       f1_lstm, f1_idcnn, f1_idcnn - f1_lstm);
-  std::printf("%8s | %12s %12s | %11s %11s %9s\n", "doc len", "LSTM tok/s",
-              "IDCNN tok/s", "LSTM depth", "IDCNN depth", "parallel");
-  std::printf("%8s | %25s | %23s %9s\n", "", "planned-path wall clock",
+  std::printf("%8s | %16s %16s %6s | %11s %11s %9s\n", "doc len",
+              "LSTM tok/s", "IDCNN tok/s", "ratio", "LSTM depth",
+              "IDCNN depth", "parallel");
+  std::printf("%8s | %41s | %23s %9s\n", "",
+              "planned-path wall clock, median (spread)",
               "sequential critical path", "speedup");
   for (int len : {32, 64, 128, 256, 512}) {
     std::vector<std::string> doc(words.begin(), words.begin() + len);
     const int repeats = std::max(2, 1024 / len);
-    const double tps_lstm = Throughput(lstm, doc, repeats);
-    const double tps_idcnn = Throughput(idcnn, doc, repeats);
+    // Both cells timed kRuns times, alternating which goes first, so a
+    // slow stretch of a shared host lands on both.
+    std::vector<double> runs_lstm, runs_idcnn;
+    for (int run = 0; run < kRuns; ++run) {
+      if (run % 2 == 1) runs_idcnn.push_back(Throughput(idcnn, doc, repeats));
+      runs_lstm.push_back(Throughput(lstm, doc, repeats));
+      if (run % 2 == 0) runs_idcnn.push_back(Throughput(idcnn, doc, repeats));
+    }
+    const RunStats tps_lstm = Summarize(runs_lstm);
+    const RunStats tps_idcnn = Summarize(runs_idcnn);
 
     // Critical path of the encoder graph (the component the claim is
     // about; the CRF decode is shared by both systems).
@@ -115,8 +131,11 @@ int main() {
     const int depth_idcnn =
         CriticalPathDepth(idcnn.EncodeTokens(rep_i, doc, false), &memo_i);
 
-    std::printf("%8d | %12.0f %12.0f | %11d %11d %8.1fx\n", len, tps_lstm,
-                tps_idcnn, depth_lstm, depth_idcnn,
+    std::printf("%8d | %8.0f (%4.1f%%) %8.0f (%4.1f%%) %5.2fx | %11d %11d "
+                "%8.1fx\n",
+                len, tps_lstm.median, 100.0 * tps_lstm.spread,
+                tps_idcnn.median, 100.0 * tps_idcnn.spread,
+                tps_idcnn.median / tps_lstm.median, depth_lstm, depth_idcnn,
                 static_cast<double>(depth_lstm) / depth_idcnn);
   }
   std::printf(

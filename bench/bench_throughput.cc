@@ -26,11 +26,13 @@
 //   bench.scalar.<kernel>_gflops             vs the true-scalar reference
 //                                            (kernel in gemm, affine;
 //                                            x = reduction dim k)
-//   bench.simd.<fn>_gelems_per_s             in-place Sigmoid/Tanh (fn in
-//   bench.scalar.<fn>_gelems_per_s           sigmoid, tanh) per element,
-//   bench.libm.<fn>_gelems_per_s             against the libm expressions
-//                                            they replaced (x = elements
-//                                            per call)
+//   bench.simd.<fn>_gelems_per_s             elementwise primitives per
+//   bench.scalar.<fn>_gelems_per_s           element (fn in sigmoid, tanh,
+//                                            relu, mul, mul_mul_add, blend,
+//                                            norm_apply, row_max; x =
+//                                            elements per call)
+//   bench.libm.<fn>_gelems_per_s             the libm expressions Sigmoid
+//                                            and Tanh replaced
 //
 // Timing loops run with collection disabled so the numbers measure the
 // zero-overhead path; the registry is populated afterwards.
@@ -195,33 +197,59 @@ double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
   return repeats * 2.0 * s.m * s.k * s.n / sw.Seconds() / 1e9;
 }
 
-// Elements per call of the transcendental series: an odd length (vector
+// Elements per call of the elementwise series: an odd length (vector
 // tails), the served LSTM's hidden width (tanh of g and of c) and its three
 // sigmoid gates.
 constexpr int kElemLengths[] = {17, 64, 192};
 
+// One elementwise primitive updating p[0] in place; p[1], p[2] and p[3]
+// are its other operands.
+using ElemFn = void (*)(double* const* p, int n);
+
+template <class Isa>
+struct ElemCalls {
+  static void Sigmoid(double* const* p, int n) { Isa::Sigmoid(p[0], n); }
+  static void Tanh(double* const* p, int n) { Isa::Tanh(p[0], n); }
+  static void Relu(double* const* p, int n) { Isa::Relu(p[0], n); }
+  static void Mul(double* const* p, int n) { Isa::Mul(p[0], p[1], p[0], n); }
+  static void MulMulAdd(double* const* p, int n) {
+    Isa::MulMulAdd(p[0], p[1], p[2], p[3], p[0], n);
+  }
+  static void Blend(double* const* p, int n) {
+    Isa::Blend(p[1], p[0], p[2], p[0], n);
+  }
+  static void NormApply(double* const* p, int n) {
+    Isa::NormApply(p[0], 0.25, 1.5, p[1], p[2], p[0], n);
+  }
+  static void RowMax(double* const* p, int n) { Isa::RowMax(p[1], p[0], n); }
+};
+
 // The per-element expressions Sigmoid and Tanh replaced, as a baseline.
-void LibmSigmoid(double* x, int n) {
+void LibmSigmoid(double* const* p, int n) {
+  double* x = p[0];
   for (int i = 0; i < n; ++i) x[i] = 1.0 / (1.0 + std::exp(-x[i]));
 }
-void LibmTanh(double* x, int n) {
+void LibmTanh(double* const* p, int n) {
+  double* x = p[0];
   for (int i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
 }
 
-// Billions of elements per second of an in-place elementwise `fn` on n
-// inputs uniform in [-6, 6] (the gates' working range). Every call first
-// restores the inputs with one memcpy, which the rate includes.
-double MeasureElementwise(void (*fn)(double*, int), int n,
-                          double min_seconds) {
+// Billions of elements per second of an elementwise `fn` on n inputs per
+// operand, uniform in [-6, 6] (the gates' working range). Every call first
+// restores the updated operand with one memcpy, which the rate includes.
+double MeasureElementwise(ElemFn fn, int n, double min_seconds) {
   Rng rng(7);
-  std::vector<Float> src(n), x(n);
-  for (Float& v : src) v = rng.Uniform(-6.0, 6.0);
+  std::vector<Float> src(n), x(n), y(n), z(n), w(n);
+  for (std::vector<Float>* v : {&src, &y, &z, &w}) {
+    for (Float& e : *v) e = rng.Uniform(-6.0, 6.0);
+  }
+  double* const p[] = {x.data(), y.data(), z.data(), w.data()};
   volatile Float sink = 0.0;
   int repeats = 0;
   obs::Stopwatch sw;
   do {
     std::memcpy(x.data(), src.data(), sizeof(Float) * n);
-    fn(x.data(), n);
+    fn(p, n);
     sink = sink + x[0];
     ++repeats;
   } while (sw.Seconds() < min_seconds);
@@ -307,13 +335,10 @@ int main(int argc, char** argv) {
         }
       }
       for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-        std::vector<double>& v = samples[i];
-        std::sort(v.begin(), v.end());
-        const double median = v[v.size() / 2];
+        const RunStats stats = Summarize(samples[i]);
         run.threads.push_back(thread_counts[i]);
-        run.planned.push_back(median);
-        run.spread.push_back(median > 0.0 ? (v.back() - v.front()) / median
-                                          : 0.0);
+        run.planned.push_back(stats.median);
+        run.spread.push_back(stats.spread);
       }
 
       std::printf("%-18s plan", run.name.c_str());
@@ -366,28 +391,39 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  std::printf("\nTranscendentals (%s vs scalar vs libm, Gelem/s by n)\n",
-              simd::kIsaName);
+  std::printf(
+      "\nElementwise primitives (%s vs scalar [vs libm], Gelem/s by n)\n",
+      simd::kIsaName);
+  using SimdCalls = ElemCalls<simd::Active>;
+  using ScalarCalls = ElemCalls<simd::Scalar>;
   struct ElemSeries {
     const char* name;
-    void (*simd)(double*, int);
-    void (*scalar)(double*, int);
-    void (*libm)(double*, int);
-    std::vector<double> simd_rate, scalar_rate, libm_rate;
+    ElemFn simd, scalar;
+    ElemFn libm = nullptr;  // Sigmoid and Tanh only
+    std::vector<double> simd_rate = {}, scalar_rate = {}, libm_rate = {};
   };
   std::vector<ElemSeries> elementwise = {
-      {"sigmoid", simd::Active::Sigmoid, simd::Scalar::Sigmoid, LibmSigmoid,
-       {}, {}, {}},
-      {"tanh", simd::Active::Tanh, simd::Scalar::Tanh, LibmTanh, {}, {}, {}}};
+      {"sigmoid", SimdCalls::Sigmoid, ScalarCalls::Sigmoid, LibmSigmoid},
+      {"tanh", SimdCalls::Tanh, ScalarCalls::Tanh, LibmTanh},
+      {"relu", SimdCalls::Relu, ScalarCalls::Relu},
+      {"mul", SimdCalls::Mul, ScalarCalls::Mul},
+      {"mul_mul_add", SimdCalls::MulMulAdd, ScalarCalls::MulMulAdd},
+      {"blend", SimdCalls::Blend, ScalarCalls::Blend},
+      {"norm_apply", SimdCalls::NormApply, ScalarCalls::NormApply},
+      {"row_max", SimdCalls::RowMax, ScalarCalls::RowMax}};
   for (ElemSeries& es : elementwise) {
-    std::printf("  %-8s", es.name);
+    std::printf("  %-11s", es.name);
     for (const int n : kElemLengths) {
       es.simd_rate.push_back(MeasureElementwise(es.simd, n, kernel_seconds));
       es.scalar_rate.push_back(
           MeasureElementwise(es.scalar, n, kernel_seconds));
-      es.libm_rate.push_back(MeasureElementwise(es.libm, n, kernel_seconds));
-      std::printf("  n=%-3d %5.3f vs %5.3f vs %5.3f", n, es.simd_rate.back(),
-                  es.scalar_rate.back(), es.libm_rate.back());
+      std::printf("  n=%-3d %5.3f vs %5.3f", n, es.simd_rate.back(),
+                  es.scalar_rate.back());
+      if (es.libm != nullptr) {
+        es.libm_rate.push_back(
+            MeasureElementwise(es.libm, n, kernel_seconds));
+        std::printf(" vs %5.3f", es.libm_rate.back());
+      }
     }
     std::printf("\n");
   }
@@ -437,12 +473,13 @@ int main(int argc, char** argv) {
     const std::string suffix = std::string(".") + es.name + "_gelems_per_s";
     obs::Series* simd_series = m.series("bench.simd" + suffix);
     obs::Series* scalar_series = m.series("bench.scalar" + suffix);
-    obs::Series* libm_series = m.series("bench.libm" + suffix);
     for (std::size_t i = 0; i < std::size(kElemLengths); ++i) {
       const double n = static_cast<double>(kElemLengths[i]);
       simd_series->Append(n, es.simd_rate[i]);
       scalar_series->Append(n, es.scalar_rate[i]);
-      libm_series->Append(n, es.libm_rate[i]);
+      if (es.libm != nullptr) {
+        m.series("bench.libm" + suffix)->Append(n, es.libm_rate[i]);
+      }
     }
   }
   // Thread-pool counters from the measured Evaluate runs.

@@ -1,14 +1,13 @@
-// AVX-512 implementation of the SIMD primitive set (8 doubles per vector).
+// AVX-512 lane ops for Vector<L> (kernels_vector.h): 8 doubles per zmm,
+// and GemmRow tiles of up to 16 zmm accumulators (128/64/32/16/8 columns).
+// Bitwise operations use the AVX512F integer forms (the _pd ones need
+// AVX512DQ).
 //
-// Only the GEMM primitives and the transcendentals (Sigmoid, Tanh), where
-// the packed kernels spend their vector time, are new: the other
-// elementwise primitives (Relu, Mul, MulMulAdd, Blend, NormApply, RowMax)
-// are inherited from Avx2. Bit-identical to simd::Scalar by construction,
-// with the same rules as kernels_avx2.h: vmulpd + vaddpd (never vfmadd*),
+// Avx512 adds GemmRows4, which gemm::GemmAccumStrided uses where an ISA
+// has it. Like every GEMM kernel it keeps vmulpd + vaddpd (never vfmadd*),
 // every element accumulated in ascending p, and the per-(row, p) a == 0.0
-// skip kept as a branch (dropping the skip is not bit-neutral, and a masked
-// or branch-free skip measured slower on the served shapes). Bitwise
-// operations use the AVX512F integer forms (the _pd ones need AVX512DQ).
+// skip as a branch (dropping the skip is not bit-neutral, and a masked or
+// branch-free skip measured slower on the served shapes).
 #ifndef DLNER_TENSOR_SIMD_KERNELS_AVX512_H_
 #define DLNER_TENSOR_SIMD_KERNELS_AVX512_H_
 
@@ -16,22 +15,68 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 
-#include "tensor/simd/kernels_avx2.h"
+#include "tensor/simd/kernels_vector.h"
 
 namespace dlner::simd {
 
-struct Avx512 : Avx2 {
-  static constexpr const char* kName = "avx512";
+struct Avx512Lanes {
+  using D = __m512d;
+  static constexpr int kLanes = 8;
+  static constexpr int kMaxTile = 16;
 
-  // One row of the GEMM (contract: Scalar::GemmRow), register-tiled over
-  // 128/64/32/16/8 columns with 16/8/4/2/1 zmm accumulators carried
-  // across the whole p loop, then a scalar tail for n % 8.
-  static void GemmRow(const double* a, const double* b, double* c, int k,
-                      int n) {
-    RowFrom(a, b, c, k, n, 0);
+  static D Load(const double* p) { return _mm512_loadu_pd(p); }
+  static void Store(double* p, D v) { _mm512_storeu_pd(p, v); }
+  static D LoadFirst(const double* p, int r) {
+    return _mm512_maskz_loadu_pd(First(r), p);
   }
+  static void StoreFirst(double* p, int r, D v) {
+    _mm512_mask_storeu_pd(p, First(r), v);
+  }
+
+  static D Set1(double x) { return _mm512_set1_pd(x); }
+  static D Add(D a, D b) { return _mm512_add_pd(a, b); }
+  static D Sub(D a, D b) { return _mm512_sub_pd(a, b); }
+  static D Mul(D a, D b) { return _mm512_mul_pd(a, b); }
+  static D Div(D a, D b) { return _mm512_div_pd(a, b); }
+
+  // An ordered compare is false for a NaN operand, so b passes. (A compare
+  // and a blend rather than vmaxpd/vminpd, whose GCC 12 intrinsics trip a
+  // spurious -Wmaybe-uninitialized.)
+  static D GtSel(D a, D b) {
+    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, b, _CMP_GT_OQ), b, a);
+  }
+  static D LtSel(D a, D b) {
+    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, b, _CMP_LT_OQ), b, a);
+  }
+
+  static D Neg(D x) {
+    return _mm512_castsi512_pd(
+        _mm512_xor_si512(_mm512_castpd_si512(x), Sign()));
+  }
+  static D Abs(D x) { return _mm512_abs_pd(x); }
+  static D OrSign(D y, D x) {
+    return _mm512_castsi512_pd(_mm512_or_si512(
+        _mm512_castpd_si512(y),
+        _mm512_and_si512(_mm512_castpd_si512(x), Sign())));
+  }
+  static D Pow2(D kd, std::uint64_t bias) {
+    const __m512i biased =
+        _mm512_add_epi64(_mm512_castpd_si512(kd),
+                         _mm512_set1_epi64(static_cast<long long>(bias)));
+    // maskz with every lane set is the plain shift (see GtSel).
+    return _mm512_castsi512_pd(_mm512_maskz_slli_epi64(0xFF, biased, 52));
+  }
+
+ private:
+  static __mmask8 First(int r) { return static_cast<__mmask8>((1u << r) - 1); }
+  static __m512i Sign() {
+    return _mm512_set1_epi64(static_cast<long long>(exp_seq::kSignBit));
+  }
+};
+
+struct Avx512 : Vector<Avx512Lanes> {
+  static constexpr const char* kName = "avx512";
 
   // Four consecutive rows of the GEMM at once:
   //   c[r*n + j] += a[r*lda + p] * b[p*n + j]   for r = 0..3,
@@ -51,147 +96,7 @@ struct Avx512 : Avx2 {
     }
   }
 
-  // Contract: Scalar::Sigmoid and Scalar::Tanh, step for step.
-  static void Sigmoid(double* x, int n) {
-    Apply(x, n, [](__m512d v) { return SigmoidV(v); });
-  }
-
-  static void Tanh(double* x, int n) {
-    Apply(x, n, [](__m512d v) { return TanhV(v); });
-  }
-
  private:
-  // x[0, n) = f(x[0, n)) eight lanes at a time; the tail's lanes past n are
-  // masked out of the load (read as 0) and the store.
-  template <class F>
-  static void Apply(double* x, int n, F f) {
-    int j = 0;
-    for (; j + 8 <= n; j += 8) {
-      _mm512_storeu_pd(x + j, f(_mm512_loadu_pd(x + j)));
-    }
-    if (j == n) return;
-    const __mmask8 m = static_cast<__mmask8>((1u << (n - j)) - 1);
-    _mm512_mask_storeu_pd(x + j, m, f(_mm512_maskz_loadu_pd(m, x + j)));
-  }
-
-  static __m512d SigmoidV(__m512d x) {
-    using namespace exp_seq;
-    __m512d t = _mm512_castsi512_pd(
-        _mm512_xor_si512(_mm512_castpd_si512(x),
-                         _mm512_set1_epi64(static_cast<long long>(kSignBit))));
-    t = SelectIf<_CMP_GT_OQ>(_mm512_set1_pd(kSigmoidMin), t);
-    t = SelectIf<_CMP_LT_OQ>(_mm512_set1_pd(kSigmoidMax), t);
-    __m512i k;
-    const __m512d p = ExpReduce(t, &k);
-    const __m512d s = Pow2(k, kBiasHalf);
-    const __m512d e = _mm512_mul_pd(_mm512_add_pd(s, _mm512_mul_pd(s, p)),
-                                    _mm512_set1_pd(2.0));
-    const __m512d one = _mm512_set1_pd(1.0);
-    return _mm512_div_pd(one, _mm512_add_pd(one, e));
-  }
-
-  static __m512d TanhV(__m512d x) {
-    using namespace exp_seq;
-    const __m512d a =
-        SelectIf<_CMP_LT_OQ>(_mm512_set1_pd(kTanhMax), _mm512_abs_pd(x));
-    __m512i k;
-    const __m512d p = ExpReduce(_mm512_add_pd(a, a), &k);
-    const __m512d s = Pow2(k, kBias);
-    const __m512d e = _mm512_add_pd(_mm512_sub_pd(s, _mm512_set1_pd(1.0)),
-                                    _mm512_mul_pd(s, p));
-    const __m512d y = _mm512_div_pd(e, _mm512_add_pd(e, _mm512_set1_pd(2.0)));
-    const __m512i sign = _mm512_and_si512(
-        _mm512_castpd_si512(x),
-        _mm512_set1_epi64(static_cast<long long>(kSignBit)));
-    return _mm512_castsi512_pd(_mm512_or_si512(_mm512_castpd_si512(y), sign));
-  }
-
-  // (c CMP t ? c : t): the scalar clamps' comparison-select. An ordered
-  // compare is false for NaN t, so NaN passes. (A compare and a blend
-  // rather than vmaxpd/vminpd, whose GCC 12 intrinsics trip a spurious
-  // -Wmaybe-uninitialized.)
-  template <int kCmp>
-  static __m512d SelectIf(__m512d c, __m512d t) {
-    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(c, t, kCmp), t, c);
-  }
-
-  // Scalar::ExpReduce, eight lanes.
-  static __m512d ExpReduce(__m512d t, __m512i* k) {
-    using namespace exp_seq;
-    const __m512d kd = _mm512_add_pd(_mm512_mul_pd(t, _mm512_set1_pd(kLog2e)),
-                                     _mm512_set1_pd(kShift));
-    const __m512d kf = _mm512_sub_pd(kd, _mm512_set1_pd(kShift));
-    const __m512d hi = _mm512_mul_pd(kf, _mm512_set1_pd(kLn2Hi));
-    const __m512d lo = _mm512_mul_pd(kf, _mm512_set1_pd(kLn2Lo));
-    const __m512d r = _mm512_sub_pd(_mm512_sub_pd(t, hi), lo);
-    __m512d q = _mm512_set1_pd(kPoly[0]);
-#pragma GCC unroll 16
-    for (std::size_t i = 1; i < std::size(kPoly); ++i) {
-      q = _mm512_add_pd(_mm512_mul_pd(q, r), _mm512_set1_pd(kPoly[i]));
-    }
-    *k = _mm512_castpd_si512(kd);
-    return _mm512_mul_pd(q, r);
-  }
-
-  // The bit pattern (k + bias) << 52: 2^(k + bias - 1023).
-  static __m512d Pow2(__m512i k, std::uint64_t bias) {
-    const __m512i biased =
-        _mm512_add_epi64(k, _mm512_set1_epi64(static_cast<long long>(bias)));
-    // maskz with every lane set is the plain shift (see SelectIf).
-    return _mm512_castsi512_pd(_mm512_maskz_slli_epi64(0xFF, biased, 52));
-  }
-
-  // Columns [j, n) of one GemmRow (b's rows stay n floats apart).
-  static void RowFrom(const double* a, const double* b, double* c, int k,
-                      int n, int j) {
-    for (; j + 128 <= n; j += 128) RowTile<16>(a, b + j, c + j, k, n);
-    if (j + 64 <= n) {
-      RowTile<8>(a, b + j, c + j, k, n);
-      j += 64;
-    }
-    if (j + 32 <= n) {
-      RowTile<4>(a, b + j, c + j, k, n);
-      j += 32;
-    }
-    if (j + 16 <= n) {
-      RowTile<2>(a, b + j, c + j, k, n);
-      j += 16;
-    }
-    if (j + 8 <= n) {
-      RowTile<1>(a, b + j, c + j, k, n);
-      j += 8;
-    }
-    if (j == n) return;
-    for (int p = 0; p < k; ++p) {
-      const double av = a[p];
-      if (av == 0.0) continue;
-      const double* brow = b + static_cast<std::size_t>(p) * n;
-      for (int jj = j; jj < n; ++jj) c[jj] += av * brow[jj];
-    }
-  }
-
-  // c[0, 8V) of one row, V zmm accumulators live across the p loop.
-  template <int V>
-  static void RowTile(const double* a, const double* b, double* c, int k,
-                      int n) {
-    __m512d acc[V];
-#pragma GCC unroll 16
-    for (int v = 0; v < V; ++v) acc[v] = _mm512_loadu_pd(c + 8 * v);
-    for (int p = 0; p < k; ++p) {
-      const double av = a[p];
-      if (av == 0.0) continue;
-      const __m512d va = _mm512_set1_pd(av);
-      const double* brow = b + static_cast<std::size_t>(p) * n;
-#pragma GCC unroll 16
-      for (int v = 0; v < V; ++v) {
-        const __m512d prod = _mm512_mul_pd(va, _mm512_loadu_pd(brow + 8 * v));
-        acc[v] = _mm512_add_pd(acc[v], prod);
-      }
-    }
-#pragma GCC unroll 16
-    for (int v = 0; v < V; ++v) _mm512_storeu_pd(c + 8 * v, acc[v]);
-  }
-
   // c[r*n + 0, 16) for r = 0..3. The accumulators are named registers, not
   // an array, so they stay in zmm across the branches.
   static void Rows4Tile(const double* a, int lda, const double* b, double* c,

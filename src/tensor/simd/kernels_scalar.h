@@ -1,10 +1,13 @@
 // Scalar reference implementation of the SIMD primitive set.
 //
 // The per-element arithmetic here IS the contract: every vector ISA
-// (kernels_avx2.h) must produce bit-identical results,
-// element for element, which the differential suite enforces by comparing
-// simd::Active against simd::Scalar over random shapes. Practical rules
-// that follow (docs/PERFORMANCE.md, "SIMD kernels"):
+// (simd::Vector in kernels_vector.h, at the lane widths of kernels_avx2.h
+// and kernels_avx512.h) must produce bit-identical results, element for
+// element, which the differential suite enforces by comparing each
+// compiled ISA against simd::Scalar. This file is written by hand and
+// never built from kernels_vector.h, so the reference shares no code with
+// what it checks. Practical rules that follow (docs/PERFORMANCE.md, "SIMD
+// kernels"):
 //
 //  * Multiplies and adds stay separate operations — never FMA — because
 //    the whole tree builds with -ffp-contract=off and the planned-vs-eager

@@ -10,8 +10,10 @@
 // Every ISA implements the same primitive set with bit-identical
 // per-element results (the contract lives in kernels_scalar.h and is
 // enforced by the differential suite), so dispatch never changes outputs —
-// only speed. The kernels take the ISA as a template parameter defaulting
-// to Active; every ISA the compile target supports is instantiated
+// only speed. Scalar is the hand-written reference; Avx2 and Avx512 are
+// one vector implementation (kernels_vector.h) at 4 and 8 lanes. The
+// kernels take the ISA as a template parameter defaulting to Active;
+// every ISA the compile target supports is instantiated
 // (Scalar always, Avx2 under __AVX2__, Avx512 under __AVX512F__), so one
 // binary can compare each ISA against the scalar reference (the
 // differential suite, bench_throughput's per-kernel series).

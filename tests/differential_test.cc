@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -769,6 +770,92 @@ TYPED_TEST(SimdDifferentialTest, AffineKeepsNegativeZeroBias) {
       for (int j = 0; j < n; j += 3) {
         EXPECT_TRUE(std::signbit(o_isa[static_cast<std::size_t>(row) * n + j]))
             << "n=" << n << " row " << row << " col " << j;
+      }
+    }
+  }
+}
+
+// The elementwise primitives under one signature: p[0, inputs) are the
+// read-only operands and p[inputs] the output, which Relu and RowMax also
+// read (Relu has no other operand).
+struct ElementwisePrimitive {
+  const char* name;
+  int inputs;
+};
+constexpr ElementwisePrimitive kElementwise[] = {
+    {"Relu", 0},  {"Mul", 2},       {"MulMulAdd", 4},
+    {"Blend", 3}, {"NormApply", 3}, {"RowMax", 1}};
+
+template <class Isa>
+void RunElementwise(int prim, Float* const* p, Float mu, Float inv_sigma,
+                    int n) {
+  switch (prim) {
+    case 0: return Isa::Relu(p[0], n);
+    case 1: return Isa::Mul(p[0], p[1], p[2], n);
+    case 2: return Isa::MulMulAdd(p[0], p[1], p[2], p[3], p[4], n);
+    case 3: return Isa::Blend(p[0], p[1], p[2], p[3], n);
+    case 4: return Isa::NormApply(p[0], mu, inv_sigma, p[1], p[2], p[3], n);
+    case 5: return Isa::RowMax(p[0], p[1], n);
+  }
+}
+
+TYPED_TEST(SimdDifferentialTest, ElementwisePrimitivesMatchScalarBitExactly) {
+  // Every length 0-33 (full vectors and every tail at 4 and 8 lanes), from
+  // an odd start so no load is aligned, with ±0, ±inf, NaN and subnormals
+  // in every operand and in mu and inv_sigma. Each primitive runs out of
+  // place and with its output aliasing each operand in turn; the guard
+  // elements around every buffer are never written.
+  using Isa = TypeParam;
+  using Lim = std::numeric_limits<Float>;
+  const Float specials[] = {0.0,
+                            -0.0,
+                            Lim::infinity(),
+                            -Lim::infinity(),
+                            Lim::quiet_NaN(),
+                            Lim::denorm_min(),
+                            -Lim::denorm_min(),
+                            0x1.8p-1030};
+  constexpr int kSpecials = static_cast<int>(std::size(specials));
+  constexpr Float kGuard = 12345.0;
+  constexpr int kPad = 9;
+  Rng rng(4011);
+  const auto draw = [&] {
+    return rng.Bernoulli(0.3) ? specials[rng.UniformInt(0, kSpecials - 1)]
+                              : rng.Uniform(-3.0, 3.0);
+  };
+  for (int prim = 0; prim < static_cast<int>(std::size(kElementwise));
+       ++prim) {
+    const auto [name, inputs] = kElementwise[prim];
+    for (int n = 0; n <= 33; ++n) {
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<std::vector<Float>> ops(inputs + 1);
+        for (std::vector<Float>& op : ops) {
+          op.assign(1 + n + kPad, kGuard);
+          for (int j = 1; j <= n; ++j) op[j] = draw();
+        }
+        const Float mu = draw(), inv_sigma = draw();
+        // The output is ops[out]: its own buffer when out == inputs, else
+        // that operand's.
+        for (int out = 0; out <= inputs; ++out) {
+          std::vector<std::vector<Float>> got = ops, want = ops;
+          std::vector<Float*> pg, pw;
+          for (int i = 0; i <= inputs; ++i) {
+            const int buf = i == inputs ? out : i;
+            pg.push_back(got[buf].data() + 1);
+            pw.push_back(want[buf].data() + 1);
+          }
+          RunElementwise<Isa>(prim, pg.data(), mu, inv_sigma, n);
+          RunElementwise<simd::Scalar>(prim, pw.data(), mu, inv_sigma, n);
+          SCOPED_TRACE(::testing::Message()
+                       << name << " n=" << n << " output=operand " << out);
+          for (int i = 0; i <= inputs; ++i) {
+            ExpectBitEqual(got[i], want[i], name);
+            EXPECT_EQ(got[i][0], kGuard);
+            for (int j = 1 + n; j < 1 + n + kPad; ++j) {
+              ASSERT_EQ(got[i][j], kGuard) << "wrote past element " << n;
+            }
+          }
+        }
       }
     }
   }

@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
                  config.host.c_str(), config.port);
     return 1;
   }
-  // The bound port on its own line so scripts (and bench_serve) can grab
-  // an ephemeral port from stdout.
+  // The bound port on its own line so scripts (and perf/'s server
+  // harness) can grab an ephemeral port from stdout.
   std::printf("listening on %s:%d\n", config.host.c_str(), server.port());
   if (server.metrics_port() > 0) {
     std::printf("metrics on %s:%d\n", config.host.c_str(),
