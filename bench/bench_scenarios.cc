@@ -218,9 +218,7 @@ int main(int argc, char** argv) {
   m.gauge("bench.hardware_concurrency")
       ->Set(static_cast<double>(std::thread::hardware_concurrency()));
   m.gauge("bench.simd_isa")->Set(static_cast<double>(simd::kIsaId));
-  obs::MetricsJsonOptions json_options;
-  json_options.skip_empty_histograms = true;
-  if (!m.WriteJson(out_path, json_options)) {
+  if (!m.WriteJson(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }

@@ -454,9 +454,7 @@ int main(int argc, char** argv) {
   m.gauge("bench.serve.responses_total")
       ->Set(static_cast<double>(total_responses));
   server.PublishMetrics();
-  obs::MetricsJsonOptions json_options;
-  json_options.skip_empty_histograms = true;
-  if (!m.WriteJson(out_path, json_options)) {
+  if (!m.WriteJson(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }

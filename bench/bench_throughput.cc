@@ -1,9 +1,10 @@
 // Inference throughput benchmark: compiled-plan (packed batch) corpus
 // inference, the path NerModel::PredictCorpus and serving run, for the
 // softmax/CRF decoders crossed with the BiLSTM/CNN encoders and the
-// survey's standard char-CNN + BiLSTM + CRF cell, plus a single-thread
-// MatMul kernel microbenchmark (raw-pointer GEMM kernel vs the
-// bounds-checked triple loop it replaced).
+// survey's standard char-CNN + BiLSTM + CRF cell; eager training
+// throughput of two cells; plus a single-thread MatMul kernel
+// microbenchmark (raw-pointer GEMM kernel vs the bounds-checked triple
+// loop it replaced).
 //
 // Recorded series (dlner-metrics-v1 snapshot, written to --out, default
 // BENCH_throughput.json, intended to be run from the repo root and
@@ -16,6 +17,13 @@
 //   bench.planned.<model>.spread             per point, (max - min) / median
 //                                            of those runs
 //   bench.throughput.<model>.speedup_4t      only when the sweep reaches 4
+//   bench.train.<cell>.sentences_per_sec     eager training (Trainer::Train,
+//                                            2 epochs over the 300-sentence
+//                                            corpus) at 1 thread, for
+//                                            charcnn+bilstm+crf and
+//                                            cnn+pointer; median of
+//                                            kRepeats runs
+//   bench.train.<cell>.spread                (max - min) / median of them
 //   bench.hardware_concurrency               cores the host reports
 // On a single-core host a multi-thread speedup is unmeasurable (the sweep
 // is just 1 thread), so bench.multithread_unmeasurable = 1 is recorded.
@@ -33,12 +41,18 @@
 //                                            elements per call)
 //   bench.libm.<fn>_gelems_per_s             the libm expressions Sigmoid
 //                                            and Tanh replaced
+//   <each of the above>.spread               per point, (max - min) /
+//                                            median of its batch rates
+// Each kernel point (and bench.matmul.*) is the fastest of kBatches timed
+// batches of calls, and the batches of all points go round robin: a burst
+// of host noise then costs one batch of several points, not a point.
 //
 // Timing loops run with collection disabled so the numbers measure the
 // zero-overhead path; the registry is populated afterwards.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -74,6 +88,56 @@ double MeasureThroughput(const Pass& pass, const text::Corpus& corpus,
   return repeats * static_cast<double>(corpus.size()) / sw.Seconds();
 }
 
+struct KernelRate {
+  double best = 0.0;    // work per second of the fastest batch
+  double spread = 0.0;  // (max - min) / median of the batch rates
+};
+
+// One kernel point: run(calls) makes `calls` calls of the kernel, each
+// doing `work` units of work (billions of flops or of elements), and
+// MeasureRates stores the point's rate in *out.
+struct KernelProbe {
+  std::function<void(long)> run;
+  double work;
+  KernelRate* out;
+};
+
+// Keeps every timed result live.
+volatile Float g_sink = 0.0;
+
+constexpr int kBatches = 7;
+
+// Times every probe as kBatches batches of calls, each batch sized once to
+// last about `batch_seconds`. The batches go round robin over the probes,
+// so a burst of host noise lands on one batch of many points rather than
+// on every batch of one point, and each point keeps its fastest batch.
+void MeasureRates(const std::vector<KernelProbe>& probes,
+                  double batch_seconds) {
+  std::vector<long> calls(probes.size(), 1);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    probes[i].run(1);  // warmup
+    for (;;) {
+      obs::Stopwatch sw;
+      probes[i].run(calls[i]);
+      if (sw.Seconds() >= batch_seconds) break;
+      calls[i] *= 2;
+    }
+  }
+  std::vector<std::vector<double>> rates(probes.size());
+  for (int b = 0; b < kBatches; ++b) {
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      obs::Stopwatch sw;
+      probes[i].run(calls[i]);
+      rates[i].push_back(static_cast<double>(calls[i]) * probes[i].work /
+                         sw.Seconds());
+    }
+  }
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    *probes[i].out = {*std::max_element(rates[i].begin(), rates[i].end()),
+                      Summarize(rates[i]).spread};
+  }
+}
+
 // The MatMul forward kernel this repo replaced: Tensor::at() is bounds-
 // checked on every access even in Release builds, which is exactly what the
 // raw-pointer GEMM kernel avoids.
@@ -90,52 +154,34 @@ Tensor NaiveMatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-struct MatMulResult {
-  double naive_gflops = 0.0;
-  double kernel_gflops = 0.0;
-  double speedup = 0.0;
-};
-
-MatMulResult MeasureMatMul(int m, int k, int n, double min_seconds) {
+// The old `.at()` MatMul (into *naive) and the eager MatMul op (into
+// *kernel) on [m,k] x [k,n], counting 2*m*k*n flops per call.
+void AddMatMulProbes(int m, int k, int n, KernelRate* naive,
+                     KernelRate* kernel, std::vector<KernelProbe>* probes) {
   Rng rng(99);
   Tensor ta({m, k}), tb({k, n});
   for (int i = 0; i < ta.size(); ++i) ta[i] = rng.Uniform(-1.0, 1.0);
   for (int i = 0; i < tb.size(); ++i) tb[i] = rng.Uniform(-1.0, 1.0);
-  const double flops_per_call = 2.0 * m * k * n;
-
-  MatMulResult result;
-  {
-    volatile Float sink = 0.0;
-    int repeats = 0;
-    obs::Stopwatch sw;
-    do {
-      Tensor c = NaiveMatMul(ta, tb);
-      sink = sink + c[0];
-      ++repeats;
-    } while (sw.Seconds() < min_seconds);
-    result.naive_gflops = repeats * flops_per_call / sw.Seconds() / 1e9;
-  }
-  {
-    NoGradGuard no_grad;
-    Var va = Constant(ta);
-    Var vb = Constant(tb);
-    volatile Float sink = 0.0;
-    int repeats = 0;
-    obs::Stopwatch sw;
-    do {
-      Var c = MatMul(va, vb);
-      sink = sink + c->value[0];
-      ++repeats;
-    } while (sw.Seconds() < min_seconds);
-    result.kernel_gflops = repeats * flops_per_call / sw.Seconds() / 1e9;
-  }
-  result.speedup = result.kernel_gflops / result.naive_gflops;
-  return result;
+  const double gflop = 2.0 * m * k * n / 1e9;
+  probes->push_back({[ta, tb](long calls) {
+                       for (long i = 0; i < calls; ++i) {
+                         g_sink = g_sink + NaiveMatMul(ta, tb)[0];
+                       }
+                     },
+                     gflop, naive});
+  probes->push_back({[va = Constant(ta), vb = Constant(tb)](long calls) {
+                       NoGradGuard no_grad;
+                       for (long i = 0; i < calls; ++i) {
+                         g_sink = g_sink + MatMul(va, vb)->value[0];
+                       }
+                     },
+                     gflop, kernel});
 }
 
-// Timed runs per (cell, thread count) point. The runs of one cell go round
-// robin over its thread counts, so a burst of host noise lands on one run
-// of several points rather than on every run of one point.
+// Timed runs per (cell, thread count) point, and per training cell. The
+// runs of one cell go round robin over its thread counts (the training
+// runs over the cells), so a burst of host noise lands on one run of
+// several points rather than on every run of one point.
 constexpr int kRepeats = 5;
 
 struct ModelRun {
@@ -155,46 +201,43 @@ constexpr KernelShape kKernelShapes[] = {{64, 48, 96}, {256, 96, 96},
                                          {64, 300, 48}};
 
 // GFLOP/s of gemm::GemmAccum on one shape for one ISA (counting 2*m*k*n
-// flops per call, the dense-GEMM convention also used by MeasureMatMul).
+// flops per call, the dense-GEMM convention also used for MatMul).
 template <class Isa>
-double MeasureGemmKernel(const KernelShape& s, double min_seconds) {
+KernelProbe GemmProbe(const KernelShape& s, KernelRate* out) {
   Rng rng(7);
   std::vector<Float> a(static_cast<std::size_t>(s.m) * s.k);
   std::vector<Float> b(static_cast<std::size_t>(s.k) * s.n);
   std::vector<Float> c(static_cast<std::size_t>(s.m) * s.n, 0.0);
   for (Float& v : a) v = rng.Uniform(-1.0, 1.0);
   for (Float& v : b) v = rng.Uniform(-1.0, 1.0);
-  volatile Float sink = 0.0;
-  int repeats = 0;
-  obs::Stopwatch sw;
-  do {
-    gemm::GemmAccum<Isa>(a.data(), b.data(), c.data(), s.m, s.k, s.n);
-    sink = sink + c[0];
-    ++repeats;
-  } while (sw.Seconds() < min_seconds);
-  return repeats * 2.0 * s.m * s.k * s.n / sw.Seconds() / 1e9;
+  return {[a, b, c, s](long calls) mutable {
+            for (long i = 0; i < calls; ++i) {
+              gemm::GemmAccum<Isa>(a.data(), b.data(), c.data(), s.m, s.k,
+                                   s.n);
+              g_sink = g_sink + c[0];
+            }
+          },
+          2.0 * s.m * s.k * s.n / 1e9, out};
 }
 
 // GFLOP/s of the fused batched::Affine (GEMM + bias + ReLU epilogue).
 template <class Isa>
-double MeasureAffineKernel(const KernelShape& s, double min_seconds) {
+KernelProbe AffineProbe(const KernelShape& s, KernelRate* out) {
   Rng rng(7);
   std::vector<Float> x(static_cast<std::size_t>(s.m) * s.k);
-  std::vector<Float> out(static_cast<std::size_t>(s.m) * s.n);
+  std::vector<Float> y(static_cast<std::size_t>(s.m) * s.n);
   Tensor w({s.k, s.n}), bias({s.n});
   for (Float& v : x) v = rng.Uniform(-1.0, 1.0);
   for (int i = 0; i < w.size(); ++i) w[i] = rng.Uniform(-1.0, 1.0);
   for (int i = 0; i < bias.size(); ++i) bias[i] = rng.Uniform(-1.0, 1.0);
-  volatile Float sink = 0.0;
-  int repeats = 0;
-  obs::Stopwatch sw;
-  do {
-    batched::Affine<Isa>(x.data(), s.m, w, bias, out.data(),
-                         batched::Act::kRelu);
-    sink = sink + out[0];
-    ++repeats;
-  } while (sw.Seconds() < min_seconds);
-  return repeats * 2.0 * s.m * s.k * s.n / sw.Seconds() / 1e9;
+  return {[x, y, w, bias, s](long calls) mutable {
+            for (long i = 0; i < calls; ++i) {
+              batched::Affine<Isa>(x.data(), s.m, w, bias, y.data(),
+                                   batched::Act::kRelu);
+              g_sink = g_sink + y[0];
+            }
+          },
+          2.0 * s.m * s.k * s.n / 1e9, out};
 }
 
 // Elements per call of the elementwise series: an odd length (vector
@@ -237,23 +280,21 @@ void LibmTanh(double* const* p, int n) {
 // Billions of elements per second of an elementwise `fn` on n inputs per
 // operand, uniform in [-6, 6] (the gates' working range). Every call first
 // restores the updated operand with one memcpy, which the rate includes.
-double MeasureElementwise(ElemFn fn, int n, double min_seconds) {
+KernelProbe ElementwiseProbe(ElemFn fn, int n, KernelRate* out) {
   Rng rng(7);
   std::vector<Float> src(n), x(n), y(n), z(n), w(n);
   for (std::vector<Float>* v : {&src, &y, &z, &w}) {
     for (Float& e : *v) e = rng.Uniform(-6.0, 6.0);
   }
-  double* const p[] = {x.data(), y.data(), z.data(), w.data()};
-  volatile Float sink = 0.0;
-  int repeats = 0;
-  obs::Stopwatch sw;
-  do {
-    std::memcpy(x.data(), src.data(), sizeof(Float) * n);
-    fn(p, n);
-    sink = sink + x[0];
-    ++repeats;
-  } while (sw.Seconds() < min_seconds);
-  return static_cast<double>(repeats) * n / sw.Seconds() / 1e9;
+  return {[fn, n, src, x, y, z, w](long calls) mutable {
+            double* const p[] = {x.data(), y.data(), z.data(), w.data()};
+            for (long i = 0; i < calls; ++i) {
+              std::memcpy(x.data(), src.data(), sizeof(Float) * n);
+              fn(p, n);
+              g_sink = g_sink + x[0];
+            }
+          },
+          n / 1e9, out};
 }
 
 }  // namespace
@@ -309,18 +350,21 @@ int main(int argc, char** argv) {
       {"cnn+crf", "cnn", "crf", 24, 24, false},
       {"cnn-wide+softmax", "cnn", "softmax", 64, 96, false},
       {"charcnn+bilstm+crf", "bilstm", "crf", 24, 24, true}};
+  const auto config_of = [](const Cell& cell) {
+    core::NerConfig config;
+    config.encoder = cell.encoder;
+    config.decoder = cell.decoder;
+    config.word_dim = cell.word_dim;
+    config.hidden_dim = cell.hidden_dim;
+    config.use_char_cnn = cell.char_cnn;
+    config.seed = 31;
+    return config;
+  };
 
   std::vector<ModelRun> runs;
   {
     for (const Cell& cell : cells) {
-      core::NerConfig config;
-      config.encoder = cell.encoder;
-      config.decoder = cell.decoder;
-      config.word_dim = cell.word_dim;
-      config.hidden_dim = cell.hidden_dim;
-      config.use_char_cnn = cell.char_cnn;
-      config.seed = 31;
-      core::NerModel model(config, corpus, types);
+      core::NerModel model(config_of(cell), corpus, types);
 
       ModelRun run;
       run.name = cell.name;
@@ -352,56 +396,67 @@ int main(int argc, char** argv) {
   }
   runtime::Runtime::Get().SetThreads(1);
 
-  std::printf("\nMatMul kernel microbenchmark (single thread)\n");
-  const MatMulResult mm = MeasureMatMul(40, 48, 96, min_seconds);
-  std::printf("  naive .at() kernel : %6.3f GFLOP/s\n", mm.naive_gflops);
-  std::printf("  raw-pointer kernel : %6.3f GFLOP/s\n", mm.kernel_gflops);
-  std::printf("  speedup            : %6.2fx\n", mm.speedup);
-
-  // Per-kernel GFLOP/s, explicit ISA vs true-scalar reference, over the
-  // microkernel shapes (x axis of each series = reduction dim k). Each
-  // shape gets min_seconds/3 so the section costs about as much as one
-  // model cell.
-  std::printf("\nSIMD microkernels (%s vs scalar, GFLOP/s by k)\n",
-              simd::kIsaName);
-  const double kernel_seconds = min_seconds / 3.0;
-  struct KernelSeries {
-    const char* name;
-    std::vector<double> simd, scalar;  // one entry per kKernelShapes
-  };
-  std::vector<KernelSeries> kernels = {{"gemm", {}, {}},
-                                       {"affine", {}, {}}};
-  for (const KernelShape& s : kKernelShapes) {
-    kernels[0].simd.push_back(
-        MeasureGemmKernel<simd::Active>(s, kernel_seconds));
-    kernels[0].scalar.push_back(
-        MeasureGemmKernel<simd::Scalar>(s, kernel_seconds));
-    kernels[1].simd.push_back(
-        MeasureAffineKernel<simd::Active>(s, kernel_seconds));
-    kernels[1].scalar.push_back(
-        MeasureAffineKernel<simd::Scalar>(s, kernel_seconds));
-  }
-  for (const KernelSeries& ks : kernels) {
-    std::printf("  %-8s", ks.name);
-    for (std::size_t i = 0; i < ks.simd.size(); ++i) {
-      std::printf("  k=%-3d %6.3f vs %6.3f (%4.2fx)", kKernelShapes[i].k,
-                  ks.simd[i], ks.scalar[i],
-                  ks.scalar[i] > 0.0 ? ks.simd[i] / ks.scalar[i] : 0.0);
+  // Eager training, the autograd path the plan does not run: each run
+  // trains a fresh model from the same seed for kTrainEpochs epochs over
+  // the corpus at 1 thread, going round robin over the cells. The
+  // charcnn+bilstm+crf cell's time is mostly recurrent gate steps on
+  // vectors; cnn+pointer's is the pointer decoder's per-segment scoring.
+  const Cell train_cells[] = {cells[5],
+                              {"cnn+pointer", "cnn", "pointer", 24, 24, false}};
+  constexpr int kTrainEpochs = 2;
+  std::vector<std::vector<double>> train_samples(std::size(train_cells));
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (std::size_t i = 0; i < std::size(train_cells); ++i) {
+      core::NerModel model(config_of(train_cells[i]), corpus, types);
+      core::TrainConfig tc;
+      tc.epochs = kTrainEpochs;
+      tc.lr = 0.015;
+      core::Trainer trainer(&model, tc);
+      obs::Stopwatch sw;
+      trainer.Train(corpus, nullptr);
+      train_samples[i].push_back(kTrainEpochs * corpus.size() /
+                                 sw.Seconds());
     }
-    std::printf("\n");
+  }
+  std::printf("\nEager training (1 thread, %d epochs)\n", kTrainEpochs);
+  std::vector<RunStats> train_stats;
+  for (std::size_t i = 0; i < std::size(train_cells); ++i) {
+    train_stats.push_back(Summarize(train_samples[i]));
+    std::printf("  %-18s %7.1f sent/s (spread %4.1f%%)\n",
+                train_cells[i].name, train_stats[i].median,
+                100.0 * train_stats[i].spread);
   }
 
-  std::printf(
-      "\nElementwise primitives (%s vs scalar [vs libm], Gelem/s by n)\n",
-      simd::kIsaName);
+  // Single-thread kernel points: the MatMul op against the `.at()` loop
+  // it replaced, per-kernel GFLOP/s of the explicit ISA against the
+  // true-scalar reference over the microkernel shapes (x axis = reduction
+  // dim k), and every elementwise primitive against the scalar reference
+  // (Sigmoid and Tanh also against libm). Each point gets about
+  // min_seconds/3, so the section costs about as much as one model cell.
   using SimdCalls = ElemCalls<simd::Active>;
   using ScalarCalls = ElemCalls<simd::Scalar>;
+  struct KernelSeries {
+    const char* name;
+    // One entry per kKernelShapes.
+    std::vector<KernelRate> simd =
+        std::vector<KernelRate>(std::size(kKernelShapes));
+    std::vector<KernelRate> scalar =
+        std::vector<KernelRate>(std::size(kKernelShapes));
+  };
   struct ElemSeries {
     const char* name;
     ElemFn simd, scalar;
     ElemFn libm = nullptr;  // Sigmoid and Tanh only
-    std::vector<double> simd_rate = {}, scalar_rate = {}, libm_rate = {};
+    // One entry per kElemLengths.
+    std::vector<KernelRate> simd_rate =
+        std::vector<KernelRate>(std::size(kElemLengths));
+    std::vector<KernelRate> scalar_rate =
+        std::vector<KernelRate>(std::size(kElemLengths));
+    std::vector<KernelRate> libm_rate =
+        std::vector<KernelRate>(std::size(kElemLengths));
   };
+  KernelRate naive_mm, kernel_mm;
+  std::vector<KernelSeries> kernels = {{"gemm"}, {"affine"}};
   std::vector<ElemSeries> elementwise = {
       {"sigmoid", SimdCalls::Sigmoid, ScalarCalls::Sigmoid, LibmSigmoid},
       {"tanh", SimdCalls::Tanh, ScalarCalls::Tanh, LibmTanh},
@@ -411,19 +466,56 @@ int main(int argc, char** argv) {
       {"blend", SimdCalls::Blend, ScalarCalls::Blend},
       {"norm_apply", SimdCalls::NormApply, ScalarCalls::NormApply},
       {"row_max", SimdCalls::RowMax, ScalarCalls::RowMax}};
+  std::vector<KernelProbe> probes;
+  AddMatMulProbes(40, 48, 96, &naive_mm, &kernel_mm, &probes);
+  for (std::size_t i = 0; i < std::size(kKernelShapes); ++i) {
+    const KernelShape& s = kKernelShapes[i];
+    probes.push_back(GemmProbe<simd::Active>(s, &kernels[0].simd[i]));
+    probes.push_back(GemmProbe<simd::Scalar>(s, &kernels[0].scalar[i]));
+    probes.push_back(AffineProbe<simd::Active>(s, &kernels[1].simd[i]));
+    probes.push_back(AffineProbe<simd::Scalar>(s, &kernels[1].scalar[i]));
+  }
   for (ElemSeries& es : elementwise) {
-    std::printf("  %-11s", es.name);
-    for (const int n : kElemLengths) {
-      es.simd_rate.push_back(MeasureElementwise(es.simd, n, kernel_seconds));
-      es.scalar_rate.push_back(
-          MeasureElementwise(es.scalar, n, kernel_seconds));
-      std::printf("  n=%-3d %5.3f vs %5.3f", n, es.simd_rate.back(),
-                  es.scalar_rate.back());
+    for (std::size_t i = 0; i < std::size(kElemLengths); ++i) {
+      const int n = kElemLengths[i];
+      probes.push_back(ElementwiseProbe(es.simd, n, &es.simd_rate[i]));
+      probes.push_back(ElementwiseProbe(es.scalar, n, &es.scalar_rate[i]));
       if (es.libm != nullptr) {
-        es.libm_rate.push_back(
-            MeasureElementwise(es.libm, n, kernel_seconds));
-        std::printf(" vs %5.3f", es.libm_rate.back());
+        probes.push_back(ElementwiseProbe(es.libm, n, &es.libm_rate[i]));
       }
+    }
+  }
+  MeasureRates(probes, min_seconds / 3.0 / kBatches);
+
+  std::printf("\nMatMul kernel microbenchmark (single thread)\n");
+  const double mm_speedup = kernel_mm.best / naive_mm.best;
+  std::printf("  naive .at() kernel : %6.3f GFLOP/s\n", naive_mm.best);
+  std::printf("  raw-pointer kernel : %6.3f GFLOP/s\n", kernel_mm.best);
+  std::printf("  speedup            : %6.2fx\n", mm_speedup);
+
+  std::printf("\nSIMD microkernels (%s vs scalar, GFLOP/s by k)\n",
+              simd::kIsaName);
+  for (const KernelSeries& ks : kernels) {
+    std::printf("  %-8s", ks.name);
+    for (std::size_t i = 0; i < ks.simd.size(); ++i) {
+      const double simd_rate = ks.simd[i].best;
+      const double scalar_rate = ks.scalar[i].best;
+      std::printf("  k=%-3d %6.3f vs %6.3f (%4.2fx)", kKernelShapes[i].k,
+                  simd_rate, scalar_rate,
+                  scalar_rate > 0.0 ? simd_rate / scalar_rate : 0.0);
+    }
+    std::printf("\n");
+  }
+
+  std::printf(
+      "\nElementwise primitives (%s vs scalar [vs libm], Gelem/s by n)\n",
+      simd::kIsaName);
+  for (const ElemSeries& es : elementwise) {
+    std::printf("  %-11s", es.name);
+    for (std::size_t i = 0; i < std::size(kElemLengths); ++i) {
+      std::printf("  n=%-3d %5.3f vs %5.3f", kElemLengths[i],
+                  es.simd_rate[i].best, es.scalar_rate[i].best);
+      if (es.libm != nullptr) std::printf(" vs %5.3f", es.libm_rate[i].best);
     }
     std::printf("\n");
   }
@@ -454,39 +546,43 @@ int main(int argc, char** argv) {
           ->Set(t1 > 0.0 ? t4 / t1 : 0.0);
     }
   }
-  m.gauge("bench.matmul.naive_gflops")->Set(mm.naive_gflops);
-  m.gauge("bench.matmul.kernel_gflops")->Set(mm.kernel_gflops);
-  m.gauge("bench.matmul.speedup")->Set(mm.speedup);
+  for (std::size_t i = 0; i < std::size(train_cells); ++i) {
+    const std::string prefix =
+        std::string("bench.train.") + train_cells[i].name;
+    m.series(prefix + ".sentences_per_sec")->Append(1.0, train_stats[i].median);
+    m.series(prefix + ".spread")->Append(1.0, train_stats[i].spread);
+  }
+  m.gauge("bench.matmul.naive_gflops")->Set(naive_mm.best);
+  m.gauge("bench.matmul.kernel_gflops")->Set(kernel_mm.best);
+  m.gauge("bench.matmul.speedup")->Set(mm_speedup);
+  // A kernel point goes to `name` and its spread to `name`.spread.
+  const auto publish = [&m](const std::string& name, double x,
+                            const KernelRate& rate) {
+    m.series(name)->Append(x, rate.best);
+    m.series(name + ".spread")->Append(x, rate.spread);
+  };
   for (const KernelSeries& ks : kernels) {
-    obs::Series* simd_series =
-        m.series(std::string("bench.simd.") + ks.name + "_gflops");
-    obs::Series* scalar_series =
-        m.series(std::string("bench.scalar.") + ks.name + "_gflops");
+    const std::string suffix = std::string(".") + ks.name + "_gflops";
     for (std::size_t i = 0; i < ks.simd.size(); ++i) {
-      simd_series->Append(static_cast<double>(kKernelShapes[i].k),
-                          ks.simd[i]);
-      scalar_series->Append(static_cast<double>(kKernelShapes[i].k),
-                            ks.scalar[i]);
+      const double k = static_cast<double>(kKernelShapes[i].k);
+      publish("bench.simd" + suffix, k, ks.simd[i]);
+      publish("bench.scalar" + suffix, k, ks.scalar[i]);
     }
   }
   for (const ElemSeries& es : elementwise) {
     const std::string suffix = std::string(".") + es.name + "_gelems_per_s";
-    obs::Series* simd_series = m.series("bench.simd" + suffix);
-    obs::Series* scalar_series = m.series("bench.scalar" + suffix);
     for (std::size_t i = 0; i < std::size(kElemLengths); ++i) {
       const double n = static_cast<double>(kElemLengths[i]);
-      simd_series->Append(n, es.simd_rate[i]);
-      scalar_series->Append(n, es.scalar_rate[i]);
+      publish("bench.simd" + suffix, n, es.simd_rate[i]);
+      publish("bench.scalar" + suffix, n, es.scalar_rate[i]);
       if (es.libm != nullptr) {
-        m.series("bench.libm" + suffix)->Append(n, es.libm_rate[i]);
+        publish("bench.libm" + suffix, n, es.libm_rate[i]);
       }
     }
   }
   // Thread-pool counters from the measured Evaluate runs.
   runtime::Runtime::Get().PublishMetrics();
-  obs::MetricsJsonOptions json_options;
-  json_options.skip_empty_histograms = true;  // benches never fill them
-  if (!m.WriteJson(out_path, json_options)) {
+  if (!m.WriteJson(out_path)) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }

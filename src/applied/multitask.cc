@@ -34,17 +34,16 @@ Var MultiTaskLmModel::LmLoss(const Var& encodings,
   std::vector<Var> terms;
   for (int t = 0; t + 1 < t_len; ++t) {
     Var fwd_half = SliceVec(Row(encodings, t), 0, half);
-    terms.push_back(CrossEntropyWithLogits(next_head_->ApplyVec(fwd_half),
+    terms.push_back(CrossEntropyWithLogits(next_head_->Apply(fwd_half),
                                            ids[t + 1]));
   }
   for (int t = 1; t < t_len; ++t) {
     Var bwd_half = SliceVec(Row(encodings, t), half, half);
-    terms.push_back(CrossEntropyWithLogits(prev_head_->ApplyVec(bwd_half),
+    terms.push_back(CrossEntropyWithLogits(prev_head_->Apply(bwd_half),
                                            ids[t - 1]));
   }
   if (terms.empty()) return Constant(Tensor({1}));
-  return Scale(Sum(ConcatVecs(terms)),
-               1.0 / static_cast<int>(terms.size()));
+  return Scale(Sum(Concat(terms)), 1.0 / static_cast<int>(terms.size()));
 }
 
 Var MultiTaskLmModel::Loss(const text::Sentence& sentence, bool training) {
@@ -88,9 +87,9 @@ Var MultiTaskBoundaryModel::BoundaryLoss(const Var& encodings,
   std::vector<Var> terms;
   for (int t = 0; t < gold.size(); ++t) {
     terms.push_back(CrossEntropyWithLogits(
-        boundary_head_->ApplyVec(Row(encodings, t)), gold_ids[t]));
+        boundary_head_->Apply(Row(encodings, t)), gold_ids[t]));
   }
-  return Scale(Sum(ConcatVecs(terms)), 1.0 / gold.size());
+  return Scale(Sum(Concat(terms)), 1.0 / gold.size());
 }
 
 Var MultiTaskBoundaryModel::Loss(const text::Sentence& sentence,
@@ -110,7 +109,7 @@ std::vector<text::Span> MultiTaskBoundaryModel::PredictBoundaries(
   Var enc = EncodeTokens(rep, tokens, /*training=*/false);
   std::vector<int> ids(tokens.size());
   for (size_t t = 0; t < tokens.size(); ++t) {
-    Var logits = boundary_head_->ApplyVec(Row(enc, static_cast<int>(t)));
+    Var logits = boundary_head_->Apply(Row(enc, static_cast<int>(t)));
     int arg = 0;
     for (int k = 1; k < logits->value.size(); ++k) {
       if (logits->value[k] > logits->value[arg]) arg = k;

@@ -1,6 +1,5 @@
 #include "decoders/crf.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/trace.h"
@@ -58,7 +57,7 @@ Var CrfDecoder::PathScore(const Var& emissions,
     if (t > 0) terms.push_back(PickAt(transitions_, path[t - 1], path[t]));
   }
   terms.push_back(Pick(end_, path[t_len - 1]));
-  return Sum(ConcatVecs(terms));
+  return Sum(Concat(terms));
 }
 
 Var CrfDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
@@ -147,14 +146,6 @@ Tensor CrfDecoder::Marginals(const Tensor& emissions) const {
   const int k = tags_->size();
   DLNER_CHECK_EQ(emissions.cols(), k);
 
-  auto log_sum_exp = [](const std::vector<Float>& v) {
-    Float mx = v[0];
-    for (Float x : v) mx = std::max(mx, x);
-    Float s = 0.0;
-    for (Float x : v) s += std::exp(x - mx);
-    return mx + std::log(s);
-  };
-
   // Forward: alpha[t][j] = log sum over prefixes ending in tag j at t.
   std::vector<std::vector<Float>> alpha(t_len, std::vector<Float>(k));
   for (int j = 0; j < k; ++j) {
@@ -166,7 +157,7 @@ Tensor CrfDecoder::Marginals(const Tensor& emissions) const {
       for (int i = 0; i < k; ++i) {
         scratch[i] = alpha[t - 1][i] + transitions_->value.at(i, j);
       }
-      alpha[t][j] = log_sum_exp(scratch) + emissions.at(t, j);
+      alpha[t][j] = LogSumExpOf(scratch.data(), k, 1) + emissions.at(t, j);
     }
   }
   // Backward: beta[t][i] = log sum over suffixes starting after tag i at t.
@@ -178,11 +169,11 @@ Tensor CrfDecoder::Marginals(const Tensor& emissions) const {
         scratch[j] = transitions_->value.at(i, j) + emissions.at(t + 1, j) +
                      beta[t + 1][j];
       }
-      beta[t][i] = log_sum_exp(scratch);
+      beta[t][i] = LogSumExpOf(scratch.data(), k, 1);
     }
   }
   for (int j = 0; j < k; ++j) scratch[j] = alpha[t_len - 1][j] + end_->value[j];
-  const Float log_z = log_sum_exp(scratch);
+  const Float log_z = LogSumExpOf(scratch.data(), k, 1);
 
   Tensor marginals({t_len, k});
   for (int t = 0; t < t_len; ++t) {

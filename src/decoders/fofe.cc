@@ -35,15 +35,15 @@ Var FofeDecoder::Encode(const Var& m, int start, int end,
   const int d = m->value.cols();
   if (start >= end) return Constant(Tensor({d}));
   const int len = end - start;
-  // Weight row [1, len]: alpha^(len-1), ..., alpha, 1 (or reversed).
-  Tensor w({1, len});
+  // Weights [len]: alpha^(len-1), ..., alpha, 1 (or reversed).
+  Tensor w({len});
   for (int k = 0; k < len; ++k) {
     const int power = reverse ? k : len - 1 - k;
-    w.at(0, k) = std::pow(alpha_, power);
+    w[k] = std::pow(alpha_, power);
   }
   std::vector<int> rows(len);
   for (int k = 0; k < len; ++k) rows[k] = start + k;
-  return AsVector(MatMul(Constant(std::move(w)), Rows(m, rows)));
+  return MatMul(Constant(std::move(w)), Rows(m, rows));
 }
 
 Var FofeDecoder::FragmentLogits(const Var& encodings, int i, int j) const {
@@ -52,8 +52,8 @@ Var FofeDecoder::FragmentLogits(const Var& encodings, int i, int j) const {
   Var frag_bwd = Encode(encodings, i, j, /*reverse=*/true);
   Var left_ctx = Encode(encodings, 0, i, /*reverse=*/false);
   Var right_ctx = Encode(encodings, j, t_len, /*reverse=*/true);
-  Var features = ConcatVecs({frag_fwd, frag_bwd, left_ctx, right_ctx});
-  return out_->ApplyVec(Tanh(hidden_->ApplyVec(features)));
+  Var features = Concat({frag_fwd, frag_bwd, left_ctx, right_ctx});
+  return out_->Apply(Tanh(hidden_->Apply(features)));
 }
 
 Var FofeDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
@@ -82,8 +82,7 @@ Var FofeDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
           CrossEntropyWithLogits(FragmentLogits(encodings, i, j), label));
     }
   }
-  return Scale(Sum(ConcatVecs(terms)),
-               1.0 / static_cast<int>(terms.size()));
+  return Scale(Sum(Concat(terms)), 1.0 / static_cast<int>(terms.size()));
 }
 
 std::vector<text::Span> FofeDecoder::Predict(const Var& encodings) const {

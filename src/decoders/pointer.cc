@@ -34,14 +34,14 @@ std::vector<Var> PointerDecoder::Parameters() const {
 
 Var PointerDecoder::EndLogits(const Var& encodings, const Var& hidden,
                               int start, int limit) const {
-  Var dec_part = ptr_dec_->ApplyVec(hidden);  // [h]
+  Var dec_part = ptr_dec_->Apply(hidden);  // [h]
   std::vector<Var> scores;
   scores.reserve(limit - start);
   for (int q = start; q < limit; ++q) {
-    Var enc_part = ptr_enc_->ApplyVec(Row(encodings, q));  // [h]
+    Var enc_part = ptr_enc_->Apply(Row(encodings, q));  // [h]
     scores.push_back(Dot(ptr_v_, Tanh(Add(enc_part, dec_part))));
   }
-  return ConcatVecs(scores);  // [limit - start]
+  return Concat(scores);  // [limit - start]
 }
 
 Var PointerDecoder::LabelLogits(const Var& encodings, const Var& hidden,
@@ -49,7 +49,7 @@ Var PointerDecoder::LabelLogits(const Var& encodings, const Var& hidden,
   std::vector<int> rows(end - start);
   for (int t = 0; t < end - start; ++t) rows[t] = start + t;
   Var seg_rep = MeanOverRows(Rows(encodings, rows));  // [in_dim]
-  return label_out_->ApplyVec(ConcatVecs({seg_rep, hidden}));
+  return label_out_->Apply(Concat({seg_rep, hidden}));
 }
 
 Var PointerDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
@@ -92,8 +92,7 @@ Var PointerDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
     terms.push_back(CrossEntropyWithLogits(label_logits, label));
     pos = seg_end;
   }
-  return Scale(Sum(ConcatVecs(terms)),
-               1.0 / static_cast<int>(terms.size()));
+  return Scale(Sum(Concat(terms)), 1.0 / static_cast<int>(terms.size()));
 }
 
 std::vector<text::Span> PointerDecoder::Predict(const Var& encodings) const {

@@ -36,13 +36,13 @@ Var RnnDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
   int prev_tag = GoId();
   for (int t = 0; t < t_len; ++t) {
     Var input =
-        ConcatVecs({Row(encodings, t), tag_embedding_->LookupOne(prev_tag)});
+        Concat({Row(encodings, t), tag_embedding_->LookupOne(prev_tag)});
     state = cell_->Step(input, state);
-    Var logits = out_->ApplyVec(state.h);
+    Var logits = out_->Apply(state.h);
     terms.push_back(CrossEntropyWithLogits(logits, gold_ids[t]));
     prev_tag = gold_ids[t];  // teacher forcing
   }
-  return Scale(Sum(ConcatVecs(terms)), 1.0 / t_len);
+  return Scale(Sum(Concat(terms)), 1.0 / t_len);
 }
 
 std::vector<text::Span> RnnDecoder::PredictBeam(const Var& encodings,
@@ -69,10 +69,10 @@ std::vector<text::Span> RnnDecoder::PredictBeam(const Var& encodings,
     };
     std::vector<Expansion> expansions;
     for (size_t h = 0; h < beam.size(); ++h) {
-      Var input = ConcatVecs(
+      Var input = Concat(
           {Row(encodings, t), tag_embedding_->LookupOne(beam[h].prev_tag)});
       RnnState state = cell_->Step(input, beam[h].state);
-      Var log_probs = LogSoftmax(out_->ApplyVec(state.h));
+      Var log_probs = LogSoftmax(out_->Apply(state.h));
       for (int tag = 0; tag < k; ++tag) {
         expansions.push_back({static_cast<int>(h), tag,
                               beam[h].log_prob + log_probs->value[tag],
@@ -109,9 +109,9 @@ std::vector<text::Span> RnnDecoder::Predict(const Var& encodings) const {
   int prev_tag = GoId();
   for (int t = 0; t < t_len; ++t) {
     Var input =
-        ConcatVecs({Row(encodings, t), tag_embedding_->LookupOne(prev_tag)});
+        Concat({Row(encodings, t), tag_embedding_->LookupOne(prev_tag)});
     state = cell_->Step(input, state);
-    Var logits = out_->ApplyVec(state.h);
+    Var logits = out_->Apply(state.h);
     int arg = 0;
     for (int j = 1; j < tags_->size(); ++j) {
       if (logits->value[j] > logits->value[arg]) arg = j;

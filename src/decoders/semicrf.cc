@@ -91,7 +91,7 @@ Var SemiCrfDecoder::SegmentationScore(
     }
   }
   terms.push_back(Pick(end_, segments.back().label));
-  return Sum(ConcatVecs(terms));
+  return Sum(Concat(terms));
 }
 
 std::vector<SemiCrfDecoder::Segment> SemiCrfDecoder::GoldSegmentation(

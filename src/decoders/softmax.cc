@@ -40,7 +40,7 @@ Var SoftmaxDecoder::Loss(const Var& encodings, const text::Sentence& gold) {
   for (int t = 0; t < t_len; ++t) {
     terms.push_back(CrossEntropyWithLogits(Row(logits, t), gold_ids[t]));
   }
-  return Scale(Sum(ConcatVecs(terms)), 1.0 / t_len);
+  return Scale(Sum(Concat(terms)), 1.0 / t_len);
 }
 
 std::vector<text::Span> SoftmaxDecoder::Predict(const Var& encodings) const {

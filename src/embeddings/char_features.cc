@@ -110,7 +110,7 @@ Var CharRnnFeature::Forward(const std::vector<std::string>& tokens,
     Var chars = char_embedding_->Lookup(ids);  // [L, char_dim]
     auto [fwd_out, fwd_state] = RunRnnWithState(*forward_, chars, false);
     auto [bwd_out, bwd_state] = RunRnnWithState(*backward_, chars, true);
-    rows.push_back(ConcatVecs({fwd_state.h, bwd_state.h}));
+    rows.push_back(Concat({fwd_state.h, bwd_state.h}));
   }
   return StackRows(rows);
 }

@@ -177,7 +177,7 @@ Var ComposedRepresentation::Forward(const std::vector<std::string>& tokens,
   std::vector<Var> parts;
   parts.reserve(features_.size());
   for (const auto& f : features_) parts.push_back(f->Forward(tokens, training));
-  Var out = parts.size() == 1 ? parts[0] : ConcatCols(parts);
+  Var out = parts.size() == 1 ? parts[0] : Concat(parts);
   return Dropout(out, dropout_, rng_, training);
 }
 

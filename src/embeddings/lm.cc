@@ -45,9 +45,9 @@ Var BiLstmLm::DirectionLoss(const std::vector<int>& ids, bool backward) const {
     const int cur = backward ? ids[n - 1 - step] : ids[step];
     const int next = backward ? ids[n - 2 - step] : ids[step + 1];
     state = cell.Step(embedding_->LookupOne(cur), state);
-    terms.push_back(CrossEntropyWithLogits(out.ApplyVec(state.h), next));
+    terms.push_back(CrossEntropyWithLogits(out.Apply(state.h), next));
   }
-  return Scale(Sum(ConcatVecs(terms)), 1.0 / static_cast<int>(terms.size()));
+  return Scale(Sum(Concat(terms)), 1.0 / static_cast<int>(terms.size()));
 }
 
 Float BiLstmLm::TrainSequences(const std::vector<std::vector<int>>& sequences,
@@ -78,8 +78,8 @@ Float BiLstmLm::TrainSequences(const std::vector<std::vector<int>>& sequences,
 Tensor BiLstmLm::States(const std::vector<int>& ids) const {
   NoGradGuard no_grad;  // value-only: record no tape to throw away
   const Var units = embedding_->Lookup(ids);
-  return ConcatCols({RunRnn(*fwd_, units, /*reverse=*/false),
-                     RunRnn(*bwd_, units, /*reverse=*/true)})
+  return Concat({RunRnn(*fwd_, units, /*reverse=*/false),
+                 RunRnn(*bwd_, units, /*reverse=*/true)})
       ->value;
 }
 

@@ -31,7 +31,7 @@ Var CnnEncoder::Encode(const Var& input, const std::vector<std::string>&,
   std::vector<Var> rows;
   rows.reserve(t_len);
   for (int t = 0; t < t_len; ++t) {
-    rows.push_back(ConcatVecs({Row(h, t), global}));
+    rows.push_back(Concat({Row(h, t), global}));
   }
   return StackRows(rows);
 }

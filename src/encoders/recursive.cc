@@ -111,27 +111,25 @@ Var RecursiveEncoder::Encode(const Var& input,
   for (int i = 0; i < num_nodes; ++i) {
     const auto& node = tree.nodes[i];
     if (tree.IsLeaf(i)) {
-      up[i] = Tanh(leaf_->ApplyVec(Row(input, node.start)));
+      up[i] = Tanh(leaf_->Apply(Row(input, node.start)));
     } else {
-      up[i] = Tanh(
-          compose_->ApplyVec(ConcatVecs({up[node.left], up[node.right]})));
+      up[i] = Tanh(compose_->Apply(Concat({up[node.left], up[node.right]})));
     }
   }
   // Top-down: parents before children (reverse order).
   std::vector<Var> down(num_nodes);
-  down[tree.root()] = Tanh(root_top_->ApplyVec(up[tree.root()]));
+  down[tree.root()] = Tanh(root_top_->Apply(up[tree.root()]));
   for (int i = num_nodes - 1; i >= 0; --i) {
     const auto& node = tree.nodes[i];
     if (tree.IsLeaf(i)) continue;
-    down[node.left] = Tanh(
-        down_left_->ApplyVec(ConcatVecs({down[i], up[node.left]})));
-    down[node.right] = Tanh(
-        down_right_->ApplyVec(ConcatVecs({down[i], up[node.right]})));
+    down[node.left] = Tanh(down_left_->Apply(Concat({down[i], up[node.left]})));
+    down[node.right] =
+        Tanh(down_right_->Apply(Concat({down[i], up[node.right]})));
   }
   // Leaf outputs, aligned with token positions.
   std::vector<Var> rows(t_len);
   for (int t = 0; t < t_len; ++t) {
-    rows[t] = ConcatVecs({up[t], down[t]});
+    rows[t] = Concat({up[t], down[t]});
   }
   return StackRows(rows);
 }

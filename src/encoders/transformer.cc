@@ -56,10 +56,10 @@ Var MultiHeadAttention::Apply(const Var& x) const {
     Var kh = SliceCols(k, h * head_dim_, head_dim_);
     Var vh = SliceCols(v, h * head_dim_, head_dim_);
     Var scores = Scale(MatMul(qh, Transpose(kh)), scale);  // [T, T]
-    Var weights = SoftmaxRows(scores);
+    Var weights = Softmax(scores);
     heads.push_back(MatMul(weights, vh));  // [T, head_dim]
   }
-  Var concat = num_heads_ == 1 ? heads[0] : ConcatCols(heads);
+  Var concat = num_heads_ == 1 ? heads[0] : Concat(heads);
   return wo_->Apply(concat);
 }
 

@@ -212,8 +212,7 @@ Series* Metrics::series(const std::string& name) {
   return Lookup(&series_, name);
 }
 
-void Metrics::WriteJson(std::ostream& os,
-                        const MetricsJsonOptions& options) const {
+void Metrics::WriteJson(std::ostream& os) const {
   using internal::JsonEscape;
   using internal::JsonNumber;
   // One (name, body) entry per instrument, then emitted sorted by name so
@@ -231,7 +230,7 @@ void Metrics::WriteJson(std::ostream& os,
                                      JsonNumber(g->value()) + "}");
     }
     for (const auto& [name, h] : histograms_) {
-      if (options.skip_empty_histograms && h->count() == 0) continue;
+      if (h->count() == 0) continue;
       entries.emplace_back(name, "{\"type\": \"histogram\"" +
                                      JsonHistogramFields(h->Snapshot()) + "}");
     }
@@ -262,11 +261,10 @@ void Metrics::WriteJson(std::ostream& os,
   os << "}\n}\n";
 }
 
-bool Metrics::WriteJson(const std::string& path,
-                        const MetricsJsonOptions& options) const {
+bool Metrics::WriteJson(const std::string& path) const {
   std::ofstream os(path);
   if (!os) return false;
-  WriteJson(os, options);
+  WriteJson(os);
   return static_cast<bool>(os);
 }
 

@@ -165,15 +165,6 @@ class Series {
   std::vector<std::pair<double, double>> points_;
 };
 
-/// Options for Metrics::WriteJson.
-struct MetricsJsonOptions {
-  /// Drops histograms with zero observations from the export. Registration
-  /// is eager (NerModel::Build registers its timing histograms up front),
-  /// so exports from processes that never ran the instrumented path — e.g.
-  /// benchmark binaries — otherwise carry all-zero entries.
-  bool skip_empty_histograms = false;
-};
-
 /// Process-wide registry. Instruments are created on first lookup and are
 /// never destroyed or unregistered, so returned pointers stay valid for
 /// the process lifetime (ResetAll zeroes values, not registrations).
@@ -191,11 +182,12 @@ class Metrics {
 
   /// Deterministic JSON snapshot: {"schema": "dlner-metrics-v1",
   /// "series": {<name>: {...}, ...}} with names sorted lexicographically.
-  void WriteJson(std::ostream& os) const { WriteJson(os, {}); }
-  bool WriteJson(const std::string& path) const { return WriteJson(path, {}); }
-  void WriteJson(std::ostream& os, const MetricsJsonOptions& options) const;
-  bool WriteJson(const std::string& path,
-                 const MetricsJsonOptions& options) const;
+  /// Histograms with no observations are left out: registration is eager
+  /// (NerModel::Build registers its timing histograms up front), so a
+  /// process that never ran an instrumented path would otherwise export
+  /// all-zero entries.
+  void WriteJson(std::ostream& os) const;
+  bool WriteJson(const std::string& path) const;
 
   /// Prometheus text exposition (format version 0.0.4): counters and
   /// gauges as-is, histograms as cumulative `le` buckets ending in +Inf.

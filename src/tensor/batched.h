@@ -75,7 +75,7 @@ enum class Act { kNone, kRelu, kTanh };
 // batched.cc instantiates both simd::Scalar and simd::Active.
 
 /// out[rows,n] = act(x[rows,k] . w[k,n] + b[n]). Same bias-first,
-/// ascending-k accumulation as the eager Affine/AffineVec ops.
+/// ascending-k accumulation as the eager Affine op.
 template <class Isa = simd::Active>
 void Affine(const Float* x, int rows, const Tensor& w, const Tensor& b,
             Float* out, Act act = Act::kNone);

@@ -21,7 +21,7 @@
 // per-sentence eager path, and every Isa instantiation produce
 // bit-identical results to Scalar: a packed [sum(T), k] x [k, n] GEMM
 // computes exactly the same per-row sums as B separate per-sentence GEMMs
-// or AffineVec calls, on any ISA.
+// or per-vector Affine calls, on any ISA.
 #ifndef DLNER_TENSOR_GEMM_H_
 #define DLNER_TENSOR_GEMM_H_
 

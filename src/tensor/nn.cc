@@ -105,18 +105,9 @@ Linear::Linear(int in_dim, int out_dim, Rng* rng, const std::string& name)
       weight_(Parameter(GlorotMatrix(in_dim, out_dim, rng), name + ".W")),
       bias_(Parameter(Tensor({out_dim}), name + ".b")) {}
 
-Var Linear::Apply(const Var& x) const {
-  DLNER_CHECK_EQ(x->value.cols(), in_dim_);
-  return Affine(x, weight_, bias_);
-}
-
-Var Linear::ApplyVec(const Var& x) const {
-  DLNER_CHECK_EQ(x->value.dim(), 1);
-  return AffineVec(x, weight_, bias_);
-}
+Var Linear::Apply(const Var& x) const { return Affine(x, weight_, bias_); }
 
 Var Linear::ApplyTanh(const Var& x) const {
-  DLNER_CHECK_EQ(x->value.cols(), in_dim_);
   return AffineTanh(x, weight_, bias_);
 }
 

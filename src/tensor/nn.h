@@ -85,10 +85,8 @@ class Linear : public Module {
  public:
   Linear(int in_dim, int out_dim, Rng* rng, const std::string& name = "linear");
 
-  /// Applies to a matrix [T, in] -> [T, out].
+  /// Applies to a matrix [T, in] -> [T, out], or to a vector [in] -> [out].
   Var Apply(const Var& x) const;
-  /// Applies to a vector [in] -> [out].
-  Var ApplyVec(const Var& x) const;
   /// Apply followed by tanh, fused into one graph node.
   Var ApplyTanh(const Var& x) const;
 

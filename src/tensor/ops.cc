@@ -49,6 +49,26 @@ using gemm::GemmAccum;
 using gemm::GemmAccumGradA;
 using gemm::GemmAccumGradB;
 
+// The row-wise ops take a rank-1 tensor [n] as the one-row matrix [1,n]:
+// the same values through the same per-element operation sequence, with a
+// rank-1 result. Loops over such tensors index flat, because Tensor::at
+// (and rows/cols) accept rank 2 only.
+struct RowView {
+  int rows;
+  int cols;
+};
+
+RowView AsRows(const Tensor& t) {
+  DLNER_CHECK_MSG(t.dim() == 1 || t.dim() == 2, t.ShapeString());
+  return t.dim() == 1 ? RowView{1, t.size()} : RowView{t.rows(), t.cols()};
+}
+
+// Shape of a result with `cols` entries per row of `like`.
+std::vector<int> RowsShape(const Tensor& like, int cols) {
+  if (like.dim() == 1) return {cols};
+  return {like.rows(), cols};
+}
+
 }  // namespace
 
 Var MakeNode(Tensor value, std::vector<Var> parents,
@@ -210,14 +230,12 @@ Var Log(const Var& a) {
 // ---------------------------------------------------------------------------
 
 Var MatMul(const Var& a, const Var& b) {
-  DLNER_CHECK_EQ(a->value.dim(), 2);
   DLNER_CHECK_EQ(b->value.dim(), 2);
-  const int m = a->value.rows();
-  const int k = a->value.cols();
+  const auto [m, k] = AsRows(a->value);
   DLNER_CHECK_EQ(k, b->value.rows());
   const int n = b->value.cols();
 
-  Tensor out({m, n});
+  Tensor out(RowsShape(a->value, n));
   GemmAccum(a->value.data(), b->value.data(), out.data(), m, k, n);
   return MakeNode(std::move(out), {a, b}, [a, b, m, k, n](Variable* node) {
     if (a->requires_grad) {
@@ -244,16 +262,14 @@ namespace {
 enum class FusedAct { kNone, kTanh };
 
 Var AffineImpl(const Var& x, const Var& w, const Var& b, FusedAct act) {
-  DLNER_CHECK_EQ(x->value.dim(), 2);
   DLNER_CHECK_EQ(w->value.dim(), 2);
   DLNER_CHECK_EQ(b->value.dim(), 1);
-  const int m = x->value.rows();
-  const int k = x->value.cols();
+  const auto [m, k] = AsRows(x->value);
   DLNER_CHECK_EQ(k, w->value.rows());
   const int n = w->value.cols();
   DLNER_CHECK_EQ(n, b->value.size());
 
-  Tensor out({m, n});
+  Tensor out(RowsShape(x->value, n));
   Float* c = out.data();
   const Float* bias = b->value.data();
   for (int i = 0; i < m; ++i) {
@@ -271,7 +287,7 @@ Var AffineImpl(const Var& x, const Var& w, const Var& b, FusedAct act) {
       Tensor dz_store;
       const Float* dz = nd->grad.data();
       if (act == FusedAct::kTanh) {
-        dz_store = Tensor({m, n});
+        dz_store = Tensor(nd->value.shape());
         Float* t = dz_store.data();
         const Float* y = nd->value.data();
         const Float* g = nd->grad.data();
@@ -304,54 +320,6 @@ Var Affine(const Var& x, const Var& w, const Var& b) {
 
 Var AffineTanh(const Var& x, const Var& w, const Var& b) {
   return AffineImpl(x, w, b, FusedAct::kTanh);
-}
-
-Var AffineVec(const Var& x, const Var& w, const Var& b) {
-  DLNER_CHECK_EQ(x->value.dim(), 1);
-  DLNER_CHECK_EQ(w->value.dim(), 2);
-  DLNER_CHECK_EQ(b->value.dim(), 1);
-  const int k = x->value.size();
-  DLNER_CHECK_EQ(k, w->value.rows());
-  const int n = w->value.cols();
-  DLNER_CHECK_EQ(n, b->value.size());
-
-  Tensor out({n}, b->value.vec());
-  Float* c = out.data();
-  const Float* xv = x->value.data();
-  const Float* wm = w->value.data();
-  for (int p = 0; p < k; ++p) {
-    const Float av = xv[p];
-    if (av == 0.0) continue;
-    const Float* wrow = wm + static_cast<std::size_t>(p) * n;
-    for (int j = 0; j < n; ++j) c[j] += av * wrow[j];
-  }
-  return MakeNode(std::move(out), {x, w, b}, [x, w, b, k, n](Variable* nd) {
-    const Float* g = nd->grad.data();
-    const Float* wm = w->value.data();
-    if (x->requires_grad) {
-      Float* xg = x->grad.data();
-      for (int p = 0; p < k; ++p) {
-        const Float* wrow = wm + static_cast<std::size_t>(p) * n;
-        Float s = 0.0;
-        for (int j = 0; j < n; ++j) s += g[j] * wrow[j];
-        xg[p] += s;
-      }
-    }
-    if (w->requires_grad) {
-      const Float* xv = x->value.data();
-      Float* wg = w->grad.data();
-      for (int p = 0; p < k; ++p) {
-        const Float av = xv[p];
-        if (av == 0.0) continue;
-        Float* wrow = wg + static_cast<std::size_t>(p) * n;
-        for (int j = 0; j < n; ++j) wrow[j] += av * g[j];
-      }
-    }
-    if (b->requires_grad) {
-      Float* bg = b->grad.data();
-      for (int j = 0; j < n; ++j) bg[j] += g[j];
-    }
-  });
 }
 
 Var Transpose(const Var& m) {
@@ -479,15 +447,19 @@ Var MeanOverRows(const Var& m) {
   });
 }
 
+Float LogSumExpOf(const Float* x, int n, int stride) {
+  DLNER_CHECK_GT(n, 0);
+  Float mx = x[0];
+  for (int i = 1; i < n; ++i) mx = std::max(mx, x[i * stride]);
+  Float s = 0.0;
+  for (int i = 0; i < n; ++i) s += std::exp(x[i * stride] - mx);
+  return mx + std::log(s);
+}
+
 Var LogSumExp(const Var& v) {
   DLNER_CHECK_EQ(v->value.dim(), 1);
-  DLNER_CHECK_GT(v->value.size(), 0);
   const int n = v->value.size();
-  Float mx = v->value[0];
-  for (int i = 1; i < n; ++i) mx = std::max(mx, v->value[i]);
-  Float s = 0.0;
-  for (int i = 0; i < n; ++i) s += std::exp(v->value[i] - mx);
-  const Float lse = mx + std::log(s);
+  const Float lse = LogSumExpOf(v->value.data(), n, 1);
   return MakeNode(Tensor({1}, {lse}), {v}, [v, n, lse](Variable* node) {
     if (!v->requires_grad) return;
     const Float g = node->grad[0];
@@ -501,15 +473,8 @@ Var LogSumExpOverRows(const Var& m) {
   DLNER_CHECK_EQ(m->value.dim(), 2);
   const int r = m->value.rows();
   const int c = m->value.cols();
-  DLNER_CHECK_GT(r, 0);
   Tensor out({c});
-  for (int j = 0; j < c; ++j) {
-    Float mx = m->value.at(0, j);
-    for (int i = 1; i < r; ++i) mx = std::max(mx, m->value.at(i, j));
-    Float s = 0.0;
-    for (int i = 0; i < r; ++i) s += std::exp(m->value.at(i, j) - mx);
-    out[j] = mx + std::log(s);
-  }
+  for (int j = 0; j < c; ++j) out[j] = LogSumExpOf(m->value.data() + j, r, c);
   auto node = MakeNode(std::move(out), {m}, nullptr);
   if (node->requires_grad) {
     node->backward_fn = [m, r, c](Variable* n) {
@@ -529,56 +494,33 @@ Var LogSumExpOverRows(const Var& m) {
 // Softmax family.
 // ---------------------------------------------------------------------------
 
-Var Softmax(const Var& v) {
-  DLNER_CHECK_EQ(v->value.dim(), 1);
-  const int n = v->value.size();
-  DLNER_CHECK_GT(n, 0);
-  Tensor out({n});
-  Float mx = v->value[0];
-  for (int i = 1; i < n; ++i) mx = std::max(mx, v->value[i]);
-  Float s = 0.0;
-  for (int i = 0; i < n; ++i) {
-    out[i] = std::exp(v->value[i] - mx);
-    s += out[i];
-  }
-  for (int i = 0; i < n; ++i) out[i] /= s;
-  auto node = MakeNode(std::move(out), {v}, nullptr);
-  if (node->requires_grad) {
-    node->backward_fn = [v, n](Variable* node_) {
-      Float dot = 0.0;
-      for (int i = 0; i < n; ++i) dot += node_->grad[i] * node_->value[i];
-      for (int i = 0; i < n; ++i) {
-        v->grad[i] += node_->value[i] * (node_->grad[i] - dot);
-      }
-    };
-  }
-  return node;
-}
-
-Var SoftmaxRows(const Var& m) {
-  DLNER_CHECK_EQ(m->value.dim(), 2);
-  const int r = m->value.rows();
-  const int c = m->value.cols();
-  Tensor out({r, c});
+Var Softmax(const Var& x) {
+  const auto [r, c] = AsRows(x->value);
+  DLNER_CHECK(r == 0 || c > 0);
+  Tensor out(x->value.shape());
   for (int i = 0; i < r; ++i) {
-    Float mx = m->value.at(i, 0);
-    for (int j = 1; j < c; ++j) mx = std::max(mx, m->value.at(i, j));
+    const Float* in = x->value.data() + static_cast<std::size_t>(i) * c;
+    Float* y = out.data() + static_cast<std::size_t>(i) * c;
+    Float mx = in[0];
+    for (int j = 1; j < c; ++j) mx = std::max(mx, in[j]);
     Float s = 0.0;
     for (int j = 0; j < c; ++j) {
-      out.at(i, j) = std::exp(m->value.at(i, j) - mx);
-      s += out.at(i, j);
+      y[j] = std::exp(in[j] - mx);
+      s += y[j];
     }
-    for (int j = 0; j < c; ++j) out.at(i, j) /= s;
+    for (int j = 0; j < c; ++j) y[j] /= s;
   }
-  auto node = MakeNode(std::move(out), {m}, nullptr);
+  auto node = MakeNode(std::move(out), {x}, nullptr);
   if (node->requires_grad) {
-    node->backward_fn = [m, r, c](Variable* n) {
+    node->backward_fn = [x, r, c](Variable* n) {
       for (int i = 0; i < r; ++i) {
+        const std::size_t row = static_cast<std::size_t>(i) * c;
+        const Float* g = n->grad.data() + row;
+        const Float* y = n->value.data() + row;
+        Float* xg = x->grad.data() + row;
         Float dot = 0.0;
-        for (int j = 0; j < c; ++j) dot += n->grad.at(i, j) * n->value.at(i, j);
-        for (int j = 0; j < c; ++j) {
-          m->grad.at(i, j) += n->value.at(i, j) * (n->grad.at(i, j) - dot);
-        }
+        for (int j = 0; j < c; ++j) dot += g[j] * y[j];
+        for (int j = 0; j < c; ++j) xg[j] += y[j] * (g[j] - dot);
       }
     };
   }
@@ -588,12 +530,7 @@ Var SoftmaxRows(const Var& m) {
 Var LogSoftmax(const Var& v) {
   DLNER_CHECK_EQ(v->value.dim(), 1);
   const int n = v->value.size();
-  DLNER_CHECK_GT(n, 0);
-  Float mx = v->value[0];
-  for (int i = 1; i < n; ++i) mx = std::max(mx, v->value[i]);
-  Float s = 0.0;
-  for (int i = 0; i < n; ++i) s += std::exp(v->value[i] - mx);
-  const Float lse = mx + std::log(s);
+  const Float lse = LogSumExpOf(v->value.data(), n, 1);
   Tensor out({n});
   for (int i = 0; i < n; ++i) out[i] = v->value[i] - lse;
   auto node = MakeNode(std::move(out), {v}, nullptr);
@@ -663,59 +600,37 @@ Var StackRows(const std::vector<Var>& rows) {
   });
 }
 
-Var ConcatVecs(const std::vector<Var>& parts) {
+Var Concat(const std::vector<Var>& parts) {
   DLNER_CHECK(!parts.empty());
+  const Tensor& first = parts[0]->value;
+  const int r = AsRows(first).rows;
   int total = 0;
   for (const Var& p : parts) {
-    DLNER_CHECK_EQ(p->value.dim(), 1);
-    total += p->value.size();
+    DLNER_CHECK_EQ(p->value.dim(), first.dim());
+    const RowView v = AsRows(p->value);
+    DLNER_CHECK_EQ(v.rows, r);
+    total += v.cols;
   }
-  Tensor out({total});
+  Tensor out(RowsShape(first, total));
   int off = 0;
   for (const Var& p : parts) {
-    for (int i = 0; i < p->value.size(); ++i) out[off + i] = p->value[i];
-    off += p->value.size();
-  }
-  return MakeNode(std::move(out), parts, [parts](Variable* n) {
-    int off = 0;
-    for (const Var& p : parts) {
-      if (p->requires_grad) {
-        for (int i = 0; i < p->value.size(); ++i) {
-          p->grad[i] += n->grad[off + i];
-        }
-      }
-      off += p->value.size();
-    }
-  });
-}
-
-Var ConcatCols(const std::vector<Var>& parts) {
-  DLNER_CHECK(!parts.empty());
-  const int r = parts[0]->value.rows();
-  int total = 0;
-  for (const Var& p : parts) {
-    DLNER_CHECK_EQ(p->value.dim(), 2);
-    DLNER_CHECK_EQ(p->value.rows(), r);
-    total += p->value.cols();
-  }
-  Tensor out({r, total});
-  int off = 0;
-  for (const Var& p : parts) {
-    const int c = p->value.cols();
+    const int c = AsRows(p->value).cols;
     for (int i = 0; i < r; ++i) {
-      for (int j = 0; j < c; ++j) out.at(i, off + j) = p->value.at(i, j);
+      std::copy_n(p->value.data() + static_cast<std::size_t>(i) * c, c,
+                  out.data() + static_cast<std::size_t>(i) * total + off);
     }
     off += c;
   }
-  return MakeNode(std::move(out), parts, [parts, r](Variable* n) {
+  return MakeNode(std::move(out), parts, [parts, r, total](Variable* n) {
     int off = 0;
     for (const Var& p : parts) {
-      const int c = p->value.cols();
+      const int c = AsRows(p->value).cols;
       if (p->requires_grad) {
         for (int i = 0; i < r; ++i) {
-          for (int j = 0; j < c; ++j) {
-            p->grad.at(i, j) += n->grad.at(i, off + j);
-          }
+          const Float* g =
+              n->grad.data() + static_cast<std::size_t>(i) * total + off;
+          Float* pg = p->grad.data() + static_cast<std::size_t>(i) * c;
+          for (int j = 0; j < c; ++j) pg[j] += g[j];
         }
       }
       off += c;
@@ -738,17 +653,6 @@ Var PickAt(const Var& m, int r, int c) {
                   [m, r, c](Variable* n) {
                     if (m->requires_grad) m->grad.at(r, c) += n->grad[0];
                   });
-}
-
-Var AsVector(const Var& m) {
-  DLNER_CHECK_EQ(m->value.dim(), 2);
-  DLNER_CHECK_EQ(m->value.rows(), 1);
-  const int n = m->value.cols();
-  Tensor out({n}, m->value.vec());
-  return MakeNode(std::move(out), {m}, [m, n](Variable* node) {
-    if (!m->requires_grad) return;
-    for (int i = 0; i < n; ++i) m->grad[i] += node->grad[i];
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@
 //  * Rank-1 tensors [n] are vectors; rank-2 tensors [r,c] are row-major
 //    matrices. Sequences of token representations are [T, D] with one row
 //    per token.
+//  * The row-wise ops (MatMul, Affine, AffineTanh, Softmax, Concat) take a
+//    vector [n] as the one-row matrix [1,n] and return a vector: one
+//    implementation, bit-identical to the one-row call.
 //  * Every op returns a fresh node whose backward_fn accumulates into the
 //    gradients of parents that require gradients.
 //
@@ -59,15 +62,14 @@ Var Relu(Var&& a);
 // Linear algebra.
 // ---------------------------------------------------------------------------
 
-/// Matrix product of [m,k] and [k,n] -> [m,n].
+/// Matrix product of [m,k] and [k,n] -> [m,n]; a [k] gives [n].
 Var MatMul(const Var& a, const Var& b);
 /// Fused affine map: x [m,k] times w [k,n] plus row-broadcast bias b [n]
-/// -> [m,n]. One node instead of a MatMul -> bias-add chain.
+/// -> [m,n]; x [k] gives [n]. One node instead of a MatMul -> bias-add
+/// chain.
 Var Affine(const Var& x, const Var& w, const Var& b);
 /// Affine followed by tanh, fused into a single node.
 Var AffineTanh(const Var& x, const Var& w, const Var& b);
-/// Vector affine map: x [k] times w [k,n] plus b [n] -> [n].
-Var AffineVec(const Var& x, const Var& w, const Var& b);
 /// Matrix transpose.
 Var Transpose(const Var& m);
 /// Inner product of two equal-length vectors -> scalar [1].
@@ -92,6 +94,10 @@ Var Mean(const Var& a);
 Var MaxOverRows(const Var& m);
 /// Column-wise mean over rows of [r,c] -> [c].
 Var MeanOverRows(const Var& m);
+/// log(sum(exp(x[i * stride]))) over n > 0 values, shifted by their max:
+/// the one log-sum-exp sequence behind LogSumExp, LogSumExpOverRows,
+/// LogSoftmax and the CRF marginals. A plain value, not a graph node.
+Float LogSumExpOf(const Float* x, int n, int stride);
 /// log(sum(exp(v))) of a vector -> scalar [1]; numerically stabilized.
 Var LogSumExp(const Var& v);
 /// Column-wise log-sum-exp over rows of [r,c] -> [c]; the inner step of the
@@ -102,10 +108,9 @@ Var LogSumExpOverRows(const Var& m);
 // Softmax family.
 // ---------------------------------------------------------------------------
 
-/// Softmax of a vector [n] -> [n].
-Var Softmax(const Var& v);
-/// Row-wise softmax of [r,c] -> [r,c] (attention weights).
-Var SoftmaxRows(const Var& m);
+/// Row-wise softmax of [r,c] -> [r,c] (attention weights), or of a
+/// vector [n] -> [n].
+Var Softmax(const Var& x);
 /// Numerically-stable log-softmax of a vector [n] -> [n].
 Var LogSoftmax(const Var& v);
 
@@ -120,16 +125,13 @@ Var Row(const Var& m, int r);
 Var Rows(const Var& m, const std::vector<int>& ids);
 /// Stacks equal-length vectors into a matrix [k, c].
 Var StackRows(const std::vector<Var>& rows);
-/// Concatenates vectors -> single vector.
-Var ConcatVecs(const std::vector<Var>& parts);
-/// Concatenates matrices with equal row counts along columns.
-Var ConcatCols(const std::vector<Var>& parts);
+/// Joins vectors into one vector, or the columns of matrices with equal
+/// row counts into one matrix; all parts have the same rank.
+Var Concat(const std::vector<Var>& parts);
 /// Element i of a vector -> scalar [1].
 Var Pick(const Var& v, int i);
 /// Element (r,c) of a matrix -> scalar [1].
 Var PickAt(const Var& m, int r, int c);
-/// Reinterprets a one-row matrix [1,n] as a vector [n].
-Var AsVector(const Var& m);
 
 // ---------------------------------------------------------------------------
 // Regularization.

@@ -24,8 +24,8 @@ RnnState LstmCell::InitialState() const {
 
 RnnState LstmCell::Step(const Var& x, const RnnState& prev) const {
   DLNER_CHECK_EQ(x->value.size(), in_dim_);
-  Var z = ConcatVecs({x, prev.h});
-  Var gates = gates_->ApplyVec(z);  // [4*hid]
+  Var z = Concat({x, prev.h});
+  Var gates = gates_->Apply(z);  // [4*hid]
   Var i = Sigmoid(SliceVec(gates, 0, hidden_dim_));
   Var f = Sigmoid(SliceVec(gates, hidden_dim_, hidden_dim_));
   Var o = Sigmoid(SliceVec(gates, 2 * hidden_dim_, hidden_dim_));
@@ -55,12 +55,12 @@ RnnState GruCell::InitialState() const {
 
 RnnState GruCell::Step(const Var& x, const RnnState& prev) const {
   DLNER_CHECK_EQ(x->value.size(), in_dim_);
-  Var z_in = ConcatVecs({x, prev.h});
-  Var rz = rz_->ApplyVec(z_in);  // [2*hid]
+  Var z_in = Concat({x, prev.h});
+  Var rz = rz_->Apply(z_in);  // [2*hid]
   Var r = Sigmoid(SliceVec(rz, 0, hidden_dim_));
   Var z = Sigmoid(SliceVec(rz, hidden_dim_, hidden_dim_));
-  Var cand_in = ConcatVecs({x, Mul(r, prev.h)});
-  Var h_tilde = Tanh(candidate_->ApplyVec(cand_in));
+  Var cand_in = Concat({x, Mul(r, prev.h)});
+  Var h_tilde = Tanh(candidate_->Apply(cand_in));
   // h = (1 - z) * h_prev + z * h_tilde
   Var ones = Constant(Tensor::Full({hidden_dim_}, 1.0));
   Var h = Add(Mul(Sub(ones, z), prev.h), Mul(z, h_tilde));
@@ -107,7 +107,7 @@ BiRnn::BiRnn(const std::string& kind, int in_dim, int hidden_dim, Rng* rng,
 Var BiRnn::Apply(const Var& input) const {
   Var fwd = RunRnn(*forward_, input, /*reverse=*/false);
   Var bwd = RunRnn(*backward_, input, /*reverse=*/true);
-  return ConcatCols({fwd, bwd});
+  return Concat({fwd, bwd});
 }
 
 void BiRnn::ApplyPacked(const Float* x, int in_dim,

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -77,7 +78,7 @@ TEST(KernelDifferentialTest, AffineFamilyMatchesUnfusedReferences) {
         1e-9);
 
     const Tensor xv = RandomTensor({k}, &rng, -1.5, 1.5);
-    EXPECT_LE(MaxAbsDiff(AffineVec(Constant(xv), vw, vb)->value,
+    EXPECT_LE(MaxAbsDiff(Affine(Constant(xv), vw, vb)->value,
                          testsup::NaiveAffineVec(xv, w, b)),
               1e-9);
   }
@@ -928,6 +929,123 @@ TYPED_TEST(SimdDifferentialTest, RecurrentKernelsMatchEagerOnLongSegments) {
             o_isa.begin() + static_cast<std::ptrdiff_t>((first + len) * od));
         ExpectBitEqual(got, CopyOf(want), kind);
       }
+    }
+  }
+}
+
+// --- A vector is the one-row matrix --------------------------------------
+//
+// MatMul, Affine, AffineTanh, Softmax and Concat take a vector [n] as the
+// matrix [1,n]. Values and gradients must match the one-row call bit for
+// bit, also where x holds +-0, +-inf and NaN, the entries on which a second
+// implementation (a loop without the GEMM's zero skip, say) would differ.
+
+using VarOp = std::function<Var(const std::vector<Var>&)>;
+
+// The value of `op` over fresh leaves holding `inputs`, then each leaf's
+// gradient. The output's gradient is random, drawn from `seed`, so equal
+// seeds give equal gradients to outputs [n] and [1,n].
+std::vector<std::vector<Float>> ValueAndGrads(const VarOp& op,
+                                              const std::vector<Tensor>& inputs,
+                                              int seed) {
+  std::vector<Var> leaves;
+  for (const Tensor& t : inputs) leaves.push_back(Parameter(t));
+  const Var out = op(leaves);
+  Rng rng(seed);
+  Backward(Sum(Mul(
+      out, Constant(RandomTensor(out->value.shape(), &rng, -1.0, 1.0)))));
+  std::vector<std::vector<Float>> got = {CopyOf(out->value)};
+  for (const Var& leaf : leaves) got.push_back(CopyOf(leaf->grad));
+  return got;
+}
+
+Tensor OneRow(const Tensor& v) { return Tensor({1, v.size()}, CopyOf(v)); }
+
+// Runs `op` once on `vectors` followed by `rest` and once on the one-row
+// matrices of `vectors` followed by `rest`, and compares every byte.
+void ExpectVectorIsOneRow(const char* what, const VarOp& op,
+                          const std::vector<Tensor>& vectors,
+                          const std::vector<Tensor>& rest, Rng* rng) {
+  std::vector<Tensor> as_vec = vectors, as_row;
+  for (const Tensor& v : vectors) as_row.push_back(OneRow(v));
+  as_vec.insert(as_vec.end(), rest.begin(), rest.end());
+  as_row.insert(as_row.end(), rest.begin(), rest.end());
+  const int seed = rng->UniformInt(0, 1 << 20);
+  const auto vec = ValueAndGrads(op, as_vec, seed);
+  const auto row = ValueAndGrads(op, as_row, seed);
+  ASSERT_EQ(vec.size(), row.size()) << what;
+  for (std::size_t i = 0; i < vec.size(); ++i) {
+    ASSERT_EQ(vec[i].size(), row[i].size()) << what << " tensor " << i;
+    EXPECT_EQ(std::memcmp(vec[i].data(), row[i].data(),
+                          sizeof(Float) * vec[i].size()),
+              0)
+        << what << (i == 0 ? " value" : " gradient of input ") << i;
+  }
+}
+
+TEST(KernelDifferentialTest, VectorIsTheOneRowMatrixBitForBit) {
+  Rng rng(109);
+  // A vector [len] with +0 entries and up to three of -0, +-inf and NaN.
+  const auto special_vector = [&rng](int len) {
+    Tensor v = RandomTensor({len}, &rng, -3.0, 3.0, /*zero_prob=*/0.2);
+    InjectSpecials(&v, rng.UniformInt(0, 3), &rng);
+    return v;
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const int k = rng.UniformInt(1, 33), n = rng.UniformInt(1, 33);
+    const Tensor x = special_vector(k);
+    const Tensor w = RandomTensor({k, n}, &rng, -1.5, 1.5);
+    const Tensor b = RandomTensor({n}, &rng, -1.5, 1.5);
+    ExpectVectorIsOneRow(
+        "MatMul", [](const std::vector<Var>& v) { return MatMul(v[0], v[1]); },
+        {x}, {w}, &rng);
+    ExpectVectorIsOneRow(
+        "Affine",
+        [](const std::vector<Var>& v) { return Affine(v[0], v[1], v[2]); },
+        {x}, {w, b}, &rng);
+    ExpectVectorIsOneRow(
+        "AffineTanh",
+        [](const std::vector<Var>& v) { return AffineTanh(v[0], v[1], v[2]); },
+        {x}, {w, b}, &rng);
+    ExpectVectorIsOneRow(
+        "Softmax", [](const std::vector<Var>& v) { return Softmax(v[0]); },
+        {x}, {}, &rng);
+    ExpectVectorIsOneRow(
+        "Concat", [](const std::vector<Var>& v) { return Concat(v); },
+        {x, special_vector(n), special_vector(rng.UniformInt(1, 33))}, {},
+        &rng);
+  }
+}
+
+// LogSumExpOf along a row (stride 1) and down a column (stride c) must be
+// the naive whole-vector reduction's exact bits, for entries of -inf (a
+// column of only -inf gives NaN) and NaN too.
+TEST(KernelDifferentialTest, LogSumExpOfMatchesNaiveAtEveryStride) {
+  Rng rng(113);
+  const Float neg_inf = -std::numeric_limits<Float>::infinity();
+  const auto expect_same_bits = [](Float got, Float want, const char* what,
+                                   int at) {
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(Float)), 0)
+        << what << " " << at << ": " << got << " vs " << want;
+  };
+  for (int trial = 0; trial < 40; ++trial) {
+    const int r = rng.UniformInt(1, 12), c = rng.UniformInt(1, 9);
+    Tensor m = RandomTensor({r, c}, &rng, -30.0, 30.0);
+    InjectSpecials(&m, rng.UniformInt(0, 4), &rng);
+    if (trial % 4 == 0) {
+      const int j = rng.UniformInt(0, c - 1);
+      for (int i = 0; i < r; ++i) m.at(i, j) = neg_inf;
+    }
+    for (int i = 0; i < r; ++i) {
+      const std::vector<Float> row(m.data() + i * c, m.data() + (i + 1) * c);
+      expect_same_bits(LogSumExpOf(m.data() + i * c, c, 1),
+                       testsup::NaiveLogSumExp(row), "row", i);
+    }
+    for (int j = 0; j < c; ++j) {
+      std::vector<Float> col;
+      for (int i = 0; i < r; ++i) col.push_back(m.at(i, j));
+      expect_same_bits(LogSumExpOf(m.data() + j, r, c),
+                       testsup::NaiveLogSumExp(col), "column", j);
     }
   }
 }

@@ -51,12 +51,13 @@ TEST(LinearTest, ShapesAndParameterCount) {
   EXPECT_EQ(y->value.cols(), 3);
 }
 
-TEST(LinearTest, ApplyVecMatchesApply) {
+TEST(LinearTest, ApplyToVectorMatchesOneRowMatrix) {
   Rng rng(2);
   Linear lin(4, 2, &rng);
   Rng data_rng(3);
   Var v = RandomInput({4}, &data_rng);
-  Var via_vec = lin.ApplyVec(v);
+  Var via_vec = lin.Apply(v);
+  ASSERT_EQ(via_vec->value.dim(), 1);
   Var via_mat = Row(lin.Apply(StackRows({v})), 0);
   for (int i = 0; i < 2; ++i) {
     EXPECT_DOUBLE_EQ(via_vec->value[i], via_mat->value[i]);

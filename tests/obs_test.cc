@@ -411,28 +411,38 @@ TEST_F(ObsTest, MetricsRegistryBasicsAndJson) {
 }
 
 TEST_F(ObsTest, WriteJsonCanSkipEmptyHistograms) {
+  // The JSON export always leaves out histograms with no observations;
+  // zero-valued counters and gauges stay, and the Prometheus exposition
+  // keeps the empty histogram.
   Metrics& m = Metrics::Get();
   m.histogram("t.hist.empty");  // registered but never observed
   m.histogram("t.hist.filled")->Observe(3.0);
   m.counter("t.keep")->Add(1);
+  m.counter("t.zero");
+  m.gauge("t.zero_gauge");
 
-  MetricsJsonOptions options;
-  options.skip_empty_histograms = true;
-  std::ostringstream skipped;
-  m.WriteJson(skipped, options);
+  std::ostringstream os;
+  m.WriteJson(os);
   JsonValue root;
-  ASSERT_TRUE(JsonParser(skipped.str()).Parse(&root)) << skipped.str();
+  ASSERT_TRUE(JsonParser(os.str()).Parse(&root)) << os.str();
   const JsonValue* series = root.find("series");
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->find("t.hist.empty"), nullptr);
   EXPECT_NE(series->find("t.hist.filled"), nullptr);
   EXPECT_NE(series->find("t.keep"), nullptr);
+  EXPECT_NE(series->find("t.zero"), nullptr);
+  EXPECT_NE(series->find("t.zero_gauge"), nullptr);
+  std::ostringstream prom;
+  m.WritePrometheus(prom);
+  EXPECT_NE(prom.str().find("# TYPE t_hist_empty histogram"),
+            std::string::npos);
 
-  // Default options still export the all-zero histogram.
-  std::ostringstream full;
-  m.WriteJson(full);
+  // Once observed, the histogram is exported.
+  m.histogram("t.hist.empty")->Observe(1.0);
+  std::ostringstream after;
+  m.WriteJson(after);
   JsonValue root2;
-  ASSERT_TRUE(JsonParser(full.str()).Parse(&root2)) << full.str();
+  ASSERT_TRUE(JsonParser(after.str()).Parse(&root2)) << after.str();
   EXPECT_NE(root2.find("series")->find("t.hist.empty"), nullptr);
 }
 

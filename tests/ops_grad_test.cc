@@ -31,6 +31,9 @@ struct OpCase {
   // keeps its id for good (a new case takes the next unused one), so
   // deleting a case renames no other test.
   int id;
+  // Where one op takes a vector or a matrix, the name says which form the
+  // case feeds it: AffineVec and MatMulVec a vector, SoftmaxRows a matrix,
+  // ConcatVecs vectors and ConcatCols matrices.
   std::string name;
   // Creates inputs (given rng) and a loss builder over them.
   std::function<void(Rng*, std::vector<Var>*, std::function<Var()>*)> make;
@@ -164,7 +167,7 @@ std::vector<OpCase> AllOpCases() {
         Var a = RandomParam({3, 4}, rng, -2.0, 2.0);
         Var w = RandomParam({3, 4}, rng);
         *in = {a, w};
-        *f = [a, w] { return Sum(Mul(SoftmaxRows(a), w)); };
+        *f = [a, w] { return Sum(Mul(Softmax(a), w)); };
       });
   add(21, "LogSoftmax",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
@@ -196,31 +199,25 @@ std::vector<OpCase> AllOpCases() {
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({2}, rng), b = RandomParam({3}, rng);
         *in = {a, b};
-        *f = [a, b] { return Sum(Tanh(ConcatVecs({a, b}))); };
+        *f = [a, b] { return Sum(Tanh(Concat({a, b}))); };
       });
   add(26, "ConcatCols",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var a = RandomParam({3, 2}, rng), b = RandomParam({3, 4}, rng);
         *in = {a, b};
-        *f = [a, b] { return Sum(Tanh(ConcatCols({a, b}))); };
+        *f = [a, b] { return Sum(Tanh(Concat({a, b}))); };
       });
   add(27, "Neg", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({5}, rng);
     *in = {a};
     *f = [a] { return Sum(Mul(Neg(a), a)); };
   });
-  add(28, "AsVector",
-      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-        Var a = RandomParam({1, 4}, rng);
-        *in = {a};
-        *f = [a] { return Sum(Tanh(AsVector(a))); };
-      });
   add(29, "AffineVec",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
         Var x = RandomParam({4}, rng), w = RandomParam({4, 3}, rng);
         Var b = RandomParam({3}, rng);
         *in = {x, w, b};
-        *f = [x, w, b] { return Sum(Tanh(AffineVec(x, w, b))); };
+        *f = [x, w, b] { return Sum(Tanh(Affine(x, w, b))); };
       });
   add(30, "SliceVec",
       [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
@@ -245,6 +242,12 @@ std::vector<OpCase> AllOpCases() {
         Var a = RandomParam({5}, rng, -2.0, 2.0);
         *in = {a};
         *f = [a] { return CrossEntropyWithLogits(a, 3); };
+      });
+  add(34, "MatMulVec",
+      [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
+        Var a = RandomParam({4}, rng), b = RandomParam({4, 3}, rng);
+        *in = {a, b};
+        *f = [a, b] { return Sum(Tanh(MatMul(a, b))); };
       });
   return cases;
 }

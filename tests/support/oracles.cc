@@ -6,22 +6,10 @@
 #include <map>
 #include <tuple>
 
+#include "support/reference_kernels.h"
 #include "tensor/check.h"
 
 namespace dlner::testsup {
-namespace {
-
-// log(sum(exp(scores))) with the usual max shift.
-Float LogSumExpOf(const std::vector<Float>& scores) {
-  DLNER_CHECK(!scores.empty());
-  Float mx = scores[0];
-  for (Float s : scores) mx = std::max(mx, s);
-  Float acc = 0.0;
-  for (Float s : scores) acc += std::exp(s - mx);
-  return mx + std::log(acc);
-}
-
-}  // namespace
 
 CrfBruteForce EnumerateCrf(const decoders::CrfDecoder& dec,
                            const Var& emissions) {
@@ -61,7 +49,7 @@ CrfBruteForce EnumerateCrf(const decoders::CrfDecoder& dec,
     ++path[i];
   }
 
-  out.log_partition = LogSumExpOf(scores);
+  out.log_partition = NaiveLogSumExp(scores);
   for (size_t p = 0; p < paths.size(); ++p) {
     const Float prob = std::exp(scores[p] - out.log_partition);
     for (int t = 0; t < t_len; ++t) out.marginals.at(t, paths[p][t]) += prob;
@@ -100,7 +88,7 @@ SemiCrfBruteForce EnumerateSemiCrf(const decoders::SemiCrfDecoder& dec,
   };
   recurse(0);
 
-  out.log_partition = LogSumExpOf(scores);
+  out.log_partition = NaiveLogSumExp(scores);
   return out;
 }
 

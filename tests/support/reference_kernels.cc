@@ -52,6 +52,15 @@ Tensor NaiveAffineVec(const Tensor& x, const Tensor& w, const Tensor& b) {
   return out;
 }
 
+Float NaiveLogSumExp(const std::vector<Float>& scores) {
+  DLNER_CHECK(!scores.empty());
+  Float mx = scores[0];
+  for (Float s : scores) mx = std::max(mx, s);
+  Float acc = 0.0;
+  for (Float s : scores) acc += std::exp(s - mx);
+  return mx + std::log(acc);
+}
+
 namespace {
 template <typename F>
 Tensor Elementwise(const Tensor& t, F f) {

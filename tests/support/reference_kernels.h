@@ -30,6 +30,9 @@ Tensor NaiveAffine(const Tensor& x, const Tensor& w, const Tensor& b);
 /// x [k] * w [k,n] + b [n].
 Tensor NaiveAffineVec(const Tensor& x, const Tensor& w, const Tensor& b);
 
+/// log(sum(exp(scores))) with the usual max shift, over a whole vector.
+Float NaiveLogSumExp(const std::vector<Float>& scores);
+
 // Elementwise references for the fused/in-place activation paths. Tanh and
 // Sigmoid apply the scalar reference sequence (simd::Scalar) element by
 // element; its closeness to libm is tested on its own (differential_test's
