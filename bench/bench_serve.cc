@@ -12,7 +12,10 @@
 //
 // Recorded gauges (dlner-metrics-v1 snapshot, written to --out, default
 // BENCH_serve.json, intended to be run from the repo root and committed):
-//   bench.serve.capacity_rps            closed-loop sentences/sec ceiling
+//   bench.serve.capacity_rps            closed-loop sentences/sec ceiling:
+//                                       the median of kCapacityWindows
+//                                       1-second windows
+//   bench.serve.capacity_spread         (max - min) / median of them
 //   bench.serve.point<i>.offered_rps    the schedule's request rate
 //   bench.serve.point<i>.load_factor    offered_rps / capacity_rps
 //   bench.serve.point<i>.p50_us         response latency percentiles
@@ -402,9 +405,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // One window can land on a disturbed second and misplace every load
+  // point, so capacity is the median of several.
+  constexpr int kCapacityWindows = 5;
   const std::vector<std::string> bodies = RequestBodies(corpus);
-  const double capacity = MeasureCapacity(server.port(), bodies, 1.0);
-  std::printf("closed-loop capacity: %.1f req/s\n\n", capacity);
+  std::vector<double> windows;
+  for (int i = 0; i < kCapacityWindows; ++i) {
+    windows.push_back(MeasureCapacity(server.port(), bodies, 1.0));
+  }
+  const bench::RunStats capacity_stats = bench::Summarize(windows);
+  const double capacity = capacity_stats.median;
+  std::printf("closed-loop capacity: %.1f req/s (spread %.1f%% over %d "
+              "windows)\n\n",
+              capacity, 100.0 * capacity_stats.spread, kCapacityWindows);
   if (capacity <= 0.0) {
     std::fprintf(stderr, "bench_serve: capacity measurement failed\n");
     return 1;
@@ -432,6 +445,7 @@ int main(int argc, char** argv) {
       ->Set(static_cast<double>(std::thread::hardware_concurrency()));
   m.gauge("bench.simd_isa")->Set(static_cast<double>(simd::kIsaId));
   m.gauge("bench.serve.capacity_rps")->Set(capacity);
+  m.gauge("bench.serve.capacity_spread")->Set(capacity_stats.spread);
   m.gauge("bench.serve.trace_sample_rate")->Set(sample_rate);
   m.gauge("bench.serve.load_points")
       ->Set(static_cast<double>(points.size()));

@@ -7,7 +7,7 @@
 namespace dlner::embeddings {
 
 // ---------------------------------------------------------------------------
-// TokenFeature: the eager bridge.
+// TokenFeature: the eager bridge, and the frozen features' Forward.
 // ---------------------------------------------------------------------------
 
 void TokenFeature::FillPacked(const batched::PackedBatch& batch, Float* dst,
@@ -23,6 +23,20 @@ void TokenFeature::FillPacked(const batched::PackedBatch& batch, Float* dst,
                   d * sizeof(Float));
     }
   }
+}
+
+Var FrozenForward(const TokenFeature& feature,
+                  const std::vector<std::string>& tokens) {
+  thread_local Arena arena;  // as in InferencePlan::Execute
+  const Arena::Scope scratch(&arena);
+  batched::BatchLayout layout;
+  layout.Add(static_cast<int>(tokens.size()));
+  const std::vector<const std::vector<std::string>*> sentences{&tokens};
+  const batched::PackedBatch batch{&arena, &layout, &sentences};
+  const int d = feature.dim();
+  Tensor out({layout.rows(), d});
+  feature.FillPacked(batch, out.data(), d);
+  return Constant(std::move(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -101,25 +115,13 @@ std::vector<Float> WordShapeFeature::ShapeOf(const std::string& word) {
   return f;
 }
 
-Var WordShapeFeature::Forward(const std::vector<std::string>& tokens,
-                              bool /*training*/) const {
-  Tensor out({static_cast<int>(tokens.size()), kDim});
-  for (int t = 0; t < static_cast<int>(tokens.size()); ++t) {
-    const std::vector<Float> f = ShapeOf(tokens[t]);
-    for (int j = 0; j < kDim; ++j) out.at(t, j) = f[j];
-  }
-  return Constant(std::move(out));
-}
-
 void WordShapeFeature::FillPacked(const batched::PackedBatch& batch,
                                   Float* dst, int stride) const {
   for (int b = 0; b < batch.batch(); ++b) {
-    const auto& tokens = batch.tokens(b);
-    const int off = batch.layout->offset(b);
-    for (int t = 0; t < batch.layout->len(b); ++t) {
-      const std::vector<Float> shape = ShapeOf(tokens[t]);
-      std::memcpy(dst + static_cast<std::size_t>(off + t) * stride,
-                  shape.data(), shape.size() * sizeof(Float));
+    for (const std::string& token : batch.tokens(b)) {
+      const std::vector<Float> shape = ShapeOf(token);
+      std::memcpy(dst, shape.data(), shape.size() * sizeof(Float));
+      dst += stride;
     }
   }
 }
@@ -137,24 +139,12 @@ int GazetteerFeature::dim() const {
   return static_cast<int>(gazetteer_->types().size());
 }
 
-Var GazetteerFeature::Forward(const std::vector<std::string>& tokens,
-                              bool /*training*/) const {
-  const auto feats = gazetteer_->MatchFeatures(tokens);
-  Tensor out({static_cast<int>(tokens.size()), dim()});
-  for (int t = 0; t < static_cast<int>(tokens.size()); ++t) {
-    for (int j = 0; j < dim(); ++j) out.at(t, j) = feats[t][j];
-  }
-  return Constant(std::move(out));
-}
-
 void GazetteerFeature::FillPacked(const batched::PackedBatch& batch,
                                   Float* dst, int stride) const {
   for (int b = 0; b < batch.batch(); ++b) {
-    const auto rows = gazetteer_->MatchFeatures(batch.tokens(b));
-    const int off = batch.layout->offset(b);
-    for (int t = 0; t < batch.layout->len(b); ++t) {
-      std::memcpy(dst + static_cast<std::size_t>(off + t) * stride,
-                  rows[t].data(), rows[t].size() * sizeof(Float));
+    for (const auto& row : gazetteer_->MatchFeatures(batch.tokens(b))) {
+      std::memcpy(dst, row.data(), row.size() * sizeof(Float));
+      dst += stride;
     }
   }
 }

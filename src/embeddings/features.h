@@ -39,6 +39,12 @@ class TokenFeature : public Module {
   virtual const char* packed_kind() const { return nullptr; }
 };
 
+/// Forward of a feature with nothing to learn, written once as its
+/// FillPacked (which it must override): that fill over `tokens` as a
+/// one-sentence batch, returned as a Constant [T, feature.dim()].
+Var FrozenForward(const TokenFeature& feature,
+                  const std::vector<std::string>& tokens);
+
 /// Trainable word-embedding lookup (survey Section 3.2.1). The table can be
 /// initialized from pre-trained vectors (see SkipGramModel::CopyInto) and
 /// optionally frozen.
@@ -78,8 +84,9 @@ class WordShapeFeature : public TokenFeature {
  public:
   static constexpr int kDim = 8;
 
-  Var Forward(const std::vector<std::string>& tokens,
-              bool training) const override;
+  Var Forward(const std::vector<std::string>& tokens, bool) const override {
+    return FrozenForward(*this, tokens);
+  }
   int dim() const override { return kDim; }
   std::vector<Var> Parameters() const override { return {}; }
   void FillPacked(const batched::PackedBatch& batch, Float* dst,
@@ -96,8 +103,9 @@ class GazetteerFeature : public TokenFeature {
  public:
   explicit GazetteerFeature(const data::Gazetteer* gazetteer);
 
-  Var Forward(const std::vector<std::string>& tokens,
-              bool training) const override;
+  Var Forward(const std::vector<std::string>& tokens, bool) const override {
+    return FrozenForward(*this, tokens);
+  }
   int dim() const override;
   std::vector<Var> Parameters() const override { return {}; }
   void FillPacked(const batched::PackedBatch& batch, Float* dst,

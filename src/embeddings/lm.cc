@@ -1,5 +1,6 @@
 #include "embeddings/lm.h"
 
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -75,12 +76,21 @@ Float BiLstmLm::TrainSequences(const std::vector<std::vector<int>>& sequences,
   return last_nll;
 }
 
-Tensor BiLstmLm::States(const std::vector<int>& ids) const {
-  NoGradGuard no_grad;  // value-only: record no tape to throw away
-  const Var units = embedding_->Lookup(ids);
-  return Concat({RunRnn(*fwd_, units, /*reverse=*/false),
-                 RunRnn(*bwd_, units, /*reverse=*/true)})
-      ->value;
+const Float* BiLstmLm::States(const std::vector<int>& ids,
+                              const batched::BatchLayout& segments,
+                              Arena* arena) const {
+  DLNER_CHECK_EQ(static_cast<int>(ids.size()), segments.rows());
+  const Float* table = embedding_->table()->value.data();
+  Float* units = arena->Alloc(ids.size() * unit_dim_);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    std::memcpy(units + i * unit_dim_,
+                table + static_cast<std::size_t>(ids[i]) * unit_dim_,
+                unit_dim_ * sizeof(Float));
+  }
+  Float* states = arena->Alloc(ids.size() * dim());
+  batched::BiLstm(units, unit_dim_, hidden_dim_, segments, fwd_->packed(),
+                  bwd_->packed(), states, arena);
+  return states;
 }
 
 void BiLstmLm::SaveBody(std::ostream& os) const {
@@ -149,10 +159,11 @@ std::vector<int> CharLm::CharIds(
   if (word_bounds != nullptr) word_bounds->clear();
   for (size_t w = 0; w < tokens.size(); ++w) {
     if (w > 0) ids.push_back(vocab_.Id(" "));
-    const int start = static_cast<int>(ids.size());
+    int start = static_cast<int>(ids.size());
     for (char c : tokens[w]) ids.push_back(vocab_.Id(std::string(1, c)));
     int end = static_cast<int>(ids.size()) - 1;
     if (end < start) end = start > 0 ? start - 1 : 0;  // empty token guard
+    if (start > end && w + 1 == tokens.size()) start = end;  // no space follows
     if (word_bounds != nullptr) word_bounds->push_back({start, end});
   }
   if (ids.empty()) ids.push_back(vocab_.Id(" "));
@@ -184,20 +195,29 @@ Float CharLm::Evaluate(const std::vector<std::vector<std::string>>& sentences) {
   return count > 0 ? total / count : 0.0;
 }
 
-Tensor CharLm::Extract(const std::vector<std::string>& tokens) const {
-  DLNER_CHECK(!tokens.empty());
-  std::vector<std::pair<int, int>> bounds;
-  const Tensor states = States(CharIds(tokens, &bounds));
-  const int h = config_.hidden_dim;
-  Tensor out({static_cast<int>(tokens.size()), 2 * h});
-  for (size_t w = 0; w < tokens.size(); ++w) {
-    const auto [start, end] = bounds[w];
-    for (int j = 0; j < h; ++j) {
-      out.at(static_cast<int>(w), j) = states.at(end, j);
-      out.at(static_cast<int>(w), h + j) = states.at(start, h + j);
+void CharLm::Fill(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const {
+  const Arena::Scope scratch(batch.arena);
+  std::vector<int> ids;
+  std::vector<std::pair<int, int>> bounds;  // per packed token, into ids
+  batched::BatchLayout sentences;
+  for (int b = 0; b < batch.batch(); ++b) {
+    std::vector<std::pair<int, int>> words;
+    const std::vector<int> chars = CharIds(batch.tokens(b), &words);
+    for (const auto& [start, end] : words) {
+      bounds.emplace_back(ids.size() + start, ids.size() + end);
     }
+    ids.insert(ids.end(), chars.begin(), chars.end());
+    sentences.Add(static_cast<int>(chars.size()));
   }
-  return out;
+  const Float* states = States(ids, sentences, batch.arena);
+  const std::size_t h = config_.hidden_dim;
+  for (std::size_t r = 0; r < bounds.size(); ++r) {
+    const auto [start, end] = bounds[r];
+    std::memcpy(dst + r * stride, states + end * 2 * h, h * sizeof(Float));
+    std::memcpy(dst + r * stride + h, states + start * 2 * h + h,
+                h * sizeof(Float));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,10 +265,18 @@ Float TokenLm::Train(const std::vector<std::vector<std::string>>& sentences) {
   return TrainSequences(sequences, config_.epochs, config_.lr);
 }
 
-Tensor TokenLm::Extract(const std::vector<std::string>& tokens) const {
+void TokenLm::Fill(const batched::PackedBatch& batch, Float* dst,
+                   int stride) const {
   DLNER_CHECK(built());
-  DLNER_CHECK(!tokens.empty());
-  return States(vocab_.Encode(tokens));
+  const Arena::Scope scratch(batch.arena);
+  std::vector<int> ids;
+  for (int b = 0; b < batch.batch(); ++b) {
+    for (const int id : vocab_.Encode(batch.tokens(b))) ids.push_back(id);
+  }
+  const Float* states = States(ids, *batch.layout, batch.arena);
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    std::memcpy(dst + r * stride, states + r * dim(), dim() * sizeof(Float));
+  }
 }
 
 }  // namespace dlner::embeddings

@@ -29,13 +29,20 @@ namespace dlner::embeddings {
 /// vocabulary: the shared core of CharLm and TokenLm.
 class BiLstmLm : public Module {
  public:
-  /// Contextual embeddings [T, dim()] for a tokenized sentence.
-  /// Value-only (the LM is frozen at extraction time).
-  virtual Tensor Extract(const std::vector<std::string>& tokens) const = 0;
+  /// Contextual embeddings of every packed token row of `batch`, row r at
+  /// `dst + r * stride`. Value-only: the LM is frozen.
+  virtual void Fill(const batched::PackedBatch& batch, Float* dst,
+                    int stride) const = 0;
 
   int dim() const { return 2 * hidden_dim_; }
   /// Empty until the modules are built.
   std::vector<Var> Parameters() const override;
+
+  /// The unit inventory, the unit embedding and the two direction LSTMs.
+  const text::Vocabulary& vocab() const { return vocab_; }
+  const Embedding& embedding() const { return *embedding_; }
+  const LstmCell& forward_lm() const { return *fwd_; }
+  const LstmCell& backward_lm() const { return *bwd_; }
 
  protected:
   /// Parameters are named `<prefix>.emb`, `.fwd`, `.bwd`, `.fwd_out` and
@@ -56,10 +63,12 @@ class BiLstmLm : public Module {
   Float TrainSequences(const std::vector<std::vector<int>>& sequences,
                        int epochs, double lr);
 
-  /// Hidden states [n, 2*hidden] after consuming each unit: the forward
+  /// Hidden states [segments.rows(), 2*hidden] in `arena` after each unit
+  /// of `ids`, every (non-empty) segment read as one sequence: the forward
   /// LM's in the first half of a row, the backward LM's in the second.
-  /// Runs under NoGradGuard: extraction records no autograd tape.
-  Tensor States(const std::vector<int>& ids) const;
+  const Float* States(const std::vector<int>& ids,
+                      const batched::BatchLayout& segments,
+                      Arena* arena) const;
 
   /// The checkpoint body after each class's config fields: the vocabulary
   /// block, then the named parameters.
@@ -109,7 +118,10 @@ class CharLm : public BiLstmLm {
   /// Average per-character NLL on held-out sentences (perplexity probe).
   Float Evaluate(const std::vector<std::vector<std::string>>& sentences);
 
-  Tensor Extract(const std::vector<std::string>& tokens) const override;
+  /// One character segment per sentence: a word reads the forward state at
+  /// its last character and the backward state at its first.
+  void Fill(const batched::PackedBatch& batch, Float* dst,
+            int stride) const override;
 
   /// Binary serialization: config + character vocabulary + parameters.
   /// A loaded CharLm extracts bit-identical embeddings.
@@ -146,9 +158,8 @@ class TokenLm : public BiLstmLm {
   Float Train(const std::vector<std::vector<std::string>>& sentences);
 
   /// Needs a trained TokenLm.
-  Tensor Extract(const std::vector<std::string>& tokens) const override;
-
-  const text::Vocabulary& vocab() const { return vocab_; }
+  void Fill(const batched::PackedBatch& batch, Float* dst,
+            int stride) const override;
 
   /// Binary serialization: config + token vocabulary + parameters. Only a
   /// trained TokenLm can be saved; a loaded one extracts bit-identically.
@@ -168,12 +179,16 @@ class LmFeature : public TokenFeature {
   explicit LmFeature(const BiLstmLm* lm) : lm_(lm) {
     DLNER_CHECK(lm_ != nullptr);
   }
-  Var Forward(const std::vector<std::string>& tokens,
-              bool) const override {
-    return Constant(lm_->Extract(tokens));
+  Var Forward(const std::vector<std::string>& tokens, bool) const override {
+    return FrozenForward(*this, tokens);
   }
   int dim() const override { return lm_->dim(); }
   std::vector<Var> Parameters() const override { return {}; }
+  void FillPacked(const batched::PackedBatch& batch, Float* dst,
+                  int stride) const override {
+    lm_->Fill(batch, dst, stride);
+  }
+  const char* packed_kind() const override { return "lm"; }
 
  private:
   const BiLstmLm* lm_;  // not owned

@@ -12,10 +12,13 @@
 // (TokenFeature::FillPacked, ContextEncoder::EncodePacked,
 // TagDecoder::DecodePacked). A module with a packed kernel overrides its
 // hook next to its eager forward, bit-identical to it, and names itself
-// through packed_kind(): word/shape/gazetteer and char CNN/BiLSTM features,
-// mlp/cnn/idcnn/bilstm/bigru encoders, softmax/crf decoders. Every other
-// module (LM embeddings, transformer, brnn, segment decoders, extensions)
-// inherits the base class's *eager bridge*, which calls the module's normal
+// through packed_kind(): word and char CNN/BiLSTM features,
+// mlp/cnn/idcnn/bilstm/bigru encoders, softmax/crf decoders. A frozen
+// feature (word shape, gazetteer, char-LM and token-LM embeddings) has
+// its packed fill as its only implementation: its Forward is that fill on
+// a one-sentence batch (embeddings::FrozenForward). Every other module
+// (transformer, brnn, segment decoders, extensions) inherits the base
+// class's *eager bridge*, which calls the module's normal
 // const forward per sentence under NoGradGuard — identical values by
 // construction — so all taxonomy cells run through one entry point and the
 // planned-vs-eager differential suite can cover the full grid.

@@ -33,15 +33,6 @@ void AccumNeg(const Var& p, const Tensor& delta) {
   for (int i = 0; i < n; ++i) g[i] -= d[i];
 }
 
-// True when a unary op may overwrite `a`'s buffer instead of copying it:
-// nothing can read the value again. `!requires_grad` rules out every
-// backward pass over this value, and a use count of 1 on an rvalue handle
-// means no other owner exists (an aliasing op such as Dropout in eval mode
-// returns a second handle to the same node, which bumps the count).
-bool CanReuseBuffer(const Var& a) {
-  return !a->requires_grad && a.use_count() == 1;
-}
-
 // GEMM kernels live in tensor/gemm.h so the packed-batch inference path
 // (batched.cc) runs literally the same code — bit-identical planned vs
 // eager results depend on sharing the kernel, not reimplementing it.
@@ -181,34 +172,6 @@ Var Relu(const Var& a) {
       if (a->value[i] > 0.0) a->grad[i] += n->grad[i];
     }
   });
-}
-
-// In-place variants: an rvalue handle whose buffer nothing else can observe
-// is overwritten instead of copied (see CanReuseBuffer). These fire on the
-// inference path, where chains like Tanh(SliceVec(...)) otherwise copy
-// every intermediate.
-
-Var Tanh(Var&& a) {
-  if (!CanReuseBuffer(a)) return Tanh(a);
-  Tensor out = std::move(a->value);
-  simd::Active::Tanh(out.data(), out.size());
-  return MakeNode(std::move(out), {}, nullptr);
-}
-
-Var Sigmoid(Var&& a) {
-  if (!CanReuseBuffer(a)) return Sigmoid(a);
-  Tensor out = std::move(a->value);
-  simd::Active::Sigmoid(out.data(), out.size());
-  return MakeNode(std::move(out), {}, nullptr);
-}
-
-Var Relu(Var&& a) {
-  if (!CanReuseBuffer(a)) return Relu(a);
-  Tensor out = std::move(a->value);
-  Float* x = out.data();
-  const int n = out.size();
-  for (int i = 0; i < n; ++i) x[i] = std::max(x[i], 0.0);
-  return MakeNode(std::move(out), {}, nullptr);
 }
 
 Var Log(const Var& a) {

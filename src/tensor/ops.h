@@ -50,14 +50,6 @@ Var Relu(const Var& a);
 /// Natural log; inputs must be strictly positive.
 Var Log(const Var& a);
 
-// Rvalue overloads that transform the input buffer in place when it is safe
-// to do so (the handle is the sole owner and the node carries no gradient,
-// i.e. inference under NoGradGuard). They fall back to the copying overloads
-// otherwise, so call sites may pass std::move unconditionally.
-Var Tanh(Var&& a);
-Var Sigmoid(Var&& a);
-Var Relu(Var&& a);
-
 // ---------------------------------------------------------------------------
 // Linear algebra.
 // ---------------------------------------------------------------------------

@@ -60,11 +60,9 @@ class Variable {
 };
 
 /// Thread-local autograd mode. While disabled, MakeNode produces value-only
-/// nodes: no backward closure, no parent edges (so intermediate results are
-/// freed as soon as the forward pass moves past them), and the
-/// buffer-reusing in-place op variants in ops.h become eligible even when an
-/// input depends on trainable parameters. Inference entry points
-/// (InferencePlan::Execute, behind NerModel::PredictCorpus) disable
+/// nodes: no backward closure and no parent edges, so intermediate results
+/// are freed as soon as the forward pass moves past them. Inference entry
+/// points (InferencePlan::Execute, behind NerModel::PredictCorpus) disable
 /// gradients via NoGradGuard; each thread has its own flag, so parallel
 /// inference never disturbs a training thread.
 bool GradModeEnabled();

@@ -125,24 +125,6 @@ TEST(KernelDifferentialTest, FusedAffineGradientsMatchUnfusedComposition) {
   }
 }
 
-TEST(KernelDifferentialTest, InPlaceRvalueActivationsMatchCopyingOps) {
-  // Under NoGradGuard a sole-owner rvalue takes the buffer-reusing path;
-  // results must equal both the copying overload and the naive reference.
-  NoGradGuard no_grad;
-  Rng rng(107);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int r = rng.UniformInt(1, 12), c = rng.UniformInt(1, 12);
-    const Tensor t = RandomTensor({r, c}, &rng, -3.0, 3.0, 0.1);
-    EXPECT_LE(MaxAbsDiff(Tanh(Constant(t))->value, testsup::NaiveTanh(t)),
-              1e-12);
-    EXPECT_LE(
-        MaxAbsDiff(Sigmoid(Constant(t))->value, testsup::NaiveSigmoid(t)),
-        1e-12);
-    EXPECT_LE(MaxAbsDiff(Relu(Constant(t))->value, testsup::NaiveRelu(t)),
-              1e-12);
-  }
-}
-
 // --- CRF dynamic programs vs path enumeration -----------------------------
 
 Var RandomEncodings(int rows, int cols, uint64_t seed) {
@@ -469,6 +451,146 @@ TEST(PlanDifferentialTest, PlannedMatchesEagerOnCharacterCells) {
               model, sub, cell + " size " + std::to_string(size));
         }
         expect_planned_matches_eager(model, edges, cell + " edge");
+      }
+    }
+  }
+}
+
+TEST(PlanDifferentialTest, PlannedMatchesEagerOnLmCells) {
+  // Char-LM, token-LM and both-LM representations (survey Fig. 4 and
+  // TagLM) run the LMs' packed fills: one BiLstm over the characters or
+  // tokens of every sentence in the batch, each sentence one segment. Their
+  // rows must equal the eager state pass (testsup::EagerLmStates) bit for
+  // bit, and planned predictions the eager ones, for batch sizes 1, 3 and
+  // 17 and for empty, one-character and long tokens at every position.
+  const text::Corpus base = testsup::SmallCorpus("conll-like", 17, 97);
+  const std::vector<std::string> types = base.EntityTypes();
+  // Odd widths put every vector-tail path of the kernels on the LM layers.
+  embeddings::CharLm::Config cc;
+  cc.char_dim = 6;
+  cc.hidden_dim = 5;
+  const embeddings::CharLm char_lm(cc);  // untrained: random weights do
+  embeddings::TokenLm::Config tc;
+  tc.word_dim = 7;
+  tc.hidden_dim = 3;
+  tc.epochs = 1;
+  tc.min_count = 1;
+  embeddings::TokenLm token_lm(tc);
+  std::vector<std::vector<std::string>> unlabeled;
+  for (const text::Sentence& s : base.sentences) unlabeled.push_back(s.tokens);
+  token_lm.Train(unlabeled);
+
+  text::Corpus edges;
+  for (const std::vector<std::string>& tokens :
+       std::vector<std::vector<std::string>>{
+           {""},
+           {"", ""},
+           {"", "a", "Z"},
+           {"q", "", "Transcontinental-Telecommunications-Holdings"},
+           {std::string(45, 'k'), "."},
+           {"a", "", "", "b", ""},
+       }) {
+    edges.sentences.emplace_back();
+    edges.sentences.back().tokens = tokens;
+  }
+  for (int i = 0; i < 3; ++i) {
+    text::Sentence s = base.sentences[i];
+    s.tokens.insert(s.tokens.begin(), "");
+    s.tokens.insert(s.tokens.begin() + 2, std::string(41 + i, 'x'));
+    s.tokens.push_back("");
+    s.spans.clear();
+    edges.sentences.push_back(std::move(s));
+  }
+  std::vector<std::pair<std::string, text::Corpus>> corpora;
+  for (const int size : {1, 3, 17}) {
+    text::Corpus sub;
+    sub.sentences.assign(base.sentences.begin(),
+                         base.sentences.begin() + size);
+    corpora.emplace_back("size " + std::to_string(size), std::move(sub));
+  }
+  corpora.emplace_back("edge", edges);
+
+  // The fill writes one packed batch of the whole corpus through a stride
+  // wider than the feature, as ComposedRepresentation does; every row and
+  // the one-sentence Forward must equal the oracle's bytes.
+  const auto expect_rows_match =
+      [](const embeddings::LmFeature& feature,
+         const std::function<Tensor(const std::vector<std::string>&)>& oracle,
+         const text::Corpus& corpus, const std::string& what) {
+        batched::BatchLayout layout;
+        std::vector<const std::vector<std::string>*> sentences;
+        for (const text::Sentence& s : corpus.sentences) {
+          layout.Add(static_cast<int>(s.tokens.size()));
+          sentences.push_back(&s.tokens);
+        }
+        Arena arena;
+        const batched::PackedBatch batch{&arena, &layout, &sentences};
+        const int d = feature.dim();
+        const int stride = d + 3;
+        std::vector<Float> packed(static_cast<std::size_t>(layout.rows()) *
+                                  stride);
+        feature.FillPacked(batch, packed.data() + 1, stride);
+        for (int b = 0; b < layout.batch(); ++b) {
+          const Tensor want = oracle(*sentences[b]);
+          const Tensor eager = feature.Forward(*sentences[b], false)->value;
+          ASSERT_EQ(want.rows(), layout.len(b)) << what;
+          EXPECT_EQ(std::memcmp(eager.data(), want.data(),
+                                want.size() * sizeof(Float)),
+                    0)
+              << what << " sentence " << b;
+          for (int t = 0; t < layout.len(b); ++t) {
+            const Float* row = packed.data() + 1 +
+                               static_cast<std::size_t>(layout.offset(b) + t) *
+                                   stride;
+            EXPECT_EQ(std::memcmp(row, want.data() + t * d, d * sizeof(Float)),
+                      0)
+                << what << " sentence " << b << " token " << t;
+          }
+        }
+      };
+  const embeddings::LmFeature char_feature(&char_lm);
+  const embeddings::LmFeature token_feature(&token_lm);
+  for (const auto& [what, corpus] : corpora) {
+    expect_rows_match(
+        char_feature,
+        [&](const auto& tokens) {
+          return testsup::EagerCharLmRows(char_lm, tokens);
+        },
+        corpus, "char lm " + what);
+    expect_rows_match(
+        token_feature,
+        [&](const auto& tokens) {
+          return testsup::EagerTokenLmRows(token_lm, tokens);
+        },
+        corpus, "token lm " + what);
+  }
+
+  const std::pair<bool, bool> lms[] = {{true, false}, {false, true},
+                                       {true, true}};
+  const std::pair<std::string, std::string> cells[] = {{"bilstm", "crf"},
+                                                       {"cnn", "softmax"}};
+  for (const auto& [use_char_lm, use_token_lm] : lms) {
+    for (const auto& [encoder, decoder] : cells) {
+      const std::string cell = std::string(use_char_lm ? "charlm" : "") +
+                               (use_token_lm ? "tokenlm" : "") + "+" +
+                               encoder + "/" + decoder;
+      core::NerConfig config = TinyConfig(encoder, decoder, 47);
+      config.use_char_lm = use_char_lm;
+      config.use_token_lm = use_token_lm;
+      core::Resources resources;
+      resources.char_lm = &char_lm;
+      resources.token_lm = &token_lm;
+      const core::NerModel model(config, base, types, resources);
+      EXPECT_TRUE(model.plan().fully_batched())
+          << cell << ": " << model.plan().Describe();
+      for (const auto& [what, corpus] : corpora) {
+        const auto eager = testsup::EagerPredictCorpus(model, corpus);
+        const auto planned = model.PredictCorpus(corpus);
+        ASSERT_EQ(planned.size(), eager.size()) << cell << " " << what;
+        for (size_t i = 0; i < eager.size(); ++i) {
+          EXPECT_EQ(planned[i], eager[i])
+              << cell << " " << what << " sentence " << i;
+        }
       }
     }
   }

@@ -200,6 +200,11 @@ TEST(SgnsTest, CopyIntoEmbedding) {
 
 // --- Language models ---
 
+// A frozen LM's rows for one sentence, through the feature models use.
+Tensor LmRows(const BiLstmLm& lm, const std::vector<std::string>& tokens) {
+  return LmFeature(&lm).Forward(tokens, /*training=*/false)->value;
+}
+
 TEST(CharLmTest, TrainingReducesNll) {
   auto sents = data::GenerateUnlabeledText(data::Genre::kNews, 30, 11);
   CharLm::Config cfg;
@@ -222,8 +227,8 @@ TEST(CharLmTest, ExtractIsContextSensitive) {
   lm.Train(sents);
   // Same word, different contexts -> different embeddings (the defining
   // property of contextual string embeddings, Fig. 4).
-  Tensor a = lm.Extract({"Washington", "spoke", "today"});
-  Tensor b = lm.Extract({"they", "visited", "Washington"});
+  Tensor a = LmRows(lm, {"Washington", "spoke", "today"});
+  Tensor b = LmRows(lm, {"they", "visited", "Washington"});
   EXPECT_EQ(a.cols(), lm.dim());
   Float diff = 0.0;
   for (int j = 0; j < lm.dim(); ++j) {
@@ -236,9 +241,29 @@ TEST(CharLmTest, ExtractShapeMatchesTokens) {
   CharLm::Config cfg;
   cfg.hidden_dim = 6;
   CharLm lm(cfg);
-  Tensor out = lm.Extract({"one", "two", "three", "four"});
+  Tensor out = LmRows(lm, {"one", "two", "three", "four"});
   EXPECT_EQ(out.rows(), 4);
   EXPECT_EQ(out.cols(), 12);
+}
+
+// An empty last token starts past the sentence's last character; its rows
+// read the separator before it. The forward LM is causal, so its half
+// equals that of an empty middle token after the same prefix, and the
+// backward LM has read only that separator, as for a lone empty token.
+TEST(CharLmTest, TrailingEmptyTokenReadsTheSeparatorBeforeIt) {
+  CharLm::Config cfg;
+  cfg.hidden_dim = 6;
+  CharLm lm(cfg);
+  const Tensor trailing = LmRows(lm, {"a", ""});
+  const Tensor middle = LmRows(lm, {"a", "", "b"});
+  const Tensor alone = LmRows(lm, {""});
+  ASSERT_EQ(trailing.rows(), 2);
+  const int h = cfg.hidden_dim;
+  for (int j = 0; j < h; ++j) {
+    EXPECT_EQ(trailing.at(1, j), middle.at(1, j)) << j;
+    EXPECT_EQ(trailing.at(1, h + j), alone.at(0, h + j)) << j;
+  }
+  EXPECT_EQ(LmRows(lm, {"", ""}).rows(), 2);
 }
 
 TEST(TokenLmTest, TrainAndExtract) {
@@ -250,7 +275,7 @@ TEST(TokenLmTest, TrainAndExtract) {
   TokenLm lm(cfg);
   const Float nll = lm.Train(sents);
   EXPECT_GT(nll, 0.0);
-  Tensor out = lm.Extract({"the", "company", "said"});
+  Tensor out = LmRows(lm, {"the", "company", "said"});
   EXPECT_EQ(out.rows(), 3);
   EXPECT_EQ(out.cols(), 20);
 }

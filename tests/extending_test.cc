@@ -1,10 +1,10 @@
 // The extension paths docs/EXTENDING.md §7 promises: a user-defined
 // TokenFeature, ContextEncoder and TagDecoder without packed hooks still run
-// through InferencePlan on the eager bridges, and an extension encoder that
-// overrides the packed hook gets the packed path — both bit-identical to
-// the eager per-sentence forward, without editing src/plan/. The feature
-// and the mean-context encoder are the guide's own examples, compiled
-// verbatim (tests/CMakeLists.txt extracts them).
+// through InferencePlan on the eager bridges, and an extension feature or
+// encoder that overrides the packed hook gets the packed path — both
+// bit-identical to the eager per-sentence forward, without editing
+// src/plan/. The two features and the mean-context encoder are the guide's
+// own examples, compiled verbatim (tests/CMakeLists.txt extracts them).
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -153,6 +153,9 @@ TEST(ExtensionBridgeTest, ExtensionEncoderWithPackedHookRunsPacked) {
   std::vector<std::unique_ptr<embeddings::TokenFeature>> features;
   features.push_back(
       std::make_unique<embeddings::WordEmbeddingFeature>(&vocab, 4, &rng));
+  // Written once as its fill: the eager side reads it through
+  // FrozenForward, one sentence at a time.
+  features.push_back(std::make_unique<RelativePositionFeature>());
   const embeddings::ComposedRepresentation representation(
       std::move(features), /*dropout=*/0.0, &rng);
   const ReluProjectionEncoder encoder(representation.dim(), 5, &rng);

@@ -8,6 +8,8 @@
 
 #include "support/reference_kernels.h"
 #include "tensor/check.h"
+#include "tensor/ops.h"
+#include "tensor/rnn.h"
 
 namespace dlner::testsup {
 
@@ -164,6 +166,47 @@ eval::ExactResult EagerEvaluate(const core::NerModel& model,
     ev.Add(corpus.sentences[i].spans, predicted[i]);
   }
   return ev.Result();
+}
+
+Tensor EagerLmStates(const embeddings::BiLstmLm& lm,
+                     const std::vector<int>& ids) {
+  NoGradGuard no_grad;
+  const Var units = lm.embedding().Lookup(ids);
+  return Concat({RunRnn(lm.forward_lm(), units, /*reverse=*/false),
+                 RunRnn(lm.backward_lm(), units, /*reverse=*/true)})
+      ->value;
+}
+
+Tensor EagerCharLmRows(const embeddings::CharLm& lm,
+                       const std::vector<std::string>& tokens) {
+  const text::Vocabulary& vocab = lm.vocab();
+  std::vector<int> ids;
+  std::vector<int> first, last;
+  for (std::size_t w = 0; w < tokens.size(); ++w) {
+    if (w > 0) ids.push_back(vocab.Id(" "));
+    first.push_back(static_cast<int>(ids.size()));
+    for (char c : tokens[w]) ids.push_back(vocab.Id(std::string(1, c)));
+    last.push_back(static_cast<int>(ids.size()) - 1);
+  }
+  if (ids.empty()) ids.push_back(vocab.Id(" "));
+  const Tensor states = EagerLmStates(lm, ids);
+  const int n = static_cast<int>(ids.size());
+  const int h = lm.dim() / 2;
+  Tensor out({static_cast<int>(tokens.size()), lm.dim()});
+  for (int w = 0; w < out.rows(); ++w) {
+    const int fwd_row = std::max(last[w], 0);
+    const int bwd_row = std::min(first[w], n - 1);
+    for (int j = 0; j < h; ++j) {
+      out.at(w, j) = states.at(fwd_row, j);
+      out.at(w, h + j) = states.at(bwd_row, h + j);
+    }
+  }
+  return out;
+}
+
+Tensor EagerTokenLmRows(const embeddings::TokenLm& lm,
+                        const std::vector<std::string>& tokens) {
+  return EagerLmStates(lm, lm.vocab().Encode(tokens));
 }
 
 }  // namespace dlner::testsup

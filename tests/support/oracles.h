@@ -1,5 +1,6 @@
-// Brute-force oracles for the structured decoders and the scorer, and the
-// eager per-sentence oracle for the compiled inference plan.
+// Brute-force oracles for the structured decoders and the scorer, the
+// eager per-sentence oracle for the compiled inference plan, and the eager
+// state pass of the frozen language models.
 //
 // The CRF and semi-CRF dynamic programs admit exact small-n oracles: path
 // (resp. segmentation) enumeration over the decoder's own score primitives.
@@ -16,6 +17,7 @@
 #include "core/model.h"
 #include "decoders/crf.h"
 #include "decoders/semicrf.h"
+#include "embeddings/lm.h"
 #include "eval/metrics.h"
 #include "tensor/tensor.h"
 
@@ -67,6 +69,25 @@ std::vector<std::vector<text::Span>> EagerPredictCorpus(
 /// NerModel::Evaluate.
 eval::ExactResult EagerEvaluate(const core::NerModel& model,
                                 const text::Corpus& corpus);
+
+/// Eager BiLstmLm states [ids.size(), lm.dim()]: the forward LM's RunRnn
+/// over the unit embeddings beside the backward LM's reversed RunRnn, under
+/// NoGradGuard. The packed LM fills must reproduce these rows bit for bit.
+Tensor EagerLmStates(const embeddings::BiLstmLm& lm,
+                     const std::vector<int>& ids);
+
+/// The char LM's rows [T, lm.dim()] for one sentence from EagerLmStates
+/// over its tokens joined by single spaces (a lone space when that is
+/// empty): word w reads the forward state at its last character and the
+/// backward state at its first; an empty word reads the separators around
+/// it, clamped to the sequence.
+Tensor EagerCharLmRows(const embeddings::CharLm& lm,
+                       const std::vector<std::string>& tokens);
+
+/// The token LM's rows [T, lm.dim()]: EagerLmStates of the sentence's
+/// vocabulary ids.
+Tensor EagerTokenLmRows(const embeddings::TokenLm& lm,
+                        const std::vector<std::string>& tokens);
 
 }  // namespace dlner::testsup
 
