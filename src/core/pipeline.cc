@@ -1,8 +1,12 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <fstream>
+#include <span>
 #include <utility>
 
+#include "runtime/runtime.h"
 #include "tensor/nn.h"
 #include "tensor/serialize.h"
 
@@ -17,6 +21,30 @@ constexpr char kMagic[] = "DLNERPIPE2";
 // Deserialization caps: streams exceeding them are corrupt, not large.
 constexpr uint32_t kMaxEntityTypes = 4096;
 constexpr uint32_t kMaxEntityTypeLen = 4096;
+
+// Zero-fills `ranges` read as one array, cut into one contiguous share per
+// runtime thread. A fresh model's storage is mostly untouched pages, and
+// the first write to each one faults; the faults of different threads
+// proceed in parallel, where the read that follows would take them one
+// page at a time.
+void ZeroFillOnPool(const std::vector<std::span<Float>>& ranges) {
+  std::size_t total = 0;
+  for (const std::span<Float> r : ranges) total += r.size();
+  const std::int64_t shares = runtime::Runtime::Get().threads();
+  runtime::ParallelFor(shares, 1, [&](std::int64_t begin, std::int64_t end) {
+    const std::size_t lo = total * begin / shares;
+    const std::size_t hi = total * end / shares;
+    std::size_t offset = 0;  // of the current range within the whole
+    for (const std::span<Float> r : ranges) {
+      const std::size_t from = std::max(lo, offset);
+      const std::size_t to = std::min(hi, offset + r.size());
+      if (from < to) {
+        std::fill(r.data() + (from - offset), r.data() + (to - offset), 0.0);
+      }
+      offset += r.size();
+    }
+  });
+}
 
 }  // namespace
 
@@ -136,11 +164,14 @@ std::unique_ptr<Pipeline> Pipeline::Load(std::istream& is) {
     pipeline->resources_.token_lm = pipeline->owned_token_lm_.get();
   }
   {
-    // LoadParameters overwrites every parameter or fails the load.
+    // What the guard left unwritten is zeroed on every runtime thread, so
+    // no code ever reads unwritten storage; LoadParameters then overwrites
+    // every parameter or fails the load.
     SkipInitGuard skip_init;
     pipeline->model_ = std::make_unique<NerModel>(
         config, std::move(vocabs[0]), std::move(vocabs[1]), std::move(types),
         pipeline->resources_);
+    ZeroFillOnPool(skip_init.unwritten());
   }
   if (!LoadParameters(is, pipeline->model_->Parameters())) return nullptr;
   return pipeline;

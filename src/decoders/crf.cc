@@ -13,7 +13,6 @@ constexpr Float kNegInf = -1e9;
 CrfDecoder::CrfDecoder(int in_dim, const text::TagSet* tags, Rng* rng,
                        bool constrained_decoding, const std::string& name)
     : tags_(tags),
-      constrained_(constrained_decoding),
       proj_(std::make_unique<Linear>(in_dim, tags->size(), rng,
                                      name + ".proj")),
       transitions_(Parameter(
@@ -23,6 +22,17 @@ CrfDecoder::CrfDecoder(int in_dim, const text::TagSet* tags, Rng* rng,
                        name + ".start")),
       end_(Parameter(UniformVector(tags->size(), 0.1, rng), name + ".end")) {
   DLNER_CHECK(tags_ != nullptr);
+  const int k = tags_->size();
+  forbidden_.assign(2 * k + static_cast<std::size_t>(k) * k, false);
+  if (!constrained_decoding) return;
+  for (int j = 0; j < k; ++j) {
+    forbidden_[j] = !tags_->IsValidStart(j);
+    forbidden_[k + j] = !tags_->IsValidEnd(j);
+    for (int i = 0; i < k; ++i) {
+      forbidden_[2 * k + static_cast<std::size_t>(j) * k + i] =
+          !tags_->IsValidTransition(i, j);
+    }
+  }
 }
 
 std::vector<Var> CrfDecoder::Parameters() const {
@@ -79,37 +89,40 @@ std::vector<int> CrfDecoder::ViterbiPath(const Float* emissions,
                                          int t_len) const {
   const int k = tags_->size();
   if (t_len == 0) return {};
-  // Masked score tables, built once per call: a start, transition or end
-  // the scheme forbids scores kNegInf, so the k^2 * T loop reads plain
-  // arrays and never asks the tag set. The transition table is stored
+  // Masked score tables in forbidden_'s layout, filled from the live
+  // parameters on every call: an entry the scheme forbids scores kNegInf,
+  // so the k^2 * T loop reads plain arrays. The transition table is stored
   // transposed (trans_t[j*k + i] scores i -> j) so the inner loop over i is
-  // contiguous.
-  std::vector<Float> start(k), end(k);
-  std::vector<Float> trans_t(static_cast<std::size_t>(k) * k);
+  // contiguous. dp[t*k + j], after them, is the best score of a prefix
+  // ending in tag j at t; parent[t*k + j] its predecessor tag.
+  const std::size_t tables = forbidden_.size();
+  std::vector<Float> scores(tables + static_cast<std::size_t>(t_len) * k);
+  const auto mask = [&](std::size_t e, Float value) {
+    scores[e] = forbidden_[e] ? kNegInf : value;
+  };
+  const Float* start_v = start_->value.data();
+  const Float* end_v = end_->value.data();
+  const Float* trans_v = transitions_->value.data();
   for (int j = 0; j < k; ++j) {
-    start[j] = constrained_ && !tags_->IsValidStart(j) ? kNegInf
-                                                       : start_->value[j];
-    end[j] = constrained_ && !tags_->IsValidEnd(j) ? kNegInf : end_->value[j];
+    mask(j, start_v[j]);
+    mask(k + j, end_v[j]);
     for (int i = 0; i < k; ++i) {
-      trans_t[static_cast<std::size_t>(j) * k + i] =
-          constrained_ && !tags_->IsValidTransition(i, j)
-              ? kNegInf
-              : transitions_->value[i * k + j];
+      mask(2 * k + static_cast<std::size_t>(j) * k + i, trans_v[i * k + j]);
     }
   }
-
-  // dp[t*k + j]: best score of a prefix ending in tag j at t; parent[t*k + j]
-  // its predecessor tag.
-  std::vector<Float> dp(static_cast<std::size_t>(t_len) * k);
+  const Float* start = scores.data();
+  const Float* end = start + k;
+  const Float* trans_t = end + k;
+  Float* dp = scores.data() + tables;
   std::vector<int> parent(static_cast<std::size_t>(t_len) * k, -1);
   for (int j = 0; j < k; ++j) dp[j] = start[j] + emissions[j];
   for (int t = 1; t < t_len; ++t) {
-    const Float* prev = dp.data() + static_cast<std::size_t>(t - 1) * k;
+    const Float* prev = dp + static_cast<std::size_t>(t - 1) * k;
     const Float* emit = emissions + static_cast<std::size_t>(t) * k;
-    Float* cur = dp.data() + static_cast<std::size_t>(t) * k;
+    Float* cur = dp + static_cast<std::size_t>(t) * k;
     int* par = parent.data() + static_cast<std::size_t>(t) * k;
     for (int j = 0; j < k; ++j) {
-      const Float* trans = trans_t.data() + static_cast<std::size_t>(j) * k;
+      const Float* trans = trans_t + static_cast<std::size_t>(j) * k;
       Float best = kNegInf * 2;
       int arg = 0;
       for (int i = 0; i < k; ++i) {
@@ -123,7 +136,7 @@ std::vector<int> CrfDecoder::ViterbiPath(const Float* emissions,
       par[j] = arg;
     }
   }
-  const Float* last = dp.data() + static_cast<std::size_t>(t_len - 1) * k;
+  const Float* last = dp + static_cast<std::size_t>(t_len - 1) * k;
   int best_tag = 0;
   Float best = kNegInf * 2;
   for (int j = 0; j < k; ++j) {

@@ -48,8 +48,8 @@ class CrfDecoder : public TagDecoder {
   std::vector<int> ViterbiPath(const Tensor& emissions) const;
   /// The same over `t_len` raw emission rows of K floats each, read in
   /// place (DecodePacked passes its arena rows). Reads the live
-  /// parameters on every call: nothing is cached, because training and
-  /// active learning change them between decodes.
+  /// parameters on every call, because training and active learning
+  /// change them between decodes; only the scheme's mask is fixed.
   std::vector<int> ViterbiPath(const Float* emissions, int t_len) const;
 
   /// Posterior tag marginals p(y_t = k | x) via the forward-backward
@@ -61,7 +61,10 @@ class CrfDecoder : public TagDecoder {
 
  private:
   const text::TagSet* tags_;  // not owned
-  bool constrained_;
+  // Entries Viterbi must never take, fixed by the tag scheme: starting in
+  // tag j ([j]), ending in j ([K + j]), and i -> j ([2K + j*K + i]). All
+  // false without constrained decoding.
+  std::vector<char> forbidden_;
   std::unique_ptr<Linear> proj_;
   Var transitions_;  // [K, K]: score of tag j following tag i
   Var start_;        // [K]

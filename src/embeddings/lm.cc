@@ -107,7 +107,9 @@ std::unique_ptr<Lm> BiLstmLm::LoadBody(std::istream& is,
       config.hidden_dim > kMaxLmDim) {
     return nullptr;
   }
-  // LoadParameters overwrites every parameter or fails the load.
+  // The guard's tensors stay unwritten: Build makes nothing but
+  // parameters, and LoadParameters overwrites every one of them or fails
+  // the load (the constructor's Build, if any, is replaced unread).
   SkipInitGuard skip_init;
   auto lm = std::make_unique<Lm>(config);
   if (!text::Vocabulary::LoadBlock(is, &lm->vocab_)) return nullptr;

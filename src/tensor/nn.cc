@@ -1,6 +1,7 @@
 #include "tensor/nn.h"
 
 #include <cmath>
+#include <utility>
 
 namespace dlner {
 
@@ -21,13 +22,27 @@ std::vector<Var> JoinParameters(const std::vector<const Module*>& modules) {
 
 namespace {
 
-thread_local bool g_skip_init = false;
+// The record of this thread's innermost live SkipInitGuard, or null.
+thread_local std::vector<std::span<Float>>* g_unwritten = nullptr;
+
+Tensor UniformTensor(std::vector<int> shape, Float scale, Rng* rng) {
+  if (g_unwritten != nullptr) {
+    Tensor t = Tensor::Uninitialized(std::move(shape));
+    g_unwritten->emplace_back(t.data(), t.size());
+    return t;
+  }
+  Tensor t(std::move(shape));
+  for (int i = 0; i < t.size(); ++i) t[i] = rng->Uniform(-scale, scale);
+  return t;
+}
 
 }  // namespace
 
-SkipInitGuard::SkipInitGuard() : prev_(g_skip_init) { g_skip_init = true; }
+SkipInitGuard::SkipInitGuard() : prev_(g_unwritten) {
+  g_unwritten = &unwritten_;
+}
 
-SkipInitGuard::~SkipInitGuard() { g_skip_init = prev_; }
+SkipInitGuard::~SkipInitGuard() { g_unwritten = prev_; }
 
 Tensor GlorotMatrix(int rows, int cols, Rng* rng) {
   const Float scale = std::sqrt(6.0 / (rows + cols));
@@ -35,17 +50,11 @@ Tensor GlorotMatrix(int rows, int cols, Rng* rng) {
 }
 
 Tensor UniformMatrix(int rows, int cols, Float scale, Rng* rng) {
-  Tensor t({rows, cols});
-  if (g_skip_init) return t;
-  for (int i = 0; i < t.size(); ++i) t[i] = rng->Uniform(-scale, scale);
-  return t;
+  return UniformTensor({rows, cols}, scale, rng);
 }
 
 Tensor UniformVector(int n, Float scale, Rng* rng) {
-  Tensor t({n});
-  if (g_skip_init) return t;
-  for (int i = 0; i < t.size(); ++i) t[i] = rng->Uniform(-scale, scale);
-  return t;
+  return UniformTensor({n}, scale, rng);
 }
 
 Var SliceVec(const Var& v, int start, int len) {

@@ -7,6 +7,7 @@
 #ifndef DLNER_TENSOR_NN_H_
 #define DLNER_TENSOR_NN_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,10 +49,13 @@ Tensor UniformVector(int n, Float scale, Rng* rng);
 
 /// RAII guard for building modules whose every parameter a checkpoint is
 /// about to overwrite (Pipeline::Load and the LM loaders). While one is
-/// alive on the current thread, the three helpers above return zero
-/// tensors and leave the Rng untouched, so a load does not pay for random
-/// values it throws away. Safe only because LoadParameters fails unless it
-/// restores every parameter; training never runs under it.
+/// alive on the current thread, the three helpers above leave the Rng
+/// untouched and return Tensor::Uninitialized storage, which the innermost
+/// guard records in unwritten(). The owner writes that storage before
+/// anything reads it: Pipeline::Load zero-fills it on every runtime thread,
+/// and the LM loaders, whose modules make nothing but parameters, discard
+/// the module unless LoadParameters restored every parameter. Training
+/// never runs under it.
 class SkipInitGuard {
  public:
   SkipInitGuard();
@@ -59,8 +63,14 @@ class SkipInitGuard {
   SkipInitGuard(const SkipInitGuard&) = delete;
   SkipInitGuard& operator=(const SkipInitGuard&) = delete;
 
+  /// The storage of every tensor the helpers returned unwritten while this
+  /// was the innermost guard, in creation order. Each span stays valid
+  /// while its tensor lives (a move keeps the buffer).
+  const std::vector<std::span<Float>>& unwritten() const { return unwritten_; }
+
  private:
-  bool prev_;
+  std::vector<std::span<Float>>* prev_;
+  std::vector<std::span<Float>> unwritten_;
 };
 
 // ---------------------------------------------------------------------------

@@ -63,14 +63,20 @@ Tensor::Tensor(std::vector<int> shape)
   TrackAlloc();
 }
 
-Tensor::Tensor(std::vector<int> shape, std::vector<Float> data)
+Tensor::Tensor(std::vector<int> shape, Storage data)
     : shape_(std::move(shape)), data_(std::move(data)) {
   DLNER_CHECK_EQ(NumElements(shape_), static_cast<int>(data_.size()));
   TrackAlloc();
 }
 
+Tensor Tensor::Uninitialized(std::vector<int> shape) {
+  const int n = NumElements(shape);
+  return Tensor(std::move(shape), Storage(n));
+}
+
 Tensor Tensor::FromVector(const std::vector<Float>& values) {
-  return Tensor({static_cast<int>(values.size())}, values);
+  return Tensor({static_cast<int>(values.size())},
+                Storage(values.begin(), values.end()));
 }
 
 Tensor Tensor::Full(std::vector<int> shape, Float value) {

@@ -9,7 +9,10 @@
 #define DLNER_TENSOR_TENSOR_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,17 +24,49 @@ namespace dlner {
 /// Scalar type used throughout the library.
 using Float = double;
 
+/// std::allocator, except that construction without a value
+/// default-initializes: std::vector<Float, DefaultInitAllocator<Float>>(n)
+/// allocates n doubles without writing them, so no page of a large buffer
+/// is touched before its owner writes it.
+template <typename T>
+class DefaultInitAllocator : public std::allocator<T> {
+ public:
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  // Construction from values falls back to std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// A dense row-major tensor. Rank 1 and 2 cover every model in the toolkit;
 /// higher ranks are representable but no op requires them.
 class Tensor {
  public:
+  /// Element storage: a vector whose sized construction leaves the
+  /// elements unwritten (see Uninitialized).
+  using Storage = std::vector<Float, DefaultInitAllocator<Float>>;
+
   Tensor() = default;
 
   /// Zero-filled tensor with the given shape.
   explicit Tensor(std::vector<int> shape);
 
   /// Tensor with the given shape and explicit contents (row-major).
-  Tensor(std::vector<int> shape, std::vector<Float> data);
+  Tensor(std::vector<int> shape, Storage data);
+
+  /// Tensor with the given shape whose elements are allocated but not
+  /// written: reading one before writing it is undefined. For buffers
+  /// every element of which is about to be overwritten.
+  static Tensor Uninitialized(std::vector<int> shape);
 
   // Copies/moves participate in the allocation accounting below. Defined
   // inline so the disabled path stays as cheap as the defaulted members:
@@ -84,8 +119,6 @@ class Tensor {
 
   Float* data() { return data_.data(); }
   const Float* data() const { return data_.data(); }
-  std::vector<Float>& vec() { return data_; }
-  const std::vector<Float>& vec() const { return data_; }
 
   /// Flat element access.
   Float& operator[](int i);
@@ -126,7 +159,7 @@ class Tensor {
   void ReleaseTracked();
 
   std::vector<int> shape_;
-  std::vector<Float> data_;
+  Storage data_;
   // Bytes this tensor added to the live-bytes gauge; 0 when it was created
   // with metrics disabled (then the destructor is branch-only).
   std::int64_t tracked_bytes_ = 0;

@@ -1081,7 +1081,9 @@ std::vector<std::vector<Float>> ValueAndGrads(const VarOp& op,
   return got;
 }
 
-Tensor OneRow(const Tensor& v) { return Tensor({1, v.size()}, CopyOf(v)); }
+Tensor OneRow(const Tensor& v) {
+  return Tensor({1, v.size()}, Tensor::Storage(v.data(), v.data() + v.size()));
+}
 
 // Runs `op` once on `vectors` followed by `rest` and once on the one-row
 // matrices of `vectors` followed by `rest`, and compares every byte.

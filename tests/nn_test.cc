@@ -1,7 +1,9 @@
 #include "tensor/nn.h"
 
 #include <cmath>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,19 +19,33 @@ Var RandomInput(std::vector<int> shape, Rng* rng) {
   return Parameter(std::move(t));
 }
 
-TEST(SkipInitGuardTest, ZeroTensorsAndUntouchedRng) {
+TEST(SkipInitGuardTest, RecordsUnwrittenTensorsAndLeavesRngUntouched) {
   Rng rng(4);
   Rng fresh(4);
   {
     SkipInitGuard skip_init;
+    std::vector<Tensor> made;
     {
       SkipInitGuard nested;
+      made.push_back(UniformVector(2, 0.5, &rng));
+      // Only the innermost guard records.
+      ASSERT_EQ(nested.unwritten().size(), 1u);
+      EXPECT_EQ(nested.unwritten()[0].data(), made[0].data());
     }
     // Still skipping after the nested guard restored the outer state.
-    for (const Tensor& t :
-         {UniformMatrix(3, 4, 0.5, &rng), UniformVector(5, 0.5, &rng),
-          GlorotMatrix(2, 6, &rng)}) {
-      for (int i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0);
+    made.push_back(UniformMatrix(3, 4, 0.5, &rng));
+    made.push_back(UniformVector(5, 0.5, &rng));
+    made.push_back(GlorotMatrix(2, 6, &rng));
+    EXPECT_EQ(made[1].shape(), (std::vector<int>{3, 4}));
+    EXPECT_EQ(made[2].shape(), (std::vector<int>{5}));
+    EXPECT_EQ(made[3].shape(), (std::vector<int>{2, 6}));
+    // Each record is the tensor's own buffer, which moving the tensor (into
+    // `made`, and as `made` grows) keeps.
+    const std::vector<std::span<Float>>& unwritten = skip_init.unwritten();
+    ASSERT_EQ(unwritten.size(), 3u);
+    for (size_t k = 0; k < unwritten.size(); ++k) {
+      EXPECT_EQ(unwritten[k].data(), made[k + 1].data());
+      EXPECT_EQ(unwritten[k].size(), static_cast<size_t>(made[k + 1].size()));
     }
   }
   // The Rng drew nothing under the guard, and init draws again after it.

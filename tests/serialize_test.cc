@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
+#include <span>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "embeddings/lm.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "runtime/runtime.h"
 #include "support/corpus_gen.h"
 #include "tensor/nn.h"
 
@@ -494,6 +497,39 @@ TEST(PipelineCheckpointTest, LoadAllocatesEachParameterOnce) {
   EXPECT_LE(load_peak, params + 4096);
 }
 
+TEST(PipelineCheckpointTest, LoadIsThreadCountInvariant) {
+  // Load zero-fills the fresh model on every runtime thread before the
+  // read; the restored bits and predictions must not depend on how many.
+  // Three threads cut the storage at boundaries inside tensors.
+  core::NerConfig config = TinyConfig();
+  config.word_dim = 64;
+  config.use_char_cnn = true;
+  const text::Corpus train = TinyNews(30, 31);
+  const text::Corpus held_out = TinyNews(12, 32);
+  auto pipeline =
+      core::Pipeline::Train(config, TinyTrain(), train, nullptr,
+                            data::EntityTypesFor(data::Genre::kNews));
+  std::ostringstream saved;
+  ASSERT_TRUE(pipeline->Save(saved));
+  const std::vector<Var> want = pipeline->model()->Parameters();
+  const auto want_tags = pipeline->TagCorpus(held_out);
+
+  for (const int threads : {1, 3, 0}) {  // 0: hardware threads
+    runtime::Runtime::Get().SetThreads(threads);
+    std::istringstream is(saved.str());
+    auto loaded = core::Pipeline::Load(is);
+    ASSERT_NE(loaded, nullptr) << threads;
+    const std::vector<Var> got = loaded->model()->Parameters();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k]->value.Fingerprint(), want[k]->value.Fingerprint())
+          << threads << " " << want[k]->name;
+    }
+    EXPECT_EQ(loaded->TagCorpus(held_out), want_tags) << threads;
+  }
+  runtime::Runtime::Get().SetThreads(0);
+}
+
 TEST(PipelineCheckpointTest, LoadLeavesInitOnForLaterModels) {
   // Models built after a load, successful or not, still draw their
   // initial values: the load's no-init scope ends with it.
@@ -540,9 +576,20 @@ TEST(PipelineCheckpointTest, EveryCellRestoresIntoUninitializedModel) {
       SaveParameters(ss, source.Parameters());
 
       std::unique_ptr<core::NerModel> restored;
+      std::vector<std::span<Float>> unwritten;
       {
         SkipInitGuard skip_init;
         restored = std::make_unique<core::NerModel>(config, corpus, types);
+        unwritten = skip_init.unwritten();
+      }
+      // Everything the guard left unwritten is a parameter's live buffer:
+      // Pipeline::Load zero-fills only storage the read then restores.
+      std::set<const Float*> buffers;
+      for (const Var& p : restored->Parameters()) {
+        buffers.insert(p->value.data());
+      }
+      for (const std::span<Float> r : unwritten) {
+        EXPECT_EQ(buffers.count(r.data()), 1u) << cell;
       }
       ASSERT_TRUE(LoadParameters(ss, restored->Parameters())) << cell;
       const std::vector<Var> a = source.Parameters();

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,17 @@ TEST(TensorTest, ZeroFilledConstruction) {
   EXPECT_EQ(t.cols(), 3);
   EXPECT_EQ(t.size(), 6);
   for (int i = 0; i < t.size(); ++i) EXPECT_EQ(t[i], 0.0);
+}
+
+TEST(TensorTest, UninitializedHasShapeAndSizedConstructionStillZeroes) {
+  Tensor t = Tensor::Uninitialized({3, 5});
+  EXPECT_EQ(t.shape(), (std::vector<int>{3, 5}));
+  EXPECT_EQ(t.size(), 15);
+  EXPECT_EQ(Tensor::Uninitialized({0}).size(), 0);
+  t.Fill(2.0);   // written before any read
+  t = Tensor();  // frees a buffer of nonzero bytes for the next one to reuse
+  const Tensor z({3, 5});
+  for (int i = 0; i < z.size(); ++i) EXPECT_EQ(z[i], 0.0);
 }
 
 TEST(TensorTest, ExplicitData) {
