@@ -77,14 +77,6 @@ void LayeredNerModel::Train(const text::Corpus& train,
   DLNER_CHECK(!models_.empty());
 }
 
-std::vector<text::Span> LayeredNerModel::Predict(
-    const std::vector<std::string>& tokens) const {
-  text::Corpus one;
-  one.sentences.resize(1);
-  one.sentences[0].tokens = tokens;
-  return PredictCorpus(one)[0];
-}
-
 std::vector<std::vector<text::Span>> LayeredNerModel::PredictCorpus(
     const text::Corpus& corpus) const {
   std::vector<std::set<text::Span>> merged(corpus.sentences.size());

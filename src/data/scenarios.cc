@@ -411,16 +411,6 @@ void ApplyAsrChannel(text::Corpus* corpus, double rate, uint64_t seed,
 
 // --- Dispatch ------------------------------------------------------------
 
-Scenario ScenarioFromString(const std::string& name) {
-  if (name == "code_switched") return Scenario::kCodeSwitched;
-  if (name == "ocr_noise") return Scenario::kOcrNoise;
-  if (name == "asr_noise") return Scenario::kAsrNoise;
-  if (name == "long_doc") return Scenario::kLongDoc;
-  if (name == "discontinuous") return Scenario::kDiscontinuous;
-  if (name == "entity_consistency") return Scenario::kEntityConsistency;
-  DLNER_CHECK_MSG(false, "unknown scenario: " << name);
-}
-
 std::string ScenarioToString(Scenario scenario) {
   switch (scenario) {
     case Scenario::kCodeSwitched: return "code_switched";

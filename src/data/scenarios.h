@@ -32,7 +32,6 @@ enum class Scenario {
   kEntityConsistency,  // later mentions only resolvable from earlier context
 };
 
-Scenario ScenarioFromString(const std::string& name);
 std::string ScenarioToString(Scenario scenario);
 /// All scenarios, in enum order (bench/test iteration).
 const std::vector<Scenario>& AllScenarios();

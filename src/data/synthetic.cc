@@ -609,34 +609,6 @@ class Generator {
 
 }  // namespace
 
-Genre GenreFromString(const std::string& name) {
-  if (name == "news") return Genre::kNews;
-  if (name == "onto") return Genre::kOnto;
-  if (name == "social") return Genre::kSocial;
-  if (name == "fine") return Genre::kFineGrained;
-  if (name == "nested") return Genre::kNested;
-  if (name == "bio") return Genre::kBio;
-  DLNER_CHECK_MSG(false, "unknown genre: " << name);
-}
-
-std::string GenreToString(Genre genre) {
-  switch (genre) {
-    case Genre::kNews:
-      return "news";
-    case Genre::kOnto:
-      return "onto";
-    case Genre::kSocial:
-      return "social";
-    case Genre::kFineGrained:
-      return "fine";
-    case Genre::kNested:
-      return "nested";
-    case Genre::kBio:
-      return "bio";
-  }
-  DLNER_CHECK(false);
-}
-
 GenOptions DefaultOptionsFor(Genre genre) {
   GenOptions opts;
   if (genre == Genre::kSocial) {

@@ -28,9 +28,6 @@ enum class Genre {
   kBio,          // BC5CDR-like: Disease/Chemical/Gene
 };
 
-Genre GenreFromString(const std::string& name);
-std::string GenreToString(Genre genre);
-
 /// Generation knobs.
 struct GenOptions {
   uint64_t seed = 1;

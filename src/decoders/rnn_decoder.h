@@ -26,12 +26,6 @@ class RnnDecoder : public TagDecoder {
   std::vector<text::Span> Predict(const Var& encodings) const override;
   std::vector<Var> Parameters() const override;
 
-  /// Beam-search decoding: keeps the `beam_width` highest log-probability
-  /// tag prefixes instead of committing greedily (mitigates the error
-  /// propagation the survey flags as the decoder's main weakness,
-  /// Section 3.5). beam_width == 1 is exactly greedy decoding.
-  std::vector<text::Span> PredictBeam(const Var& encodings, int beam_width) const;
-
   const text::TagSet& tags() const { return *tags_; }
 
  private:

@@ -184,19 +184,6 @@ Float CharLm::Train(const std::vector<std::vector<std::string>>& sentences) {
   return TrainSequences(sequences, config_.epochs, config_.lr);
 }
 
-Float CharLm::Evaluate(const std::vector<std::vector<std::string>>& sentences) {
-  Float total = 0.0;
-  int count = 0;
-  for (const auto& sent : sentences) {
-    const std::vector<int> ids = CharIds(sent, nullptr);
-    for (bool backward : {false, true}) {
-      if (ids.size() >= 2) total += DirectionLoss(ids, backward)->value[0];
-      ++count;
-    }
-  }
-  return count > 0 ? total / count : 0.0;
-}
-
 void CharLm::Fill(const batched::PackedBatch& batch, Float* dst,
                   int stride) const {
   const Arena::Scope scratch(batch.arena);

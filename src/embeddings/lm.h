@@ -115,9 +115,6 @@ class CharLm : public BiLstmLm {
   /// than two characters counts as NLL 0 and takes no step.
   Float Train(const std::vector<std::vector<std::string>>& sentences);
 
-  /// Average per-character NLL on held-out sentences (perplexity probe).
-  Float Evaluate(const std::vector<std::vector<std::string>>& sentences);
-
   /// One character segment per sentence: a word reads the forward state at
   /// its last character and the backward state at its first.
   void Fill(const batched::PackedBatch& batch, Float* dst,

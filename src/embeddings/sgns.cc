@@ -157,18 +157,4 @@ int SkipGramModel::CopyInto(const text::Vocabulary& vocab,
   return copied;
 }
 
-Float SkipGramModel::Similarity(const std::string& a,
-                                const std::string& b) const {
-  const std::vector<Float>& va = VectorOf(a);
-  const std::vector<Float>& vb = VectorOf(b);
-  Float dot = 0.0, na = 0.0, nb = 0.0;
-  for (int d = 0; d < dim_; ++d) {
-    dot += va[d] * vb[d];
-    na += va[d] * va[d];
-    nb += vb[d] * vb[d];
-  }
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return dot / (std::sqrt(na) * std::sqrt(nb));
-}
-
 }  // namespace dlner::embeddings

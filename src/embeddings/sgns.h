@@ -45,9 +45,6 @@ class SkipGramModel {
   /// initialized. This is the "use pre-trained embeddings as input" step.
   int CopyInto(const text::Vocabulary& vocab, Embedding* embedding) const;
 
-  /// Cosine similarity between two in-vocabulary words (analysis helper).
-  Float Similarity(const std::string& a, const std::string& b) const;
-
  private:
   SkipGramModel() = default;
 

@@ -150,30 +150,6 @@ RelaxedResult EvaluateRelaxed(
   return ev.Result();
 }
 
-Interval BootstrapMicroF1(
-    const std::vector<std::vector<text::Span>>& gold,
-    const std::vector<std::vector<text::Span>>& predicted, int resamples,
-    uint64_t seed) {
-  DLNER_CHECK_EQ(gold.size(), predicted.size());
-  DLNER_CHECK_GT(resamples, 0);
-  const int n = static_cast<int>(gold.size());
-  Rng rng(seed);
-  std::vector<double> f1s;
-  f1s.reserve(resamples);
-  for (int r = 0; r < resamples; ++r) {
-    ExactMatchEvaluator ev;
-    for (int i = 0; i < n; ++i) {
-      const int idx = rng.UniformInt(0, n - 1);
-      ev.Add(gold[idx], predicted[idx]);
-    }
-    f1s.push_back(ev.Result().micro.f1());
-  }
-  std::sort(f1s.begin(), f1s.end());
-  const int lo_idx = static_cast<int>(0.025 * (resamples - 1));
-  const int hi_idx = static_cast<int>(0.975 * (resamples - 1));
-  return {f1s[lo_idx], f1s[hi_idx]};
-}
-
 double ApproximateRandomizationPValue(
     const std::vector<std::vector<text::Span>>& gold,
     const std::vector<std::vector<text::Span>>& system_a,

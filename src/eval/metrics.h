@@ -80,17 +80,6 @@ RelaxedResult EvaluateRelaxed(
     const std::vector<std::vector<text::Span>>& gold,
     const std::vector<std::vector<text::Span>>& predicted);
 
-/// Percentile bootstrap confidence interval for micro-F1 over sentence
-/// resamples.
-struct Interval {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-Interval BootstrapMicroF1(
-    const std::vector<std::vector<text::Span>>& gold,
-    const std::vector<std::vector<text::Span>>& predicted, int resamples,
-    uint64_t seed);
-
 /// Paired significance test between two systems evaluated on the same gold
 /// data: approximate randomization over per-sentence prediction swaps
 /// (the standard NLP comparison protocol). Returns the two-sided p-value

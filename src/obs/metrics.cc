@@ -134,9 +134,6 @@ double Histogram::min() const { return min_.load(std::memory_order_relaxed); }
 
 double Histogram::max() const { return max_.load(std::memory_order_relaxed); }
 
-double Histogram::Percentile(Quantile q) const {
-  return Snapshot().Percentile(q);
-}
 
 double Histogram::BucketUpperBound(int b) {
   double lo = 0.0, hi = 0.0;

@@ -137,9 +137,6 @@ class Histogram {
   /// otherwise) — the upper bounds of the Prometheus `le` buckets.
   static double BucketUpperBound(int b);
 
-  /// Returns 0 for an empty histogram.
-  double Percentile(Quantile q) const;
-
   HistogramSnapshot Snapshot() const;
 
   void Reset();

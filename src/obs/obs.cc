@@ -7,14 +7,9 @@
 namespace dlner::obs {
 namespace {
 
-// Log sink shared by every thread; records are written whole under the
-// lock, so concurrent loggers interleave at record granularity only.
+// Records go to stderr, written whole under the lock, so concurrent loggers
+// interleave at record granularity only.
 std::mutex g_log_mu;
-std::FILE* g_log_file = nullptr;  // null = stderr
-
-std::FILE* LogSinkLocked() {
-  return g_log_file != nullptr ? g_log_file : stderr;
-}
 
 void AppendField(std::string* out, const Field& f) {
   out->append(",\"");
@@ -49,9 +44,8 @@ void WriteRecord(LogLevel level, const char* event,
   for (const Field& f : fields) AppendField(&line, f);
   line.append("}\n");
   std::lock_guard<std::mutex> lock(g_log_mu);
-  std::FILE* sink = LogSinkLocked();
-  std::fwrite(line.data(), 1, line.size(), sink);
-  std::fflush(sink);
+  std::fwrite(line.data(), 1, line.size(), stderr);
+  std::fflush(stderr);
 }
 
 }  // namespace
@@ -177,22 +171,10 @@ void ForceLog(LogLevel level, const char* event,
   WriteRecord(level, event, fields);
 }
 
-bool SetLogFile(const std::string& path) {
-  std::lock_guard<std::mutex> lock(g_log_mu);
-  if (g_log_file != nullptr) {
-    std::fclose(g_log_file);
-    g_log_file = nullptr;
-  }
-  if (path.empty()) return true;
-  g_log_file = std::fopen(path.c_str(), "w");
-  return g_log_file != nullptr;
-}
-
 void ResetForTesting() {
   EnableTracing(false);
   EnableMetrics(false);
   SetLogLevel(LogLevel::kWarn);
-  SetLogFile("");
 }
 
 }  // namespace dlner::obs

@@ -116,7 +116,7 @@ struct Field {
 };
 
 /// Appends one JSONL record — {"ts_us":..,"level":..,"event":..,<fields>} —
-/// to the log sink iff `level` passes the threshold.
+/// to stderr iff `level` passes the threshold.
 void Log(LogLevel level, const char* event,
          std::initializer_list<Field> fields = {});
 
@@ -125,12 +125,8 @@ void Log(LogLevel level, const char* event,
 void ForceLog(LogLevel level, const char* event,
               std::initializer_list<Field> fields = {});
 
-/// Redirects log output to `path` (truncating); an empty path restores the
-/// default sink (stderr). Returns false when the file cannot be opened.
-bool SetLogFile(const std::string& path);
-
 /// Test hook: restores switches and log level to their startup values
-/// (tracing off, metrics off, warn) and points the log sink back at stderr.
+/// (tracing off, metrics off, warn).
 void ResetForTesting();
 
 }  // namespace dlner::obs

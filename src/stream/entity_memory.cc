@@ -132,12 +132,4 @@ void EntityMemory::Clear() {
   longest_surface_ = 0;
 }
 
-std::string EntityMemory::MajorityType(
-    const std::vector<std::string>& surface) const {
-  if (surface.empty()) return "";
-  auto it = table_.find(Key(surface, 0, static_cast<int>(surface.size())));
-  if (it == table_.end()) return "";
-  return Majority(it->second).first;
-}
-
 }  // namespace dlner::stream

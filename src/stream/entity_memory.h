@@ -55,10 +55,6 @@ class EntityMemory {
   /// Distinct surfaces currently remembered.
   std::size_t size() const { return table_.size(); }
 
-  /// Majority type for an exact surface ("" when unknown). Ties break to
-  /// the lexicographically smallest type. Exposed for tests.
-  std::string MajorityType(const std::vector<std::string>& surface) const;
-
  private:
   struct VoteEntry {
     // Ordered map: deterministic iteration makes the lexicographic

@@ -1,7 +1,6 @@
 #include "tensor/arena.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace dlner {
 
@@ -26,12 +25,6 @@ Float* Arena::Alloc(std::size_t n) {
   used_ += n;
   in_use_floats_ += n;
   high_water_floats_ = std::max(high_water_floats_, in_use_floats_);
-  return out;
-}
-
-Float* Arena::AllocZero(std::size_t n) {
-  Float* out = Alloc(n);
-  std::memset(out, 0, n * sizeof(Float));
   return out;
 }
 

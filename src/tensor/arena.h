@@ -30,9 +30,6 @@ class Arena {
   /// Uninitialized storage for `n` Floats, valid until the next Reset.
   Float* Alloc(std::size_t n);
 
-  /// Zero-filled storage for `n` Floats.
-  Float* AllocZero(std::size_t n);
-
   /// Rewinds every block cursor; capacity is retained for reuse.
   void Reset();
 

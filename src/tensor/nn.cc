@@ -5,12 +5,6 @@
 
 namespace dlner {
 
-int Module::ParameterCount() const {
-  int n = 0;
-  for (const Var& p : Parameters()) n += p->value.size();
-  return n;
-}
-
 std::vector<Var> JoinParameters(const std::vector<const Module*>& modules) {
   std::vector<Var> all;
   for (const Module* m : modules) {

@@ -27,9 +27,6 @@ class Module {
 
   /// All trainable parameters of this module (and submodules).
   virtual std::vector<Var> Parameters() const = 0;
-
-  /// Total scalar parameter count.
-  int ParameterCount() const;
 };
 
 /// Concatenates the parameter lists of several modules.

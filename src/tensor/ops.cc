@@ -174,20 +174,6 @@ Var Relu(const Var& a) {
   });
 }
 
-Var Log(const Var& a) {
-  Tensor out = a->value;
-  for (int i = 0; i < out.size(); ++i) {
-    DLNER_CHECK_GT(out[i], 0.0);
-    out[i] = std::log(out[i]);
-  }
-  return MakeNode(std::move(out), {a}, [a](Variable* n) {
-    if (!a->requires_grad) return;
-    for (int i = 0; i < n->grad.size(); ++i) {
-      a->grad[i] += n->grad[i] / a->value[i];
-    }
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Linear algebra.
 // ---------------------------------------------------------------------------
@@ -357,11 +343,6 @@ Var Sum(const Var& a) {
     const Float g = n->grad[0];
     for (int i = 0; i < a->grad.size(); ++i) a->grad[i] += g;
   });
-}
-
-Var Mean(const Var& a) {
-  DLNER_CHECK_GT(a->value.size(), 0);
-  return Scale(Sum(a), 1.0 / a->value.size());
 }
 
 Var MaxOverRows(const Var& m) {

@@ -47,8 +47,6 @@ Var Neg(const Var& a);
 Var Tanh(const Var& a);
 Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
-/// Natural log; inputs must be strictly positive.
-Var Log(const Var& a);
 
 // ---------------------------------------------------------------------------
 // Linear algebra.
@@ -80,8 +78,6 @@ Var AddColBroadcast(const Var& m, const Var& v);
 
 /// Sum of all elements -> scalar [1].
 Var Sum(const Var& a);
-/// Mean of all elements -> scalar [1].
-Var Mean(const Var& a);
 /// Column-wise max over rows of [r,c] -> [c] (max-over-time pooling).
 Var MaxOverRows(const Var& m);
 /// Column-wise mean over rows of [r,c] -> [c].

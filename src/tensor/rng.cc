@@ -1,7 +1,5 @@
 #include "tensor/rng.h"
 
-#include <cmath>
-
 namespace dlner {
 
 uint64_t Rng::Next() {
@@ -24,45 +22,6 @@ int Rng::UniformInt(int lo, int hi) {
   return lo + static_cast<int>(Next() % range);
 }
 
-double Rng::Gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  // Box-Muller. Guard against log(0).
-  double u1 = Uniform();
-  while (u1 <= 1e-300) u1 = Uniform();
-  double u2 = Uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * 3.14159265358979323846 * u2;
-  cached_gaussian_ = r * std::sin(theta);
-  has_cached_gaussian_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::Gaussian(double mean, double stddev) {
-  return mean + stddev * Gaussian();
-}
-
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
-
-int Rng::Categorical(const std::vector<double>& weights) {
-  DLNER_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    DLNER_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  DLNER_CHECK_GT(total, 0.0);
-  double r = Uniform() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return static_cast<int>(i);
-  }
-  return static_cast<int>(weights.size()) - 1;
-}
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace dlner

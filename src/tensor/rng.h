@@ -33,12 +33,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int UniformInt(int lo, int hi);
 
-  /// Standard normal via Box-Muller.
-  double Gaussian();
-
-  /// Normal with the given mean and standard deviation.
-  double Gaussian(double mean, double stddev);
-
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
@@ -51,16 +45,8 @@ class Rng {
     }
   }
 
-  /// Index drawn from the (unnormalized, non-negative) weight vector.
-  int Categorical(const std::vector<double>& weights);
-
-  /// Spawns an independent stream derived from this one.
-  Rng Fork();
-
  private:
   uint64_t state_;
-  bool has_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
 };
 
 }  // namespace dlner

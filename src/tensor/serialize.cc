@@ -1,7 +1,6 @@
 #include "tensor/serialize.h"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <unordered_map>
@@ -54,6 +53,16 @@ bool SkipData(std::istream& is, const std::vector<int>& shape) {
   return is.gcount() == bytes;
 }
 
+void SaveTensor(std::ostream& os, const Tensor& t) {
+  WriteU32(os, static_cast<uint32_t>(t.dim()));
+  for (int i = 0; i < t.dim(); ++i) {
+    int32_t d = t.shape(i);
+    os.write(reinterpret_cast<const char*>(&d), sizeof(d));
+  }
+  os.write(reinterpret_cast<const char*>(t.data()),
+           static_cast<std::streamsize>(t.size() * sizeof(Float)));
+}
+
 }  // namespace
 
 void WriteU32(std::ostream& os, uint32_t v) {
@@ -89,25 +98,6 @@ bool ReadLenString(std::istream& is, std::string* s, uint32_t max_len) {
   s->assign(len, '\0');
   is.read(s->data(), len);
   return static_cast<bool>(is);
-}
-
-void SaveTensor(std::ostream& os, const Tensor& t) {
-  WriteU32(os, static_cast<uint32_t>(t.dim()));
-  for (int i = 0; i < t.dim(); ++i) {
-    int32_t d = t.shape(i);
-    os.write(reinterpret_cast<const char*>(&d), sizeof(d));
-  }
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.size() * sizeof(Float)));
-}
-
-bool LoadTensor(std::istream& is, Tensor* t) {
-  std::vector<int> shape;
-  if (!ReadShape(is, &shape)) return false;
-  Tensor loaded(shape);
-  if (!ReadData(is, &loaded)) return false;
-  *t = std::move(loaded);
-  return true;
 }
 
 void SaveParameters(std::ostream& os, const std::vector<Var>& params) {
@@ -160,21 +150,6 @@ bool LoadParameters(std::istream& is, const std::vector<Var>& params) {
     ++restored;
   }
   return restored == params.size();
-}
-
-bool SaveParametersToFile(const std::string& path,
-                          const std::vector<Var>& params) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  SaveParameters(os, params);
-  return static_cast<bool>(os);
-}
-
-bool LoadParametersFromFile(const std::string& path,
-                            const std::vector<Var>& params) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  return LoadParameters(is, params);
 }
 
 }  // namespace dlner

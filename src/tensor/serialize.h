@@ -59,14 +59,6 @@ void WriteLenString(std::ostream& os, const std::string& s);
 /// Reads a length-prefixed string, rejecting lengths above `max_len`.
 bool ReadLenString(std::istream& is, std::string* s, uint32_t max_len);
 
-/// Writes one tensor.
-void SaveTensor(std::ostream& os, const Tensor& t);
-
-/// Reads one tensor; returns false on malformed input. The total element
-/// count is bounded by kMaxTensorElements and the dim product is checked
-/// for overflow before anything is allocated.
-bool LoadTensor(std::istream& is, Tensor* t);
-
 /// Writes a named parameter list (names must be unique and non-empty).
 void SaveParameters(std::ostream& os, const std::vector<Var>& params);
 
@@ -76,14 +68,10 @@ void SaveParameters(std::ostream& os, const std::vector<Var>& params);
 /// if the stream is malformed, a name repeats or is missing, or a shape
 /// differs. A failed load may leave the parameter it was reading partly
 /// overwritten (and earlier ones fully overwritten), so callers discard the
-/// parameters on failure.
+/// parameters on failure. Every entry's shape, claimed or skipped, is
+/// bounded by kMaxTensorElements and its dim product is checked for
+/// overflow before anything is read.
 bool LoadParameters(std::istream& is, const std::vector<Var>& params);
-
-/// Convenience file wrappers; return false on I/O failure.
-bool SaveParametersToFile(const std::string& path,
-                          const std::vector<Var>& params);
-bool LoadParametersFromFile(const std::string& path,
-                            const std::vector<Var>& params);
 
 }  // namespace dlner
 

@@ -74,11 +74,6 @@ Tensor Tensor::Uninitialized(std::vector<int> shape) {
   return Tensor(std::move(shape), Storage(n));
 }
 
-Tensor Tensor::FromVector(const std::vector<Float>& values) {
-  return Tensor({static_cast<int>(values.size())},
-                Storage(values.begin(), values.end()));
-}
-
 Tensor Tensor::Full(std::vector<int> shape, Float value) {
   Tensor t(std::move(shape));
   t.Fill(value);
@@ -140,24 +135,6 @@ Float Tensor::Norm() const {
   Float s = 0.0;
   for (Float x : data_) s += x * x;
   return std::sqrt(s);
-}
-
-std::uint64_t Tensor::Fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  const auto mix = [&h](const unsigned char* bytes, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ULL;  // FNV-1a prime
-    }
-  };
-  for (int d : shape_) {
-    mix(reinterpret_cast<const unsigned char*>(&d), sizeof(d));
-  }
-  if (!data_.empty()) {
-    mix(reinterpret_cast<const unsigned char*>(data_.data()),
-        data_.size() * sizeof(Float));
-  }
-  return h;
 }
 
 std::string Tensor::ShapeString() const {

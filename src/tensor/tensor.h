@@ -102,8 +102,6 @@ class Tensor {
     if (tracked_bytes_ != 0) ReleaseTracked();
   }
 
-  /// Rank-1 tensor from values.
-  static Tensor FromVector(const std::vector<Float>& values);
   /// Tensor of the given shape filled with a constant.
   static Tensor Full(std::vector<int> shape, Float value);
 
@@ -136,13 +134,6 @@ class Tensor {
 
   /// Euclidean norm of all elements.
   Float Norm() const;
-
-  /// Order- and bit-sensitive FNV-1a hash over the shape and the raw bytes
-  /// of every element. Two tensors fingerprint equally iff their shapes
-  /// match and every element is bit-identical (distinguishing signed zeros
-  /// and NaN payloads), which is what the determinism and round-trip
-  /// invariance tests compare.
-  std::uint64_t Fingerprint() const;
 
   /// True when shapes and all elements match exactly.
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }

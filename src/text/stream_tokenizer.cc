@@ -14,11 +14,6 @@ inline bool IsSentenceEnd(const std::string& token) {
 
 }  // namespace
 
-StreamTokenizer::StreamTokenizer(const StreamTokenizerOptions& opts)
-    : opts_(opts) {
-  if (opts_.max_sentence_tokens < 1) opts_.max_sentence_tokens = 1;
-}
-
 void StreamTokenizer::Feed(std::string_view chunk) {
   for (char c : chunk) {
     if (IsDelim(c)) {
@@ -46,7 +41,7 @@ void StreamTokenizer::EndToken() {
   current_.push_back(std::move(partial_));
   partial_.clear();
   if (IsSentenceEnd(current_.back()) ||
-      static_cast<int>(current_.size()) >= opts_.max_sentence_tokens) {
+      static_cast<int>(current_.size()) >= kMaxSentenceTokens) {
     EndSentence();
   }
 }

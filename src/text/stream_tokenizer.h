@@ -12,7 +12,7 @@
 //     are token bytes.
 //   - '\n' ends the current sentence (if any tokens are pending).
 //   - A completed token that is exactly ".", "!", or "?" ends the sentence.
-//   - A sentence reaching `max_sentence_tokens` tokens is force-broken so
+//   - A sentence reaching kMaxSentenceTokens tokens is force-broken so
 //     downstream batching sees bounded sentence lengths.
 //
 // UTF-8 safety falls out of the byte rules: every delimiter is a single
@@ -31,16 +31,11 @@
 
 namespace dlner::text {
 
-struct StreamTokenizerOptions {
-  /// Force a sentence break once this many tokens accumulate. Matches the
-  /// serving layer's default per-request token cap.
-  int max_sentence_tokens = 512;
-};
-
 class StreamTokenizer {
  public:
-  StreamTokenizer() = default;
-  explicit StreamTokenizer(const StreamTokenizerOptions& opts);
+  /// A sentence break is forced once this many tokens accumulate. Matches
+  /// the serving layer's default per-request token cap.
+  static constexpr int kMaxSentenceTokens = 512;
 
   /// Consumes the next chunk of the byte stream. Completed sentences become
   /// available via NextSentence(). `chunk` may split tokens, UTF-8
@@ -62,7 +57,6 @@ class StreamTokenizer {
   void EndToken();
   void EndSentence();
 
-  StreamTokenizerOptions opts_;
   std::string partial_;                       // bytes of the unfinished token
   std::vector<std::string> current_;          // tokens of unfinished sentence
   std::deque<std::vector<std::string>> ready_;  // completed sentences

@@ -13,18 +13,6 @@ TagScheme TagSchemeFromString(const std::string& name) {
   DLNER_CHECK_MSG(false, "unknown tag scheme: " << name);
 }
 
-std::string TagSchemeToString(TagScheme scheme) {
-  switch (scheme) {
-    case TagScheme::kIo:
-      return "io";
-    case TagScheme::kBio:
-      return "bio";
-    case TagScheme::kBioes:
-      return "bioes";
-  }
-  DLNER_CHECK(false);
-}
-
 TagSet::TagSet(std::vector<std::string> entity_types, TagScheme scheme)
     : entity_types_(std::move(entity_types)), scheme_(scheme) {
   DLNER_CHECK(!entity_types_.empty());
@@ -67,10 +55,6 @@ int TagSet::IdOf(const std::string& tag) const {
   auto it = tag_ids_.find(tag);
   DLNER_CHECK_MSG(it != tag_ids_.end(), "unknown tag: " << tag);
   return it->second;
-}
-
-bool TagSet::Contains(const std::string& tag) const {
-  return tag_ids_.count(tag) > 0;
 }
 
 std::vector<int> TagSet::SpansToTagIds(const std::vector<Span>& spans,

@@ -26,8 +26,6 @@ enum class TagScheme {
 
 /// Parses a scheme name ("io", "bio", "bioes").
 TagScheme TagSchemeFromString(const std::string& name);
-/// Scheme name string.
-std::string TagSchemeToString(TagScheme scheme);
 
 /// A closed tag inventory for a fixed entity-type set under one scheme.
 /// Tag id 0 is always "O".
@@ -45,8 +43,6 @@ class TagSet {
   const std::string& TagOf(int id) const;
   /// Id of a tag string; aborts on unknown tags.
   int IdOf(const std::string& tag) const;
-  /// True if the tag string belongs to this set.
-  bool Contains(const std::string& tag) const;
 
   /// Encodes flat gold spans as a tag-id sequence of length `num_tokens`.
   /// Spans must be valid, flat, and typed within entity_types().

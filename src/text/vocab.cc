@@ -50,12 +50,6 @@ const std::string& Vocabulary::TokenOf(int id) const {
   return tokens_[id];
 }
 
-int Vocabulary::CountOf(int id) const {
-  DLNER_CHECK_GE(id, 0);
-  DLNER_CHECK_LT(id, size());
-  return counts_[id];
-}
-
 void Vocabulary::Freeze(int min_count) {
   DLNER_CHECK(!frozen_);
   if (min_count > 1) {

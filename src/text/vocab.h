@@ -36,9 +36,6 @@ class Vocabulary {
   /// Number of entries including UNK.
   int size() const { return static_cast<int>(tokens_.size()); }
 
-  /// Occurrence count recorded while building (0 for UNK).
-  int CountOf(int id) const;
-
   /// Drops tokens seen fewer than `min_count` times (their ids map to UNK)
   /// and forbids further Add() calls. Ids are re-assigned compactly.
   void Freeze(int min_count = 1);

@@ -13,6 +13,7 @@
 #include "data/dataset.h"
 #include "decoders/crf.h"
 #include "support/oracles.h"
+#include "support/params.h"
 
 namespace dlner::applied {
 namespace {
@@ -61,7 +62,7 @@ TEST(MultiTaskTest, HasExtraParametersAndTrains) {
                        data::EntityTypesFor(Genre::kNews));
   MultiTaskLmModel mtl(SmallConfig(), corpus,
                        data::EntityTypesFor(Genre::kNews), 0.3);
-  EXPECT_GT(mtl.ParameterCount(), plain.ParameterCount());
+  EXPECT_GT(testsup::ParameterCount(mtl), testsup::ParameterCount(plain));
   core::Trainer trainer(&mtl, FastTrain(3));
   core::TrainResult r = trainer.Train(corpus, nullptr);
   EXPECT_LT(r.history.back().train_loss, r.history.front().train_loss);
@@ -456,7 +457,7 @@ TEST(NestedTest, LayeredModelRecoversNestedMentions) {
 }
 
 // Evaluate runs through the planned PredictCorpus, which maps an empty
-// sentence to no spans (the eager per-sentence Predict rejects it).
+// sentence to no spans and leaves every other sentence's spans as they are.
 TEST(NestedTest, LayeredEvaluateAcceptsEmptySentences) {
   data::GenOptions opts;
   opts.num_sentences = 30;
@@ -471,11 +472,13 @@ TEST(NestedTest, LayeredEvaluateAcceptsEmptySentences) {
                               text::Sentence{});
   const std::vector<std::vector<text::Span>> predicted =
       layered.PredictCorpus(with_empty);
+  const std::vector<std::vector<text::Span>> unpadded =
+      layered.PredictCorpus(corpus);
   ASSERT_EQ(predicted.size(), with_empty.sentences.size());
   EXPECT_TRUE(predicted[3].empty());
   for (std::size_t i = 0; i < corpus.sentences.size(); ++i) {
     const std::size_t j = i < 3 ? i : i + 1;
-    EXPECT_EQ(predicted[j], layered.Predict(corpus.sentences[i].tokens));
+    EXPECT_EQ(predicted[j], unpadded[i]);
   }
   const eval::ExactResult plain = layered.Evaluate(corpus);
   const eval::ExactResult padded = layered.Evaluate(with_empty);

@@ -8,6 +8,7 @@
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "support/oracles.h"
+#include "support/params.h"
 #include "tools/tool_common.h"
 
 namespace dlner::core {
@@ -88,7 +89,7 @@ TEST_P(TaxonomyTest, BuildsAndRuns) {
   config.decoder = std::get<1>(GetParam());
   text::Corpus corpus = SmallNews(20, 2);
   NerModel model(config, corpus, data::EntityTypesFor(Genre::kNews));
-  EXPECT_GT(model.ParameterCount(), 0);
+  EXPECT_GT(testsup::ParameterCount(model), 0);
 
   const text::Sentence& s = corpus.sentences[0];
   Var loss = model.Loss(s, /*training=*/true);

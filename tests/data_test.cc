@@ -6,6 +6,7 @@
 #include "data/dataset.h"
 #include "data/gazetteer.h"
 #include "data/synthetic.h"
+#include "support/corpus_gen.h"
 #include "text/types.h"
 
 namespace dlner::data {
@@ -38,7 +39,7 @@ TEST_P(GenreTest, SpansAreValidAndTyped) {
     for (const Span& sp : s.spans) {
       EXPECT_TRUE(type_set.count(sp.type) > 0)
           << "unexpected type " << sp.type << " for genre "
-          << GenreToString(GetParam());
+          << testsup::GenreName(GetParam());
     }
   }
 }
@@ -76,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Genres, GenreTest,
                                            Genre::kFineGrained,
                                            Genre::kNested, Genre::kBio),
                          [](const auto& info) {
-                           return GenreToString(info.param);
+                           return testsup::GenreName(info.param);
                          });
 
 TEST(GenreFlatnessTest, FlatGenresStayFlat) {
@@ -86,7 +87,7 @@ TEST(GenreFlatnessTest, FlatGenresStayFlat) {
     Corpus c = GenerateCorpus(g, opts);
     for (const auto& s : c.sentences) {
       EXPECT_TRUE(text::SpansAreFlat(s.spans))
-          << "overlap in flat genre " << GenreToString(g);
+          << "overlap in flat genre " << testsup::GenreName(g);
     }
   }
 }
@@ -148,13 +149,6 @@ TEST(UnlabeledTest, ProducesTokenSequences) {
   auto sents = GenerateUnlabeledText(Genre::kNews, 30, 3);
   EXPECT_EQ(sents.size(), 30u);
   for (const auto& s : sents) EXPECT_FALSE(s.empty());
-}
-
-TEST(GenreStringTest, RoundTrip) {
-  for (Genre g : {Genre::kNews, Genre::kOnto, Genre::kSocial,
-                  Genre::kFineGrained, Genre::kNested, Genre::kBio}) {
-    EXPECT_EQ(GenreFromString(GenreToString(g)), g);
-  }
 }
 
 // --- Splits and stats ---

@@ -10,12 +10,15 @@
 #include "decoders/rnn_decoder.h"
 #include "decoders/semicrf.h"
 #include "decoders/softmax.h"
-#include "tensor/gradcheck.h"
+#include "support/corpus_gen.h"
+#include "support/gradcheck.h"
 #include "tensor/optim.h"
 #include "tensor/ops.h"
 
 namespace dlner::decoders {
 namespace {
+
+using testsup::MaxGradError;
 
 using text::Sentence;
 using text::Span;
@@ -209,7 +212,7 @@ TEST(CrfDecoderTest, ViterbiMatchesExhaustiveArgmax) {
           while (t >= 0 && ++path[t] == k) path[t--] = 0;
           if (t < 0) break;
         }
-        const std::string where = text::TagSchemeToString(g.scheme) +
+        const std::string where = testsup::SchemeName(g.scheme) +
                                   " k=" + std::to_string(k) +
                                   " n=" + std::to_string(n) +
                                   (constrained ? " constrained" : "");
@@ -406,40 +409,6 @@ TEST(RnnDecoderTest, LossGradChecks) {
   std::vector<Var> inputs = dec.Parameters();
   inputs.push_back(enc);
   EXPECT_LT(MaxGradError([&] { return dec.Loss(enc, s); }, inputs), 1e-5);
-}
-
-TEST(RnnDecoderTest, BeamWidthOneMatchesGreedy) {
-  TagSet tags({"PER", "LOC"}, TagScheme::kBioes);
-  Rng rng(51);
-  RnnDecoder dec(4, &tags, 4, 8, &rng);
-  for (int trial = 0; trial < 10; ++trial) {
-    Var enc = RandomInput(6, 4, 600 + trial);
-    EXPECT_EQ(dec.PredictBeam(enc, 1), dec.Predict(enc));
-  }
-}
-
-TEST(RnnDecoderTest, WiderBeamNeverDecreasesSequenceLogProb) {
-  // The beam result's total log-probability must be >= the greedy one's.
-  TagSet tags({"PER"}, TagScheme::kBio);
-  Rng rng(53);
-  RnnDecoder dec(3, &tags, 3, 6, &rng);
-  // Score helper: NLL of treating a prediction as gold.
-  auto nll = [&](const Var& enc, const std::vector<Span>& spans) {
-    Sentence s;
-    for (int t = 0; t < enc->value.rows(); ++t) s.tokens.push_back("w");
-    s.spans = spans;
-    return dec.Loss(enc, s)->value[0];
-  };
-  int beam_not_worse = 0;
-  for (int trial = 0; trial < 10; ++trial) {
-    Var enc = RandomInput(5, 3, 700 + trial);
-    const double greedy = nll(enc, dec.Predict(enc));
-    const double beam = nll(enc, dec.PredictBeam(enc, 4));
-    if (beam <= greedy + 1e-9) ++beam_not_worse;
-  }
-  // Teacher-forced NLL is a proxy (prefix feedback differs), so allow a
-  // couple of inversions but require the beam to win overall.
-  EXPECT_GE(beam_not_worse, 7);
 }
 
 // --- Pointer decoder ---

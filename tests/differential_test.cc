@@ -158,7 +158,7 @@ TEST(CrfOracleTest, ForwardViterbiAndMarginalsMatchEnumeration) {
 
       EXPECT_NEAR(dec.LogPartition(emissions)->value[0], oracle.log_partition,
                   1e-8)
-          << "scheme=" << TagSchemeToString(g.scheme) << " n=" << n;
+          << "scheme=" << testsup::SchemeName(g.scheme) << " n=" << n;
       EXPECT_EQ(dec.ViterbiPath(emissions->value), oracle.best_path);
       EXPECT_LE(MaxAbsDiff(dec.Marginals(emissions->value), oracle.marginals),
                 1e-8);
@@ -181,7 +181,7 @@ TEST(CrfOracleTest, ConstrainedViterbiMatchesValidPathEnumeration) {
       const testsup::CrfBruteForce oracle = EnumerateCrf(dec, emissions);
       ASSERT_FALSE(oracle.best_valid_path.empty());
       EXPECT_EQ(dec.ViterbiPath(emissions->value), oracle.best_valid_path)
-          << "scheme=" << TagSchemeToString(scheme) << " n=" << n;
+          << "scheme=" << testsup::SchemeName(scheme) << " n=" << n;
     }
   }
 }

@@ -6,11 +6,15 @@
 #include "encoders/encoder.h"
 #include "encoders/rnn_encoder.h"
 #include "encoders/transformer.h"
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
+#include "support/params.h"
 #include "tensor/ops.h"
 
 namespace dlner::encoders {
 namespace {
+
+using testsup::MaxGradError;
+using testsup::Mean;
 
 Var RandomInput(int rows, int cols, uint64_t seed) {
   Rng rng(seed);
@@ -75,7 +79,7 @@ TEST_P(EncoderTest, GradCheck) {
 TEST_P(EncoderTest, HasTrainableParameters) {
   Rng rng(3);
   auto enc = MakeEncoder(GetParam(), 4, &rng);
-  EXPECT_GT(enc->ParameterCount(), 0);
+  EXPECT_GT(testsup::ParameterCount(*enc), 0);
 }
 
 TEST_P(EncoderTest, SingleTokenSentence) {
@@ -170,7 +174,7 @@ TEST(IdCnnTest, SharedParametersAcrossIterations) {
   Rng rng_a(9), rng_b(9);
   IdCnnEncoder one(4, 8, {1, 2, 4}, 1, &rng_a);
   IdCnnEncoder four(4, 8, {1, 2, 4}, 4, &rng_b);
-  EXPECT_EQ(one.ParameterCount(), four.ParameterCount());
+  EXPECT_EQ(testsup::ParameterCount(one), testsup::ParameterCount(four));
 }
 
 TEST(RnnEncoderTest, BidirectionalContextReachesBothEnds) {

@@ -33,7 +33,7 @@ namespace {
 class SignDecoder : public decoders::TagDecoder {
  public:
   Var Loss(const Var& encodings, const text::Sentence& /*gold*/) override {
-    return Mean(encodings);
+    return Sum(encodings);
   }
   std::vector<text::Span> Predict(const Var& encodings) const override {
     std::vector<text::Span> spans;

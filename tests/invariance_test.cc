@@ -15,6 +15,7 @@
 #include "runtime/runtime.h"
 #include "support/corpus_gen.h"
 #include "support/oracles.h"
+#include "support/params.h"
 #include "tensor/tensor.h"
 
 namespace dlner {
@@ -36,7 +37,7 @@ core::TrainConfig TinyTrainConfig() {
 std::vector<std::uint64_t> ParameterFingerprints(core::NerModel* model) {
   std::vector<std::uint64_t> prints;
   for (const Var& p : model->Parameters()) {
-    prints.push_back(p->value.Fingerprint());
+    prints.push_back(testsup::Fingerprint(p->value));
   }
   return prints;
 }

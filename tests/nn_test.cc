@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
+#include "support/params.h"
 #include "tensor/ops.h"
 
 namespace dlner {
 namespace {
+
+using testsup::MaxGradError;
 
 Var RandomInput(std::vector<int> shape, Rng* rng) {
   Tensor t(std::move(shape));
@@ -60,7 +63,7 @@ TEST(SkipInitGuardTest, RecordsUnwrittenTensorsAndLeavesRngUntouched) {
 TEST(LinearTest, ShapesAndParameterCount) {
   Rng rng(1);
   Linear lin(5, 3, &rng);
-  EXPECT_EQ(lin.ParameterCount(), 5 * 3 + 3);
+  EXPECT_EQ(testsup::ParameterCount(lin), 5 * 3 + 3);
   Var x = Constant(Tensor({4, 5}));
   Var y = lin.Apply(x);
   EXPECT_EQ(y->value.rows(), 4);

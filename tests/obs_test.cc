@@ -341,17 +341,17 @@ TEST_F(ObsTest, HistogramPercentilesAndStats) {
   EXPECT_DOUBLE_EQ(h.min(), 1.0);
   EXPECT_DOUBLE_EQ(h.max(), 1000.0);
   // Power-of-two buckets: estimates are exact to within a factor of two.
-  const double p50 = h.Percentile(Quantile::P(50.0));
+  const double p50 = h.Snapshot().Percentile(Quantile::P(50.0));
   EXPECT_GE(p50, 250.0);
   EXPECT_LE(p50, 750.0);
-  const double p99 = h.Percentile(Quantile::P(99.0));
+  const double p99 = h.Snapshot().Percentile(Quantile::P(99.0));
   EXPECT_GE(p99, 512.0);
   EXPECT_LE(p99, 1000.0);  // clamped to the observed max
-  EXPECT_DOUBLE_EQ(h.Percentile(Quantile::P(0.0)), 1.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(Quantile::P(100.0)), 1000.0);
+  EXPECT_DOUBLE_EQ(h.Snapshot().Percentile(Quantile::P(0.0)), 1.0);
+  EXPECT_DOUBLE_EQ(h.Snapshot().Percentile(Quantile::P(100.0)), 1000.0);
   h.Reset();
   EXPECT_EQ(h.count(), 0);
-  EXPECT_DOUBLE_EQ(h.Percentile(Quantile::P(50.0)), 0.0);
+  EXPECT_DOUBLE_EQ(h.Snapshot().Percentile(Quantile::P(50.0)), 0.0);
 }
 
 TEST_F(ObsTest, MetricsRegistryBasicsAndJson) {
@@ -478,16 +478,13 @@ TEST_F(ObsTest, TensorAccountingBalancesLiveBytes) {
 }
 
 TEST_F(ObsTest, LoggerLevelFilteringAndForceLog) {
-  const std::string path = ::testing::TempDir() + "obs_test_log.jsonl";
-  ASSERT_TRUE(SetLogFile(path));
   SetLogLevel(LogLevel::kWarn);
+  ::testing::internal::CaptureStderr();
   Log(LogLevel::kInfo, "dropped", {{"k", 1}});
   Log(LogLevel::kWarn, "kept", {{"k", 2}, {"s", "va\"lue"}, {"f", 0.5}});
   ForceLog(LogLevel::kInfo, "forced", {{"ok", true}});
-  SetLogFile("");  // back to stderr; flushes and closes the file
+  std::istringstream in(::testing::internal::GetCapturedStderr());
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 2u);
@@ -503,7 +500,6 @@ TEST_F(ObsTest, LoggerLevelFilteringAndForceLog) {
   ASSERT_NE(first.find("ts_us"), nullptr);
   EXPECT_EQ(second.find("event")->str, "forced");
   EXPECT_TRUE(second.find("ok")->b);
-  std::remove(path.c_str());
 }
 
 TEST_F(ObsTest, LogLevelStringRoundTrip) {

@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/nn.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace dlner {
 namespace {
+
+using testsup::MaxGradError;
+using testsup::Mean;
 
 constexpr Float kTol = 1e-6;
 
@@ -84,11 +87,6 @@ std::vector<OpCase> AllOpCases() {
     }
     *in = {a};
     *f = [a] { return Sum(Relu(a)); };
-  });
-  add(7, "Log", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
-    Var a = RandomParam({5}, rng, 0.2, 1.5);
-    *in = {a};
-    *f = [a] { return Sum(Log(a)); };
   });
   add(8, "MatMul", [](Rng* rng, std::vector<Var>* in, std::function<Var()>* f) {
     Var a = RandomParam({3, 4}, rng), b = RandomParam({4, 2}, rng);
@@ -312,7 +310,7 @@ TEST(OpsForwardTest, SoftmaxSumsToOne) {
 }
 
 TEST(OpsForwardTest, LogSumExpStability) {
-  Var a = Constant(Tensor::FromVector({1000.0, 1000.0}));
+  Var a = Constant(Tensor({2}, {1000.0, 1000.0}));
   Var l = LogSumExp(a);
   EXPECT_NEAR(l->value[0], 1000.0 + std::log(2.0), 1e-9);
 }
@@ -357,7 +355,7 @@ TEST(OpsForwardTest, DropoutGradientFlowsThroughMask) {
 
 TEST(BackwardTest, ReusedNodeAccumulatesOnce) {
   // loss = sum(x * x): d/dx = 2x even though x appears twice.
-  Var x = Parameter(Tensor::FromVector({3.0, -2.0}));
+  Var x = Parameter(Tensor({2}, {3.0, -2.0}));
   Backward(Sum(Mul(x, x)));
   EXPECT_DOUBLE_EQ(x->grad[0], 6.0);
   EXPECT_DOUBLE_EQ(x->grad[1], -4.0);
@@ -365,7 +363,7 @@ TEST(BackwardTest, ReusedNodeAccumulatesOnce) {
 
 TEST(BackwardTest, DiamondGraph) {
   // y = tanh(x); loss = sum(y*y + y). Both paths flow into x.
-  Var x = Parameter(Tensor::FromVector({0.5}));
+  Var x = Parameter(Tensor({1}, {0.5}));
   Var y = Tanh(x);
   Backward(Sum(Add(Mul(y, y), y)));
   const Float t = std::tanh(0.5);
@@ -373,7 +371,7 @@ TEST(BackwardTest, DiamondGraph) {
 }
 
 TEST(BackwardTest, SecondBackwardResetsGradients) {
-  Var x = Parameter(Tensor::FromVector({2.0}));
+  Var x = Parameter(Tensor({1}, {2.0}));
   Backward(Sum(Mul(x, x)));
   EXPECT_DOUBLE_EQ(x->grad[0], 4.0);
   Backward(Sum(Mul(x, x)));
@@ -382,15 +380,15 @@ TEST(BackwardTest, SecondBackwardResetsGradients) {
 }
 
 TEST(BackwardTest, ConstantsReceiveNoGradient) {
-  Var c = Constant(Tensor::FromVector({1.0, 2.0}));
-  Var x = Parameter(Tensor::FromVector({3.0, 4.0}));
+  Var c = Constant(Tensor({2}, {1.0, 2.0}));
+  Var x = Parameter(Tensor({2}, {3.0, 4.0}));
   Backward(Sum(Mul(c, x)));
   EXPECT_DOUBLE_EQ(x->grad[0], 1.0);
   EXPECT_TRUE(c->grad.empty() || c->grad.size() == 0);
 }
 
 TEST(BackwardDeathTest, NonScalarRootAborts) {
-  Var x = Parameter(Tensor::FromVector({1.0, 2.0}));
+  Var x = Parameter(Tensor({2}, {1.0, 2.0}));
   EXPECT_DEATH(Backward(Tanh(x)), "scalar");
 }
 

@@ -28,8 +28,8 @@ Float RunToConvergence(Optimizer* opt, const Var& x, const Tensor& target,
 class OptimizerTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OptimizerTest, ConvergesOnQuadratic) {
-  Var x = Parameter(Tensor::FromVector({5.0, -3.0, 0.5}), "x");
-  Tensor target = Tensor::FromVector({1.0, 2.0, -1.0});
+  Var x = Parameter(Tensor({3}, {5.0, -3.0, 0.5}), "x");
+  Tensor target = Tensor({3}, {1.0, 2.0, -1.0});
   // Adagrad's effective step decays as 1/sqrt(sum g^2); it needs a larger
   // base rate to cover the same distance in a fixed step budget.
   const Float lr = GetParam() == "adagrad" ? 0.5 : 0.05;
@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, OptimizerTest,
                          [](const auto& info) { return info.param; });
 
 TEST(SgdTest, PlainStepIsExact) {
-  Var x = Parameter(Tensor::FromVector({2.0}), "x");
+  Var x = Parameter(Tensor({1}, {2.0}), "x");
   Sgd sgd({x}, 0.1, /*momentum=*/0.0);
   sgd.ZeroGrad();
   Backward(Sum(Mul(x, x)));  // grad = 2x = 4
@@ -53,7 +53,7 @@ TEST(SgdTest, PlainStepIsExact) {
 }
 
 TEST(SgdTest, MomentumAccumulates) {
-  Var x = Parameter(Tensor::FromVector({0.0}), "x");
+  Var x = Parameter(Tensor({1}, {0.0}), "x");
   Sgd sgd({x}, 0.1, /*momentum=*/0.9);
   // Constant gradient of 1.0 applied twice:
   // v1 = -0.1, x1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19, x2 = -0.29.
@@ -66,7 +66,7 @@ TEST(SgdTest, MomentumAccumulates) {
 }
 
 TEST(AdamTest, BiasCorrectionMakesFirstStepLrSized) {
-  Var x = Parameter(Tensor::FromVector({1.0}), "x");
+  Var x = Parameter(Tensor({1}, {1.0}), "x");
   Adam adam({x}, 0.01);
   adam.ZeroGrad();
   x->grad[0] = 0.5;
@@ -76,7 +76,7 @@ TEST(AdamTest, BiasCorrectionMakesFirstStepLrSized) {
 }
 
 TEST(ClipTest, ClipsToMaxNorm) {
-  Var x = Parameter(Tensor::FromVector({3.0, 4.0}), "x");
+  Var x = Parameter(Tensor({2}, {3.0, 4.0}), "x");
   Sgd sgd({x}, 1.0);
   sgd.ZeroGrad();
   x->grad[0] = 3.0;
@@ -87,7 +87,7 @@ TEST(ClipTest, ClipsToMaxNorm) {
 }
 
 TEST(ClipTest, NoOpBelowThreshold) {
-  Var x = Parameter(Tensor::FromVector({0.3}), "x");
+  Var x = Parameter(Tensor({1}, {0.3}), "x");
   Sgd sgd({x}, 1.0);
   sgd.ZeroGrad();
   x->grad[0] = 0.3;
@@ -96,7 +96,7 @@ TEST(ClipTest, NoOpBelowThreshold) {
 }
 
 TEST(OptimDeathTest, UnknownKindAborts) {
-  Var x = Parameter(Tensor::FromVector({1.0}), "x");
+  Var x = Parameter(Tensor({1}, {1.0}), "x");
   EXPECT_DEATH(MakeOptimizer("lbfgs", {x}, 0.1), "unknown optimizer");
 }
 

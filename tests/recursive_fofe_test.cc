@@ -7,12 +7,15 @@
 
 #include "decoders/fofe.h"
 #include "encoders/recursive.h"
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/optim.h"
 #include "tensor/ops.h"
 
 namespace dlner {
 namespace {
+
+using testsup::MaxGradError;
+using testsup::Mean;
 
 using decoders::FofeDecoder;
 using encoders::BinaryTree;

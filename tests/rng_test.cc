@@ -1,6 +1,5 @@
 #include "tensor/rng.h"
 
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,19 +47,6 @@ TEST(RngTest, UniformIntCoversRangeInclusive) {
   for (int c : seen) EXPECT_GT(c, 800);
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(11);
-  double sum = 0.0, sum_sq = 0.0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    double g = rng.Gaussian();
-    sum += g;
-    sum_sq += g * g;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.03);
-  EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
-}
-
 TEST(RngTest, BernoulliFrequency) {
   Rng rng(13);
   int hits = 0;
@@ -75,34 +61,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   std::vector<bool> present(10, false);
   for (int x : v) present[x] = true;
   for (bool p : present) EXPECT_TRUE(p);
-}
-
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(17);
-  std::vector<double> w = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 8000; ++i) counts[rng.Categorical(w)]++;
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[2] / 8000.0, 0.75, 0.04);
-}
-
-TEST(RngTest, ForkIndependent) {
-  Rng a(21);
-  Rng b = a.Fork();
-  // The fork diverges from the parent stream.
-  int same = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (a.Next() == b.Next()) ++same;
-  }
-  EXPECT_EQ(same, 0);
-}
-
-TEST(RngDeathTest, BadCategoricalAborts) {
-  Rng rng(23);
-  std::vector<double> none;
-  EXPECT_DEATH(rng.Categorical(none), "DLNER_CHECK");
-  std::vector<double> zeros = {0.0, 0.0};
-  EXPECT_DEATH(rng.Categorical(zeros), "DLNER_CHECK");
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 #include "tensor/ops.h"
 
 namespace dlner {
 namespace {
+
+using testsup::MaxGradError;
 
 Var RandomInput(std::vector<int> shape, Rng* rng) {
   Tensor t(std::move(shape));

@@ -18,20 +18,11 @@
 #include "obs/obs.h"
 #include "runtime/runtime.h"
 #include "support/corpus_gen.h"
+#include "support/params.h"
 #include "tensor/nn.h"
 
 namespace dlner {
 namespace {
-
-TEST(SerializeTest, TensorRoundTrip) {
-  Tensor t({2, 3}, {1.5, -2.0, 0.0, 3.25, 4.0, -5.5});
-  std::stringstream ss;
-  SaveTensor(ss, t);
-  Tensor back;
-  ASSERT_TRUE(LoadTensor(ss, &back));
-  ASSERT_TRUE(back.SameShape(t));
-  for (int i = 0; i < t.size(); ++i) EXPECT_DOUBLE_EQ(back[i], t[i]);
-}
 
 TEST(SerializeTest, ParameterRoundTrip) {
   Rng rng(1);
@@ -95,26 +86,7 @@ TEST(SerializeTest, GarbageInputFails) {
   EXPECT_FALSE(LoadParameters(ss, a.Parameters()));
 }
 
-TEST(SerializeTest, FileRoundTrip) {
-  Rng rng(7);
-  Linear lin(3, 3, &rng, "lin");
-  const std::string path = ::testing::TempDir() + "/dlner_params.bin";
-  ASSERT_TRUE(SaveParametersToFile(path, lin.Parameters()));
-  Rng rng2(8);
-  Linear lin2(3, 3, &rng2, "lin");
-  ASSERT_TRUE(LoadParametersFromFile(path, lin2.Parameters()));
-  EXPECT_DOUBLE_EQ(lin2.Parameters()[0]->value[0],
-                   lin.Parameters()[0]->value[0]);
-}
-
-TEST(SerializeTest, MissingFileFails) {
-  Rng rng(9);
-  Linear lin(2, 2, &rng, "lin");
-  EXPECT_FALSE(LoadParametersFromFile("/nonexistent/dir/x.bin",
-                                      lin.Parameters()));
-}
-
-// --- Corrupt-input hardening for the tensor reader ---
+// --- Corrupt-input hardening for the checkpoint reader ---
 
 void PutU32(std::ostream& os, uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -124,33 +96,63 @@ void PutI32(std::ostream& os, int32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-TEST(SerializeTest, LoadTensorRejectsHugeElementCount) {
-  // A single dim claiming more elements than kMaxTensorElements must fail
-  // before any allocation happens.
+// A LoadParameters stream whose entries are (name, dims) headers, each
+// followed by as many zero bytes as its dims claim (none when the product
+// is out of range, which only a hostile header has).
+std::string CheckpointWith(
+    const std::vector<std::pair<std::string, std::vector<int32_t>>>& entries) {
   std::stringstream ss;
-  PutU32(ss, 1);                      // rank
-  PutI32(ss, 1 << 30);                // 2^30 elements = 8 GB of doubles
-  Tensor t;
-  EXPECT_FALSE(LoadTensor(ss, &t));
+  ss.write("DLNR", 4);
+  PutU32(ss, 1);  // version
+  PutU32(ss, static_cast<uint32_t>(entries.size()));
+  for (const auto& [name, dims] : entries) {
+    PutU32(ss, static_cast<uint32_t>(name.size()));
+    ss.write(name.data(), static_cast<std::streamsize>(name.size()));
+    PutU32(ss, static_cast<uint32_t>(dims.size()));
+    std::int64_t numel = 1;
+    for (int32_t d : dims) {
+      PutI32(ss, d);
+      if (numel >= 0) numel = (d < 0 || numel * d > 64) ? -1 : numel * d;
+    }
+    if (numel > 0) ss << std::string(numel * sizeof(Float), '\0');
+  }
+  return ss.str();
+}
+
+// A hostile shape must fail in the header, before anything is allocated or
+// read: in an entry a parameter claims (read into its buffer) and in one none
+// claims (skipped by SkipData).
+void ExpectHostileShapeRejected(const std::vector<int32_t>& dims) {
+  Var w = Parameter(Tensor({2, 2}), "w");
+  {
+    SCOPED_TRACE("claimed");
+    std::stringstream ss(CheckpointWith({{"w", dims}}));
+    EXPECT_FALSE(LoadParameters(ss, {w}));
+  }
+  {
+    SCOPED_TRACE("unclaimed");
+    std::stringstream ss(CheckpointWith({{"w", {2, 2}}, {"other", dims}}));
+    EXPECT_FALSE(LoadParameters(ss, {w}));
+  }
+  // The same framing with in-range shapes loads, so each failure above is
+  // the hostile shape's.
+  std::stringstream ss(CheckpointWith({{"w", {2, 2}}, {"other", {3, 1}}}));
+  EXPECT_TRUE(LoadParameters(ss, {w}));
+}
+
+TEST(SerializeTest, LoadTensorRejectsHugeElementCount) {
+  // More elements than kMaxTensorElements: 2^30 doubles = 8 GB.
+  ExpectHostileShapeRejected({1 << 30});
 }
 
 TEST(SerializeTest, LoadTensorRejectsDimProductOverflow) {
-  // Each dim fits in i32 but the product overflows any naive i32/i64 math;
+  // Each dim fits in i32, but the product overflows any naive i32/i64 math;
   // the bounded running product must reject it.
-  std::stringstream ss;
-  PutU32(ss, 4);  // rank
-  for (int i = 0; i < 4; ++i) PutI32(ss, 0x7fffffff);
-  Tensor t;
-  EXPECT_FALSE(LoadTensor(ss, &t));
+  ExpectHostileShapeRejected({0x7fffffff, 0x7fffffff, 0x7fffffff, 0x7fffffff});
 }
 
 TEST(SerializeTest, LoadTensorRejectsNegativeDim) {
-  std::stringstream ss;
-  PutU32(ss, 2);
-  PutI32(ss, 3);
-  PutI32(ss, -4);
-  Tensor t;
-  EXPECT_FALSE(LoadTensor(ss, &t));
+  ExpectHostileShapeRejected({3, -4});
 }
 
 TEST(SerializeTest, LoadParametersRejectsHugeCount) {
@@ -522,7 +524,8 @@ TEST(PipelineCheckpointTest, LoadIsThreadCountInvariant) {
     const std::vector<Var> got = loaded->model()->Parameters();
     ASSERT_EQ(got.size(), want.size());
     for (size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k]->value.Fingerprint(), want[k]->value.Fingerprint())
+      EXPECT_EQ(testsup::Fingerprint(got[k]->value),
+                testsup::Fingerprint(want[k]->value))
           << threads << " " << want[k]->name;
     }
     EXPECT_EQ(loaded->TagCorpus(held_out), want_tags) << threads;
@@ -549,7 +552,8 @@ TEST(PipelineCheckpointTest, LoadLeavesInitOnForLaterModels) {
   const std::vector<Var> b = after.Parameters();
   ASSERT_EQ(a.size(), b.size());
   for (size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k]->value.Fingerprint(), b[k]->value.Fingerprint())
+    EXPECT_EQ(testsup::Fingerprint(a[k]->value),
+              testsup::Fingerprint(b[k]->value))
         << a[k]->name;
   }
   EXPECT_GT(a[0]->value.Norm(), 0.0) << a[0]->name;
@@ -595,7 +599,8 @@ TEST(PipelineCheckpointTest, EveryCellRestoresIntoUninitializedModel) {
       const std::vector<Var> a = source.Parameters();
       const std::vector<Var> b = restored->Parameters();
       for (size_t k = 0; k < a.size(); ++k) {
-        EXPECT_EQ(a[k]->value.Fingerprint(), b[k]->value.Fingerprint())
+        EXPECT_EQ(testsup::Fingerprint(a[k]->value),
+                  testsup::Fingerprint(b[k]->value))
             << cell << " " << a[k]->name;
       }
       EXPECT_EQ(restored->PredictCorpus(corpus), source.PredictCorpus(corpus))

@@ -88,15 +88,25 @@ TEST(StreamTokenizerTest, ChunkSizeNeverChangesOutput) {
 }
 
 TEST(StreamTokenizerTest, MaxSentenceTokensForcesBreak) {
-  text::StreamTokenizerOptions opts;
-  opts.max_sentence_tokens = 4;
-  text::StreamTokenizer tokenizer(opts);
-  tokenizer.Feed("a b c d e f g h i\n");
+  constexpr int kMax = text::StreamTokenizer::kMaxSentenceTokens;
+  static_assert(kMax == 512);
+  // 1,030 tokens with no sentence end: breaks after tokens 512 and 1,024.
+  std::vector<std::string> tokens;
+  std::string text;
+  for (int i = 0; i < 1030; ++i) {
+    tokens.push_back(std::to_string(i));
+    text += tokens.back() + " ";
+  }
+  text::StreamTokenizer tokenizer;
+  tokenizer.Feed(text + "\n");
   const auto sentences = Drain(&tokenizer);
   ASSERT_EQ(sentences.size(), 3u);
-  EXPECT_EQ(sentences[0], (std::vector<std::string>{"a", "b", "c", "d"}));
-  EXPECT_EQ(sentences[1], (std::vector<std::string>{"e", "f", "g", "h"}));
-  EXPECT_EQ(sentences[2], (std::vector<std::string>{"i"}));
+  EXPECT_EQ(sentences[0], std::vector<std::string>(tokens.begin(),
+                                                   tokens.begin() + kMax));
+  EXPECT_EQ(sentences[1], std::vector<std::string>(tokens.begin() + kMax,
+                                                   tokens.begin() + 2 * kMax));
+  EXPECT_EQ(sentences[2], std::vector<std::string>(tokens.begin() + 2 * kMax,
+                                                   tokens.end()));
 }
 
 TEST(StreamTokenizerTest, FlushEmitsPartialSentenceAndToken) {
@@ -117,10 +127,22 @@ TEST(StreamTokenizerTest, FlushEmitsPartialSentenceAndToken) {
 // ---------------------------------------------------------------------------
 // EntityMemory
 
+// The type Apply gives `surface` read as a sentence of its own with no
+// predicted spans: the memory's majority type for that exact surface, or ""
+// when it remembers none.
+std::string RememberedType(const EntityMemory& memory,
+                           const std::vector<std::string>& surface) {
+  std::vector<text::Span> spans;
+  memory.Apply(surface, &spans);
+  const bool whole = spans.size() == 1 && spans[0].start == 0 &&
+                     spans[0].end == static_cast<int>(surface.size());
+  return whole ? spans[0].type : "";
+}
+
 TEST(EntityMemoryTest, InjectsRememberedSurfaces) {
   EntityMemory memory;
   memory.Observe({"President", "Zhang", "spoke", "."}, {{1, 2, "PER"}});
-  EXPECT_EQ(memory.MajorityType({"Zhang"}), "PER");
+  EXPECT_EQ(RememberedType(memory, {"Zhang"}), "PER");
 
   std::vector<text::Span> spans;  // decoder missed the repeat mention
   memory.Apply({"Zhang", "smiled", "."}, &spans);
@@ -163,7 +185,7 @@ TEST(EntityMemoryTest, VoteTiesBreakLexicographically) {
   EntityMemory memory;
   memory.Observe({"Amazon"}, {{0, 1, "ORG"}});
   memory.Observe({"Amazon"}, {{0, 1, "LOC"}});
-  EXPECT_EQ(memory.MajorityType({"Amazon"}), "LOC");  // LOC < ORG
+  EXPECT_EQ(RememberedType(memory, {"Amazon"}), "LOC");  // LOC < ORG
 }
 
 TEST(EntityMemoryTest, SeparatorBytesInTokensCannotForgeSurfaces) {
@@ -182,7 +204,7 @@ TEST(EntityMemoryTest, ClearForgetsEverything) {
   ASSERT_EQ(memory.size(), 1u);
   memory.Clear();
   EXPECT_EQ(memory.size(), 0u);
-  EXPECT_EQ(memory.MajorityType({"Zhang"}), "");
+  EXPECT_EQ(RememberedType(memory, {"Zhang"}), "");
 }
 
 TEST(EntityMemoryTest, SurfaceTableIsCapped) {
@@ -194,8 +216,8 @@ TEST(EntityMemoryTest, SurfaceTableIsCapped) {
   // A remembered surface keeps voting once the table is full.
   memory.Observe({"tok0"}, {{0, 1, "LOC"}});
   memory.Observe({"tok0"}, {{0, 1, "LOC"}});
-  EXPECT_EQ(memory.MajorityType({"tok0"}), "LOC");
-  EXPECT_EQ(memory.MajorityType({"tok4096"}), "");
+  EXPECT_EQ(RememberedType(memory, {"tok0"}), "LOC");
+  EXPECT_EQ(RememberedType(memory, {"tok4096"}), "");
 }
 
 // ---------------------------------------------------------------------------

@@ -61,4 +61,34 @@ core::NerConfig TinyConfig(const std::string& encoder,
   return config;
 }
 
+std::string GenreName(data::Genre genre) {
+  switch (genre) {
+    case data::Genre::kNews:
+      return "news";
+    case data::Genre::kOnto:
+      return "onto";
+    case data::Genre::kSocial:
+      return "social";
+    case data::Genre::kFineGrained:
+      return "fine";
+    case data::Genre::kNested:
+      return "nested";
+    case data::Genre::kBio:
+      return "bio";
+  }
+  return "?";
+}
+
+std::string SchemeName(text::TagScheme scheme) {
+  switch (scheme) {
+    case text::TagScheme::kIo:
+      return "io";
+    case text::TagScheme::kBio:
+      return "bio";
+    case text::TagScheme::kBioes:
+      return "bioes";
+  }
+  return "?";
+}
+
 }  // namespace dlner::testsup

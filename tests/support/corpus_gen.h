@@ -11,6 +11,7 @@
 
 #include "core/config.h"
 #include "data/dataset.h"
+#include "text/tagging.h"
 #include "text/types.h"
 
 namespace dlner::testsup {
@@ -39,6 +40,11 @@ const std::vector<std::string>& AllDecoders();
 /// every pair (e.g. hidden_dim divisible by transformer_heads).
 core::NerConfig TinyConfig(const std::string& encoder,
                            const std::string& decoder, uint64_t seed);
+
+/// Short lowercase names ("news", "bio"; "io", "bioes") that label
+/// parameterized cases and failure messages.
+std::string GenreName(data::Genre genre);
+std::string SchemeName(text::TagScheme scheme);
 
 }  // namespace dlner::testsup
 

@@ -1,11 +1,12 @@
-#include "tensor/gradcheck.h"
+#include "support/gradcheck.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "tensor/check.h"
+#include "tensor/ops.h"
 
-namespace dlner {
+namespace dlner::testsup {
 
 Float MaxGradError(const std::function<Var()>& build_loss,
                    const std::vector<Var>& inputs, Float eps) {
@@ -40,4 +41,9 @@ Float MaxGradError(const std::function<Var()>& build_loss,
   return worst;
 }
 
-}  // namespace dlner
+Var Mean(const Var& a) {
+  DLNER_CHECK_GT(a->value.size(), 0);
+  return Scale(Sum(a), 1.0 / a->value.size());
+}
+
+}  // namespace dlner::testsup

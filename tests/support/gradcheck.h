@@ -1,14 +1,14 @@
 // Finite-difference gradient checking, used by the test suite to validate
 // every differentiable op and fused module against central differences.
-#ifndef DLNER_TENSOR_GRADCHECK_H_
-#define DLNER_TENSOR_GRADCHECK_H_
+#ifndef DLNER_TESTS_SUPPORT_GRADCHECK_H_
+#define DLNER_TESTS_SUPPORT_GRADCHECK_H_
 
 #include <functional>
 #include <vector>
 
 #include "tensor/variable.h"
 
-namespace dlner {
+namespace dlner::testsup {
 
 /// Compares analytic gradients against central finite differences.
 ///
@@ -20,6 +20,10 @@ namespace dlner {
 Float MaxGradError(const std::function<Var()>& build_loss,
                    const std::vector<Var>& inputs, Float eps = 1e-5);
 
-}  // namespace dlner
+/// Mean of all elements -> scalar [1]: a loss that weighs every output
+/// element equally.
+Var Mean(const Var& a);
 
-#endif  // DLNER_TENSOR_GRADCHECK_H_
+}  // namespace dlner::testsup
+
+#endif  // DLNER_TESTS_SUPPORT_GRADCHECK_H_
